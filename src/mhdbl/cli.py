@@ -52,7 +52,6 @@ _SCHEMA = {
     "run.cfl": (float, 0.4),
     "run.sample_every": (int, 10),
     "run.branch": (str, "auto"),
-    "seed": (int, 0),
 }
 
 
@@ -109,8 +108,10 @@ def validate_config(cfg: dict) -> None:
                           "interval cannot undercut dt)")
     if cfg["run.branch"] not in ("auto", "unit", "kappa"):
         raise ConfigError(f"unknown run.branch {cfg['run.branch']!r}")
-    if cfg["run.t_final"] <= 0.0 or cfg["run.dt_max"] <= 0.0:
-        raise ConfigError("run.t_final and run.dt_max must be positive")
+    for key in ("run.t_final", "run.dt_max", "run.cfl"):
+        if not (math.isfinite(cfg[key]) and cfg[key] > 0.0):
+            raise ConfigError(
+                f"{key} must be positive and finite, got {cfg[key]!r}")
 
 
 def _prepare_out(out_dir: str) -> str:

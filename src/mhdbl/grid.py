@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -57,38 +58,41 @@ class GridSpec:
             raise ValueError("lx must be positive")
 
     # ---- derived geometry -------------------------------------------------
+    # The arrays are built once per grid and shared by every caller, so
+    # they are returned read-only.
 
     @property
     def dy(self) -> float:
         return self.ymax / (self.ny - 1)
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
-        return np.linspace(0.0, self.ymax, self.ny)
+        return _frozen(np.linspace(0.0, self.ymax, self.ny))
 
     @property
     def x(self) -> np.ndarray:
         return np.arange(self.nx) * (self.lx / self.nx)
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
         """Mode frequencies 2*pi*j/lx, j in [-nx/2, nx/2), FFT layout."""
-        return np.fft.fftfreq(self.nx, d=self.lx / self.nx) * 2.0 * np.pi
+        return _frozen(np.fft.fftfreq(self.nx, d=self.lx / self.nx)
+                       * 2.0 * np.pi)
 
-    @property
+    @cached_property
     def trapz_weights(self) -> np.ndarray:
         w = np.full(self.ny, self.dy)
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
+        return _frozen(w)
 
-    @property
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """True on kept modes: |j| <= dealias_fraction * nx/2."""
         j = np.fft.fftfreq(self.nx) * self.nx
-        return np.abs(j) <= self.dealias_fraction * (self.nx / 2)
+        return _frozen(np.abs(j) <= self.dealias_fraction * (self.nx / 2))
 
-    @property
+    @cached_property
     def mode_order(self) -> np.ndarray:
         """Column permutation sorting modes by ascending |xi| (DC first).
 
@@ -96,7 +100,12 @@ class GridSpec:
         bit reproducible regardless of how the coefficients were produced.
         """
         j = np.fft.fftfreq(self.nx) * self.nx
-        return np.lexsort((j, np.abs(j)))
+        return _frozen(np.lexsort((j, np.abs(j))))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 BC_DIRICHLET = "dirichlet"

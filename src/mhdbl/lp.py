@@ -67,7 +67,6 @@ class DyadicPartition:
     k_min: int
     k_max: int
     phi_table: np.ndarray   # (n_shells, nx)
-    chi_table: np.ndarray   # (n_shells, nx), chi(2^-k |xi|) per k
 
     @property
     def ks(self) -> np.ndarray:
@@ -93,9 +92,8 @@ def build_partition(grid: GridSpec) -> DyadicPartition:
     ks = np.arange(k_min, k_max + 1)
     scaled = xi[None, :] / (2.0 ** ks[:, None])
     phi_t = phi_shell(scaled)
-    chi_t = chi_lowpass(scaled)
     phi_t[:, xi == 0.0] = 0.0
-    part = DyadicPartition(grid, k_min, k_max, phi_t, chi_t)
+    part = DyadicPartition(grid, k_min, k_max, phi_t)
     tot = part.phi_table.sum(axis=0)
     err = np.max(np.abs(tot[xi > 0.0] - 1.0))
     if err > 1e-12:

@@ -14,7 +14,7 @@ from scipy import integrate as sp_integrate
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
                    dealias, integrate_y_tail, x_transform)
-from .lp import DyadicPartition, besov_h_shell_norms
+from .lp import DyadicPartition, _gexp, besov_h_shell_norms, smooth_step
 
 
 class UnsupportedScenarioError(ValueError):
@@ -106,14 +106,6 @@ def _interior_bump_d2(y):
     return out
 
 
-def _g(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 def _g1(s):
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
@@ -131,21 +123,15 @@ def _g2(s):
     return out
 
 
-def _step(s):
-    num = _g(s)
-    den = _g(s) + _g(1.0 - s)
-    return num / den
-
-
 def _step_d1(s):
-    g, gb = _g(s), _g(1.0 - s)
+    g, gb = _gexp(s), _gexp(1.0 - s)
     g1, gb1 = _g1(s), -_g1(1.0 - s)
     den = g + gb
     return (g1 * den - g * (g1 + gb1)) / den ** 2
 
 
 def _step_d2(s):
-    g, gb = _g(s), _g(1.0 - s)
+    g, gb = _gexp(s), _gexp(1.0 - s)
     g1, gb1 = _g1(s), -_g1(1.0 - s)
     g2, gb2 = _g2(s), _g2(1.0 - s)
     den = g + gb
@@ -176,7 +162,7 @@ def cutoff_slope(y):
     """The wall cutoff's derivative: step rise on [1, 2] plus a scaled
     interior bump whose weight makes the total integral exactly 2."""
     c = 1.5 / _bump_mass()
-    return _step(np.asarray(y, dtype=float) - 1.0) + c * _interior_bump(y)
+    return smooth_step(np.asarray(y, dtype=float) - 1.0) + c * _interior_bump(y)
 
 
 def cutoff_slope_d1(y):
@@ -236,11 +222,12 @@ def build_cutoff(grid: GridSpec) -> Cutoff:
 
 @dataclass
 class FarField:
-    """Tangential flow/field pair (U, B)(t, x) imposed above the layer.
+    """Tangential flow U(t, x) imposed above the layer.
 
-    Both components are separable: amplitude * <t>^{-power} * profile(x),
-    stored as mode spectra.  B is identically zero in every supported
-    family; the constructors enforce the compatibility restrictions.
+    U is separable: amplitude * <t>^{-power} * profile(x), stored as a
+    mode spectrum.  The far magnetic field B is zero by construction: no
+    supported family has B != 0 (farfield_decaying rejects the kappa = 1
+    background, the only case where B would enter), so only U is carried.
     """
 
     grid: GridSpec
@@ -265,23 +252,20 @@ class FarField:
             return np.zeros(self.grid.nx, dtype=complex)
         return self._amp(t) * self.g_spec
 
-    def b_spec(self, t: float) -> np.ndarray:
-        return np.zeros(self.grid.nx, dtype=complex)
-
     def dt_u_spec(self, t: float) -> np.ndarray:
         if self.trivial:
             return np.zeros(self.grid.nx, dtype=complex)
         return (-self.alpha) * self.eps * (1.0 + t) ** (-self.alpha - 1.0) \
             * self.g_spec
 
-    def dt_b_spec(self, t: float) -> np.ndarray:
-        return np.zeros(self.grid.nx, dtype=complex)
-
     def dx_u_spec(self, t: float) -> np.ndarray:
         return 1j * self.grid.xi * self.u_spec(t)
 
-    def dx_b_spec(self, t: float) -> np.ndarray:
-        return np.zeros(self.grid.nx, dtype=complex)
+    def physical_rows(self, t: float):
+        """(U, d_x U) at time t as physical rows of length nx."""
+        g = self.grid
+        return (x_transform(g, self.u_spec(t)[None, :], "inverse")[0],
+                x_transform(g, self.dx_u_spec(t)[None, :], "inverse")[0])
 
 
 def farfield_trivial(grid: GridSpec) -> FarField:
@@ -317,15 +301,10 @@ def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
 
 def bernoulli_residual(ff: FarField, params: Params, t: float) -> float:
     """Max-norm residual of the tangential transport law at time t:
-    d_t(B + bbar) + U d_x(B + bbar) - (B + bbar) d_x U."""
-    g = ff.grid
-    u = x_transform(g, ff.u_spec(t)[None, :], "inverse")[0]
-    b1 = x_transform(g, ff.b_spec(t)[None, :], "inverse")[0] + params.bbar
-    dtb = x_transform(g, ff.dt_b_spec(t)[None, :], "inverse")[0]
-    dxu = x_transform(g, ff.dx_u_spec(t)[None, :], "inverse")[0]
-    dxb = x_transform(g, ff.dx_b_spec(t)[None, :], "inverse")[0]
-    res = dtb + u * dxb - b1 * dxu
-    return float(np.max(np.abs(res)))
+    d_t(B + bbar) + U d_x(B + bbar) - (B + bbar) d_x U, which reduces to
+    -bbar d_x U since B = 0."""
+    _, dxu = ff.physical_rows(t)
+    return float(np.max(np.abs(params.bbar * dxu)))
 
 
 def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
@@ -398,53 +377,30 @@ def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
 # ---- forcing ---------------------------------------------------------------
 
 
-def source_terms(ff: FarField, cutoff: Optional[Cutoff], params: Params,
-                 grid: GridSpec, t: float):
+def source_terms(ff: FarField, cutoff: Optional[Cutoff], grid: GridSpec,
+                 t: float):
     """Forcing created by patching the far field onto the layer.
 
-    Returns (f_u, f_b, F_u, F_b): the two tendencies (supported in the
-    cutoff zone 0 <= y <= 2) and their negative tail integrals feeding the
-    antiderivative system.  A trivial far field gives four zero fields.
+    Returns (f_u, F_u): the tangential-velocity tendency (supported in the
+    cutoff zone 0 <= y <= 2) and its negative tail integral feeding the
+    antiderivative system.  The magnetic half is zero by construction
+    (B = 0 and bbar d_x U = 0 in every supported family), so it is not
+    formed.  A trivial far field gives two zero fields.
     """
-    zero = Field.zeros(grid, BC_NEUMANN)
     if ff.trivial:
-        return (zero.copy(), zero.copy(),
-                Field.zeros(grid, BC_DIRICHLET), Field.zeros(grid, BC_DIRICHLET))
+        return Field.zeros(grid, BC_NEUMANN), Field.zeros(grid, BC_DIRICHLET)
     if cutoff is None:
         raise ValueError("nontrivial far field needs a cutoff")
 
-    u1 = x_transform(grid, ff.u_spec(t)[None, :], "inverse")[0]
-    b1 = x_transform(grid, ff.b_spec(t)[None, :], "inverse")[0]
-    dxu = x_transform(grid, ff.dx_u_spec(t)[None, :], "inverse")[0]
-    dxb = x_transform(grid, ff.dx_b_spec(t)[None, :], "inverse")[0]
-
-    adv_u = u1 * dxu - b1 * dxb      # U dxU - B dxB, physical 1-D
-    adv_b = u1 * dxb - b1 * dxu
-
-    def to_spec(row):
-        return x_transform(grid, row[None, :], "forward")[0]
-
-    lin_u = ff.dt_u_spec(t) - params.bbar * ff.dx_b_spec(t)
-    lin_b = ff.dt_b_spec(t) - params.bbar * ff.dx_u_spec(t)
-    adv_u_s = to_spec(adv_u)
-    adv_b_s = to_spec(adv_b)
-
-    one_m = 1.0 - cutoff.dchi
+    u1, dxu = ff.physical_rows(t)
+    adv_u_s = x_transform(grid, (u1 * dxu)[None, :], "forward")[0]
     quad_plus = 1.0 - cutoff.dchi ** 2 + cutoff.chi * cutoff.d2chi
-    quad_minus = 1.0 - cutoff.dchi ** 2 - cutoff.chi * cutoff.d2chi
-
-    cu = (np.outer(one_m, lin_u) + np.outer(cutoff.d3chi, ff.u_spec(t))
+    cu = (np.outer(1.0 - cutoff.dchi, ff.dt_u_spec(t))
+          + np.outer(cutoff.d3chi, ff.u_spec(t))
           + np.outer(quad_plus, adv_u_s))
-    cb = (np.outer(one_m, lin_b) + np.outer(cutoff.d3chi, ff.b_spec(t))
-          + np.outer(quad_minus, adv_b_s))
     f_u = dealias(Field(grid, cu, BC_NEUMANN))
-    f_b = dealias(Field(grid, cb, BC_NEUMANN))
-
-    t_u = integrate_y_tail(f_u)
-    t_b = integrate_y_tail(f_b)
-    F_u = Field(grid, -t_u.coeffs, BC_DIRICHLET)
-    F_b = Field(grid, -t_b.coeffs, BC_DIRICHLET)
-    return f_u, f_b, F_u, F_b
+    F_u = Field(grid, -integrate_y_tail(f_u).coeffs, BC_DIRICHLET)
+    return f_u, F_u
 
 
 # ---- initial data ----------------------------------------------------------

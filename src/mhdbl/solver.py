@@ -12,6 +12,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -139,8 +140,21 @@ class State:
     def radius(self) -> float:
         return self.params.delta - self.params.lam * self.theta
 
-    def copy_fields(self):
-        return self.u.copy(), self.b.copy()
+    # Derived fields, built on first use and kept with the state: u, b and
+    # t must not change after that.
+
+    @cached_property
+    def dy_ub(self):
+        """(d_y u, d_y b): shared by the CL integral and the explicit RHS."""
+        return ddy(self.u), ddy(self.b)
+
+    @cached_property
+    def gh_fields(self):
+        """(phi, psi, G, H, d_y G, d_y H): shared by the theta update and the
+        sampled norms.  simulate frees them before the next step."""
+        phi, psi = reconstruct_phipsi(self.u, self.b)
+        G, H = compute_GH(self, phi, psi)
+        return phi, psi, G, H, ddy(G), ddy(H)
 
 
 def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
@@ -256,8 +270,7 @@ def _rhs_explicit_full(state: State, farfield, cutoff):
 
     dux = u.coeffs * (1j * xi)
     dbx = b.coeffs * (1j * xi)
-    duy = ddy(u).coeffs
-    dby = ddy(b).coeffs
+    duy, dby = (f.coeffs for f in state.dy_ub)
     v, h = recover_vh(u, b, check=False)
 
     u_p = x_transform(g, u.coeffs, "inverse")
@@ -277,23 +290,15 @@ def _rhs_explicit_full(state: State, farfield, cutoff):
     if not trivial:
         if cutoff is None:
             raise ValueError("nontrivial far field needs a cutoff")
-        t = state.t
-        U_p = x_transform(g, farfield.u_spec(t)[None, :], "inverse")[0]
-        B_p = x_transform(g, farfield.b_spec(t)[None, :], "inverse")[0]
-        dxU_p = x_transform(g, farfield.dx_u_spec(t)[None, :], "inverse")[0]
-        dxB_p = x_transform(g, farfield.dx_b_spec(t)[None, :], "inverse")[0]
+        U_p, dxU_p = farfield.physical_rows(state.t)
         umax += float(np.max(np.abs(U_p)))
         c1 = cutoff.dchi[:, None]
         c0 = cutoff.chi[:, None]
         c2 = cutoff.d2chi[:, None]
-        nl_u += (c1 * (U_p[None, :] * dux_p - B_p[None, :] * dbx_p)
-                 + c1 * (dxU_p[None, :] * u_p - dxB_p[None, :] * b_p)
-                 + c0 * (-dxU_p[None, :] * duy_p + dxB_p[None, :] * dby_p)
-                 + c2 * (U_p[None, :] * v_p - B_p[None, :] * h_p))
-        nl_b += (c1 * (U_p[None, :] * dbx_p - B_p[None, :] * dux_p)
-                 + c1 * (dxB_p[None, :] * u_p - dxU_p[None, :] * b_p)
-                 + c0 * (-dxU_p[None, :] * dby_p + dxB_p[None, :] * duy_p)
-                 + c2 * (B_p[None, :] * v_p - U_p[None, :] * h_p))
+        nl_u += (c1 * (U_p * dux_p) + c1 * (dxU_p * u_p)
+                 + c0 * (-dxU_p * duy_p) + c2 * (U_p * v_p))
+        nl_b += (c1 * (U_p * dbx_p) + c1 * (-dxU_p * b_p)
+                 + c0 * (-dxU_p * dby_p) + c2 * (-U_p * h_p))
 
     ru = -x_transform(g, nl_u, "forward")
     rb = -x_transform(g, nl_b, "forward")
@@ -303,9 +308,7 @@ def _rhs_explicit_full(state: State, farfield, cutoff):
     rb += p.bbar * dux
 
     if not trivial:
-        f_u, f_b, _, _ = source_terms(farfield, cutoff, p, g, state.t)
-        ru += f_u.coeffs
-        rb += f_b.coeffs
+        ru += source_terms(farfield, cutoff, g, state.t)[0].coeffs
 
     return (Field(g, ru, BC_DIRICHLET), Field(g, rb, BC_NEUMANN), umax)
 
@@ -315,26 +318,21 @@ def _rhs_explicit_full(state: State, farfield, cutoff):
 
 def theta_rhs(state: State, farfield: Optional[FarField] = None,
               part: Optional[DyadicPartition] = None,
-              radius: Optional[float] = None,
-              gh_pair=None) -> float:
+              radius: Optional[float] = None) -> float:
     """Band consumption rate: <t>^{1/4} times the weighted gradient norm
     of (G, H) in B^{1/2,0}, plus the far-field term
-    eps^{-1/2} <t>^{5/4} ||(U,B)||_{B^{1/2}_h} under the same band
-    multiplier."""
+    eps^{-1/2} <t>^{5/4} ||U||_{B^{1/2}_h} under the same band
+    multiplier (B = 0, so ||(U, B)|| = ||U||)."""
     if part is None:
         part = build_partition(state.grid)
     if radius is None:
         radius = state.radius
-    comp1, comp2 = _theta_components(state, farfield, part, radius, gh_pair)
+    comp1, comp2 = _theta_components(state, farfield, part, radius)
     return comp1 + comp2
 
 
-def _theta_components(state, farfield, part, radius, gh_pair=None):
-    if gh_pair is None:
-        G, H = compute_GH(state)
-    else:
-        G, H = gh_pair
-    dG, dH = ddy(G), ddy(H)
+def _theta_components(state, farfield, part, radius):
+    *_, dG, dH = state.gh_fields
     a = state.weight_alpha
     t = state.t
     ks = part.ks
@@ -345,9 +343,7 @@ def _theta_components(state, farfield, part, radius, gh_pair=None):
     comp2 = 0.0
     if farfield is not None and not farfield.trivial:
         su = besov_h_shell_norms(part, farfield.u_spec(t), r=radius)
-        sb = besov_h_shell_norms(part, farfield.b_spec(t), r=radius)
-        pair = np.sqrt(su * su + sb * sb)
-        bnorm = float(np.add.reduce(2.0 ** (0.5 * ks) * pair))
+        bnorm = float(np.add.reduce(2.0 ** (0.5 * ks) * su))
         comp2 = state.params.epsilon ** (-0.5) * (1.0 + t) ** 1.25 * bnorm
     return comp1, comp2
 
@@ -406,8 +402,8 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: np.ndarray, nu: float,
 
 
 def _diffusivities(params: Params) -> tuple:
-    nu_u = getattr(params, "nu_u", None) or 1.0
-    nu_b = getattr(params, "nu_b", None) or params.kappa
+    nu_u = params.nu_u or 1.0
+    nu_b = params.nu_b or params.kappa
     return nu_u, nu_b
 
 
@@ -428,13 +424,16 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     restart = (state.prev_ru is None or state.prev_dt is None
                or abs(state.prev_dt - dt) > 1e-9 * dt)
     if restart:
-        mid = State(state.grid, state.params, state.t + 0.5 * dt,
-                    Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
-                          state.u.bc),
-                    Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
-                          state.b.bc),
-                    theta=state.theta, weight_alpha=state.weight_alpha)
-        rum, rbm, _ = _rhs_explicit_full(mid, farfield, cutoff)
+        # the midpoint state is a temporary, so its derived fields are
+        # freed before the CN solves
+        rum, rbm, _ = _rhs_explicit_full(
+            State(state.grid, state.params, state.t + 0.5 * dt,
+                  Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
+                        state.u.bc),
+                  Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
+                        state.b.bc),
+                  theta=state.theta, weight_alpha=state.weight_alpha),
+            farfield, cutoff)
         eu, eb = rum.coeffs, rbm.coeffs
     else:
         eu = 1.5 * ru0.coeffs - 0.5 * state.prev_ru
@@ -567,8 +566,7 @@ def eqs2_residual(state_prev: State, state_next: State,
     dxpsi = psi0.coeffs * (1j * xi)
     lap_phi = d2dy(phi0).coeffs
     lap_psi = d2dy(psi0).coeffs
-    duy = ddy(u).coeffs
-    dby = ddy(b).coeffs
+    duy, dby = (f.coeffs for f in state_prev.dy_ub)
 
     u_p = x_transform(g, u.coeffs, "inverse")
     b_p = x_transform(g, b.coeffs, "inverse")
@@ -596,32 +594,19 @@ def eqs2_residual(state_prev: State, state_next: State,
     if farfield is not None and not farfield.trivial:
         if cutoff is None:
             raise ValueError("nontrivial far field needs a cutoff")
-        t = state_prev.t
-        U = farfield.u_spec(t)
-        B = farfield.b_spec(t)
-        dxU = farfield.dx_u_spec(t)
-        dxB = farfield.dx_b_spec(t)
-        U_p = x_transform(g, U[None, :], "inverse")[0]
-        B_p = x_transform(g, B[None, :], "inverse")[0]
-        dxU_p = x_transform(g, dxU[None, :], "inverse")[0]
-        dxB_p = x_transform(g, dxB[None, :], "inverse")[0]
+        U_p, dxU_p = farfield.physical_rows(state_prev.t)
         phi_p = x_transform(g, phi0.coeffs, "inverse")
-        psi_p = x_transform(g, psi0.coeffs, "inverse")
         c0 = cutoff.chi[:, None]
         c1 = cutoff.dchi[:, None]
         c2 = cutoff.d2chi[:, None]
-        t1 = spec(U_p[None, :] * dxphi_p - B_p[None, :] * dxpsi_p)
+        t1 = spec(U_p * dxphi_p)
         t2 = integrate_y_tail(Field(g, c2 * t1, BC_NEUMANN)).coeffs
-        t3 = spec(-dxU_p[None, :] * u_p + dxB_p[None, :] * b_p)
-        t4 = spec(dxU_p[None, :] * phi_p - dxB_p[None, :] * psi_p)
+        t3 = spec(-dxU_p * u_p)
+        t4 = spec(dxU_p * phi_p)
         t5 = integrate_y_tail(Field(g, c2 * t4, BC_NEUMANN)).coeffs
         res_phi += c1 * t1 + 2.0 * t2 + c0 * t3 + 2.0 * c1 * t4 + 2.0 * t5
-        s1 = spec(U_p[None, :] * dxpsi_p - B_p[None, :] * dxphi_p)
-        s2 = spec(-dxU_p[None, :] * b_p + dxB_p[None, :] * u_p)
-        res_psi += c1 * s1 + c0 * s2
-        _, _, F_u, F_b = source_terms(farfield, cutoff, p, g, t)
-        res_phi -= F_u.coeffs
-        res_psi -= F_b.coeffs
+        res_psi += c1 * spec(U_p * dxpsi_p) + c0 * spec(-dxU_p * b_p)
+        res_phi -= source_terms(farfield, cutoff, g, state_prev.t)[1].coeffs
 
     res_phi[0] = 0.0
     res_phi[-1] = 0.0
@@ -718,6 +703,10 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
         gain = 0.0   # conjugate-system runs sit outside the branch ranges
 
     weight_exp = 2.0 * (0.5 + gain)
+    # distinct (alpha, beta) audit combinations in first-seen order; at
+    # kappa = 1 all four collapse to one
+    audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
+                                for be in (1.0, params.kappa))
     cl = CLAccumulator(ws.part, 0.5, 2.0)
     theta_int1 = 0.0
     audit_min = {}
@@ -731,9 +720,7 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
         return cl.value() ** 2
 
     def take_sample(st: State):
-        phi, psi = reconstruct_phipsi(st.u, st.b)
-        G, H = compute_GH(st, phi, psi)
-        dG, dH = ddy(G), ddy(H)
+        phi, psi, G, H, dG, dH = st.gh_fields
         a = st.weight_alpha
         r = st.radius
         series.append(
@@ -744,9 +731,6 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
             norm_phipsi=besov_pair_norm(ws.part, phi, psi, 0.5, a, st.t, r),
             cl_dyub_sq=cl_value_sq(), theta_integral1=theta_int1)
         tail_guard_check(st)
-
-    if resume_state is None:
-        take_sample(state)
 
     scale0 = max(float(np.max(np.abs(state.u.coeffs))),
                  float(np.max(np.abs(state.b.coeffs))))
@@ -776,35 +760,35 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
         }
 
     try:
+        if resume_state is None:
+            take_sample(state)
         while state.t < t_final - 1e-12:
+            # theta and the last sample are done with the (G, H) family;
+            # free it before the step allocates its own
+            vars(state).pop("gh_fields", None)
             dt = _choose_dt(grid, dt_max, cfl, umax_est)
             dt = min(dt, t_final - state.t)
             # pre-step accumulations (left endpoint in time)
-            du, db = ddy(state.u), ddy(state.b)
+            du, db = state.dy_ub
             a, r = state.weight_alpha, state.radius
             na = shell_weighted_norms(ws.part, du, a, state.t, r)
             nb = shell_weighted_norms(ws.part, db, a, state.t, r)
             w = (1.0 + state.t) ** weight_exp
             cl.add(np.sqrt(na * na + nb * nb), w, dt)
 
-            audit_now = state.step_index % _AUDIT_EVERY == 0
-            if audit_now:
-                u_old, b_old = state.copy_fields()
-                t_old = state.t
-
             new = step_imex(state, dt, farfield, cutoff, ws)
             theta_int1 += dt * new.diagnostics["theta_comp1"]
             umax_est = new.diagnostics["umax"]
 
-            if audit_now:
-                kap = params.kappa
-                for name, fo, fn in (("u", u_old, new.u), ("b", b_old, new.b)):
-                    for al in (1.0, 1.0 / kap):
-                        for be in (1.0, kap):
-                            key = f"{name}:a{al:.4g}:b{be:.4g}"
-                            s = heat_energy_slack(fo, fn, t_old, new.t, al, be)
-                            audit_min[key] = min(
-                                audit_min.get(key, math.inf), s)
+            # step_imex never modifies the fields of its input, so the
+            # pre-step fields are still those of `state`
+            if state.step_index % _AUDIT_EVERY == 0:
+                for name, fo, fn in (("u", state.u, new.u),
+                                     ("b", state.b, new.b)):
+                    for al, be in audit_pairs:
+                        key = f"{name}:a{al:.4g}:b{be:.4g}"
+                        s = heat_energy_slack(fo, fn, state.t, new.t, al, be)
+                        audit_min[key] = min(audit_min.get(key, math.inf), s)
 
             m = max(float(np.max(np.abs(new.u.coeffs))),
                     float(np.max(np.abs(new.b.coeffs))))

@@ -83,7 +83,12 @@ class TestConfig:
                 ("scenario.id=warped", "unknown scenario.id"),
                 ("run.sample_every=0", "sample_every"),
                 ("run.branch=sideways", "unknown run.branch"),
-                ("run.t_final=0", "must be positive")):
+                ("run.t_final=0", "must be positive"),
+                ("run.t_final=nan", "run.t_final must be positive"),
+                ("run.t_final=inf", "run.t_final must be positive"),
+                ("run.dt_max=nan", "run.dt_max must be positive"),
+                ("run.cfl=nan", "run.cfl must be positive"),
+                ("run.cfl=-1", "run.cfl must be positive")):
             cfg = parse_config(None, [item])
             with pytest.raises(ConfigError, match=msg):
                 validate_config(cfg)
@@ -141,6 +146,14 @@ class TestSimulateCommand:
                        "--set", "params.kapa=2")
         assert code == 2
         assert "params.kapa" in capsys.readouterr().err
+        # non-finite or non-positive run values are input errors too
+        for item in ("run.t_final=nan", "run.cfl=nan", "run.cfl=-1",
+                     "run.dt_max=nan"):
+            code = run_cli(*base_args(tmp_path / "x", item))
+            assert code == 2, item
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {item.split('=')[0]} must be")
+            assert err.count("\n") == 1
 
     def test_tstar_exits_three_with_partial_output(self, tmp_path, capsys):
         out = tmp_path / "tstar"
@@ -150,6 +163,19 @@ class TestSimulateCommand:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["summary"]["reason"] == "tstar"
         assert (out / "norms.csv").exists()
+
+    def test_tail_guard_at_t0_exits_four_with_partial_output(self, tmp_path,
+                                                             capsys):
+        # a domain this short shows the weighted tail at the t=0 sample
+        out = tmp_path / "short"
+        code = run_cli(*base_args(out, "grid.ymax=6"))
+        assert code == 4
+        assert "reason=tail t=0 " in capsys.readouterr().out
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["summary"]["reason"] == "tail"
+        assert doc["summary"]["steps"] == 0
+        assert len(read_norms_csv(str(out / "norms.csv"))["t"]) == 1
+        assert (out / "final.ckpt").exists()
 
 
 class TestVerifyCommand:

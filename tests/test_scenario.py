@@ -149,8 +149,10 @@ class TestFarField:
         ff = farfield_trivial(g)
         assert ff.trivial
         assert np.all(ff.u_spec(3.0) == 0.0)
-        assert np.all(ff.b_spec(3.0) == 0.0)
         assert np.all(ff.dt_u_spec(3.0) == 0.0)
+        assert np.all(ff.dx_u_spec(3.0) == 0.0)
+        for row in ff.physical_rows(3.0):
+            assert row.shape == (g.nx,) and np.all(row == 0.0)
 
     def test_trivial_transport_residual_vanishes(self):
         g = make_grid()
@@ -252,9 +254,8 @@ class TestAssumptionCheck:
 class TestSourceTerms:
     def test_trivial_gives_zero_fields(self):
         g = make_grid()
-        p = Params(kappa=1.0, epsilon=1e-3)
-        f_u, f_b, F_u, F_b = source_terms(farfield_trivial(g), None, p, g, 0.0)
-        for f in (f_u, f_b, F_u, F_b):
+        f_u, F_u = source_terms(farfield_trivial(g), None, g, 0.0)
+        for f in (f_u, F_u):
             assert np.all(f.coeffs == 0.0)
 
     def test_nontrivial_requires_cutoff(self):
@@ -262,29 +263,27 @@ class TestSourceTerms:
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         with pytest.raises(ValueError, match="cutoff"):
-            source_terms(ff, None, p, g, 0.0)
+            source_terms(ff, None, g, 0.0)
 
     def test_support_confined_to_cutoff_zone(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         cut = build_cutoff(g)
-        f_u, f_b, F_u, F_b = source_terms(ff, cut, p, g, 0.5)
+        f_u, F_u = source_terms(ff, cut, g, 0.5)
         above = g.y > 2.0 + 1e-9
-        scale = np.max(np.abs(f_u.coeffs)) + np.max(np.abs(f_b.coeffs))
+        scale = np.max(np.abs(f_u.coeffs))
         assert scale > 0.0
         assert np.max(np.abs(f_u.coeffs[above])) < 1e-12 * scale
-        assert np.max(np.abs(f_b.coeffs[above])) < 1e-12 * scale
         # tail integrals vanish above the zone as well
         assert np.max(np.abs(F_u.coeffs[above])) < 1e-12 * scale
-        assert np.max(np.abs(F_b.coeffs[above])) < 1e-12 * scale
 
     def test_tail_integral_sign_convention(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         cut = build_cutoff(g)
-        f_u, _, F_u, _ = source_terms(ff, cut, p, g, 0.5)
+        f_u, F_u = source_terms(ff, cut, g, 0.5)
         expect = -integrate_y_tail(f_u).coeffs
         assert np.array_equal(F_u.coeffs, expect)
 
@@ -293,8 +292,8 @@ class TestSourceTerms:
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         cut = build_cutoff(g)
-        f0 = source_terms(ff, cut, p, g, 0.0)[0]
-        f9 = source_terms(ff, cut, p, g, 9.0)[0]
+        f0 = source_terms(ff, cut, g, 0.0)[0]
+        f9 = source_terms(ff, cut, g, 9.0)[0]
         assert np.max(np.abs(f9.coeffs)) < 0.01 * np.max(np.abs(f0.coeffs))
 
 

@@ -21,6 +21,8 @@ from mhdbl.scenario import (
     FarField,
     Params,
     UnsupportedScenarioError,
+    build_cutoff,
+    default_x_profile,
     farfield_decaying,
     farfield_trivial,
     flux_projection_profiles,
@@ -544,6 +546,25 @@ class TestEqs2Residual:
         assert 1.7 < norms[0] / norms[1] < 2.3
         assert 1.7 < norms[1] / norms[2] < 2.3
 
+    def test_farfield_residual_halves_with_dt(self):
+        # the far-field terms dominate the residual at this amplitude:
+        # leaving them out stalls the psi ratios near 1 and leaves a phi
+        # floor of about 0.1
+        g = make_grid(ny=513)
+        p = Params(kappa=1.5, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
+        cut = build_cutoff(g)
+        res = []
+        for dt in (2e-3, 1e-3, 5e-4):
+            st0 = make_state(g, p, u0, b0)
+            st1 = step_imex(st0, dt, ff, cut, _Workspace(g, p))
+            res.append(eqs2_residual(st0, st1, ff, cut))
+        psi = [r["norm_psi"] for r in res]
+        assert 1.7 < psi[0] / psi[1] < 2.3
+        assert 1.7 < psi[1] / psi[2] < 2.3
+        assert 0.0 < res[-1]["norm_phi"] < 5.0 * p.epsilon
+
     def test_phi_residual_bounded_by_projection_floor(self):
         # the per-step zero-flux projection acts as a small forcing that
         # the residual formula does not model; for wall-sloped data this
@@ -748,6 +769,29 @@ class TestSimulate:
         keys = res.summary["audit_min_slack"]
         assert len(keys) == 8
         assert "u:a0.6667:b1.5" in keys
+
+    @pytest.mark.parametrize("kappa, per_audit, keys", [
+        (1.0, 2, ["u:a1:b1", "b:a1:b1"]),
+        (1.5, 8, ["u:a1:b1", "u:a1:b1.5", "u:a0.6667:b1", "u:a0.6667:b1.5",
+                  "b:a1:b1", "b:a1:b1.5", "b:a0.6667:b1", "b:a0.6667:b1.5"]),
+    ])
+    def test_audit_evaluates_each_pair_once(self, monkeypatch, kappa,
+                                            per_audit, keys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[4:])
+            return heat_energy_slack(*args)
+
+        monkeypatch.setattr("mhdbl.solver.heat_energy_slack", counted)
+        g = make_grid(ny=129)
+        p = Params(kappa=kappa, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        res = simulate(g, p, u0, b0, t_final=0.2, dt_max=1e-2)
+        # audits run at steps 0 and 10 of 20
+        assert len(calls) == 2 * per_audit
+        # keys and their first-seen order (the checkpoint header keeps it)
+        assert list(res.summary["audit_min_slack"]) == keys
 
     def test_kappa_one_rejects_farfield(self):
         g = make_grid(ny=129)
