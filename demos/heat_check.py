@@ -16,7 +16,7 @@ def heat_exact(y, t):
 
 
 def run(grid, params, dt, t_final):
-    spec = np.zeros(grid.nx, dtype=complex)
+    spec = np.zeros(grid.nmodes, dtype=complex)
     spec[0] = 1.0
     u0 = Field.from_profiles(grid, spec, heat_exact(grid.y, 0.0), BC_DIRICHLET)
     b0 = Field.zeros(grid, BC_NEUMANN)

@@ -2,9 +2,14 @@
 
 x is periodic on [0, L_x) and handled spectrally; y lives on a uniform
 grid over [0, Y_max] with second order finite differences.  Fields are
-stored as complex x-mode amplitudes per y node (shape (ny, nx), y major),
-normalized so that a physical field cos(xi_1 x) f(y) has amplitude f(y)/2
-at the modes +-xi_1.
+real, so their x spectra are Hermitian, c(-xi) = conj(c(xi)), and only
+the nx/2 + 1 non-negative modes 0, 1, ..., nx/2 are stored: complex
+amplitudes per y node, shape (ny, nx/2 + 1), y major (the real-FFT
+layout).  Amplitudes are normalized so that a physical field
+cos(xi_1 x) f(y) has amplitude f(y)/2 at xi_1 (its mirror -xi_1 carries
+the other half and is implied).  Sums over modes that stand for sums over
+all nx modes (Parseval) weight each stored mode by its multiplicity,
+GridSpec.mode_weights.
 """
 
 from __future__ import annotations
@@ -73,11 +78,27 @@ class GridSpec:
     def x(self) -> np.ndarray:
         return np.arange(self.nx) * (self.lx / self.nx)
 
+    @property
+    def nmodes(self) -> int:
+        """Stored modes per row: j = 0, 1, ..., nx/2."""
+        return self.nx // 2 + 1
+
     @cached_property
     def xi(self) -> np.ndarray:
-        """Mode frequencies 2*pi*j/lx, j in [-nx/2, nx/2), FFT layout."""
-        return _frozen(np.fft.fftfreq(self.nx, d=self.lx / self.nx)
+        """Stored mode frequencies 2*pi*j/lx, j = 0..nx/2 (ascending)."""
+        return _frozen(np.fft.rfftfreq(self.nx, d=self.lx / self.nx)
                        * 2.0 * np.pi)
+
+    @cached_property
+    def mode_weights(self) -> np.ndarray:
+        """Parseval multiplicities (1, 2, ..., 2, 1): each interior mode
+        stands for itself and its mirror; DC and Nyquist are their own.
+
+        Reductions over modes run in the stored (ascending |xi|) order,
+        so reruns are bit reproducible."""
+        w = np.full(self.nmodes, 2.0)
+        w[0] = w[-1] = 1.0
+        return _frozen(w)
 
     @cached_property
     def trapz_weights(self) -> np.ndarray:
@@ -88,19 +109,9 @@ class GridSpec:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """True on kept modes: |j| <= dealias_fraction * nx/2."""
-        j = np.fft.fftfreq(self.nx) * self.nx
-        return _frozen(np.abs(j) <= self.dealias_fraction * (self.nx / 2))
-
-    @cached_property
-    def mode_order(self) -> np.ndarray:
-        """Column permutation sorting modes by ascending |xi| (DC first).
-
-        Fixes the summation order of reductions over modes so reruns are
-        bit reproducible regardless of how the coefficients were produced.
-        """
-        j = np.fft.fftfreq(self.nx) * self.nx
-        return _frozen(np.lexsort((j, np.abs(j))))
+        """True on kept modes: j <= dealias_fraction * nx/2."""
+        j = np.arange(self.nmodes)
+        return _frozen(j <= self.dealias_fraction * (self.nx / 2))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -116,11 +127,12 @@ BC_NEUMANN = "neumann"
 class Field:
     """x-spectral field on a GridSpec.
 
-    coeffs[i, j] is the amplitude of mode xi_j at height y_i.  Real
-    physical fields keep the Hermitian symmetry c(-xi) = conj(c(xi));
-    `bc` tags the wall behaviour at y = 0 ("dirichlet": value pinned to
-    zero, "neumann": zero normal derivative).  The top boundary is always
-    a homogeneous Dirichlet truncation of the decaying far tail.
+    coeffs[i, j] is the amplitude of mode xi_j >= 0 at height y_i; the
+    negative modes of the real physical field are the implied conjugates
+    (see the module docstring).  `bc` tags the wall behaviour at y = 0
+    ("dirichlet": value pinned to zero, "neumann": zero normal
+    derivative).  The top boundary is always a homogeneous Dirichlet
+    truncation of the decaying far tail.
     """
 
     grid: GridSpec
@@ -128,10 +140,10 @@ class Field:
     bc: str = BC_DIRICHLET
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.ny, self.grid.nx):
+        if self.coeffs.shape != (self.grid.ny, self.grid.nmodes):
             raise ValueError(
                 f"coeffs shape {self.coeffs.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nx})"
+                f"({self.grid.ny}, {self.grid.nmodes})"
             )
         if self.bc not in (BC_DIRICHLET, BC_NEUMANN):
             raise ValueError(f"unknown bc tag {self.bc!r}")
@@ -140,7 +152,8 @@ class Field:
 
     @classmethod
     def zeros(cls, grid: GridSpec, bc: str = BC_DIRICHLET) -> "Field":
-        return cls(grid, np.zeros((grid.ny, grid.nx), dtype=np.complex128), bc)
+        return cls(grid, np.zeros((grid.ny, grid.nmodes), dtype=np.complex128),
+                   bc)
 
     @classmethod
     def from_physical(cls, grid: GridSpec, values: np.ndarray,
@@ -151,7 +164,8 @@ class Field:
     @classmethod
     def from_profiles(cls, grid: GridSpec, x_spectrum: np.ndarray,
                       y_profile: np.ndarray, bc: str = BC_DIRICHLET) -> "Field":
-        """Separable field: coeffs[i, j] = y_profile[i] * x_spectrum[j]."""
+        """Separable field: coeffs[i, j] = y_profile[i] * x_spectrum[j]
+        (x_spectrum holds the nx/2 + 1 stored modes)."""
         c = np.outer(np.asarray(y_profile, dtype=complex),
                      np.asarray(x_spectrum, dtype=complex))
         return cls(grid, c, bc)
@@ -163,26 +177,51 @@ class Field:
         return x_transform(self.grid, self.coeffs, "inverse")
 
     def hermitian_defect(self) -> float:
-        """Max deviation from c(-xi) = conj(c(xi)) (0 for real fields)."""
-        c = self.coeffs
-        mirrored = np.conj(c[:, (-np.arange(self.grid.nx)) % self.grid.nx])
-        return float(np.max(np.abs(c - mirrored)))
+        """Max deviation from c(-xi) = conj(c(xi)) (0 for real fields).
+
+        The stored layout implies the symmetry for every mode but DC and
+        Nyquist, which are their own mirrors: the defect is
+        |c - conj(c)| = 2 |Im c| on those two columns."""
+        edge = self.coeffs[:, [0, -1]]
+        return float(2.0 * np.max(np.abs(edge.imag)))
 
 
 # ---- transforms ------------------------------------------------------------
 
 
 def x_transform(grid: GridSpec, values: np.ndarray, direction: str) -> np.ndarray:
-    """FFT in x.  "forward": physical (ny, nx) real -> mode amplitudes.
-    "inverse": amplitudes -> physical real array."""
+    """Real FFT in x along the last axis, so any stack of rows or fields
+    goes through one call.  "forward": physical (..., nx) real -> the
+    (..., nx/2 + 1) stored mode amplitudes.  "inverse": stored amplitudes
+    -> physical real array (the imaginary parts of the DC and Nyquist
+    amplitudes, which no real field has, are ignored)."""
     if direction == "forward":
-        return sfft.fft(np.asarray(values, dtype=float), axis=-1,
-                        workers=_workers()) / grid.nx
+        return sfft.rfft(np.asarray(values, dtype=float), axis=-1,
+                         norm="forward", workers=_workers())
     if direction == "inverse":
-        out = sfft.ifft(np.asarray(values, dtype=complex), axis=-1,
-                        workers=_workers()) * grid.nx
-        return np.ascontiguousarray(out.real)
+        return sfft.irfft(np.asarray(values, dtype=complex), n=grid.nx,
+                          axis=-1, norm="forward", workers=_workers())
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+
+
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """All nx modes in FFT order (0..nx/2, then -(nx/2 - 1)..-1) from the
+    stored ones along the last axis: the mirrored modes are conjugates."""
+    nh = half.shape[-1]
+    return np.concatenate([half, np.conj(half[..., nh - 2:0:-1])], axis=-1)
+
+
+def half_spectrum(full: np.ndarray) -> np.ndarray:
+    """The stored modes of an all-modes spectrum (inverse of
+    full_spectrum).  Raises ValueError unless every mirrored mode is the
+    exact conjugate of its stored twin, since folding would drop it."""
+    nx = full.shape[-1]
+    half = full[..., :nx // 2 + 1]
+    if not np.array_equal(full[..., nx // 2 + 1:],
+                          np.conj(half[..., nx // 2 - 1:0:-1])):
+        raise ValueError("mirrored modes are not the conjugates of the "
+                         "stored ones")
+    return np.ascontiguousarray(half)
 
 
 def dealias(field: Field) -> Field:
@@ -267,12 +306,25 @@ def integrate_y_from0(field: Field) -> Field:
 
 
 def column_flux(field: Field) -> np.ndarray:
-    """Per-mode trapezoid integral over the whole y range (shape (nx,))."""
+    """Per-mode trapezoid integral over the whole y range (shape
+    (nx/2 + 1,))."""
     w = field.grid.trapz_weights
     return w @ field.coeffs
 
 
 # ---- weighted norms --------------------------------------------------------
+
+
+def mode_power(coeffs: np.ndarray) -> np.ndarray:
+    """|c|^2 per stored mode (same shape as coeffs, real)."""
+    return coeffs.real * coeffs.real + coeffs.imag * coeffs.imag
+
+
+def row_power(field: Field) -> np.ndarray:
+    """sum_j |c_ij|^2 over all nx modes per row: the stored modes weighted
+    by their multiplicities, summed in stored (ascending |xi|) order."""
+    return np.einsum("yj,j->y", mode_power(field.coeffs),
+                     field.grid.mode_weights)
 
 
 def psi_weight(grid: GridSpec, a: float, t: float) -> np.ndarray:
@@ -288,15 +340,14 @@ def psi_weight(grid: GridSpec, a: float, t: float) -> np.ndarray:
 def weighted_l2(field: Field, a: float, t: float) -> float:
     """Gaussian-weighted L2 norm || e^{a Psi} f ||, Psi = y^2/(8<t>).
 
-    Exact in x via Parseval (int |f|^2 dx = lx * sum_j |c_j|^2), trapezoid
-    in y.  Mode summation runs in ascending |xi| order; rows accumulate in
+    Exact in x via Parseval (int |f|^2 dx = lx * sum_j |c_j|^2 over all nx
+    modes, i.e. the stored modes weighted by mode_weights), trapezoid in y.
+    Mode summation runs in ascending |xi| order; rows accumulate in
     ascending y.  Raises TailViolationError if the weighted amplitude is
     not finite (mass reached the exponential part of the weight).
     """
     g = field.grid
-    c2 = np.abs(field.coeffs[:, g.mode_order]) ** 2
-    row = np.add.reduce(c2, axis=1)
-    srow = np.sqrt(row)
+    srow = np.sqrt(row_power(field))
     with np.errstate(over="ignore", invalid="ignore"):
         amp = np.where(srow == 0.0, 0.0, psi_weight(g, a, t) * srow)
     if not np.all(np.isfinite(amp)):

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, GridSpec, TailViolationError, psi_weight, x_transform
+from .grid import (Field, GridSpec, TailViolationError, mode_power,
+                   psi_weight, x_transform)
 
 
 # ---- bump functions --------------------------------------------------------
@@ -66,7 +68,13 @@ class DyadicPartition:
     grid: GridSpec
     k_min: int
     k_max: int
-    phi_table: np.ndarray   # (n_shells, nx)
+    phi_table: np.ndarray   # (n_shells, nx/2 + 1)
+
+    @cached_property
+    def power_table(self) -> np.ndarray:
+        """phi_table^2 times the Parseval multiplicities: row k maps the
+        stored |c_j|^2 to the shell's share of sum over all nx modes."""
+        return self.phi_table ** 2 * self.grid.mode_weights
 
     @property
     def ks(self) -> np.ndarray:
@@ -83,7 +91,7 @@ class DyadicPartition:
 
 
 def build_partition(grid: GridSpec) -> DyadicPartition:
-    xi = np.abs(grid.xi)
+    xi = grid.xi
     nz = xi[xi > 0.0]
     xi_lo, xi_hi = float(nz.min()), float(nz.max())
     # lowest shell: the one whose bump still touches xi_lo from below
@@ -110,7 +118,7 @@ def lp_project(part: DyadicPartition, field: Field, k: int) -> Field:
 
 def lowpass(part: DyadicPartition, field: Field, k: int) -> Field:
     """Low-frequency piece S_k f = chi(2^-k |xi|) f (DC included)."""
-    row = chi_lowpass(np.abs(field.grid.xi) / 2.0 ** k)
+    row = chi_lowpass(field.grid.xi / 2.0 ** k)
     return Field(field.grid, field.coeffs * row, field.bc)
 
 
@@ -121,7 +129,7 @@ def gevrey_multiplier(field: Field, r: float) -> Field:
     """Multiply mode xi by exp(r |xi|) (analytic-band weight, radius r >= 0)."""
     if r < 0.0:
         raise ValueError(f"band radius must be nonnegative, got {r}")
-    w = np.exp(r * np.abs(field.grid.xi))
+    w = np.exp(r * field.grid.xi)
     return Field(field.grid, field.coeffs * w, field.bc)
 
 
@@ -136,12 +144,8 @@ def shell_weighted_norms(part: DyadicPartition, field: Field, a: float,
     grid.weighted_l2.  Returns an (n_shells,) array.
     """
     g = field.grid
-    order = g.mode_order
-    band = np.exp(r * np.abs(g.xi)) if r != 0.0 else None
-    c = field.coeffs if band is None else field.coeffs * band
-    c2 = np.abs(c[:, order]) ** 2                     # (ny, nx)
-    p2 = (part.phi_table ** 2)[:, order]              # (K, nx)
-    m = np.einsum("yj,kj->yk", c2, p2)                # per-shell row power
+    c = field.coeffs if r == 0.0 else field.coeffs * np.exp(r * g.xi)
+    m = np.einsum("yj,kj->yk", mode_power(c), part.power_table)
     sm = np.sqrt(m)
     wpsi = psi_weight(g, a, t)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -179,16 +183,16 @@ def besov_pair_norm(part: DyadicPartition, fa: Field, fb: Field, s: float,
 
 def besov_h_shell_norms(part: DyadicPartition, spectrum: np.ndarray,
                         r: float = 0.0) -> np.ndarray:
-    """Per-shell L2(x) norms of a 1-D horizontal profile (mode amplitudes)."""
+    """Per-shell L2(x) norms of a 1-D horizontal profile (the nx/2 + 1
+    stored mode amplitudes)."""
     g = part.grid
     c = np.asarray(spectrum, dtype=complex)
-    if c.shape != (g.nx,):
-        raise ValueError(f"expected ({g.nx},) spectrum, got {c.shape}")
+    if c.shape != (g.nmodes,):
+        raise ValueError(f"expected ({g.nmodes},) spectrum, got {c.shape}")
     if r != 0.0:
-        c = c * np.exp(r * np.abs(g.xi))
-    c2 = np.abs(c[g.mode_order]) ** 2
-    p2 = (part.phi_table ** 2)[:, g.mode_order]
-    return np.sqrt(g.lx * (p2 @ c2))
+        c = c * np.exp(r * g.xi)
+    return np.sqrt(g.lx * np.einsum("kj,j->k", part.power_table,
+                                    mode_power(c)))
 
 
 def besov_h_norm(part: DyadicPartition, spectrum: np.ndarray, s: float,

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate as sp_integrate
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
-                   dealias, integrate_y_tail, x_transform)
+                   dealias, x_transform)
 from .lp import DyadicPartition, _gexp, besov_h_shell_norms, smooth_step
 
 
@@ -42,15 +42,17 @@ class Params:
     nu_b: Optional[float] = None
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.delta <= 0.0 or self.lam <= 0.0:
-            raise ValueError("delta and lam must be positive")
-        for nu in (self.nu_u, self.nu_b):
-            if nu is not None and nu <= 0.0:
-                raise ValueError("diffusivity overrides must be positive")
+        checks = (("kappa", "kappa"), ("epsilon", "epsilon"),
+                  ("delta", "delta and lam"), ("lam", "delta and lam"),
+                  ("nu_u", "diffusivity overrides"),
+                  ("nu_b", "diffusivity overrides"))
+        for name, what in checks:
+            val = getattr(self, name)
+            if val is None and name.startswith("nu_"):
+                continue
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"{what} must be positive and finite, got "
+                                 f"params.{name}={val!r}")
 
     @property
     def bbar(self) -> float:
@@ -224,10 +226,11 @@ def build_cutoff(grid: GridSpec) -> Cutoff:
 class FarField:
     """Tangential flow U(t, x) imposed above the layer.
 
-    U is separable: amplitude * <t>^{-power} * profile(x), stored as a
-    mode spectrum.  The far magnetic field B is zero by construction: no
-    supported family has B != 0 (farfield_decaying rejects the kappa = 1
-    background, the only case where B would enter), so only U is carried.
+    U is separable: amplitude * <t>^{-power} * profile(x), stored as the
+    profile's nx/2 + 1 mode amplitudes.  The far magnetic field B is zero
+    by construction: no supported family has B != 0 (farfield_decaying
+    rejects the kappa = 1 background, the only case where B would enter),
+    so only U is carried.
     """
 
     grid: GridSpec
@@ -238,23 +241,30 @@ class FarField:
 
     def __post_init__(self):
         if self.g_spec is None:
-            self.g_spec = np.zeros(self.grid.nx, dtype=complex)
+            self.g_spec = np.zeros(self.grid.nmodes, dtype=complex)
+        # time-free parts of the physical rows, transformed once: g, d_x g
+        # and the spectrum of g d_x g
+        g = self.grid
+        self._g_row, self._dxg_row = x_transform(
+            g, np.stack([self.g_spec, 1j * g.xi * self.g_spec]), "inverse")
+        self._adv_spec = x_transform(g, self._g_row * self._dxg_row,
+                                     "forward")
 
     @property
     def trivial(self) -> bool:
         return self.kind == "trivial"
 
     def _amp(self, t: float) -> float:
+        if self.trivial:
+            return 0.0
         return self.eps * (1.0 + t) ** (-self.alpha)
 
     def u_spec(self, t: float) -> np.ndarray:
-        if self.trivial:
-            return np.zeros(self.grid.nx, dtype=complex)
         return self._amp(t) * self.g_spec
 
     def dt_u_spec(self, t: float) -> np.ndarray:
         if self.trivial:
-            return np.zeros(self.grid.nx, dtype=complex)
+            return np.zeros(self.grid.nmodes, dtype=complex)
         return (-self.alpha) * self.eps * (1.0 + t) ** (-self.alpha - 1.0) \
             * self.g_spec
 
@@ -263,9 +273,12 @@ class FarField:
 
     def physical_rows(self, t: float):
         """(U, d_x U) at time t as physical rows of length nx."""
-        g = self.grid
-        return (x_transform(g, self.u_spec(t)[None, :], "inverse")[0],
-                x_transform(g, self.dx_u_spec(t)[None, :], "inverse")[0])
+        amp = self._amp(t)
+        return amp * self._g_row, amp * self._dxg_row
+
+    def advection_spec(self, t: float) -> np.ndarray:
+        """Mode amplitudes of U d_x U at time t."""
+        return self._amp(t) ** 2 * self._adv_spec
 
 
 def farfield_trivial(grid: GridSpec) -> FarField:
@@ -287,13 +300,15 @@ def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
     if eps < 0.0 or alpha <= 0.0:
         raise ValueError("need eps >= 0 and alpha > 0")
     g_profile = np.asarray(g_profile)
-    if g_profile.shape != (grid.nx,):
-        raise ValueError(f"profile must have shape ({grid.nx},)")
     if g_profile.dtype.kind == "c":
+        if g_profile.shape != (grid.nmodes,):
+            raise ValueError(f"profile spectrum must have shape "
+                             f"({grid.nmodes},)")
         g_spec = g_profile.astype(complex)
     else:
-        g_spec = x_transform(grid, np.broadcast_to(g_profile, (1, grid.nx)),
-                             "forward")[0]
+        if g_profile.shape != (grid.nx,):
+            raise ValueError(f"physical profile must have shape ({grid.nx},)")
+        g_spec = x_transform(grid, g_profile, "forward")
     if abs(g_spec[0]) > 1e-13 * (1.0 + np.max(np.abs(g_spec))):
         raise UnsupportedScenarioError("far-field profile must have zero x mean")
     return FarField(grid, "decaying", eps=eps, alpha=alpha, g_spec=g_spec)
@@ -378,36 +393,32 @@ def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
 
 
 def source_terms(ff: FarField, cutoff: Optional[Cutoff], grid: GridSpec,
-                 t: float):
+                 t: float) -> Field:
     """Forcing created by patching the far field onto the layer.
 
-    Returns (f_u, F_u): the tangential-velocity tendency (supported in the
-    cutoff zone 0 <= y <= 2) and its negative tail integral feeding the
-    antiderivative system.  The magnetic half is zero by construction
+    Returns f_u, the tangential-velocity tendency (supported in the
+    cutoff zone 0 <= y <= 2).  The magnetic half is zero by construction
     (B = 0 and bbar d_x U = 0 in every supported family), so it is not
-    formed.  A trivial far field gives two zero fields.
+    formed.  A trivial far field gives a zero field.
     """
     if ff.trivial:
-        return Field.zeros(grid, BC_NEUMANN), Field.zeros(grid, BC_DIRICHLET)
+        return Field.zeros(grid, BC_NEUMANN)
     if cutoff is None:
         raise ValueError("nontrivial far field needs a cutoff")
 
-    u1, dxu = ff.physical_rows(t)
-    adv_u_s = x_transform(grid, (u1 * dxu)[None, :], "forward")[0]
     quad_plus = 1.0 - cutoff.dchi ** 2 + cutoff.chi * cutoff.d2chi
     cu = (np.outer(1.0 - cutoff.dchi, ff.dt_u_spec(t))
           + np.outer(cutoff.d3chi, ff.u_spec(t))
-          + np.outer(quad_plus, adv_u_s))
-    f_u = dealias(Field(grid, cu, BC_NEUMANN))
-    F_u = Field(grid, -integrate_y_tail(f_u).coeffs, BC_DIRICHLET)
-    return f_u, F_u
+          + np.outer(quad_plus, ff.advection_spec(t)))
+    return dealias(Field(grid, cu, BC_NEUMANN))
 
 
 # ---- initial data ----------------------------------------------------------
 
 
 def default_x_profile(grid: GridSpec) -> np.ndarray:
-    """Zero-mean analytic profile: modes j != 0 with amplitude e^{-xi^2}."""
+    """Zero-mean analytic profile: stored modes j != 0 with amplitude
+    e^{-xi^2}."""
     xi = grid.xi
     spec = np.exp(-xi ** 2).astype(complex)
     spec[0] = 0.0
@@ -476,8 +487,8 @@ def initial_data_standard(grid: GridSpec, params: Params,
     if x_profile is None:
         x_profile = default_x_profile(grid)
     x_profile = np.asarray(x_profile, dtype=complex)
-    if x_profile.shape != (grid.nx,):
-        raise ValueError(f"x profile must have shape ({grid.nx},)")
+    if x_profile.shape != (grid.nmodes,):
+        raise ValueError(f"x profile must have shape ({grid.nmodes},)")
     if abs(x_profile[0]) > 0.0:
         raise ValueError("x profile must have zero mean (DC amplitude 0)")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -20,8 +21,9 @@ from scipy.linalg import solve_banded
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    TailViolationError, column_flux, d2dy, ddx, ddy,
-                   integrate_y_from0, integrate_y_tail, psi_weight,
-                   weighted_l2, x_transform)
+                   full_spectrum, half_spectrum, integrate_y_from0,
+                   integrate_y_tail, psi_weight, row_power, weighted_l2,
+                   x_transform)
 from .lp import (CLAccumulator, DyadicPartition, besov_h_shell_norms,
                  besov_norm, besov_pair_norm, build_partition,
                  shell_weighted_norms)
@@ -264,51 +266,53 @@ def _rhs_explicit_full(state: State, farfield, cutoff):
     p = state.params
     u, b = state.u, state.b
     trivial = farfield is None or farfield.trivial
+    if not trivial and cutoff is None:
+        raise ValueError("nontrivial far field needs a cutoff")
 
-    xi = g.xi
-    mask = g.dealias_mask
-
-    dux = u.coeffs * (1j * xi)
-    dbx = b.coeffs * (1j * xi)
-    duy, dby = (f.coeffs for f in state.dy_ub)
+    # the eight factors of the products, inverse-transformed in one call
+    ixi = 1j * g.xi
+    duy, dby = state.dy_ub
     v, h = recover_vh(u, b, check=False)
-
-    u_p = x_transform(g, u.coeffs, "inverse")
-    b_p = x_transform(g, b.coeffs, "inverse")
-    dux_p = x_transform(g, dux, "inverse")
-    dbx_p = x_transform(g, dbx, "inverse")
-    duy_p = x_transform(g, duy, "inverse")
-    dby_p = x_transform(g, dby, "inverse")
-    v_p = x_transform(g, v.coeffs, "inverse")
-    h_p = x_transform(g, h.coeffs, "inverse")
+    spec = np.empty((8, g.ny, g.nmodes), dtype=complex)
+    spec[0] = u.coeffs
+    spec[1] = b.coeffs
+    np.multiply(u.coeffs, ixi, out=spec[2])
+    np.multiply(b.coeffs, ixi, out=spec[3])
+    spec[4] = duy.coeffs
+    spec[5] = dby.coeffs
+    spec[6] = v.coeffs
+    spec[7] = h.coeffs
+    dux, dbx = spec[2], spec[3]
+    u_p, b_p, dux_p, dbx_p, duy_p, dby_p, v_p, h_p = x_transform(
+        g, spec, "inverse")
 
     umax = float(np.max(np.abs(u_p)))
 
-    nl_u = u_p * dux_p - b_p * dbx_p + v_p * duy_p - h_p * dby_p
-    nl_b = u_p * dbx_p - b_p * dux_p + v_p * dby_p - h_p * duy_p
+    nl = np.empty((2, g.ny, g.nx))
+    nl[0] = u_p * dux_p - b_p * dbx_p + v_p * duy_p - h_p * dby_p
+    nl[1] = u_p * dbx_p - b_p * dux_p + v_p * dby_p - h_p * duy_p
 
     if not trivial:
-        if cutoff is None:
-            raise ValueError("nontrivial far field needs a cutoff")
         U_p, dxU_p = farfield.physical_rows(state.t)
         umax += float(np.max(np.abs(U_p)))
         c1 = cutoff.dchi[:, None]
         c0 = cutoff.chi[:, None]
         c2 = cutoff.d2chi[:, None]
-        nl_u += (c1 * (U_p * dux_p) + c1 * (dxU_p * u_p)
-                 + c0 * (-dxU_p * duy_p) + c2 * (U_p * v_p))
-        nl_b += (c1 * (U_p * dbx_p) + c1 * (-dxU_p * b_p)
-                 + c0 * (-dxU_p * dby_p) + c2 * (-U_p * h_p))
+        nl[0] += (c1 * (U_p * dux_p) + c1 * (dxU_p * u_p)
+                  + c0 * (-dxU_p * duy_p) + c2 * (U_p * v_p))
+        nl[1] += (c1 * (U_p * dbx_p) + c1 * (-dxU_p * b_p)
+                  + c0 * (-dxU_p * dby_p) + c2 * (-U_p * h_p))
 
-    ru = -x_transform(g, nl_u, "forward")
-    rb = -x_transform(g, nl_b, "forward")
-    ru[:, ~mask] = 0.0
-    rb[:, ~mask] = 0.0
+    # nl_u and nl_b forward-transformed in one call
+    r = x_transform(g, nl, "forward")
+    np.negative(r, out=r)
+    r[:, :, ~g.dealias_mask] = 0.0
+    ru, rb = r
     ru += p.bbar * dbx
     rb += p.bbar * dux
 
     if not trivial:
-        ru += source_terms(farfield, cutoff, g, state.t)[0].coeffs
+        ru += source_terms(farfield, cutoff, g, state.t).coeffs
 
     return (Field(g, ru, BC_DIRICHLET), Field(g, rb, BC_NEUMANN), umax)
 
@@ -483,7 +487,10 @@ def heat_energy_slack(f_old: Field, f_new: Field, t_old: float, t_new: float,
     dfdt = (f_new.coeffs - f_old.coeffs) / dt
     lap = d2dy(mid).coeffs
     inner = dfdt - beta * lap
-    rowsum = np.real(np.einsum("yj,yj->y", inner, np.conj(mid.coeffs)))
+    m = mid.coeffs
+    # Re(inner conj(mid)) summed over all nx modes
+    rowsum = np.einsum("yj,j->y", inner.real * m.real + inner.imag * m.imag,
+                       g.mode_weights)
     with np.errstate(over="ignore", invalid="ignore"):
         wsq = psi_weight(g, alpha, tm) ** 2
         contrib = np.where(rowsum == 0.0, 0.0,
@@ -507,7 +514,7 @@ def tail_guard_check(state: State) -> float:
     w = psi_weight(g, state.weight_alpha, state.t)
     worst = 0.0
     for f in (state.u, state.b):
-        row = np.sqrt(np.add.reduce(np.abs(f.coeffs) ** 2, axis=1))
+        row = np.sqrt(row_power(f))
         with np.errstate(over="ignore", invalid="ignore"):
             amp = np.where(row == 0.0, 0.0, w * row)
         if not np.all(np.isfinite(amp)):
@@ -560,53 +567,53 @@ def eqs2_residual(state_prev: State, state_next: State,
     dphi = (phi1.coeffs - phi0.coeffs) / dt
     dpsi = (psi1.coeffs - psi0.coeffs) / dt
 
+    far = farfield is not None and not farfield.trivial
+    if far and cutoff is None:
+        raise ValueError("nontrivial far field needs a cutoff")
     u, b = state_prev.u, state_prev.b
-    xi = g.xi
-    dxphi = phi0.coeffs * (1j * xi)
-    dxpsi = psi0.coeffs * (1j * xi)
+    ixi = 1j * g.xi
+    dxphi = phi0.coeffs * ixi
+    dxpsi = psi0.coeffs * ixi
     lap_phi = d2dy(phi0).coeffs
     lap_psi = d2dy(psi0).coeffs
-    duy, dby = (f.coeffs for f in state_prev.dy_ub)
+    duy, dby = state_prev.dy_ub
 
-    u_p = x_transform(g, u.coeffs, "inverse")
-    b_p = x_transform(g, b.coeffs, "inverse")
-    dxphi_p = x_transform(g, dxphi, "inverse")
-    dxpsi_p = x_transform(g, dxpsi, "inverse")
-    duy_p = x_transform(g, duy, "inverse")
-    dby_p = x_transform(g, dby, "inverse")
+    # factors inverse-transformed in one call, products forward in one
+    factors = [u.coeffs, b.coeffs, dxphi, dxpsi, duy.coeffs, dby.coeffs]
+    if far:
+        factors.append(phi0.coeffs)
+    phys = x_transform(g, np.stack(factors), "inverse")
+    u_p, b_p, dxphi_p, dxpsi_p, duy_p, dby_p = phys[:6]
+    products = [u_p * dxphi_p - b_p * dxpsi_p,
+                u_p * dxpsi_p - b_p * dxphi_p,
+                dxphi_p * duy_p - dxpsi_p * dby_p]
+    if far:
+        U_p, dxU_p = farfield.physical_rows(state_prev.t)
+        phi_p = phys[6]
+        products += [U_p * dxphi_p, -dxU_p * u_p, dxU_p * phi_p,
+                     U_p * dxpsi_p, -dxU_p * b_p]
+    spec = x_transform(g, np.stack(products), "forward")
+    spec[:, :, ~g.dealias_mask] = 0.0
 
-    mask = g.dealias_mask
-
-    def spec(arr):
-        out = x_transform(g, arr, "forward")
-        out[:, ~mask] = 0.0
-        return out
-
-    adv_phi = spec(u_p * dxphi_p - b_p * dxpsi_p)
-    adv_psi = spec(u_p * dxpsi_p - b_p * dxphi_p)
-    cross = spec(dxphi_p * duy_p - dxpsi_p * dby_p)
+    adv_phi, adv_psi, cross = spec[:3]
     tail_cross = integrate_y_tail(Field(g, cross, BC_NEUMANN)).coeffs
 
     res_phi = (dphi - nu_u * lap_phi - p.bbar * dxpsi + adv_phi
                + 2.0 * tail_cross)
     res_psi = (dpsi - nu_b * lap_psi - p.bbar * dxphi + adv_psi)
 
-    if farfield is not None and not farfield.trivial:
-        if cutoff is None:
-            raise ValueError("nontrivial far field needs a cutoff")
-        U_p, dxU_p = farfield.physical_rows(state_prev.t)
-        phi_p = x_transform(g, phi0.coeffs, "inverse")
+    if far:
         c0 = cutoff.chi[:, None]
         c1 = cutoff.dchi[:, None]
         c2 = cutoff.d2chi[:, None]
-        t1 = spec(U_p * dxphi_p)
+        t1, t3, t4, s1, s3 = spec[3:]
         t2 = integrate_y_tail(Field(g, c2 * t1, BC_NEUMANN)).coeffs
-        t3 = spec(-dxU_p * u_p)
-        t4 = spec(dxU_p * phi_p)
         t5 = integrate_y_tail(Field(g, c2 * t4, BC_NEUMANN)).coeffs
         res_phi += c1 * t1 + 2.0 * t2 + c0 * t3 + 2.0 * c1 * t4 + 2.0 * t5
-        res_psi += c1 * spec(U_p * dxpsi_p) + c0 * spec(-dxU_p * b_p)
-        res_phi -= source_terms(farfield, cutoff, g, state_prev.t)[1].coeffs
+        res_psi += c1 * s1 + c0 * s3
+        # the source's tail integral F_u = -int_y^ymax f_u enters as -F_u
+        f_u = source_terms(farfield, cutoff, g, state_prev.t)
+        res_phi += integrate_y_tail(f_u).coeffs
 
     res_phi[0] = 0.0
     res_phi[-1] = 0.0
@@ -836,7 +843,12 @@ _CKPT_VERSION = 1
 def save_checkpoint(path: str, state: State, farfield: FarField,
                     extras: Optional[dict] = None) -> None:
     """Binary snapshot: magic, version, JSON header, then the field and
-    multistep-history arrays as little-endian complex pairs, y-major."""
+    multistep-history arrays as little-endian complex pairs, y-major, with
+    all nx x modes in FFT order.
+
+    Written to a temporary file beside `path` and renamed over it, so a
+    failed write leaves any previous file intact."""
+    g_full = full_spectrum(farfield.g_spec)
     header = {
         "version": _CKPT_VERSION,
         "grid": {"lx": state.grid.lx, "nx": state.grid.nx,
@@ -844,7 +856,8 @@ def save_checkpoint(path: str, state: State, farfield: FarField,
                  "dealias_fraction": state.grid.dealias_fraction},
         "params": {"kappa": state.params.kappa,
                    "epsilon": state.params.epsilon,
-                   "delta": state.params.delta, "lam": state.params.lam},
+                   "delta": state.params.delta, "lam": state.params.lam,
+                   "nu_u": state.params.nu_u, "nu_b": state.params.nu_b},
         "t": state.t, "theta": state.theta, "dt": state.dt,
         "prev_dt": state.prev_dt,
         "step_index": state.step_index,
@@ -852,21 +865,28 @@ def save_checkpoint(path: str, state: State, farfield: FarField,
         "has_prev": state.prev_ru is not None,
         "farfield": {"kind": farfield.kind, "eps": farfield.eps,
                      "alpha": farfield.alpha,
-                     "g_re": farfield.g_spec.real.tolist(),
-                     "g_im": farfield.g_spec.imag.tolist()},
+                     "g_re": g_full.real.tolist(),
+                     "g_im": g_full.imag.tolist()},
         "extras": extras or {},
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for arr in (state.u.coeffs, state.b.coeffs):
-            fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
-        if state.prev_ru is not None:
-            for arr in (state.prev_ru, state.prev_rb):
-                fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+    arrays = [state.u.coeffs, state.b.coeffs]
+    if state.prev_ru is not None:
+        arrays += [state.prev_ru, state.prev_rb]
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", _CKPT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for arr in arrays:
+                fh.write(full_spectrum(arr).astype("<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class CheckpointError(RuntimeError):
@@ -874,44 +894,81 @@ class CheckpointError(RuntimeError):
 
 
 def load_checkpoint(path: str):
-    """Inverse of save_checkpoint: returns (state, farfield, extras)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Inverse of save_checkpoint: returns (state, farfield, extras).
+
+    Raises CheckpointError with a one-line message when the file cannot
+    be read, is not a checkpoint, is truncated, has a header that is not
+    JSON or lacks a key, or holds a spectrum that is not a real field's.
+    Files written before the diffusivity overrides were stored load with
+    the standard pair."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise CheckpointError(
+            f"cannot read checkpoint {path!r}: {e.strerror or e}") from None
     buf = io.BytesIO(raw)
     if buf.read(len(_MAGIC)) != _MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", buf.read(4))
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", buf.read(8))
-    header = json.loads(buf.read(hlen).decode("utf-8"))
+    try:
+        (version,) = struct.unpack("<I", buf.read(4))
+        if version != _CKPT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (hlen,) = struct.unpack("<Q", buf.read(8))
+    except struct.error:
+        raise CheckpointError("truncated checkpoint") from None
+    try:
+        header = json.loads(buf.read(hlen).decode("utf-8"))
+    except ValueError:
+        raise CheckpointError("checkpoint header is not valid JSON") from None
+    try:
+        return _restore(header, buf)
+    except KeyError as e:
+        raise CheckpointError(
+            f"checkpoint header lacks key {e.args[0]!r}") from None
+    except TypeError:
+        raise CheckpointError("malformed checkpoint header") from None
+
+
+def _restore(header: dict, buf: io.BytesIO):
     gd = header["grid"]
     grid = GridSpec(gd["lx"], gd["nx"], gd["ymax"], gd["ny"],
                     gd["dealias_fraction"])
     pd = header["params"]
-    params = Params(pd["kappa"], pd["epsilon"], pd["delta"], pd["lam"])
+    params = Params(pd["kappa"], pd["epsilon"], pd["delta"], pd["lam"],
+                    nu_u=pd.get("nu_u"), nu_b=pd.get("nu_b"))
     n = grid.ny * grid.nx * 16
 
-    def read_arr():
+    def fold(full, name):
+        try:
+            return half_spectrum(full)
+        except ValueError:
+            raise CheckpointError(f"checkpoint {name} is not the spectrum "
+                                  "of a real field") from None
+
+    def read_arr(name):
         data = buf.read(n)
         if len(data) != n:
             raise CheckpointError("truncated checkpoint")
-        return np.frombuffer(data, dtype="<c16").reshape(
-            grid.ny, grid.nx).astype(np.complex128)
+        full = np.frombuffer(data, dtype="<c16").reshape(grid.ny, grid.nx)
+        return fold(full.astype(np.complex128), name)
 
-    u = Field(grid, read_arr(), BC_DIRICHLET)
-    b = Field(grid, read_arr(), BC_NEUMANN)
+    u = Field(grid, read_arr("u"), BC_DIRICHLET)
+    b = Field(grid, read_arr("b"), BC_NEUMANN)
     prev_ru = prev_rb = None
     if header["has_prev"]:
-        prev_ru = read_arr()
-        prev_rb = read_arr()
+        prev_ru = read_arr("prev_ru")
+        prev_rb = read_arr("prev_rb")
     state = State(grid, params, header["t"], u, b, theta=header["theta"],
                   dt=header["dt"], step_index=header["step_index"],
                   weight_alpha=header["weight_alpha"],
                   prev_ru=prev_ru, prev_rb=prev_rb,
                   prev_dt=header.get("prev_dt"))
     fd = header["farfield"]
-    g_spec = np.asarray(fd["g_re"]) + 1j * np.asarray(fd["g_im"])
+    g_full = np.asarray(fd["g_re"]) + 1j * np.asarray(fd["g_im"])
+    if g_full.shape != (grid.nx,):
+        raise CheckpointError("checkpoint far-field profile has the wrong "
+                              "length")
     ff = FarField(grid, fd["kind"], eps=fd["eps"], alpha=fd["alpha"],
-                  g_spec=g_spec)
+                  g_spec=fold(g_full, "far-field profile"))
     return state, ff, header.get("extras", {})

@@ -105,7 +105,7 @@ def _heat_exact(y, t):
 
 
 def _heat_run(grid, params, dt, t_final):
-    spec = np.zeros(grid.nx, dtype=complex)
+    spec = np.zeros(grid.nmodes, dtype=complex)
     spec[0] = 1.0
     u0 = Field.from_profiles(grid, spec, _heat_exact(grid.y, 0.0),
                              BC_DIRICHLET)

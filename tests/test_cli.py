@@ -154,6 +154,15 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {item.split('=')[0]} must be")
             assert err.count("\n") == 1
+        # so are non-finite physical parameters
+        for item in ("params.lam=inf", "params.epsilon=nan",
+                     "params.kappa=nan", "params.delta=inf"):
+            code = run_cli(*base_args(tmp_path / "x", item))
+            assert code == 2, item
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"must be positive and finite, got {item}" in err
+            assert err.count("\n") == 1
 
     def test_tstar_exits_three_with_partial_output(self, tmp_path, capsys):
         out = tmp_path / "tstar"
@@ -284,6 +293,28 @@ class TestResumeCommand:
                        "--set", "run.t_final=0.05")
         assert code == 2
         assert "does not extend" in capsys.readouterr().err
+
+    def test_unreadable_checkpoints_exit_two(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first)) == 0
+        raw = (first / "final.ckpt").read_bytes()
+        hlen = int.from_bytes(raw[10:18], "little")
+        header = raw[18:18 + hlen]
+        bad_json = tmp_path / "json.ckpt"
+        bad_json.write_bytes(raw[:18] + b"]" + header[1:] + raw[18 + hlen:])
+        no_key = tmp_path / "key.ckpt"
+        no_key.write_bytes(raw[:18] + header.replace(b'"grid"', b'"grit"')
+                           + raw[18 + hlen:])
+        for path, msg in (
+                (tmp_path / "missing.ckpt", "cannot read checkpoint"),
+                (bad_json, "checkpoint header is not valid JSON"),
+                (no_key, "checkpoint header lacks key 'grid'")):
+            code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
+                           "--set", "run.t_final=0.2")
+            assert code == 2, path
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and msg in err
+            assert err.count("\n") == 1
 
     def test_corrupt_version_rejected(self, tmp_path, capsys):
         first = tmp_path / "first"

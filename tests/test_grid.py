@@ -1,7 +1,8 @@
 """Tests for the mixed Fourier/finite-difference grid layer.
 
-Covers: GridSpec validation and derived geometry, Field construction and
-Hermitian symmetry, the x transform round trip and its normalization,
+Covers: GridSpec validation and derived geometry (the stored half
+spectrum, its Parseval multiplicities), Field construction and Hermitian
+symmetry, the x transform round trip and its normalization,
 spectral/finite-difference derivatives with both wall closures, cumulative
 y quadrature against closed-form Gaussian integrals, the complement
 identity between the two cumulative integrals, and weighted L2 norms
@@ -23,6 +24,8 @@ from mhdbl.grid import (
     ddy,
     dealias,
     integrate_y_from0,
+    full_spectrum,
+    half_spectrum,
     integrate_y_tail,
     parseval_l2,
     psi_weight,
@@ -37,16 +40,19 @@ def make_grid(nx=32, ny=512, ymax=26.0, lx=2.0 * np.pi):
 
 def dc_spectrum(grid):
     """x spectrum of the constant function 1."""
-    s = np.zeros(grid.nx, dtype=complex)
+    s = np.zeros(grid.nmodes, dtype=complex)
     s[0] = 1.0
     return s
 
 
 def cosine_spectrum(grid, j, amp=1.0):
-    """x spectrum of amp*cos(xi_j x): amp/2 at modes +-j."""
-    s = np.zeros(grid.nx, dtype=complex)
-    s[j % grid.nx] = 0.5 * amp
-    s[-j % grid.nx] += 0.5 * amp
+    """Stored x spectrum of amp*cos(xi_j x), 0 <= j <= nx/2: amp/2 at j
+    (its mirror -j holds the other half), amp at the self-mirrored DC and
+    Nyquist modes."""
+    s = np.zeros(grid.nmodes, dtype=complex)
+    s[j] = 0.5 * amp
+    if j in (0, grid.nx // 2):
+        s[j] += 0.5 * amp
     return s
 
 
@@ -81,10 +87,10 @@ class TestGridSpec:
         assert g.y[0] == 0.0 and g.y[-1] == 8.0
         assert len(g.y) == 65
         assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(4.0 - 4.0 / 16)
-        # FFT frequency layout: 2*pi*j/lx with j = 0..7, -8..-1
+        # stored real-FFT modes: 2*pi*j/lx with j = 0..8
         j = np.rint(g.xi * g.lx / (2.0 * np.pi)).astype(int)
-        assert list(j[:3]) == [0, 1, 2]
-        assert j.min() == -8 and j.max() == 7
+        assert g.nmodes == 9
+        assert list(j) == list(range(9))
 
     def test_trapz_weights_sum_to_height(self):
         g = make_grid(ny=129, ymax=10.0)
@@ -93,17 +99,19 @@ class TestGridSpec:
 
     def test_dealias_mask_keeps_two_thirds(self):
         g = make_grid(nx=32)
-        kept = int(np.count_nonzero(g.dealias_mask))
-        j = np.fft.fftfreq(32) * 32
-        assert kept == int(np.count_nonzero(np.abs(j) <= 32 // 3))
+        j = np.arange(g.nmodes)
+        assert np.array_equal(g.dealias_mask, j <= 32 // 3)
+        # counting each interior mode with its mirror, as the full spectrum
+        kept = int(np.sum(g.mode_weights[g.dealias_mask]))
+        assert kept == 2 * (32 // 3) + 1
 
-    def test_mode_order_is_permutation_sorted_by_frequency(self):
+    def test_modes_sorted_by_frequency_with_parseval_weights(self):
         g = make_grid(nx=16)
-        order = g.mode_order
-        assert sorted(order) == list(range(16))
-        mags = np.abs(g.xi[order])
-        assert np.all(np.diff(mags) >= 0)
-        assert order[0] == 0  # DC first
+        assert g.xi[0] == 0.0           # DC first
+        assert np.all(np.diff(g.xi) > 0.0)
+        w = g.mode_weights
+        assert list(w) == [1.0] + [2.0] * 7 + [1.0]
+        assert np.sum(w) == g.nx
 
 
 class TestField:
@@ -115,7 +123,7 @@ class TestField:
     def test_unknown_bc_rejected(self):
         g = make_grid(nx=16, ny=64, ymax=8.0)
         with pytest.raises(ValueError, match="unknown bc"):
-            Field(g, np.zeros((64, 16), dtype=complex), "robin")
+            Field(g, np.zeros((64, g.nmodes), dtype=complex), "robin")
 
     def test_zeros_and_copy_are_independent(self):
         g = make_grid(nx=16, ny=64, ymax=8.0)
@@ -136,9 +144,12 @@ class TestField:
         rng = np.random.default_rng(3)
         f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
         assert f.hermitian_defect() < 1e-14
-        broken = f.copy()
-        broken.coeffs[0, 1] += 1.0j
-        assert broken.hermitian_defect() > 0.5
+        # DC and Nyquist are their own mirrors: an imaginary part there is
+        # the defect a real field cannot have
+        for col in (0, g.nmodes - 1):
+            broken = f.copy()
+            broken.coeffs[0, col] += 1.0j
+            assert broken.hermitian_defect() == pytest.approx(2.0)
 
 
 class TestXTransform:
@@ -146,9 +157,9 @@ class TestXTransform:
         g = make_grid(nx=32, ny=64, ymax=8.0)
         phys = np.cos(3.0 * g.x)[None, :] * np.ones((g.ny, 1))
         c = x_transform(g, phys, "forward")
+        assert c.shape == (g.ny, g.nmodes)
         assert c[0, 3] == pytest.approx(0.5, abs=1e-13)
-        assert c[0, -3] == pytest.approx(0.5, abs=1e-13)
-        others = np.delete(c[0], [3, 32 - 3])
+        others = np.delete(c[0], [3])
         assert np.max(np.abs(others)) < 1e-13
 
     def test_round_trip(self):
@@ -157,6 +168,39 @@ class TestXTransform:
         phys = rng.standard_normal((g.ny, g.nx))
         back = x_transform(g, x_transform(g, phys, "forward"), "inverse")
         assert np.max(np.abs(back - phys)) < 1e-12
+
+    def test_round_trip_to_roundoff(self):
+        g = make_grid(nx=64, ny=48, ymax=8.0)
+        rng = np.random.default_rng(17)
+        phys = rng.standard_normal((g.ny, g.nx))
+        back = x_transform(g, x_transform(g, phys, "forward"), "inverse")
+        assert np.max(np.abs(back - phys)) < 1e-14
+
+    def test_stacked_fields_transform_like_single_ones(self):
+        """The last axis is x, so one call transforms any stack of fields."""
+        g = make_grid(nx=32, ny=24, ymax=8.0)
+        rng = np.random.default_rng(19)
+        stack = rng.standard_normal((3, g.ny, g.nx))
+        spec = x_transform(g, stack, "forward")
+        assert spec.shape == (3, g.ny, g.nmodes)
+        for k in range(3):
+            assert np.array_equal(spec[k], x_transform(g, stack[k], "forward"))
+        back = x_transform(g, spec, "inverse")
+        assert back.shape == stack.shape
+        assert np.max(np.abs(back - stack)) < 1e-14
+
+    def test_full_spectrum_is_the_complex_fft(self):
+        g = make_grid(nx=16, ny=24, ymax=8.0)
+        rng = np.random.default_rng(23)
+        phys = rng.standard_normal((g.ny, g.nx))
+        full = full_spectrum(x_transform(g, phys, "forward"))
+        assert full.shape == (g.ny, g.nx)
+        assert np.max(np.abs(full - np.fft.fft(phys, axis=-1) / g.nx)) < 1e-15
+        assert np.array_equal(half_spectrum(full),
+                              x_transform(g, phys, "forward"))
+        full[3, -2] += 1e-3j
+        with pytest.raises(ValueError, match="conjugates"):
+            half_spectrum(full)
 
     def test_bad_direction(self):
         g = make_grid(nx=16, ny=64, ymax=8.0)
@@ -188,9 +232,12 @@ class TestDerivatives:
         g = make_grid(nx=32, ny=64, ymax=8.0)
         f = Field.from_profiles(g, cosine_spectrum(g, 4), np.ones(g.ny))
         df = ddx(f)
-        # d/dx cos(4x) = -4 sin(4x): amplitude i*4*(1/2) at mode +4
+        # d/dx cos(4x) = -4 sin(4x): amplitude i*4*(1/2) at mode +4 (and
+        # the implied conjugate -2i at mode -4)
         assert df.coeffs[0, 4] == pytest.approx(2.0j, abs=1e-13)
-        assert df.coeffs[0, -4] == pytest.approx(-2.0j, abs=1e-13)
+        assert np.all(np.delete(df.coeffs[0], [4]) == 0.0)
+        assert np.max(np.abs(df.physical()[0] + 4.0 * np.sin(4.0 * g.x))) \
+            < 1e-13
 
     def test_ddx_kills_dc(self):
         g = make_grid(nx=16, ny=64, ymax=8.0)
@@ -329,7 +376,7 @@ class TestCumulativeIntegrals:
                 c0 = rng.uniform(0.0, 4.0)
                 w = rng.uniform(0.5, 1.5)
                 prof += rng.choice([-1.0, 1.0]) * a * np.exp(-((g.y - c0) / w) ** 2)
-            phases = np.exp(2j * np.pi * rng.uniform(size=g.nx))
+            phases = np.exp(2j * np.pi * rng.uniform(size=g.nmodes))
             f = Field(g, np.outer(prof, phases).astype(complex), "dirichlet")
             tail = integrate_y_tail(f).coeffs
             fr0 = integrate_y_from0(f).coeffs
@@ -354,7 +401,7 @@ class TestCumulativeIntegrals:
         g = make_grid(nx=16, ny=256, ymax=12.0)
         rng = np.random.default_rng(6)
         prof = np.exp(-0.5 * g.y**2) * rng.standard_normal(g.ny)
-        f = Field.from_profiles(g, rng.standard_normal(g.nx) + 0j, prof)
+        f = Field.from_profiles(g, rng.standard_normal(g.nmodes) + 0j, prof)
         ab = ddx(integrate_y_tail(f)).coeffs
         ba = integrate_y_tail(ddx(f)).coeffs
         assert np.max(np.abs(ab - ba)) < 1e-13 * max(1.0, np.max(np.abs(ab)))
@@ -387,6 +434,16 @@ class TestWeightedNorms:
         f = Field.from_physical(g, phys)
         direct = np.sqrt(np.sum(g.trapz_weights[:, None] * phys**2) * (g.lx / g.nx))
         assert parseval_l2(f) == pytest.approx(direct, rel=1e-12)
+
+    def test_zero_weight_equals_physical_sum(self):
+        """weighted_l2(f, 0, 0) is sqrt(lx/nx sum_y w_y sum_x f^2)."""
+        g = make_grid(nx=64, ny=300, ymax=10.0, lx=5.0)
+        rng = np.random.default_rng(21)
+        phys = rng.standard_normal((g.ny, g.nx)) * np.exp(-0.3 * g.y)[:, None]
+        f = Field.from_physical(g, phys)
+        direct = np.sqrt(g.lx / g.nx * np.sum(
+            g.trapz_weights * np.sum(phys ** 2, axis=1)))
+        assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-13)
 
     def test_psi_weight_values(self):
         g = make_grid(ny=101, ymax=10.0)

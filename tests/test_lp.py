@@ -36,9 +36,9 @@ def make_grid(nx=64, ny=96, ymax=12.0, lx=2.0 * np.pi):
 
 
 def single_mode_field(grid, j, profile, bc="dirichlet"):
-    s = np.zeros(grid.nx, dtype=complex)
-    s[j % grid.nx] = 0.5
-    s[-j % grid.nx] += 0.5
+    """cos(xi_j x) profile(y) for 0 < j < nx/2: stored amplitude 1/2 at j."""
+    s = np.zeros(grid.nmodes, dtype=complex)
+    s[j] = 0.5
     return Field.from_profiles(grid, s, profile, bc)
 
 
@@ -90,6 +90,13 @@ class TestPartition:
         assert part.phi_table[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
         j_hi = g.nx // 2
         assert part.phi_table[:, j_hi].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_power_table_is_weighted_squared_shells(self):
+        g = make_grid(nx=64)
+        part = build_partition(g)
+        assert part.power_table is part.power_table    # built once
+        assert np.array_equal(part.power_table,
+                              part.phi_table ** 2 * g.mode_weights)
 
     def test_shell_row_out_of_range(self):
         part = build_partition(make_grid())
@@ -228,9 +235,8 @@ class TestBesovNorms:
     def test_profile_norm_allows_any_regularity(self):
         g = make_grid(nx=64, lx=2.0 * np.pi)
         part = build_partition(g)
-        spec = np.zeros(g.nx, dtype=complex)
-        spec[3] = 0.5
-        spec[-3] = 0.5
+        spec = np.zeros(g.nmodes, dtype=complex)
+        spec[3] = 0.5               # cos(3x): 1/2 at +-3
         shells = besov_h_shell_norms(part, spec)
         k1 = 1 - part.k_min
         expect = np.sqrt(g.lx * 2.0 * 0.25)

@@ -51,6 +51,14 @@ class TestParams:
         with pytest.raises(ValueError, match="diffusivity"):
             Params(kappa=1.0, epsilon=1e-3, nu_u=-0.5)
 
+    @pytest.mark.parametrize("name", ["kappa", "epsilon", "delta", "lam",
+                                      "nu_u", "nu_b"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_values_rejected(self, name, value):
+        kw = {"kappa": 1.0, "epsilon": 1e-3, name: value}
+        with pytest.raises(ValueError, match=f"finite, got params.{name}="):
+            Params(**kw)
+
     def test_background_field_switch(self):
         assert Params(kappa=1.0, epsilon=1e-3).bbar == 1.0
         assert Params(kappa=1.5, epsilon=1e-3).bbar == 0.0
@@ -200,11 +208,25 @@ class TestFarField:
     def test_complex_spectrum_accepted_directly(self):
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
-        spec = np.zeros(g.nx, dtype=complex)
-        spec[2] = 0.5j
-        spec[-2] = -0.5j
+        spec = np.zeros(g.nmodes, dtype=complex)
+        spec[2] = 0.5j              # -sin(2x)
         ff = farfield_decaying(g, p, 0.02, 2.5, spec)
         assert np.array_equal(ff.g_spec, spec)
+        with pytest.raises(ValueError, match="shape"):
+            farfield_decaying(g, p, 0.02, 2.5, np.zeros(g.nx, dtype=complex))
+
+    def test_physical_rows_match_the_profile(self):
+        g = make_grid()
+        p = Params(kappa=1.5, epsilon=1e-3)
+        ff = farfield_decaying(g, p, 0.02, 2.5, np.cos(2.0 * g.x))
+        u, dxu = ff.physical_rows(1.0)
+        amp = 0.02 * 2.0 ** -2.5
+        assert np.max(np.abs(u - amp * np.cos(2.0 * g.x))) < 1e-16
+        assert np.max(np.abs(dxu + 2.0 * amp * np.sin(2.0 * g.x))) < 1e-16
+        # U d_x U = -amp^2 sin(4x): amplitude i amp^2 / 2 at mode 4
+        adv = ff.advection_spec(1.0)
+        assert adv[4] == pytest.approx(0.5j * amp ** 2, abs=1e-20)
+        assert np.max(np.abs(np.delete(adv, [4]))) < 1e-20
 
 
 class TestAssumptionCheck:
@@ -254,9 +276,10 @@ class TestAssumptionCheck:
 class TestSourceTerms:
     def test_trivial_gives_zero_fields(self):
         g = make_grid()
-        f_u, F_u = source_terms(farfield_trivial(g), None, g, 0.0)
-        for f in (f_u, F_u):
-            assert np.all(f.coeffs == 0.0)
+        f_u = source_terms(farfield_trivial(g), None, g, 0.0)
+        F_u = -integrate_y_tail(f_u).coeffs
+        assert np.all(f_u.coeffs == 0.0)
+        assert np.all(F_u == 0.0)
 
     def test_nontrivial_requires_cutoff(self):
         g = make_grid()
@@ -270,30 +293,35 @@ class TestSourceTerms:
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         cut = build_cutoff(g)
-        f_u, F_u = source_terms(ff, cut, g, 0.5)
+        f_u = source_terms(ff, cut, g, 0.5)
         above = g.y > 2.0 + 1e-9
         scale = np.max(np.abs(f_u.coeffs))
         assert scale > 0.0
         assert np.max(np.abs(f_u.coeffs[above])) < 1e-12 * scale
         # tail integrals vanish above the zone as well
-        assert np.max(np.abs(F_u.coeffs[above])) < 1e-12 * scale
+        F_u = -integrate_y_tail(f_u).coeffs
+        assert np.max(np.abs(F_u[above])) < 1e-12 * scale
 
     def test_tail_integral_sign_convention(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         cut = build_cutoff(g)
-        f_u, F_u = source_terms(ff, cut, g, 0.5)
-        expect = -integrate_y_tail(f_u).coeffs
-        assert np.array_equal(F_u.coeffs, expect)
+        f_u = source_terms(ff, cut, g, 0.5)
+        # F_u = -int_y^ymax f_u, the tail integral eqs2_residual forms:
+        # zero at the top, minus the column flux of f_u at the wall
+        F_u = -integrate_y_tail(f_u).coeffs
+        assert np.all(F_u[-1] == 0.0)
+        flux = column_flux(f_u)
+        assert np.max(np.abs(F_u[0] + flux)) < 1e-10 * np.max(np.abs(flux))
 
     def test_time_decay_of_sources(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         cut = build_cutoff(g)
-        f0 = source_terms(ff, cut, g, 0.0)[0]
-        f9 = source_terms(ff, cut, g, 9.0)[0]
+        f0 = source_terms(ff, cut, g, 0.0)
+        f9 = source_terms(ff, cut, g, 9.0)
         assert np.max(np.abs(f9.coeffs)) < 0.01 * np.max(np.abs(f0.coeffs))
 
 
@@ -343,7 +371,7 @@ class TestInitialData:
         g = make_grid()
         p = Params(kappa=1.0, epsilon=1e-3)
         with pytest.raises(ValueError, match="zero mean"):
-            spec = np.ones(g.nx, dtype=complex)
+            spec = np.ones(g.nmodes, dtype=complex)
             initial_data_standard(g, p, spec)
         with pytest.raises(ValueError, match="shape"):
             initial_data_standard(g, p, np.zeros(5, dtype=complex))
@@ -353,8 +381,9 @@ class TestInitialData:
         spec = default_x_profile(g)
         assert spec[0] == 0.0
         assert spec[1] == pytest.approx(np.exp(-1.0), rel=1e-14)
-        # Hermitian by construction (real even amplitudes)
-        assert np.max(np.abs(spec - np.conj(spec[(-np.arange(g.nx)) % g.nx]))) == 0.0
+        # a real even profile: real amplitudes, the mirror modes implied
+        assert spec.shape == (g.nmodes,)
+        assert np.all(spec.imag == 0.0)
         low = np.abs(np.rint(g.xi)) <= 8
         assert np.all(np.abs(spec[low & (np.abs(g.xi) > 0)]) > 0.0)
 
@@ -369,7 +398,7 @@ class TestInitialData:
     def test_projection_zeroes_nonzero_mode_flux(self):
         g = make_grid(nx=16, ny=256)
         rng = np.random.default_rng(13)
-        coeffs = rng.standard_normal((g.ny, g.nx)) * np.exp(-g.y)[:, None]
+        coeffs = rng.standard_normal((g.ny, g.nmodes)) * np.exp(-g.y)[:, None]
         f = Field(g, coeffs.astype(complex), "dirichlet")
         su, _ = flux_projection_profiles(g)
         proj = project_zero_flux(f, su)

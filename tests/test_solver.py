@@ -65,10 +65,10 @@ def make_grid(nx=32, ny=513, ymax=16.0):
 
 
 def single_mode_field(grid, shape, bc, mode=1, amp=0.5):
-    """Real cosine in x times a y profile: amp at modes +-mode."""
-    spec = np.zeros(grid.nx, complex)
+    """Real cosine in x times a y profile: amp at modes +-mode (the stored
+    mode +mode, 0 < mode < nx/2)."""
+    spec = np.zeros(grid.nmodes, complex)
     spec[mode] = amp
-    spec[-mode] = amp
     return Field.from_profiles(grid, spec, shape, bc)
 
 
@@ -80,7 +80,7 @@ def heat_exact(y, t):
 def heat_setup(ny=512, ymax=18.0):
     g = GridSpec(lx=2.0 * np.pi, nx=8, ymax=ymax, ny=ny)
     p = Params(kappa=1.0, epsilon=1e-3)
-    spec = np.zeros(g.nx, complex)
+    spec = np.zeros(g.nmodes, complex)
     spec[0] = 1.0
     u0 = Field.from_profiles(g, spec, heat_exact(g.y, 0.0), BC_DIRICHLET)
     b0 = Field.zeros(g, BC_NEUMANN)
@@ -164,11 +164,19 @@ class TestReconstructions:
         assert np.allclose(corr3, corr0 / 4.0, rtol=1e-10, atol=1e-20)
 
 
+def full_spectrum(c, nx):
+    """All nx modes in FFT order from the stored non-negative ones."""
+    return np.concatenate([c, np.conj(c[:, nx // 2 - 1:0:-1])], axis=1)
+
+
 def reference_tendency(grid, params, u, b):
-    """Independent spelling of the explicit tendency with numpy's fft and
-    hand-rolled difference closures; used to pin signs and wiring."""
+    """Independent spelling of the explicit tendency with numpy's complex
+    fft on all nx modes and hand-rolled difference closures; used to pin
+    signs and wiring.  Returns the stored (non-negative) modes."""
     nx, ny, dy = grid.nx, grid.ny, grid.dy
-    xi = grid.xi
+    xi = np.fft.fftfreq(nx, d=grid.lx / nx) * 2.0 * np.pi
+    uc = full_spectrum(u.coeffs, nx)
+    bc = full_spectrum(b.coeffs, nx)
 
     def to_phys(c):
         return np.fft.ifft(c * nx, axis=1)
@@ -185,28 +193,28 @@ def reference_tendency(grid, params, u, b):
 
     # normal components from the from-zero integrals
     iu = np.vstack([np.zeros((1, nx)),
-                    cumulative_trapezoid(u.coeffs, dx=dy, axis=0)])
+                    cumulative_trapezoid(uc, dx=dy, axis=0)])
     ib = np.vstack([np.zeros((1, nx)),
-                    cumulative_trapezoid(b.coeffs, dx=dy, axis=0)])
+                    cumulative_trapezoid(bc, dx=dy, axis=0)])
     v = -(1j * xi) * iu
     h = -(1j * xi) * ib
 
-    up, bp = to_phys(u.coeffs), to_phys(b.coeffs)
+    up, bp = to_phys(uc), to_phys(bc)
     vp, hp = to_phys(v), to_phys(h)
-    duxp, dbxp = to_phys((1j * xi) * u.coeffs), to_phys((1j * xi) * b.coeffs)
-    duyp = to_phys(dy_op(u.coeffs, u.bc))
-    dbyp = to_phys(dy_op(b.coeffs, b.bc))
+    duxp, dbxp = to_phys((1j * xi) * uc), to_phys((1j * xi) * bc)
+    duyp = to_phys(dy_op(uc, u.bc))
+    dbyp = to_phys(dy_op(bc, b.bc))
 
     nl_u = up * duxp - bp * dbxp + vp * duyp - hp * dbyp
     nl_b = up * dbxp - bp * duxp + vp * dbyp - hp * duyp
     ru = -to_spec(nl_u)
     rb = -to_spec(nl_b)
-    mask = grid.dealias_mask
+    mask = np.abs(np.fft.fftfreq(nx) * nx) <= grid.dealias_fraction * nx / 2
     ru[:, ~mask] = 0.0
     rb[:, ~mask] = 0.0
-    ru += params.bbar * (1j * xi) * b.coeffs
-    rb += params.bbar * (1j * xi) * u.coeffs
-    return ru, rb
+    ru += params.bbar * (1j * xi) * bc
+    rb += params.bbar * (1j * xi) * uc
+    return ru[:, :grid.nmodes], rb[:, :grid.nmodes]
 
 
 class TestExplicitTendency:
@@ -238,6 +246,32 @@ class TestExplicitTendency:
         assert np.max(np.abs(ru.coeffs - ru_ref)) < 1e-10 * scale
         assert np.max(np.abs(rb.coeffs - rb_ref)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("far", [False, True], ids=["trivial", "farfield"])
+    def test_two_x_transforms_per_evaluation(self, monkeypatch, far):
+        """All inverse transforms go in one batched call, the forward ones
+        in another, on both branches."""
+        import mhdbl.grid
+        g = make_grid(ny=257)
+        p = Params(kappa=1.5, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        ff = cut = None
+        if far:
+            ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
+            cut = build_cutoff(g)
+        st = make_state(g, p, u0, b0)
+        calls = []
+
+        def counted(grid, values, direction):
+            calls.append(direction)
+            return transform(grid, values, direction)
+
+        transform = mhdbl.grid.x_transform
+        for mod in ("grid", "lp", "scenario", "solver"):
+            monkeypatch.setattr(f"mhdbl.{mod}.x_transform", counted)
+        ru, rb = rhs_explicit(st, ff, cut)
+        assert sorted(calls) == ["forward", "inverse"]
+        assert np.max(np.abs(ru.coeffs)) > 0.0
+
     def test_farfield_needs_cutoff(self):
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
@@ -264,10 +298,9 @@ class TestTheta:
         # * sqrt(2 lx) |amp| e^{3 r}
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
-        prof = np.zeros(g.nx, complex)
+        prof = np.zeros(g.nmodes, complex)
         amp = 0.25
-        prof[3] = amp
-        prof[-3] = amp
+        prof[3] = amp               # 2 amp cos(3x)
         ff = farfield_decaying(g, p, p.epsilon, 2.5, prof)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN), branch="kappa")
@@ -445,7 +478,7 @@ class TestAudits:
         # a genuinely nonzero row under an overflowed weight is a tail
         # violation, not a quiet nan
         g = GridSpec(2 * math.pi, 8, 120.0, 257)
-        coeffs = np.zeros((g.ny, g.nx), dtype=complex)
+        coeffs = np.zeros((g.ny, g.nmodes), dtype=complex)
         coeffs[-2, 1] = 1.0
         f = Field(g, coeffs, BC_DIRICHLET)
         with pytest.raises(TailViolationError, match="tail too wide"):
@@ -667,8 +700,8 @@ class TestCheckpoint:
 
     def test_round_trip_bit_exact(self, tmp_path):
         g, p, st = self._stepped_state()
-        prof = np.zeros(g.nx, complex)
-        prof[2] = prof[-2] = 0.3
+        prof = np.zeros(g.nmodes, complex)
+        prof[2] = 0.3
         ff = farfield_decaying(g, p, 1e-4, 2.5, prof)
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, st, ff, extras={"note": 1.5})
@@ -689,6 +722,128 @@ class TestCheckpoint:
         path2 = str(tmp_path / "again.ckpt")
         save_checkpoint(path2, st2, ff2, extras=extras)
         assert open(path, "rb").read() == open(path2, "rb").read()
+
+    def test_diffusivity_overrides_round_trip(self, tmp_path):
+        g = make_grid(ny=129)
+        p = Params(kappa=2.0, epsilon=1e-3, nu_u=0.5, nu_b=1.0)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = step_imex(make_state(g, p, u0, b0), 1e-3)
+        path = str(tmp_path / "nu.ckpt")
+        save_checkpoint(path, st, farfield_trivial(g))
+        st2, _, _ = load_checkpoint(path)
+        assert st2.params == p
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        g, p, st = self._stepped_state()
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(str(path), st, farfield_trivial(g))
+        before = path.read_bytes()
+        import mhdbl.solver
+        expand = mhdbl.solver.full_spectrum
+        calls = []
+
+        def failing(half):
+            calls.append(1)
+            if len(calls) == 3:    # the header and u are already written
+                raise OSError("disk full")
+            return expand(half)
+
+        monkeypatch.setattr(mhdbl.solver, "full_spectrum", failing)
+        st.t += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), st, farfield_trivial(g))
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["keep.ckpt"]
+
+    def _parent_format_file(self, path, state, ff):
+        """A version-1 file as written before the half-spectrum layout: a
+        header without the diffusivity overrides and all nx modes of each
+        array, made by a complex FFT of the real fields."""
+        import json, struct
+        from scipy import fft as sfft
+        from mhdbl.grid import x_transform
+        g = state.grid
+
+        def full(c):
+            return sfft.fft(x_transform(g, c, "inverse"), axis=-1) / g.nx
+
+        g_full = full(ff.g_spec)
+        header = {
+            "version": 1,
+            "grid": {"lx": g.lx, "nx": g.nx, "ymax": g.ymax, "ny": g.ny,
+                     "dealias_fraction": g.dealias_fraction},
+            "params": {"kappa": state.params.kappa,
+                       "epsilon": state.params.epsilon,
+                       "delta": state.params.delta, "lam": state.params.lam},
+            "t": state.t, "theta": state.theta, "dt": state.dt,
+            "prev_dt": state.prev_dt, "step_index": state.step_index,
+            "weight_alpha": state.weight_alpha, "has_prev": True,
+            "farfield": {"kind": ff.kind, "eps": ff.eps, "alpha": ff.alpha,
+                         "g_re": g_full.real.tolist(),
+                         "g_im": g_full.imag.tolist()},
+            "extras": {},
+        }
+        blob = json.dumps(header).encode("utf-8")
+        arrays = b"".join(full(c).astype("<c16").tobytes() for c in (
+            state.u.coeffs, state.b.coeffs, state.prev_ru, state.prev_rb))
+        with open(path, "wb") as fh:
+            fh.write(b"MHDBL\x00" + struct.pack("<I", 1)
+                     + struct.pack("<Q", len(blob)) + blob + arrays)
+        return len(arrays)
+
+    def test_parent_format_file_loads_and_resaves(self, tmp_path):
+        g, p, st = self._stepped_state()
+        ff = farfield_decaying(g, p, 1e-4, 2.5, np.cos(2.0 * g.x))
+        old = tmp_path / "old.ckpt"
+        n = self._parent_format_file(str(old), st, ff)
+        st2, ff2, _ = load_checkpoint(str(old))
+        assert st2.params == p
+        scale = np.max(np.abs(st.u.coeffs))
+        assert np.max(np.abs(st2.u.coeffs - st.u.coeffs)) < 1e-15 * scale
+        assert np.max(np.abs(ff2.g_spec - ff.g_spec)) < 1e-15
+        new = tmp_path / "new.ckpt"
+        save_checkpoint(str(new), st2, ff2)
+        # the array section comes back bit for bit, up to the sign of
+        # exact zeros in the mirrored modes: the stored half cannot carry
+        # it, and the old writers did not follow one rule for it
+        a = np.frombuffer(old.read_bytes()[-n:], dtype="<f8")
+        b = np.frombuffer(new.read_bytes()[-n:], dtype="<f8")
+        assert np.array_equal(a.view("<u8")[a != 0.0],
+                              b.view("<u8")[a != 0.0])
+        assert np.all(b[a == 0.0] == 0.0)
+
+    def test_non_hermitian_file_refused(self, tmp_path):
+        g, p, st = self._stepped_state()
+        path = tmp_path / "skew.ckpt"
+        n = self._parent_format_file(str(path), st, farfield_trivial(g))
+        raw = bytearray(path.read_bytes())
+        # the imaginary part of u at row 0, mode -1 (the last column)
+        pos = len(raw) - n + (g.nx - 1) * 16 + 8
+        raw[pos:pos + 8] = np.float64(0.25).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checkpoint u is not the "
+                           "spectrum of a real field"):
+            load_checkpoint(str(path))
+
+    def test_unreadable_file_and_bad_headers(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_checkpoint(str(tmp_path / "missing.ckpt"))
+        g, p, st = self._stepped_state()
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), st, farfield_trivial(g))
+        raw = good.read_bytes()
+        hlen = int.from_bytes(raw[10:18], "little")
+        header = raw[18:18 + hlen]
+        bad_json = raw[:18] + b"{" + header[1:].replace(b"{", b"[", 1) \
+            + raw[18 + hlen:]
+        no_key = raw[:18] + header.replace(b'"theta"', b'"thetb"') \
+            + raw[18 + hlen:]
+        for blob, msg in ((bad_json, "not valid JSON"),
+                          (no_key, "lacks key 'theta'")):
+            path = tmp_path / "bad.ckpt"
+            path.write_bytes(blob)
+            with pytest.raises(CheckpointError, match=msg):
+                load_checkpoint(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
@@ -797,8 +952,8 @@ class TestSimulate:
         g = make_grid(ny=129)
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        spec = np.zeros(g.nx, complex)
-        spec[1] = spec[-1] = 1e-3
+        spec = np.zeros(g.nmodes, complex)
+        spec[1] = 1e-3
         ff = FarField(g, "decaying", eps=1e-3, alpha=2.5, g_spec=spec)
         with pytest.raises(UnsupportedScenarioError, match="trivial far field"):
             simulate(g, p, u0, b0, farfield=ff, t_final=0.02)
