@@ -6,8 +6,8 @@ one per formulation, should land on the same fields.
 import numpy as np
 
 from mhdbl import (GridSpec, Field, Params, initial_data_standard, simulate,
-                   kappa_rescale_map, rescaled_flux_shapes, build_partition,
-                   besov_pair_norm)
+                   kappa_rescale_map, flux_projection_profiles,
+                   build_partition, besov_pair_norm)
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
                      sample_every=100)
     res_b = simulate(grid_b, par_b, u0b, b0b, t_final=0.5, dt_max=1e-2,
                      sample_every=100,
-                     flux_shapes=rescaled_flux_shapes(grid_b, kap))
+                     flux_shapes=flux_projection_profiles(grid_b, kap))
 
     _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u, res_a.state.b, kap)
     part = build_partition(grid_b)

@@ -21,7 +21,7 @@ def run(grid, params, dt, t_final):
     u0 = Field.from_profiles(grid, spec, heat_exact(grid.y, 0.0), BC_DIRICHLET)
     b0 = Field.zeros(grid, BC_NEUMANN)
     st = make_state(grid, params, u0, b0)
-    ws = _Workspace(grid, params)
+    ws = _Workspace(grid)
     n = round(t_final / dt)
     for _ in range(n):
         st = step_imex(st, dt, None, None, ws)

@@ -8,15 +8,14 @@ from .grid import (Field, GridSpec, TailViolationError, ddx, ddy, d2dy,
                    integrate_y_from0, integrate_y_tail, psi_weight,
                    weighted_l2, x_transform)
 from .lp import (CLAccumulator, DyadicPartition, besov_h_norm, besov_norm,
-                 besov_pair_norm, build_partition, cl_accumulate,
-                 gevrey_multiplier, lowpass, lp_project, paraproduct,
-                 shell_weighted_norms)
+                 besov_pair_norm, build_partition, gevrey_multiplier,
+                 lowpass, lp_project, paraproduct, shell_weighted_norms)
 from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
                        assumption_check, bernoulli_residual, build_cutoff,
                        cutoff_value, default_x_profile, derived_exponents,
                        farfield_decaying, farfield_trivial,
-                       initial_data_standard, project_zero_flux,
-                       rescaled_flux_shapes, source_terms)
+                       flux_projection_profiles, initial_data_standard,
+                       project_zero_flux, source_terms)
 from .solver import (CheckpointError, DivergenceError, FluxDriftError,
                      NormSeries, SimResult, State, TStarReachedError,
                      compute_GH, eikonal_residual, eqs2_residual,
@@ -24,7 +23,7 @@ from .solver import (CheckpointError, DivergenceError, FluxDriftError,
                      load_checkpoint, make_state, recommended_ymax,
                      reconstruct_phipsi, recover_vh, rhs_explicit,
                      save_checkpoint, simulate, step_imex, tail_guard_check,
-                     theta_rhs)
+                     theta_components)
 from .verify import (fit_decay, fit_loglog, gh_equivalence_check,
                      monotone_decay_check, multiplier_convexity_check,
                      poincare_check, product_law_check, run_poincare_suite,

@@ -199,24 +199,29 @@ def _write_outputs(out_dir: str, cfg, series, summary, state, ff) -> None:
                     extras=extras)
 
 
+def _run(**kw):
+    """simulate(**kw) and its exit code: 0 completed, 3 band exhausted,
+    4 divergence or tail violation (with the guard's partial result)."""
+    try:
+        return simulate(**kw), 0
+    except TStarReachedError as e:
+        return e.partial, 3
+    except (DivergenceError, TailViolationError) as e:
+        if getattr(e, "partial", None) is None:
+            raise
+        return e.partial, 4
+
+
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, args.overrides)
     validate_config(cfg)
     out_dir = _prepare_out(args.out)
     grid, params, u0, b0, ff, cutoff, id_report = build_run(cfg)
-    try:
-        result = simulate(grid, params, u0, b0, farfield=ff, cutoff=cutoff,
-                          t_final=cfg["run.t_final"],
-                          dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
-                          sample_every=cfg["run.sample_every"],
-                          branch=cfg["run.branch"])
-        code = 0
-    except TStarReachedError as e:
-        result, code = e.partial, 3
-    except (DivergenceError, TailViolationError) as e:
-        result, code = getattr(e, "partial", None), 4
-        if result is None:
-            raise
+    result, code = _run(grid=grid, params=params, u0=u0, b0=b0, farfield=ff,
+                        cutoff=cutoff, t_final=cfg["run.t_final"],
+                        dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
+                        sample_every=cfg["run.sample_every"],
+                        branch=cfg["run.branch"])
     summary = dict(result.summary)
     if id_report is not None:
         summary["initial_data"] = id_report
@@ -265,8 +270,8 @@ def cmd_fit(args) -> int:
 def cmd_resume(args) -> int:
     for item in args.overrides:
         key = item.split("=", 1)[0].strip()
-        if key.startswith("grid.") or key.startswith("params.") \
-                or key.startswith("scenario."):
+        if key.startswith(("grid.", "params.", "scenario.")) \
+                or key == "run.branch":
             raise ConfigError(
                 f"cannot override {key!r} on resume; it is fixed by the "
                 "checkpoint")
@@ -279,20 +284,12 @@ def cmd_resume(args) -> int:
             f"run.t_final={cfg['run.t_final']} does not extend the "
             f"checkpoint time {state.t:.6g}")
     cutoff = build_cutoff(state.grid) if not ff.trivial else None
-    try:
-        result = simulate(state.grid, state.params, state.u, state.b,
-                          farfield=ff, cutoff=cutoff,
-                          t_final=cfg["run.t_final"],
-                          dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
-                          sample_every=cfg["run.sample_every"],
-                          resume_state=state, resume_extras=extras)
-        code = 0
-    except TStarReachedError as e:
-        result, code = e.partial, 3
-    except (DivergenceError, TailViolationError) as e:
-        result, code = getattr(e, "partial", None), 4
-        if result is None:
-            raise
+    result, code = _run(grid=state.grid, params=state.params, u0=state.u,
+                        b0=state.b, farfield=ff, cutoff=cutoff,
+                        t_final=cfg["run.t_final"],
+                        dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
+                        sample_every=cfg["run.sample_every"],
+                        resume_state=state, resume_extras=extras)
     _write_outputs(out_dir, cfg, result.series, dict(result.summary),
                    result.state, ff)
     print(f"resume: reason={result.reason} t={result.state.t:.6g} "

@@ -14,8 +14,9 @@ GridSpec.mode_weights.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,14 +54,16 @@ class GridSpec:
     def __post_init__(self):
         if not _is_pow2(self.nx) or self.nx < 8:
             raise ValueError(f"nx must be a power of two >= 8, got {self.nx}")
-        if not self.ymax > 4.0:
-            raise ValueError(f"ymax must exceed 4, got {self.ymax}")
+        if not (math.isfinite(self.ymax) and self.ymax > 4.0):
+            raise ValueError(f"ymax must be finite and exceed 4, got "
+                             f"grid.ymax={self.ymax!r}")
         if self.ny < 16:
             raise ValueError(f"ny must be >= 16, got {self.ny}")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError("dealias_fraction must be in (0, 1]")
-        if self.lx <= 0.0:
-            raise ValueError("lx must be positive")
+        if not (math.isfinite(self.lx) and self.lx > 0.0):
+            raise ValueError(f"lx must be positive and finite, got "
+                             f"grid.lx={self.lx!r}")
 
     # ---- derived geometry -------------------------------------------------
     # The arrays are built once per grid and shared by every caller, so
@@ -331,10 +334,21 @@ def psi_weight(grid: GridSpec, a: float, t: float) -> np.ndarray:
     """exp(a * y^2 / (8 <t>)) sampled on the y nodes, <t> = 1 + t.
 
     Rows beyond the double-precision range come back as inf without a
-    warning; callers mask rows whose data is exactly zero and treat any
-    surviving non-finite product as a tail violation."""
+    warning; weighted_rows masks them where the data is exactly zero."""
     with np.errstate(over="ignore"):
         return np.exp(a * grid.y ** 2 / (8.0 * (1.0 + t)))
+
+
+def weighted_rows(x: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
+    """w * x, with the exactly-zero entries of x kept at 0 even where w
+    overflowed.  Any other non-finite product raises TailViolationError:
+    mass reached the exponential part of the weight."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(x == 0.0, 0.0, w * x)
+    if not np.all(np.isfinite(out)):
+        raise TailViolationError(
+            f"weighted {what} overflowed; field tail too wide for ymax")
+    return out
 
 
 def weighted_l2(field: Field, a: float, t: float) -> float:
@@ -343,20 +357,10 @@ def weighted_l2(field: Field, a: float, t: float) -> float:
     Exact in x via Parseval (int |f|^2 dx = lx * sum_j |c_j|^2 over all nx
     modes, i.e. the stored modes weighted by mode_weights), trapezoid in y.
     Mode summation runs in ascending |xi| order; rows accumulate in
-    ascending y.  Raises TailViolationError if the weighted amplitude is
-    not finite (mass reached the exponential part of the weight).
+    ascending y.  a = 0 gives the plain L2 norm over the strip.
     """
     g = field.grid
-    srow = np.sqrt(row_power(field))
-    with np.errstate(over="ignore", invalid="ignore"):
-        amp = np.where(srow == 0.0, 0.0, psi_weight(g, a, t) * srow)
-    if not np.all(np.isfinite(amp)):
-        raise TailViolationError(
-            "weighted amplitude overflowed; field tail too wide for ymax")
+    amp = weighted_rows(np.sqrt(row_power(field)), psi_weight(g, a, t),
+                        "amplitude")
     total = np.add.reduce(g.trapz_weights * amp * amp)
     return float(np.sqrt(g.lx * total))
-
-
-def parseval_l2(field: Field) -> float:
-    """Plain L2 norm over the strip (a = 0 weight)."""
-    return weighted_l2(field, 0.0, 0.0)

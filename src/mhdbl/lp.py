@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (Field, GridSpec, TailViolationError, mode_power,
-                   psi_weight, x_transform)
+from .grid import (Field, GridSpec, mode_power, psi_weight, weighted_rows,
+                   x_transform)
 
 
 # ---- bump functions --------------------------------------------------------
@@ -84,24 +84,35 @@ class DyadicPartition:
     def n_shells(self) -> int:
         return self.k_max - self.k_min + 1
 
+    def besov_sum(self, per: np.ndarray, s: float) -> float:
+        """sum_k 2^{ks} per[k] over the partition's shells, ascending k."""
+        return float(np.add.reduce((2.0 ** (s * self.ks)) * per))
+
     def shell_row(self, k: int) -> np.ndarray:
         if not self.k_min <= k <= self.k_max:
             raise ValueError(f"shell {k} outside [{self.k_min}, {self.k_max}]")
         return self.phi_table[k - self.k_min]
 
 
+def shell_window(freqs) -> range:
+    """The smallest range of shells k whose bumps phi(2^-k .) cover every
+    nonzero |freq| (empty when there is none)."""
+    live = np.abs(np.asarray(freqs, dtype=float))
+    live = live[live > 0.0]
+    if live.size == 0:
+        return range(0)
+    # lowest shell: the one whose bump still touches the lowest frequency
+    k_min = math.floor(math.log2(float(live.min()) * 3.0 / 4.0))
+    k_max = math.ceil(math.log2(float(live.max()) * 4.0 / 3.0)) - 1
+    return range(k_min, k_max + 1)
+
+
 def build_partition(grid: GridSpec) -> DyadicPartition:
     xi = grid.xi
-    nz = xi[xi > 0.0]
-    xi_lo, xi_hi = float(nz.min()), float(nz.max())
-    # lowest shell: the one whose bump still touches xi_lo from below
-    k_min = math.floor(math.log2(xi_lo * 3.0 / 4.0))
-    k_max = math.ceil(math.log2(xi_hi * 4.0 / 3.0)) - 1
-    ks = np.arange(k_min, k_max + 1)
-    scaled = xi[None, :] / (2.0 ** ks[:, None])
-    phi_t = phi_shell(scaled)
+    ks = shell_window(xi)
+    phi_t = phi_shell(xi[None, :] / (2.0 ** np.array(ks)[:, None]))
     phi_t[:, xi == 0.0] = 0.0
-    part = DyadicPartition(grid, k_min, k_max, phi_t)
+    part = DyadicPartition(grid, ks[0], ks[-1], phi_t)
     tot = part.phi_table.sum(axis=0)
     err = np.max(np.abs(tot[xi > 0.0] - 1.0))
     if err > 1e-12:
@@ -146,12 +157,8 @@ def shell_weighted_norms(part: DyadicPartition, field: Field, a: float,
     g = field.grid
     c = field.coeffs if r == 0.0 else field.coeffs * np.exp(r * g.xi)
     m = np.einsum("yj,kj->yk", mode_power(c), part.power_table)
-    sm = np.sqrt(m)
-    wpsi = psi_weight(g, a, t)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        amp = np.where(sm == 0.0, 0.0, wpsi * sm)
-    if not np.all(np.isfinite(amp)):
-        raise TailViolationError("weighted shell amplitude overflowed")
+    amp = weighted_rows(np.sqrt(m), psi_weight(g, a, t)[:, None],
+                        "shell amplitude")
     tot = np.einsum("y,yk->k", g.trapz_weights, amp * amp)
     return np.sqrt(g.lx * tot)
 
@@ -166,8 +173,15 @@ def besov_norm(part: DyadicPartition, field: Field, s: float, a: float = 0.0,
     if s > 0.5:
         raise ValueError("horizontal regularity above 1/2 is not supported "
                          "for strip fields; use besov_h_norm for profiles")
-    norms = shell_weighted_norms(part, field, a, t, r)
-    return float(np.add.reduce((2.0 ** (s * part.ks)) * norms))
+    return part.besov_sum(shell_weighted_norms(part, field, a, t, r), s)
+
+
+def pair_shell_norms(part: DyadicPartition, fa: Field, fb: Field, a: float,
+                     t: float, r: float = 0.0) -> np.ndarray:
+    """Root-sum-square per shell of two fields' weighted shell norms."""
+    na = shell_weighted_norms(part, fa, a, t, r)
+    nb = shell_weighted_norms(part, fb, a, t, r)
+    return np.sqrt(na * na + nb * nb)
 
 
 def besov_pair_norm(part: DyadicPartition, fa: Field, fb: Field, s: float,
@@ -175,10 +189,7 @@ def besov_pair_norm(part: DyadicPartition, fa: Field, fb: Field, s: float,
     """Besov norm of a two-component field, root-sum-square per shell."""
     if s > 0.5:
         raise ValueError("horizontal regularity above 1/2 is not supported")
-    na = shell_weighted_norms(part, fa, a, t, r)
-    nb = shell_weighted_norms(part, fb, a, t, r)
-    per = np.sqrt(na * na + nb * nb)
-    return float(np.add.reduce((2.0 ** (s * part.ks)) * per))
+    return part.besov_sum(pair_shell_norms(part, fa, fb, a, t, r), s)
 
 
 def besov_h_shell_norms(part: DyadicPartition, spectrum: np.ndarray,
@@ -201,8 +212,7 @@ def besov_h_norm(part: DyadicPartition, spectrum: np.ndarray, s: float,
 
     Profiles are genuinely one dimensional, so any s is allowed here.
     """
-    norms = besov_h_shell_norms(part, spectrum, r)
-    return float(np.add.reduce((2.0 ** (s * part.ks)) * norms))
+    return part.besov_sum(besov_h_shell_norms(part, spectrum, r), s)
 
 
 # ---- paraproduct -----------------------------------------------------------
@@ -278,16 +288,8 @@ class CLAccumulator:
             self.integrals += weight * sn ** self.p * dt
 
     def value(self) -> float:
-        ks = self.part.ks
         if math.isinf(self.p):
             per = self.integrals
         else:
             per = self.integrals ** (1.0 / self.p)
-        return float(np.add.reduce((2.0 ** (self.s * ks)) * per))
-
-
-def cl_accumulate(acc: CLAccumulator, part: DyadicPartition, field: Field,
-                  t: float, dt: float, a: float = 0.0, r: float = 0.0,
-                  weight: float = 1.0) -> None:
-    """Convenience wrapper: push one sample of a single field."""
-    acc.add(shell_weighted_norms(part, field, a, t, r), weight, dt)
+        return self.part.besov_sum(per, self.s)

@@ -6,8 +6,8 @@ standard analytic initial data family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import integrate as sp_integrate
@@ -268,9 +268,6 @@ class FarField:
         return (-self.alpha) * self.eps * (1.0 + t) ** (-self.alpha - 1.0) \
             * self.g_spec
 
-    def dx_u_spec(self, t: float) -> np.ndarray:
-        return 1j * self.grid.xi * self.u_spec(t)
-
     def physical_rows(self, t: float):
         """(U, d_x U) at time t as physical rows of length nx."""
         amp = self._amp(t)
@@ -297,8 +294,11 @@ def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
         raise UnsupportedScenarioError(
             "a nontrivial decaying far field is incompatible with the "
             "kappa = 1 background; use the trivial far field there")
-    if eps < 0.0 or alpha <= 0.0:
-        raise ValueError("need eps >= 0 and alpha > 0")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"need finite eps >= 0, got scenario.ff_eps={eps!r}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(
+            f"need finite alpha > 0, got scenario.alpha={alpha!r}")
     g_profile = np.asarray(g_profile)
     if g_profile.dtype.kind == "c":
         if g_profile.shape != (grid.nmodes,):
@@ -340,7 +340,6 @@ def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
         return report
 
     a = ff.alpha
-    ks = part.ks
     sn = besov_h_shell_norms(part, ff.g_spec, r=delta)   # ||Delta_k g|| e-wtd
     tail = float(sn[-1] / sn.sum()) if sn.sum() > 0 else 0.0
     report["tail_share"] = tail
@@ -348,8 +347,8 @@ def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
         report["ok"] = False
         report["divergent"].append("spectral tail not resolved on this grid")
 
-    b32 = float(np.add.reduce(2.0 ** (1.5 * ks) * sn))
-    b12 = float(np.add.reduce(2.0 ** (0.5 * ks) * sn))
+    b32 = part.besov_sum(sn, 1.5)
+    b12 = part.besov_sum(sn, 0.5)
 
     # sup_t <t>^{9/4 - alpha}
     if a >= 2.25:
@@ -425,30 +424,20 @@ def default_x_profile(grid: GridSpec) -> np.ndarray:
     return spec
 
 
-def flux_projection_profiles(grid: GridSpec):
+def flux_projection_profiles(grid: GridSpec, kappa: float = 1.0):
     """Per-mode correction shapes used to pin the column flux to zero.
 
     The tangential-velocity shape vanishes at the wall; the tangential
     field shape has zero wall slope.  Both are normalized to unit
     discrete flux so subtracting flux * shape zeroes the column exactly.
-    """
-    y = grid.y
-    w = grid.trapz_weights
-    p = y * np.exp(-0.5 * y ** 2)
-    q = np.exp(-0.5 * y ** 2)
-    return p / (w @ p), q / (w @ q)
 
-
-def rescaled_flux_shapes(grid: GridSpec, kappa: float):
-    """Flux-correction shapes of the unscaled coordinate, expressed on a
-    y/sqrt(kappa) grid.
-
-    A run of the conjugate system (heights divided by sqrt(kappa), both
-    diffusivities divided by kappa) mirrors the original discretization
-    step for step only if its zero-flux projection removes the same
-    correction field; that means evaluating the original shapes at the
-    source heights grid.y * sqrt(kappa) and renormalizing to unit flux in
-    the new measure.  kappa = 1 reduces to flux_projection_profiles.
+    kappa != 1 expresses the shapes of the unscaled coordinate on a
+    y/sqrt(kappa) grid: a run of the conjugate system (heights divided by
+    sqrt(kappa), both diffusivities divided by kappa) mirrors the original
+    discretization step for step only if its zero-flux projection removes
+    the same correction field, so the shapes are evaluated at the source
+    heights grid.y * sqrt(kappa) and renormalized to unit flux in the new
+    measure.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")

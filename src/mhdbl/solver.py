@@ -23,10 +23,10 @@ from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    TailViolationError, column_flux, d2dy, ddx, ddy,
                    full_spectrum, half_spectrum, integrate_y_from0,
                    integrate_y_tail, psi_weight, row_power, weighted_l2,
-                   x_transform)
+                   weighted_rows, x_transform)
 from .lp import (CLAccumulator, DyadicPartition, besov_h_shell_norms,
                  besov_norm, besov_pair_norm, build_partition,
-                 shell_weighted_norms)
+                 pair_shell_norms)
 from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
                        derived_exponents, farfield_trivial,
                        flux_projection_profiles, project_zero_flux,
@@ -203,11 +203,9 @@ def recover_vh(u: Field, b: Field, check: bool = True):
     (v, h) = -d_x int_0^y (u, b) dy'.  Exact zero at the wall; decays at
     the top when the column fluxes vanish."""
     if check:
-        fu = column_flux(u)
-        fb = column_flux(b)
         scale = max(float(np.max(np.abs(u.coeffs))),
                     float(np.max(np.abs(b.coeffs))), 1e-300)
-        drift = max(float(np.max(np.abs(fu[1:]))), float(np.max(np.abs(fb[1:]))))
+        drift = flux_drift(u, b)
         if drift > 1e-6 * scale:
             raise FluxDriftError(
                 f"nonzero-mode column flux {drift:.3e} vs field scale "
@@ -216,9 +214,14 @@ def recover_vh(u: Field, b: Field, check: bool = True):
     h = ddx(integrate_y_from0(b))
     v.coeffs *= -1.0
     h.coeffs *= -1.0
-    v.bc = BC_DIRICHLET
-    h.bc = BC_DIRICHLET
     return v, h
+
+
+def flux_drift(u: Field, b: Field) -> float:
+    """Largest column flux over the x-varying modes of u and b."""
+    fu = column_flux(u)
+    fb = column_flux(b)
+    return max(float(np.max(np.abs(fu[1:]))), float(np.max(np.abs(fb[1:]))))
 
 
 def reconstruct_phipsi(u: Field, b: Field):
@@ -228,18 +231,13 @@ def reconstruct_phipsi(u: Field, b: Field):
     psi = integrate_y_tail(b)
     phi.coeffs *= -1.0
     psi.coeffs *= -1.0
-    phi.bc = BC_DIRICHLET
-    psi.bc = BC_DIRICHLET
     return phi, psi
 
 
-def compute_GH(state: State, phi: Optional[Field] = None,
-               psi: Optional[Field] = None):
+def compute_GH(state: State, phi: Field, psi: Field):
     """Damped combinations G = u + y phi / (2<t>), H = b + y psi /
     (2 kappa <t>); G inherits the wall zero of u, H keeps the zero wall
     slope of b."""
-    if phi is None or psi is None:
-        phi, psi = reconstruct_phipsi(state.u, state.b)
     y = state.grid.y[:, None]
     tt = 1.0 + state.t
     gc = state.u.coeffs + (y / (2.0 * tt)) * phi.coeffs
@@ -256,12 +254,8 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     """Everything except the implicit diffusion: linear background
     coupling, the quadratic transport terms, far-field couplings through
     the cutoff, and the patching sources.  Products are formed pointwise
-    in physical space and dealiased."""
-    ru, rb, _ = _rhs_explicit_full(state, farfield, cutoff)
-    return ru, rb
-
-
-def _rhs_explicit_full(state: State, farfield, cutoff):
+    in physical space and dealiased.  Returns (ru, rb, umax), umax the
+    largest physical |u| (plus |U| with a far field) for the CFL bound."""
     g = state.grid
     p = state.params
     u, b = state.u, state.b
@@ -320,35 +314,21 @@ def _rhs_explicit_full(state: State, farfield, cutoff):
 # ---- theta -----------------------------------------------------------------
 
 
-def theta_rhs(state: State, farfield: Optional[FarField] = None,
-              part: Optional[DyadicPartition] = None,
-              radius: Optional[float] = None) -> float:
-    """Band consumption rate: <t>^{1/4} times the weighted gradient norm
-    of (G, H) in B^{1/2,0}, plus the far-field term
-    eps^{-1/2} <t>^{5/4} ||U||_{B^{1/2}_h} under the same band
-    multiplier (B = 0, so ||(U, B)|| = ||U||)."""
-    if part is None:
-        part = build_partition(state.grid)
-    if radius is None:
-        radius = state.radius
-    comp1, comp2 = _theta_components(state, farfield, part, radius)
-    return comp1 + comp2
-
-
-def _theta_components(state, farfield, part, radius):
+def theta_components(state: State, farfield: Optional[FarField],
+                     part: DyadicPartition, radius: float):
+    """The two terms of the band consumption rate at band radius `radius`:
+    <t>^{1/4} times the weighted gradient norm of (G, H) in B^{1/2,0}, and
+    the far-field term eps^{-1/2} <t>^{5/4} ||U||_{B^{1/2}_h} under the
+    same band multiplier (B = 0, so ||(U, B)|| = ||U||)."""
     *_, dG, dH = state.gh_fields
-    a = state.weight_alpha
     t = state.t
-    ks = part.ks
-    na = shell_weighted_norms(part, dG, a, t, radius)
-    nb = shell_weighted_norms(part, dH, a, t, radius)
-    per = np.sqrt(na * na + nb * nb)
-    comp1 = (1.0 + t) ** 0.25 * float(np.add.reduce(2.0 ** (0.5 * ks) * per))
+    per = pair_shell_norms(part, dG, dH, state.weight_alpha, t, radius)
+    comp1 = (1.0 + t) ** 0.25 * part.besov_sum(per, 0.5)
     comp2 = 0.0
     if farfield is not None and not farfield.trivial:
         su = besov_h_shell_norms(part, farfield.u_spec(t), r=radius)
-        bnorm = float(np.add.reduce(2.0 ** (0.5 * ks) * su))
-        comp2 = state.params.epsilon ** (-0.5) * (1.0 + t) ** 1.25 * bnorm
+        comp2 = (state.params.epsilon ** (-0.5) * (1.0 + t) ** 1.25
+                 * part.besov_sum(su, 0.5))
     return comp1, comp2
 
 
@@ -377,9 +357,8 @@ def _cn_matrix(ny: int, dy: float, nu: float, dt: float, bc: str) -> np.ndarray:
 class _Workspace:
     """Per-run cache: partition, flux shapes, factor-free banded matrices."""
 
-    def __init__(self, grid: GridSpec, params: Params, flux_shapes=None):
+    def __init__(self, grid: GridSpec, flux_shapes=None):
         self.grid = grid
-        self.params = params
         self.part = build_partition(grid)
         if flux_shapes is None:
             flux_shapes = flux_projection_profiles(grid)
@@ -421,16 +400,16 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     if state.radius <= 0.0:
         raise TStarReachedError(f"band exhausted at t={state.t:.6g}")
     if ws is None:
-        ws = _Workspace(state.grid, state.params)
+        ws = _Workspace(state.grid)
     nu_u, nu_b = _diffusivities(state.params)
 
-    ru0, rb0, umax = _rhs_explicit_full(state, farfield, cutoff)
+    ru0, rb0, umax = rhs_explicit(state, farfield, cutoff)
     restart = (state.prev_ru is None or state.prev_dt is None
                or abs(state.prev_dt - dt) > 1e-9 * dt)
     if restart:
         # the midpoint state is a temporary, so its derived fields are
         # freed before the CN solves
-        rum, rbm, _ = _rhs_explicit_full(
+        rum, rbm, _ = rhs_explicit(
             State(state.grid, state.params, state.t + 0.5 * dt,
                   Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
                         state.u.bc),
@@ -457,7 +436,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
                 dt=dt, step_index=state.step_index + 1,
                 weight_alpha=state.weight_alpha,
                 prev_ru=ru0.coeffs, prev_rb=rb0.coeffs, prev_dt=dt)
-    comp1, comp2 = _theta_components(new, farfield, ws.part, state.radius)
+    comp1, comp2 = theta_components(new, farfield, ws.part, state.radius)
     new.theta = state.theta + dt * (comp1 + comp2)
     new.diagnostics["theta_comp1"] = comp1
     new.diagnostics["umax"] = umax
@@ -491,13 +470,9 @@ def heat_energy_slack(f_old: Field, f_new: Field, t_old: float, t_new: float,
     # Re(inner conj(mid)) summed over all nx modes
     rowsum = np.einsum("yj,j->y", inner.real * m.real + inner.imag * m.imag,
                        g.mode_weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        wsq = psi_weight(g, alpha, tm) ** 2
-        contrib = np.where(rowsum == 0.0, 0.0,
-                           g.trapz_weights * wsq * rowsum)
-    if not np.all(np.isfinite(contrib)):
-        raise TailViolationError(
-            "weighted energy audit overflowed; field tail too wide for ymax")
+    with np.errstate(over="ignore"):
+        w = g.trapz_weights * psi_weight(g, alpha, tm) ** 2
+    contrib = weighted_rows(rowsum, w, "energy audit")
     ip = float(np.add.reduce(contrib) * g.lx)
     n_new = weighted_l2(f_new, alpha, t_new)
     n_old = weighted_l2(f_old, alpha, t_old)
@@ -514,11 +489,7 @@ def tail_guard_check(state: State) -> float:
     w = psi_weight(g, state.weight_alpha, state.t)
     worst = 0.0
     for f in (state.u, state.b):
-        row = np.sqrt(row_power(f))
-        with np.errstate(over="ignore", invalid="ignore"):
-            amp = np.where(row == 0.0, 0.0, w * row)
-        if not np.all(np.isfinite(amp)):
-            raise TailViolationError("weighted field overflowed")
+        amp = weighted_rows(np.sqrt(row_power(f)), w, "field")
         m = float(np.max(amp))
         if m == 0.0:
             continue
@@ -529,13 +500,6 @@ def tail_guard_check(state: State) -> float:
             f"weighted tail ratio {worst:.3e} above 0.8*ymax at t="
             f"{state.t:.6g}; domain too short for this horizon")
     return worst
-
-
-def flux_drift(state: State) -> float:
-    """Largest column flux over the x-varying modes (drift monitor)."""
-    fu = column_flux(state.u)
-    fb = column_flux(state.b)
-    return max(float(np.max(np.abs(fu[1:]))), float(np.max(np.abs(fb[1:]))))
 
 
 # ---- consistency residual of the antiderivative system -----------------------
@@ -690,15 +654,15 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
 
     flux_shapes optionally replaces the zero-flux projection profiles
     with a (shape_u, shape_b) pair sampled on grid.y; conjugate-system
-    runs pass scenario.rescaled_flux_shapes so both discretizations
-    remove mirror-image corrections.
+    runs pass scenario.flux_projection_profiles(grid, kappa) so both
+    discretizations remove mirror-image corrections.
     """
     if farfield is None:
         farfield = farfield_trivial(grid)
     if params.kappa == 1.0 and not farfield.trivial:
         raise UnsupportedScenarioError(
             "kappa = 1 runs require the trivial far field")
-    ws = _Workspace(grid, params, flux_shapes)
+    ws = _Workspace(grid, flux_shapes)
 
     if resume_state is not None:
         state = resume_state
@@ -747,7 +711,7 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
         umax_est = float(resume_extras["umax_est"])
 
     def make_summary(reason):
-        drift = flux_drift(state)
+        drift = flux_drift(state.u, state.b)
         return {
             "t_final": state.t,
             "steps": state.step_index,
@@ -777,11 +741,9 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
             dt = min(dt, t_final - state.t)
             # pre-step accumulations (left endpoint in time)
             du, db = state.dy_ub
-            a, r = state.weight_alpha, state.radius
-            na = shell_weighted_norms(ws.part, du, a, state.t, r)
-            nb = shell_weighted_norms(ws.part, db, a, state.t, r)
             w = (1.0 + state.t) ** weight_exp
-            cl.add(np.sqrt(na * na + nb * nb), w, dt)
+            cl.add(pair_shell_norms(ws.part, du, db, state.weight_alpha,
+                                    state.t, state.radius), w, dt)
 
             new = step_imex(state, dt, farfield, cutoff, ws)
             theta_int1 += dt * new.diagnostics["theta_comp1"]

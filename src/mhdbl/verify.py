@@ -16,9 +16,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import dawsn, erfcx
 
-from .grid import TailViolationError, ddy
-from .lp import build_partition, phi_shell, shell_weighted_norms
-from .solver import NormSeries, State, compute_GH, reconstruct_phipsi
+from .grid import TailViolationError
+from .lp import build_partition, phi_shell, shell_weighted_norms, shell_window
+from .solver import NormSeries, State
 
 __all__ = [
     "poincare_check", "run_poincare_suite", "sup_constants",
@@ -184,8 +184,8 @@ def gh_equivalence_check(state: State, gamma: float, part=None) -> dict:
     r = max(state.radius, 0.0)
     tt_half = math.sqrt(1.0 + t)
 
-    phi, psi = reconstruct_phipsi(state.u, state.b)
-    G, H = compute_GH(state, phi, psi)
+    phi, psi, G, H, dG, dH = state.gh_fields
+    du, db = state.dy_ub
 
     def shells(field):
         return shell_weighted_norms(part, field, a, t, r)
@@ -198,10 +198,10 @@ def gh_equivalence_check(state: State, gamma: float, part=None) -> dict:
     families = {
         "phi_vs_g": (shells_soft(phi), tt_half * dens_G),
         "u_vs_g": (shells_soft(state.u), dens_G),
-        "dyu_vs_dyg": (shells_soft(ddy(state.u)), shells(ddy(G))),
+        "dyu_vs_dyg": (shells_soft(du), shells(dG)),
         "psi_vs_h": (shells_soft(psi), tt_half * dens_H),
         "b_vs_h": (shells_soft(state.b), dens_H),
-        "dyb_vs_dyh": (shells_soft(ddy(state.b)), shells(ddy(H))),
+        "dyb_vs_dyh": (shells_soft(db), shells(dH)),
     }
 
     report = {"gamma": gamma, "t": t, "weight_alpha": a, "radius": r,
@@ -243,16 +243,6 @@ def _ordered_spectrum(spec, lx):
     return c[order], j[order] * (2.0 * math.pi / lx)
 
 
-def _shell_range(xi, amp):
-    live = np.abs(xi)[amp > 0.0]
-    live = live[live > 0.0]
-    if live.size == 0:
-        return None
-    k_min = math.floor(math.log2(float(np.min(live)) * 0.75))
-    k_max = math.ceil(math.log2(float(np.max(live)) * 4.0 / 3.0)) - 1
-    return range(k_min, k_max + 1)
-
-
 def multiplier_convexity_check(f_spec, g_spec, r: float,
                                lx: float = 2.0 * math.pi) -> dict:
     """Check, shell by shell, that the band-weighted spectrum of a
@@ -275,8 +265,8 @@ def multiplier_convexity_check(f_spec, g_spec, r: float,
     dxi = 2.0 * math.pi / lx
     xi = (xf[0] / dxi + xg[0] / dxi + np.arange(P.shape[0])) * dxi
     lhs_amp = np.exp(r * np.abs(xi)) * np.abs(P)
-    ks = _shell_range(xi, M)
-    if ks is None:
+    ks = shell_window(xi[M > 0.0])
+    if not ks:
         return {"passed": True, "vacuous": True, "shells": []}
     shells = []
     passed = True
@@ -314,16 +304,15 @@ def product_law_check(f_spec, g_spec, lx: float = 2.0 * math.pi) -> dict:
     """
     F, xf = _ordered_spectrum(f_spec, lx)
     G, xg = _ordered_spectrum(g_spec, lx)
-    nf = _besov_half_1d(np.abs(F), xf, lx, _shell_range(xf, np.abs(F)) or [])
-    ng = _besov_half_1d(np.abs(G), xg, lx, _shell_range(xg, np.abs(G)) or [])
+    nf = _besov_half_1d(np.abs(F), xf, lx, shell_window(xf[np.abs(F) > 0.0]))
+    ng = _besov_half_1d(np.abs(G), xg, lx, shell_window(xg[np.abs(G) > 0.0]))
     if nf == 0.0 or ng == 0.0:
         return {"ratio": 0.0, "vacuous": True,
                 "norm_product": 0.0, "norm_f": nf, "norm_g": ng}
     P = np.abs(np.convolve(F, G))
     dxi = 2.0 * math.pi / lx
     xi = (xf[0] / dxi + xg[0] / dxi + np.arange(P.shape[0])) * dxi
-    ks = _shell_range(xi, P)
-    np_norm = _besov_half_1d(P, xi, lx, ks or [])
+    np_norm = _besov_half_1d(P, xi, lx, shell_window(xi[P > 0.0]))
     return {"ratio": np_norm / (nf * ng), "vacuous": False,
             "norm_product": np_norm, "norm_f": nf, "norm_g": ng}
 

@@ -17,8 +17,8 @@ import pytest
 from mhdbl.cli import main, read_norms_csv
 from mhdbl.grid import BC_DIRICHLET, BC_NEUMANN, Field, GridSpec
 from mhdbl.lp import besov_pair_norm, build_partition, paraproduct
-from mhdbl.scenario import (Params, farfield_trivial, initial_data_standard,
-                            rescaled_flux_shapes)
+from mhdbl.scenario import (Params, farfield_trivial,
+                            flux_projection_profiles, initial_data_standard)
 from mhdbl.solver import (_Workspace, kappa_rescale_map, load_checkpoint,
                           make_state, recommended_ymax, save_checkpoint,
                           simulate, step_imex)
@@ -111,7 +111,7 @@ def _heat_run(grid, params, dt, t_final):
                              BC_DIRICHLET)
     b0 = Field.zeros(grid, BC_NEUMANN)
     st = make_state(grid, params, u0, b0)
-    ws = _Workspace(grid, params)
+    ws = _Workspace(grid)
     for _ in range(round(t_final / dt)):
         st = step_imex(st, dt, None, None, ws)
     return st.u.coeffs[:, 0].real
@@ -209,7 +209,7 @@ class TestCriterion7ScalingSymmetry:
                          dt_max=1e-2, sample_every=100)
         res_b = simulate(grid_b, par_b, u0b, b0b, t_final=1.0,
                          dt_max=1e-2, sample_every=100,
-                         flux_shapes=rescaled_flux_shapes(grid_b, kap))
+                         flux_shapes=flux_projection_profiles(grid_b, kap))
         _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u,
                                       res_a.state.b, kap)
         part = build_partition(grid_b)
@@ -302,7 +302,7 @@ class TestCriterion9Structural:
         p = Params(kappa=1.5, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g, p)
+        ws = _Workspace(g)
         for _ in range(3):
             st = step_imex(st, 1e-3, None, None, ws)
         p1 = tmp_path / "a.ckpt"

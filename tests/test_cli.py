@@ -163,6 +163,17 @@ class TestSimulateCommand:
             assert err.startswith("error: ")
             assert f"must be positive and finite, got {item}" in err
             assert err.count("\n") == 1
+        # and non-finite grid and far-field values, with the key named
+        for item in ("grid.ymax=inf", "grid.lx=nan", "grid.lx=inf",
+                     "scenario.ff_eps=nan", "scenario.ff_eps=inf",
+                     "scenario.alpha=nan", "scenario.alpha=inf"):
+            far = () if item.startswith("grid.") else (
+                "params.kappa=1.5", "scenario.farfield=decaying")
+            code = run_cli(*base_args(tmp_path / "x", *far, item))
+            assert code == 2, item
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"got {item}" in err
+            assert err.count("\n") == 1
 
     def test_tstar_exits_three_with_partial_output(self, tmp_path, capsys):
         out = tmp_path / "tstar"
@@ -284,6 +295,12 @@ class TestResumeCommand:
                        "--set", "params.kappa=1.5")
         assert code == 2
         assert "cannot override" in capsys.readouterr().err
+        # the weight branch is fixed too: the checkpoint carries its alpha
+        code = run_cli("resume", str(first / "final.ckpt"),
+                       "--out", str(tmp_path / "r"),
+                       "--set", "run.branch=unit")
+        assert code == 2
+        assert "cannot override 'run.branch'" in capsys.readouterr().err
 
     def test_must_extend_the_run(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -27,11 +27,13 @@ from mhdbl.grid import (
     full_spectrum,
     half_spectrum,
     integrate_y_tail,
-    parseval_l2,
     psi_weight,
     weighted_l2,
     x_transform,
 )
+from mhdbl.lp import build_partition, shell_weighted_norms
+from mhdbl.scenario import Params
+from mhdbl.solver import State, heat_energy_slack, tail_guard_check
 
 
 def make_grid(nx=32, ny=512, ymax=26.0, lx=2.0 * np.pi):
@@ -433,7 +435,7 @@ class TestWeightedNorms:
         phys = rng.standard_normal((g.ny, g.nx)) * np.exp(-g.y)[:, None]
         f = Field.from_physical(g, phys)
         direct = np.sqrt(np.sum(g.trapz_weights[:, None] * phys**2) * (g.lx / g.nx))
-        assert parseval_l2(f) == pytest.approx(direct, rel=1e-12)
+        assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-12)
 
     def test_zero_weight_equals_physical_sum(self):
         """weighted_l2(f, 0, 0) is sqrt(lx/nx sum_y w_y sum_x f^2)."""
@@ -451,19 +453,34 @@ class TestWeightedNorms:
         assert w[0] == 1.0
         assert w[-1] == pytest.approx(np.exp(100.0 / 32.0), rel=1e-13)
 
-    def test_weight_overflow_raises_tail_violation(self):
-        g = make_grid(nx=8, ny=256, ymax=30.0)
-        f = Field.from_profiles(g, dc_spectrum(g), np.ones(g.ny))
-        with pytest.raises(TailViolationError, match="overflow"):
-            weighted_l2(f, 20.0, 0.0)
+    # every weighted reduction of field f under the weight exponent a
+    REDUCTIONS = {
+        "weighted_l2": lambda f, a: weighted_l2(f, a, 0.0),
+        "shell_weighted_norms": lambda f, a: shell_weighted_norms(
+            build_partition(f.grid), f, a, 0.0),
+        "tail_guard_check": lambda f, a: tail_guard_check(
+            State(f.grid, Params(kappa=1.0, epsilon=1e-3), 0.0, f, f,
+                  weight_alpha=a)),
+        "heat_energy_slack": lambda f, a: heat_energy_slack(
+            f, Field(f.grid, 2.0 * f.coeffs, f.bc), 0.0, 1e-2, a, 1.0),
+    }
 
-    def test_zero_rows_do_not_trip_overflow(self):
-        """Rows that are exactly zero are immune to an infinite weight."""
+    @pytest.mark.parametrize("reduction", sorted(REDUCTIONS))
+    def test_masked_weight_at_every_caller(self, reduction):
+        """exp(20 y^2/8) overflows above y ~ 16.8 on [0, 30].  A nonzero
+        row there is a tail violation; rows that are exactly zero are
+        immune to the infinite weight."""
+        reduce = self.REDUCTIONS[reduction]
         g = make_grid(nx=8, ny=256, ymax=30.0)
+        spec = cosine_spectrum(g, 1)
+        f = Field.from_profiles(g, spec, np.ones(g.ny))
+        with pytest.raises(TailViolationError, match="overflow"):
+            reduce(f, 20.0)
         prof = np.where(g.y < 5.0, np.exp(-g.y**2), 0.0)
-        f = Field.from_profiles(g, dc_spectrum(g), prof)
-        val = weighted_l2(f, 20.0, 0.0)
-        assert np.isfinite(val) and val > 0.0
+        val = np.asarray(reduce(Field.from_profiles(g, spec, prof), 20.0))
+        assert np.all(np.isfinite(val))
+        # the tail ratio is 0 here: the rows above 0.8 ymax are empty
+        assert np.any(val != 0.0) or reduction == "tail_guard_check"
 
     def test_norm_is_deterministic(self):
         g = make_grid(nx=32, ny=512, ymax=12.0)
@@ -481,4 +498,5 @@ class TestWeightedNorms:
         phys = rng.uniform(-3.0, 3.0, (g.ny, g.nx))
         f = Field.from_physical(g, phys)
         direct = np.sqrt(np.sum(g.trapz_weights[:, None] * phys**2) * (g.lx / g.nx))
-        assert parseval_l2(f) == pytest.approx(direct, rel=1e-12, abs=1e-15)
+        assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-12,
+                                                         abs=1e-15)

@@ -10,7 +10,7 @@ the Bony product split, and the time-integrated shell accumulator.
 import numpy as np
 import pytest
 
-from mhdbl.grid import Field, GridSpec, ddx, parseval_l2, weighted_l2
+from mhdbl.grid import Field, GridSpec, ddx, weighted_l2
 from mhdbl.lp import (
     CLAccumulator,
     DyadicPartition,
@@ -20,7 +20,6 @@ from mhdbl.lp import (
     besov_pair_norm,
     build_partition,
     chi_lowpass,
-    cl_accumulate,
     gevrey_multiplier,
     lowpass,
     lp_project,
@@ -139,10 +138,10 @@ class TestPartition:
             g, rng.standard_normal((g.ny, g.nx)) * np.exp(-g.y)[:, None])
         for k in part.ks:
             piece = lp_project(part, f, k)
-            nk = parseval_l2(piece)
+            nk = weighted_l2(piece, 0.0, 0.0)
             if nk < 1e-14:
                 continue
-            dk = parseval_l2(ddx(piece))
+            dk = weighted_l2(ddx(piece), 0.0, 0.0)
             assert dk <= (8.0 / 3.0) * 2.0**k * nk * (1.0 + 1e-9)
             assert dk >= 0.75 * 2.0**k * nk * (1.0 - 1e-9)
 
@@ -156,7 +155,7 @@ class TestShellNorms:
         f = single_mode_field(g, 3, prof)
         norms = shell_weighted_norms(part, f, 0.0, 0.0)
         k1 = 1 - part.k_min
-        assert norms[k1] == pytest.approx(parseval_l2(f), rel=1e-12)
+        assert norms[k1] == pytest.approx(weighted_l2(f, 0.0, 0.0), rel=1e-12)
         others = np.delete(norms, k1)
         assert np.max(others) < 1e-14
 
@@ -207,7 +206,8 @@ class TestBesovNorms:
         prof = np.exp(-0.5 * g.y**2)
         f = single_mode_field(g, 3, prof)
         v = besov_norm(part, f, 0.5)
-        assert v == pytest.approx(2.0**0.5 * parseval_l2(f), rel=1e-12)
+        assert v == pytest.approx(2.0**0.5 * weighted_l2(f, 0.0, 0.0),
+                                  rel=1e-12)
 
     def test_zero_regularity_sums_shells(self):
         g = make_grid(nx=64)
@@ -311,14 +311,3 @@ class TestCLAccumulator:
         acc.add(3.0 * np.ones(part.n_shells), 1.0, 0.1)
         acc.add(2.0 * np.ones(part.n_shells), 1.0, 0.1)
         assert acc.value() == pytest.approx(3.0 * part.n_shells, rel=1e-12)
-
-    def test_wrapper_matches_manual_push(self):
-        g = make_grid(nx=64)
-        part = build_partition(g)
-        prof = np.exp(-0.5 * g.y**2)
-        f = single_mode_field(g, 3, prof)
-        acc1 = CLAccumulator(part, 0.5, 2.0)
-        acc2 = CLAccumulator(part, 0.5, 2.0)
-        cl_accumulate(acc1, part, f, t=1.0, dt=0.05, a=1.0, weight=2.0)
-        acc2.add(shell_weighted_norms(part, f, 1.0, 1.0), 2.0, 0.05)
-        assert acc1.value() == acc2.value()

@@ -158,7 +158,6 @@ class TestFarField:
         assert ff.trivial
         assert np.all(ff.u_spec(3.0) == 0.0)
         assert np.all(ff.dt_u_spec(3.0) == 0.0)
-        assert np.all(ff.dx_u_spec(3.0) == 0.0)
         for row in ff.physical_rows(3.0):
             assert row.shape == (g.nx,) and np.all(row == 0.0)
 

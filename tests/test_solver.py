@@ -28,7 +28,6 @@ from mhdbl.scenario import (
     flux_projection_profiles,
     initial_data_standard,
     project_zero_flux,
-    rescaled_flux_shapes,
 )
 from mhdbl.solver import (
     CheckpointError,
@@ -39,7 +38,6 @@ from mhdbl.solver import (
     _choose_dt,
     _Workspace,
     branch_gain,
-    compute_GH,
     eikonal_residual,
     eqs2_residual,
     flux_drift,
@@ -56,7 +54,7 @@ from mhdbl.solver import (
     simulate,
     step_imex,
     tail_guard_check,
-    theta_rhs,
+    theta_components,
 )
 
 
@@ -137,7 +135,7 @@ class TestReconstructions:
         u = single_mode_field(g, u_shape, BC_DIRICHLET)
         b = single_mode_field(g, b_shape, BC_NEUMANN)
         st = make_state(g, p, u, b)
-        G, H = compute_GH(st)
+        G, H = st.gh_fields[2:4]
         env = np.exp(-g.y ** 2 / 2.0)
         g_exact = (g.y - g.y ** 3 / 4.0) * env
         h_exact = (1.0 - g.y ** 2 + g.y ** 2 / (2.0 * kappa)) * env
@@ -155,8 +153,8 @@ class TestReconstructions:
         st0 = make_state(g, p, u, b)
         st3 = make_state(g, p, u, b)
         st3.t = 3.0
-        G0, _ = compute_GH(st0)
-        G3, _ = compute_GH(st3)
+        G0 = st0.gh_fields[2]
+        G3 = st3.gh_fields[2]
         phi, _ = reconstruct_phipsi(u, b)
         corr0 = G0.coeffs - u.coeffs
         corr3 = G3.coeffs - u.coeffs
@@ -223,7 +221,7 @@ class TestExplicitTendency:
         p = Params(kappa=1.0, epsilon=1e-3)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN))
-        ru, rb = rhs_explicit(st)
+        ru, rb, _ = rhs_explicit(st)
         assert not np.any(ru.coeffs) and not np.any(rb.coeffs)
 
     def test_x_independent_state_decouples(self):
@@ -231,7 +229,7 @@ class TestExplicitTendency:
         # whole explicit tendency vanishes identically, not just to roundoff
         g, p, u0, b0 = heat_setup(ny=128)
         st = make_state(g, p, u0, b0)
-        ru, rb = rhs_explicit(st)
+        ru, rb, _ = rhs_explicit(st)
         assert not np.any(ru.coeffs) and not np.any(rb.coeffs)
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5])
@@ -240,7 +238,7 @@ class TestExplicitTendency:
         p = Params(kappa=kappa, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ru, rb = rhs_explicit(st)
+        ru, rb, _ = rhs_explicit(st)
         ru_ref, rb_ref = reference_tendency(g, p, u0, b0)
         scale = max(np.max(np.abs(ru_ref)), np.max(np.abs(rb_ref)))
         assert np.max(np.abs(ru.coeffs - ru_ref)) < 1e-10 * scale
@@ -268,7 +266,7 @@ class TestExplicitTendency:
         transform = mhdbl.grid.x_transform
         for mod in ("grid", "lp", "scenario", "solver"):
             monkeypatch.setattr(f"mhdbl.{mod}.x_transform", counted)
-        ru, rb = rhs_explicit(st, ff, cut)
+        ru, rb, _ = rhs_explicit(st, ff, cut)
         assert sorted(calls) == ["forward", "inverse"]
         assert np.max(np.abs(ru.coeffs)) > 0.0
 
@@ -290,7 +288,8 @@ class TestTheta:
         p = Params(kappa=1.0, epsilon=1e-3)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN))
-        assert theta_rhs(st) == 0.0
+        assert theta_components(st, None, build_partition(g),
+                                st.radius) == (0.0, 0.0)
 
     def test_farfield_term_closed_form(self):
         # single far-field mode at xi = 3 sits in one dyadic shell, so the
@@ -309,7 +308,8 @@ class TestTheta:
         tt = 1.0 + st.t
         expected = (p.epsilon ** 0.5 * tt ** (1.25 - 2.5) * math.sqrt(2.0)
                     * math.sqrt(2.0 * g.lx) * amp * math.exp(3.0 * r))
-        got = theta_rhs(st, ff)
+        comp1, got = theta_components(st, ff, build_partition(g), r)
+        assert comp1 == 0.0
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_step_updates_theta_with_lagged_radius(self):
@@ -317,12 +317,13 @@ class TestTheta:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st0 = make_state(g, p, u0, b0)
-        st1 = step_imex(st0, 1e-3, None, None, _Workspace(g, p))
+        st1 = step_imex(st0, 1e-3, None, None, _Workspace(g))
         part = build_partition(g)
-        rate = theta_rhs(st1, None, part, radius=st0.radius)
+        comp1, comp2 = theta_components(st1, None, part, st0.radius)
+        rate = comp1 + comp2
         assert st1.theta == st0.theta + 1e-3 * rate
         # the post-step radius would give a different (smaller) rate
-        assert theta_rhs(st1, None, part) < rate
+        assert sum(theta_components(st1, None, part, st1.radius)) < rate
 
 
 class TestStepper:
@@ -331,7 +332,7 @@ class TestStepper:
         p = Params(kappa=1.0, epsilon=1e-3)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN))
-        ws = _Workspace(g, p)
+        ws = _Workspace(g)
         for _ in range(4):
             st = step_imex(st, 1e-2, None, None, ws)
         assert not np.any(st.u.coeffs)
@@ -343,10 +344,10 @@ class TestStepper:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g, p)
+        ws = _Workspace(g)
         for _ in range(5):
             st = step_imex(st, 1e-3, None, None, ws)
-        assert flux_drift(st) < 1e-15
+        assert flux_drift(st.u, st.b) < 1e-15
 
     def test_determinism(self):
         g = make_grid()
@@ -355,7 +356,7 @@ class TestStepper:
 
         def run():
             st = make_state(g, p, u0, b0)
-            ws = _Workspace(g, p)
+            ws = _Workspace(g)
             for _ in range(6):
                 st = step_imex(st, 1e-3, None, None, ws)
             return st
@@ -389,7 +390,7 @@ class TestStepper:
     def test_manufactured_heat_accuracy(self):
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g, p)
+        ws = _Workspace(g)
         dt = 1e-3
         for _ in range(1000):
             st = step_imex(st, dt, None, None, ws)
@@ -404,7 +405,7 @@ class TestStepper:
 
         def final(dt):
             st = make_state(g, p, u0, b0)
-            ws = _Workspace(g, p)
+            ws = _Workspace(g)
             for _ in range(round(0.25 / dt)):
                 st = step_imex(st, dt, None, None, ws)
             return st.u.coeffs[:, 0].real
@@ -445,7 +446,7 @@ class TestAudits:
     def test_heat_energy_slack_on_heat_flow(self):
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g, p)
+        ws = _Workspace(g)
         dt = 1e-3
         bound = -(10.0 * dt + 10.0 * g.dy ** 2)
         for k in range(40):
@@ -466,7 +467,7 @@ class TestAudits:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g, p)
+        ws = _Workspace(g)
         new = step_imex(st, 1e-2, farfield_trivial(g), None, ws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -574,7 +575,7 @@ class TestEqs2Residual:
         norms = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
-            st1 = step_imex(st0, dt, None, None, _Workspace(g, p))
+            st1 = step_imex(st0, dt, None, None, _Workspace(g))
             norms.append(eqs2_residual(st0, st1)["norm_psi"])
         assert 1.7 < norms[0] / norms[1] < 2.3
         assert 1.7 < norms[1] / norms[2] < 2.3
@@ -591,7 +592,7 @@ class TestEqs2Residual:
         res = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
-            st1 = step_imex(st0, dt, ff, cut, _Workspace(g, p))
+            st1 = step_imex(st0, dt, ff, cut, _Workspace(g))
             res.append(eqs2_residual(st0, st1, ff, cut))
         psi = [r["norm_psi"] for r in res]
         assert 1.7 < psi[0] / psi[1] < 2.3
@@ -606,7 +607,7 @@ class TestEqs2Residual:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st0 = make_state(g, p, u0, b0)
-        st1 = step_imex(st0, 1e-3, None, None, _Workspace(g, p))
+        st1 = step_imex(st0, 1e-3, None, None, _Workspace(g))
         r = eqs2_residual(st0, st1)
         assert 0.0 < r["norm_phi"] < 5.0 * p.epsilon
 
@@ -652,12 +653,8 @@ class TestKappaRescale:
 
     def test_rescaled_flux_shapes_identity(self):
         g = make_grid()
-        pu, pb = flux_projection_profiles(g)
-        ru, rb = rescaled_flux_shapes(g, 1.0)
-        assert np.array_equal(pu, ru)
-        assert np.array_equal(pb, rb)
         with pytest.raises(ValueError, match="positive"):
-            rescaled_flux_shapes(g, 0.0)
+            flux_projection_profiles(g, 0.0)
 
     def test_conjugate_runs_track_each_other(self):
         # dividing heights by sqrt(kappa) and both diffusivities by kappa
@@ -675,7 +672,7 @@ class TestKappaRescale:
                          dt_max=1e-2, sample_every=100)
         res_b = simulate(grid_b, par_b, u0b, b0b, t_final=0.2,
                          dt_max=1e-2, sample_every=100,
-                         flux_shapes=rescaled_flux_shapes(grid_b, kap))
+                         flux_shapes=flux_projection_profiles(grid_b, kap))
         _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u, res_a.state.b,
                                       kap)
         part = build_partition(grid_b)
@@ -693,7 +690,7 @@ class TestCheckpoint:
         p = Params(kappa=kappa, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g, p)
+        ws = _Workspace(g)
         for _ in range(3):
             st = step_imex(st, 1e-3, None, None, ws)
         return g, p, st
