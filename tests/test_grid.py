@@ -453,6 +453,20 @@ class TestWeightedNorms:
         assert w[0] == 1.0
         assert w[-1] == pytest.approx(np.exp(100.0 / 32.0), rel=1e-13)
 
+    def test_weight_overflow_raises_tail_violation(self):
+        g = make_grid(nx=8, ny=256, ymax=30.0)
+        f = Field.from_profiles(g, dc_spectrum(g), np.ones(g.ny))
+        with pytest.raises(TailViolationError, match="overflow"):
+            weighted_l2(f, 20.0, 0.0)
+
+    def test_zero_rows_do_not_trip_overflow(self):
+        """Rows that are exactly zero are immune to an infinite weight."""
+        g = make_grid(nx=8, ny=256, ymax=30.0)
+        prof = np.where(g.y < 5.0, np.exp(-g.y**2), 0.0)
+        f = Field.from_profiles(g, dc_spectrum(g), prof)
+        val = weighted_l2(f, 20.0, 0.0)
+        assert np.isfinite(val) and val > 0.0
+
     # every weighted reduction of field f under the weight exponent a
     REDUCTIONS = {
         "weighted_l2": lambda f, a: weighted_l2(f, a, 0.0),
