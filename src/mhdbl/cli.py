@@ -20,8 +20,8 @@ from .scenario import (Params, UnsupportedScenarioError, build_cutoff,
                        default_x_profile, farfield_decaying, farfield_trivial,
                        initial_data_standard)
 from .solver import (CheckpointError, DivergenceError, NormSeries,
-                     TStarReachedError, load_checkpoint, save_checkpoint,
-                     simulate)
+                     TStarReachedError, load_checkpoint,
+                     resolve_branch_alpha, save_checkpoint, simulate)
 from .verify import (fit_loglog, run_poincare_suite, run_sup_constants_suite,
                      theta_report)
 
@@ -55,9 +55,13 @@ _SCHEMA = {
 }
 
 
-def _apply_item(cfg: dict, key: str, raw: str, where: str) -> None:
+def _apply_item(cfg: dict, key: str, raw: str, where: str,
+                fixed: tuple) -> None:
     if key not in _SCHEMA:
         raise ConfigError(f"unknown config key {key!r} ({where})")
+    if key.startswith(fixed):
+        raise ConfigError(f"cannot override {key!r} on resume ({where}); "
+                          "it is fixed by the checkpoint")
     caster = _SCHEMA[key][0]
     try:
         cfg[key] = caster(raw)
@@ -67,9 +71,10 @@ def _apply_item(cfg: dict, key: str, raw: str, where: str) -> None:
             f"expected {caster.__name__}")
 
 
-def parse_config(path=None, overrides=()) -> dict:
+def parse_config(path=None, overrides=(), fixed=()) -> dict:
     """Flat key=value text with dotted section prefixes; '#' comments.
-    Overrides are extra KEY=VALUE strings applied after the file."""
+    Overrides are extra KEY=VALUE strings applied after the file.  Keys
+    starting with a prefix in `fixed` are refused from both."""
     cfg = {k: v for k, (_, v) in _SCHEMA.items()}
     if path is not None:
         try:
@@ -85,12 +90,13 @@ def parse_config(path=None, overrides=()) -> dict:
                 raise ConfigError(
                     f"malformed line {lineno} in {path}: {line.strip()!r}")
             key, raw = body.split("=", 1)
-            _apply_item(cfg, key.strip(), raw.strip(), f"{path}:{lineno}")
+            _apply_item(cfg, key.strip(), raw.strip(), f"{path}:{lineno}",
+                        fixed)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"malformed override {item!r}")
         key, raw = item.split("=", 1)
-        _apply_item(cfg, key.strip(), raw.strip(), "command line")
+        _apply_item(cfg, key.strip(), raw.strip(), "command line", fixed)
     return cfg
 
 
@@ -268,17 +274,22 @@ def cmd_fit(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    for item in args.overrides:
-        key = item.split("=", 1)[0].strip()
-        if key.startswith(("grid.", "params.", "scenario.")) \
-                or key == "run.branch":
-            raise ConfigError(
-                f"cannot override {key!r} on resume; it is fixed by the "
-                "checkpoint")
-    cfg = parse_config(args.config, args.overrides)
+    # the checkpoint fixes these; refused from a file and --set alike
+    cfg = parse_config(args.config, args.overrides,
+                       fixed=("grid.", "params.", "scenario.", "run.branch"))
     validate_config(cfg)
     out_dir = _prepare_out(args.out)
     state, ff, extras = load_checkpoint(args.checkpoint)
+    # echo the settings the run uses, which are the checkpoint's
+    g, p, alpha = state.grid, state.params, state.weight_alpha
+    cfg.update({"grid.lx": g.lx, "grid.nx": g.nx, "grid.ny": g.ny,
+                "grid.ymax": g.ymax, "params.kappa": p.kappa,
+                "params.epsilon": p.epsilon, "params.delta": p.delta,
+                "params.lam": p.lam, "scenario.farfield": ff.kind})
+    if not ff.trivial:
+        cfg.update({"scenario.ff_eps": ff.eps, "scenario.alpha": ff.alpha})
+    if alpha != resolve_branch_alpha(p.kappa, "auto"):
+        cfg["run.branch"] = "unit" if alpha == 1.0 else "kappa"
     if cfg["run.t_final"] <= state.t:
         raise ConfigError(
             f"run.t_final={cfg['run.t_final']} does not extend the "

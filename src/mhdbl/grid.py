@@ -2,14 +2,14 @@
 
 x is periodic on [0, L_x) and handled spectrally; y lives on a uniform
 grid over [0, Y_max] with second order finite differences.  Fields are
-real, so their x spectra are Hermitian, c(-xi) = conj(c(xi)), and only
-the nx/2 + 1 non-negative modes 0, 1, ..., nx/2 are stored: complex
-amplitudes per y node, shape (ny, nx/2 + 1), y major (the real-FFT
-layout).  Amplitudes are normalized so that a physical field
+real, so their x spectra are Hermitian, c(-xi) = conj(c(xi)).  Nonlinear
+products are dealiased by the 2/3 rule, so only the non-negative modes it
+keeps, j = 0, 1, ..., min(nx/2, dealias_fraction nx/2), are stored:
+complex amplitudes per y node, shape (ny, GridSpec.nmodes), y major (22
+columns at nx = 64; all nx/2 + 1 with dealias_fraction = 1).  A physical
 cos(xi_1 x) f(y) has amplitude f(y)/2 at xi_1 (its mirror -xi_1 carries
-the other half and is implied).  Sums over modes that stand for sums over
-all nx modes (Parseval) weight each stored mode by its multiplicity,
-GridSpec.mode_weights.
+the other half).  Sums over modes that stand for sums over all nx modes
+(Parseval) weight each stored mode by its multiplicity, mode_weights.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class GridSpec:
                              f"grid.ymax={self.ymax!r}")
         if self.ny < 16:
             raise ValueError(f"ny must be >= 16, got {self.ny}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must be in (0, 1]")
+        if not (0.0 < self.dealias_fraction <= 1.0 and self.nmodes > 1):
+            raise ValueError("dealias_fraction must be in (0, 1] and keep j=1")
         if not (math.isfinite(self.lx) and self.lx > 0.0):
             raise ValueError(f"lx must be positive and finite, got "
                              f"grid.lx={self.lx!r}")
@@ -83,24 +83,25 @@ class GridSpec:
 
     @property
     def nmodes(self) -> int:
-        """Stored modes per row: j = 0, 1, ..., nx/2."""
-        return self.nx // 2 + 1
+        """Stored modes per row: j = 0, 1, ..., the dealias cut."""
+        return min(self.nx // 2, int(self.dealias_fraction * self.nx / 2)) + 1
 
     @cached_property
     def xi(self) -> np.ndarray:
-        """Stored mode frequencies 2*pi*j/lx, j = 0..nx/2 (ascending)."""
+        """Stored mode frequencies 2*pi*j/lx, j = 0..nmodes-1 (ascending)."""
         return _frozen(np.fft.rfftfreq(self.nx, d=self.lx / self.nx)
-                       * 2.0 * np.pi)
+                       [:self.nmodes] * 2.0 * np.pi)
 
     @cached_property
     def mode_weights(self) -> np.ndarray:
-        """Parseval multiplicities (1, 2, ..., 2, 1): each interior mode
-        stands for itself and its mirror; DC and Nyquist are their own.
+        """Parseval multiplicities (1, 2, ..., 2[, 1]): each interior mode
+        stands for itself and its mirror; DC and a stored Nyquist are their
+        own.
 
         Reductions over modes run in the stored (ascending |xi|) order,
         so reruns are bit reproducible."""
         w = np.full(self.nmodes, 2.0)
-        w[0] = w[-1] = 1.0
+        w[0] = w[self.nx // 2:] = 1.0      # DC, and Nyquist if stored
         return _frozen(w)
 
     @cached_property
@@ -109,12 +110,6 @@ class GridSpec:
         w[0] *= 0.5
         w[-1] *= 0.5
         return _frozen(w)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """True on kept modes: j <= dealias_fraction * nx/2."""
-        j = np.arange(self.nmodes)
-        return _frozen(j <= self.dealias_fraction * (self.nx / 2))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -130,9 +125,10 @@ BC_NEUMANN = "neumann"
 class Field:
     """x-spectral field on a GridSpec.
 
-    coeffs[i, j] is the amplitude of mode xi_j >= 0 at height y_i; the
-    negative modes of the real physical field are the implied conjugates
-    (see the module docstring).  `bc` tags the wall behaviour at y = 0
+    coeffs[i, j] is the amplitude of stored mode xi_j >= 0 at height y_i;
+    the negative modes of the real physical field are the implied
+    conjugates, and the modes above the dealias cut are zero (see the
+    module docstring).  `bc` tags the wall behaviour at y = 0
     ("dirichlet": value pinned to zero, "neumann": zero normal
     derivative).  The top boundary is always a homogeneous Dirichlet
     truncation of the decaying far tail.
@@ -168,7 +164,7 @@ class Field:
     def from_profiles(cls, grid: GridSpec, x_spectrum: np.ndarray,
                       y_profile: np.ndarray, bc: str = BC_DIRICHLET) -> "Field":
         """Separable field: coeffs[i, j] = y_profile[i] * x_spectrum[j]
-        (x_spectrum holds the nx/2 + 1 stored modes)."""
+        (x_spectrum holds the nmodes stored modes)."""
         c = np.outer(np.asarray(y_profile, dtype=complex),
                      np.asarray(x_spectrum, dtype=complex))
         return cls(grid, c, bc)
@@ -184,8 +180,8 @@ class Field:
 
         The stored layout implies the symmetry for every mode but DC and
         Nyquist, which are their own mirrors: the defect is
-        |c - conj(c)| = 2 |Im c| on those two columns."""
-        edge = self.coeffs[:, [0, -1]]
+        |c - conj(c)| = 2 |Im c| on those columns."""
+        edge = self.coeffs[:, ::self.grid.nx // 2]    # DC, Nyquist if stored
         return float(2.0 * np.max(np.abs(edge.imag)))
 
 
@@ -195,42 +191,45 @@ class Field:
 def x_transform(grid: GridSpec, values: np.ndarray, direction: str) -> np.ndarray:
     """Real FFT in x along the last axis, so any stack of rows or fields
     goes through one call.  "forward": physical (..., nx) real -> the
-    (..., nx/2 + 1) stored mode amplitudes.  "inverse": stored amplitudes
-    -> physical real array (the imaginary parts of the DC and Nyquist
-    amplitudes, which no real field has, are ignored)."""
+    (..., nmodes) stored amplitudes.  "inverse": stored amplitudes,
+    zero-filled unless already nx/2 + 1 wide (as hot callers pass them:
+    padding per call costs 3x) -> physical real array."""
     if direction == "forward":
-        return sfft.rfft(np.asarray(values, dtype=float), axis=-1,
+        spec = sfft.rfft(np.asarray(values, dtype=float), axis=-1,
                          norm="forward", workers=_workers())
+        return np.ascontiguousarray(spec[..., :grid.nmodes])
     if direction == "inverse":
-        return sfft.irfft(np.asarray(values, dtype=complex), n=grid.nx,
-                          axis=-1, norm="forward", workers=_workers())
+        return sfft.irfft(_zero_filled(grid, values), n=grid.nx, axis=-1,
+                          norm="forward", workers=_workers())
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def full_spectrum(half: np.ndarray) -> np.ndarray:
+def _zero_filled(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Stored amplitudes zero-filled along the last axis to nx/2 + 1."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    pad = grid.nx // 2 + 1 - coeffs.shape[-1]
+    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, pad)]) \
+        if pad else coeffs
+
+
+def full_spectrum(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """All nx modes in FFT order (0..nx/2, then -(nx/2 - 1)..-1) from the
-    stored ones along the last axis: the mirrored modes are conjugates."""
-    nh = half.shape[-1]
-    return np.concatenate([half, np.conj(half[..., nh - 2:0:-1])], axis=-1)
+    stored ones along the last axis: modes above the cut are zero and the
+    mirrored modes are conjugates."""
+    half = _zero_filled(grid, coeffs)
+    return np.concatenate([half, np.conj(half[..., grid.nx // 2 - 1:0:-1])],
+                          axis=-1)
 
 
-def half_spectrum(full: np.ndarray) -> np.ndarray:
+def half_spectrum(grid: GridSpec, full: np.ndarray) -> np.ndarray:
     """The stored modes of an all-modes spectrum (inverse of
-    full_spectrum).  Raises ValueError unless every mirrored mode is the
-    exact conjugate of its stored twin, since folding would drop it."""
-    nx = full.shape[-1]
-    half = full[..., :nx // 2 + 1]
-    if not np.array_equal(full[..., nx // 2 + 1:],
-                          np.conj(half[..., nx // 2 - 1:0:-1])):
+    full_spectrum; modes above the cut are dropped).  Raises ValueError
+    unless every mirrored mode is the exact conjugate of its twin."""
+    h = grid.nx // 2
+    if not np.array_equal(full[..., h + 1:], np.conj(full[..., h - 1:0:-1])):
         raise ValueError("mirrored modes are not the conjugates of the "
                          "stored ones")
-    return np.ascontiguousarray(half)
-
-
-def dealias(field: Field) -> Field:
-    c = field.coeffs.copy()
-    c[:, ~field.grid.dealias_mask] = 0.0
-    return Field(field.grid, c, field.bc)
+    return np.ascontiguousarray(full[..., :grid.nmodes])
 
 
 def ddx(field: Field) -> Field:
@@ -310,7 +309,7 @@ def integrate_y_from0(field: Field) -> Field:
 
 def column_flux(field: Field) -> np.ndarray:
     """Per-mode trapezoid integral over the whole y range (shape
-    (nx/2 + 1,))."""
+    (nmodes,))."""
     w = field.grid.trapz_weights
     return w @ field.coeffs
 

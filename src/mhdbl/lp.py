@@ -68,7 +68,7 @@ class DyadicPartition:
     grid: GridSpec
     k_min: int
     k_max: int
-    phi_table: np.ndarray   # (n_shells, nx/2 + 1)
+    phi_table: np.ndarray   # (n_shells, nmodes)
 
     @cached_property
     def power_table(self) -> np.ndarray:
@@ -194,7 +194,7 @@ def besov_pair_norm(part: DyadicPartition, fa: Field, fb: Field, s: float,
 
 def besov_h_shell_norms(part: DyadicPartition, spectrum: np.ndarray,
                         r: float = 0.0) -> np.ndarray:
-    """Per-shell L2(x) norms of a 1-D horizontal profile (the nx/2 + 1
+    """Per-shell L2(x) norms of a 1-D horizontal profile (the nmodes
     stored mode amplitudes)."""
     g = part.grid
     c = np.asarray(spectrum, dtype=complex)

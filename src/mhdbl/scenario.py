@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate as sp_integrate
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
-                   dealias, x_transform)
+                   x_transform)
 from .lp import DyadicPartition, _gexp, besov_h_shell_norms, smooth_step
 
 
@@ -227,7 +227,7 @@ class FarField:
     """Tangential flow U(t, x) imposed above the layer.
 
     U is separable: amplitude * <t>^{-power} * profile(x), stored as the
-    profile's nx/2 + 1 mode amplitudes.  The far magnetic field B is zero
+    profile's nmodes mode amplitudes.  The far magnetic field B is zero
     by construction: no supported family has B != 0 (farfield_decaying
     rejects the kappa = 1 background, the only case where B would enter),
     so only U is carried.
@@ -409,7 +409,7 @@ def source_terms(ff: FarField, cutoff: Optional[Cutoff], grid: GridSpec,
     cu = (np.outer(1.0 - cutoff.dchi, ff.dt_u_spec(t))
           + np.outer(cutoff.d3chi, ff.u_spec(t))
           + np.outer(quad_plus, ff.advection_spec(t)))
-    return dealias(Field(grid, cu, BC_NEUMANN))
+    return Field(grid, cu, BC_NEUMANN)
 
 
 # ---- initial data ----------------------------------------------------------

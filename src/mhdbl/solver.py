@@ -250,7 +250,8 @@ def compute_GH(state: State, phi: Field, psi: Field):
 
 
 def rhs_explicit(state: State, farfield: Optional[FarField] = None,
-                 cutoff: Optional[Cutoff] = None):
+                 cutoff: Optional[Cutoff] = None,
+                 ws: Optional[_Workspace] = None):
     """Everything except the implicit diffusion: linear background
     coupling, the quadratic transport terms, far-field couplings through
     the cutoff, and the patching sources.  Products are formed pointwise
@@ -263,11 +264,12 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     if not trivial and cutoff is None:
         raise ValueError("nontrivial far field needs a cutoff")
 
-    # the eight factors of the products, inverse-transformed in one call
+    # the eight factors, inverse-transformed in one call from ws.factors
+    ws = ws or _Workspace(g)
     ixi = 1j * g.xi
     duy, dby = state.dy_ub
     v, h = recover_vh(u, b, check=False)
-    spec = np.empty((8, g.ny, g.nmodes), dtype=complex)
+    spec = ws.factors[:, :, :g.nmodes]
     spec[0] = u.coeffs
     spec[1] = b.coeffs
     np.multiply(u.coeffs, ixi, out=spec[2])
@@ -278,7 +280,7 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     spec[7] = h.coeffs
     dux, dbx = spec[2], spec[3]
     u_p, b_p, dux_p, dbx_p, duy_p, dby_p, v_p, h_p = x_transform(
-        g, spec, "inverse")
+        g, ws.factors, "inverse")
 
     umax = float(np.max(np.abs(u_p)))
 
@@ -300,7 +302,6 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     # nl_u and nl_b forward-transformed in one call
     r = x_transform(g, nl, "forward")
     np.negative(r, out=r)
-    r[:, :, ~g.dealias_mask] = 0.0
     ru, rb = r
     ru += p.bbar * dbx
     rb += p.bbar * dux
@@ -355,7 +356,8 @@ def _cn_matrix(ny: int, dy: float, nu: float, dt: float, bc: str) -> np.ndarray:
 
 
 class _Workspace:
-    """Per-run cache: partition, flux shapes, factor-free banded matrices."""
+    """Per-run cache: partition, flux shapes, factor-free banded matrices
+    and the RHS factor stack."""
 
     def __init__(self, grid: GridSpec, flux_shapes=None):
         self.grid = grid
@@ -370,6 +372,12 @@ class _Workspace:
         if key not in self._mats:
             self._mats[key] = _cn_matrix(self.grid.ny, self.grid.dy, nu, dt, bc)
         return self._mats[key]
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """The RHS's 8 product factors, (8, ny, nx/2 + 1): only the stored
+        modes are written, so the inverse transform needs no padding."""
+        return np.zeros((8, self.grid.ny, self.grid.nx // 2 + 1), complex)
 
 
 def _cn_solve(ws: _Workspace, field: Field, tendency: np.ndarray, nu: float,
@@ -403,7 +411,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
         ws = _Workspace(state.grid)
     nu_u, nu_b = _diffusivities(state.params)
 
-    ru0, rb0, umax = rhs_explicit(state, farfield, cutoff)
+    ru0, rb0, umax = rhs_explicit(state, farfield, cutoff, ws)
     restart = (state.prev_ru is None or state.prev_dt is None
                or abs(state.prev_dt - dt) > 1e-9 * dt)
     if restart:
@@ -416,7 +424,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
                   Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
                         state.b.bc),
                   theta=state.theta, weight_alpha=state.weight_alpha),
-            farfield, cutoff)
+            farfield, cutoff, ws)
         eu, eb = rum.coeffs, rbm.coeffs
     else:
         eu = 1.5 * ru0.coeffs - 0.5 * state.prev_ru
@@ -557,7 +565,6 @@ def eqs2_residual(state_prev: State, state_next: State,
         products += [U_p * dxphi_p, -dxU_p * u_p, dxU_p * phi_p,
                      U_p * dxpsi_p, -dxU_p * b_p]
     spec = x_transform(g, np.stack(products), "forward")
-    spec[:, :, ~g.dealias_mask] = 0.0
 
     adv_phi, adv_psi, cross = spec[:3]
     tail_cross = integrate_y_tail(Field(g, cross, BC_NEUMANN)).coeffs
@@ -687,9 +694,6 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
         theta_int1 = float(resume_extras["theta_int1"])
         audit_min = dict(resume_extras.get("audit_min", {}))
 
-    def cl_value_sq():
-        return cl.value() ** 2
-
     def take_sample(st: State):
         phi, psi, G, H, dG, dH = st.gh_fields
         a = st.weight_alpha
@@ -700,7 +704,7 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
             norm_gh=besov_pair_norm(ws.part, G, H, 0.5, a, st.t, r),
             norm_dy_gh=besov_pair_norm(ws.part, dG, dH, 0.5, a, st.t, r),
             norm_phipsi=besov_pair_norm(ws.part, phi, psi, 0.5, a, st.t, r),
-            cl_dyub_sq=cl_value_sq(), theta_integral1=theta_int1)
+            cl_dyub_sq=cl.value() ** 2, theta_integral1=theta_int1)
         tail_guard_check(st)
 
     scale0 = max(float(np.max(np.abs(state.u.coeffs))),
@@ -721,7 +725,7 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
             "flux_drift_final": drift,
             "flux_drift_per_unit": drift / max(state.t, 1e-300),
             "audit_min_slack": audit_min,
-            "cl_dyub_sq_final": cl_value_sq(),
+            "cl_dyub_sq_final": cl.value() ** 2,
             "weight_alpha": state.weight_alpha,
             "reason": reason,
             "_resume_extras": {"cl_integrals": cl.integrals.tolist(),
@@ -806,11 +810,12 @@ def save_checkpoint(path: str, state: State, farfield: FarField,
                     extras: Optional[dict] = None) -> None:
     """Binary snapshot: magic, version, JSON header, then the field and
     multistep-history arrays as little-endian complex pairs, y-major, with
-    all nx x modes in FFT order.
+    all nx x modes in FFT order; the modes above the dealias cut, which a
+    field does not store, are written as zeros.
 
     Written to a temporary file beside `path` and renamed over it, so a
     failed write leaves any previous file intact."""
-    g_full = full_spectrum(farfield.g_spec)
+    g_full = full_spectrum(state.grid, farfield.g_spec)
     header = {
         "version": _CKPT_VERSION,
         "grid": {"lx": state.grid.lx, "nx": state.grid.nx,
@@ -843,7 +848,8 @@ def save_checkpoint(path: str, state: State, farfield: FarField,
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
             for arr in arrays:
-                fh.write(full_spectrum(arr).astype("<c16").tobytes())
+                fh.write(full_spectrum(state.grid, arr).astype("<c16")
+                         .tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -861,7 +867,9 @@ def load_checkpoint(path: str):
     Raises CheckpointError with a one-line message when the file cannot
     be read, is not a checkpoint, is truncated, has a header that is not
     JSON or lacks a key, or holds a spectrum that is not a real field's.
-    Files written before the diffusivity overrides were stored load with
+    Modes above the dealias cut are dropped, as is a trailing exactly-0
+    Chemin-Lerner shell outside the grid's window (files written when all
+    modes were stored); files without the diffusivity overrides load with
     the standard pair."""
     try:
         with open(path, "rb") as fh:
@@ -903,7 +911,7 @@ def _restore(header: dict, buf: io.BytesIO):
 
     def fold(full, name):
         try:
-            return half_spectrum(full)
+            return half_spectrum(grid, full)
         except ValueError:
             raise CheckpointError(f"checkpoint {name} is not the spectrum "
                                   "of a real field") from None
@@ -933,4 +941,11 @@ def _restore(header: dict, buf: io.BytesIO):
                               "length")
     ff = FarField(grid, fd["kind"], eps=fd["eps"], alpha=fd["alpha"],
                   g_spec=fold(g_full, "far-field profile"))
-    return state, ff, header.get("extras", {})
+    extras = header.get("extras", {})
+    if "cl_integrals" in extras:
+        cl, n = extras["cl_integrals"], build_partition(grid).n_shells
+        if len(cl) < n or any(cl[n:]):
+            raise CheckpointError(f"checkpoint holds {len(cl)} Chemin-Lerner "
+                                  f"shells where the grid has {n}")
+        extras["cl_integrals"] = cl[:n]
+    return state, ff, extras

@@ -17,6 +17,7 @@ from mhdbl.cli import (
     validate_config,
     write_norms_csv,
 )
+from mhdbl.grid import GridSpec
 from mhdbl.solver import NormSeries, load_checkpoint
 
 
@@ -31,6 +32,26 @@ def base_args(out, *overrides):
     for ov in overrides:
         args += ["--set", ov]
     return args
+
+
+def parent_layout(src, dst, extra_shell=0.0):
+    """Rewrite checkpoint `src` to `dst` as the writer did when every mode
+    was stored: the modes above the dealias cut hold the 1e-214 tail of
+    the standard data, and cl_integrals has one more shell."""
+    raw = src.read_bytes()
+    hlen = int.from_bytes(raw[10:18], "little")
+    header = json.loads(raw[18:18 + hlen])
+    gd = header["grid"]
+    nx = gd["nx"]
+    nmodes = GridSpec(gd["lx"], nx, gd["ymax"], gd["ny"],
+                      gd["dealias_fraction"]).nmodes
+    header["extras"]["cl_integrals"].append(extra_shell)
+    arrays = np.frombuffer(raw[18 + hlen:], dtype="<c16").reshape(
+        -1, gd["ny"], nx).copy()
+    arrays[..., nmodes:nx - nmodes + 1] = 1e-214
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:10] + len(blob).to_bytes(8, "little") + blob
+                    + arrays.tobytes())
 
 
 class TestConfig:
@@ -301,6 +322,55 @@ class TestResumeCommand:
                        "--set", "run.branch=unit")
         assert code == 2
         assert "cannot override 'run.branch'" in capsys.readouterr().err
+        # a config file may not set them either
+        for item in ("run.branch=unit", "grid.ny=4096", "params.kappa=0.7"):
+            cfg = tmp_path / "resume.cfg"
+            cfg.write_text(f"run.t_final = 0.2\n{item}\n")
+            code = run_cli("resume", str(first / "final.ckpt"),
+                           "--out", str(tmp_path / "r"), "--config", str(cfg))
+            assert code == 2
+            key = item.split("=")[0]
+            assert f"cannot override {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("branch,echo", [("kappa", "auto"),
+                                             ("unit", "unit")])
+    def test_resume_echoes_the_checkpoint_settings(self, tmp_path, branch,
+                                                   echo):
+        """summary.json reports the grid, parameters and weight branch the
+        resumed run used, which are the checkpoint's, not the defaults."""
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first, "params.kappa=1.5",
+                                  f"run.branch={branch}")) == 0
+        out = tmp_path / "r"
+        assert run_cli("resume", str(first / "final.ckpt"), "--out", str(out),
+                       "--set", "run.t_final=0.2") == 0
+        cfg = json.loads((out / "summary.json").read_text())["config"]
+        assert (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.ymax"]) == \
+            (16, 128, 16.0)
+        assert cfg["params.kappa"] == 1.5
+        assert cfg["run.branch"] == echo
+        assert cfg["run.t_final"] == 0.2
+
+    def test_parent_layout_checkpoint_resumes(self, tmp_path, capsys):
+        """A checkpoint written when every mode was stored resumes exactly
+        like the same state written now: its modes above the dealias cut
+        and its trailing zero Chemin-Lerner shell are dropped."""
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first)) == 0
+        old = tmp_path / "old.ckpt"
+        parent_layout(first / "final.ckpt", old)
+        for ckpt, out in ((first / "final.ckpt", "new"), (old, "old")):
+            assert run_cli("resume", str(ckpt), "--out", str(tmp_path / out),
+                           "--set", "run.t_final=0.2") == 0
+        for name in ("norms.csv", "summary.json", "final.ckpt"):
+            assert (tmp_path / "old" / name).read_bytes() == \
+                (tmp_path / "new" / name).read_bytes()
+        # a shell outside the window that is not exactly 0 is refused
+        parent_layout(first / "final.ckpt", old, extra_shell=1e-30)
+        code = run_cli("resume", str(old), "--out", str(tmp_path / "bad"),
+                       "--set", "run.t_final=0.2")
+        assert code == 2
+        assert "Chemin-Lerner shells" in capsys.readouterr().err
 
     def test_must_extend_the_run(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -1,8 +1,9 @@
 """Tests for the mixed Fourier/finite-difference grid layer.
 
-Covers: GridSpec validation and derived geometry (the stored half
-spectrum, its Parseval multiplicities), Field construction and Hermitian
-symmetry, the x transform round trip and its normalization,
+Covers: GridSpec validation and derived geometry (the modes the dealias
+rule keeps, their Parseval multiplicities) under the 2/3 rule and on the
+full band, Field construction and Hermitian symmetry, the x transform
+round trip, its normalization and its cut above the stored modes,
 spectral/finite-difference derivatives with both wall closures, cumulative
 y quadrature against closed-form Gaussian integrals, the complement
 identity between the two cumulative integrals, and weighted L2 norms
@@ -11,6 +12,7 @@ identity between the two cumulative integrals, and weighted L2 norms
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,6 @@ from mhdbl.grid import (
     d2dy,
     ddx,
     ddy,
-    dealias,
     integrate_y_from0,
     full_spectrum,
     half_spectrum,
@@ -36,8 +37,22 @@ from mhdbl.scenario import Params
 from mhdbl.solver import State, heat_energy_slack, tail_guard_check
 
 
-def make_grid(nx=32, ny=512, ymax=26.0, lx=2.0 * np.pi):
-    return GridSpec(lx=lx, nx=nx, ymax=ymax, ny=ny)
+# the default 2/3 rule and the full band (every real-FFT mode stored)
+FRACTIONS = (2.0 / 3.0, 1.0)
+
+
+def make_grid(nx=32, ny=512, ymax=26.0, lx=2.0 * np.pi,
+              dealias_fraction=2.0 / 3.0):
+    return GridSpec(lx=lx, nx=nx, ymax=ymax, ny=ny,
+                    dealias_fraction=dealias_fraction)
+
+
+def stored_physical(grid, rng, lead=()):
+    """Random physical data the layout holds: the inverse transform of
+    random stored spectra, scaled to about unit variance."""
+    shape = tuple(lead) + (grid.ny, grid.nmodes)
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return x_transform(grid, spec / np.sqrt(grid.nx), "inverse")
 
 
 def dc_spectrum(grid):
@@ -80,40 +95,49 @@ class TestGridSpec:
             GridSpec(lx=0.0, nx=16, ymax=8.0, ny=64)
 
     def test_rejects_bad_dealias_fraction(self):
-        with pytest.raises(ValueError, match="dealias_fraction"):
-            GridSpec(lx=1.0, nx=16, ymax=8.0, ny=64, dealias_fraction=0.0)
+        # 0.1 * 16/2 < 1 would store DC alone: no shell, no x variation
+        for frac in (0.0, 0.1, float("nan")):
+            with pytest.raises(ValueError, match="dealias_fraction"):
+                GridSpec(lx=1.0, nx=16, ymax=8.0, ny=64, dealias_fraction=frac)
 
     def test_geometry(self):
-        g = make_grid(nx=16, ny=65, ymax=8.0, lx=4.0)
-        assert g.dy == pytest.approx(8.0 / 64)
-        assert g.y[0] == 0.0 and g.y[-1] == 8.0
-        assert len(g.y) == 65
-        assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(4.0 - 4.0 / 16)
-        # stored real-FFT modes: 2*pi*j/lx with j = 0..8
-        j = np.rint(g.xi * g.lx / (2.0 * np.pi)).astype(int)
-        assert g.nmodes == 9
-        assert list(j) == list(range(9))
+        # stored real-FFT modes: 2*pi*j/lx with j = 0..5 under the 2/3
+        # rule (j <= 16/3), j = 0..8 on the full band
+        for frac, nmodes in zip(FRACTIONS, (6, 9)):
+            g = make_grid(nx=16, ny=65, ymax=8.0, lx=4.0,
+                          dealias_fraction=frac)
+            assert g.dy == pytest.approx(8.0 / 64)
+            assert g.y[0] == 0.0 and g.y[-1] == 8.0
+            assert len(g.y) == 65
+            assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(4.0 - 4.0 / 16)
+            j = np.rint(g.xi * g.lx / (2.0 * np.pi)).astype(int)
+            assert g.nmodes == nmodes
+            assert list(j) == list(range(nmodes))
 
     def test_trapz_weights_sum_to_height(self):
         g = make_grid(ny=129, ymax=10.0)
         assert np.sum(g.trapz_weights) == pytest.approx(10.0, rel=1e-14)
         assert g.trapz_weights[0] == pytest.approx(0.5 * g.dy)
 
-    def test_dealias_mask_keeps_two_thirds(self):
+    def test_stored_modes_keep_two_thirds(self):
         g = make_grid(nx=32)
-        j = np.arange(g.nmodes)
-        assert np.array_equal(g.dealias_mask, j <= 32 // 3)
+        j = np.rint(g.xi * g.lx / (2.0 * np.pi)).astype(int)
+        assert list(j) == list(range(32 // 3 + 1))
         # counting each interior mode with its mirror, as the full spectrum
-        kept = int(np.sum(g.mode_weights[g.dealias_mask]))
+        kept = int(np.sum(g.mode_weights))
         assert kept == 2 * (32 // 3) + 1
 
     def test_modes_sorted_by_frequency_with_parseval_weights(self):
-        g = make_grid(nx=16)
-        assert g.xi[0] == 0.0           # DC first
-        assert np.all(np.diff(g.xi) > 0.0)
-        w = g.mode_weights
-        assert list(w) == [1.0] + [2.0] * 7 + [1.0]
-        assert np.sum(w) == g.nx
+        # under the 2/3 rule the last stored mode is interior (weight 2);
+        # on the full band Nyquist is stored and is its own mirror
+        for frac, weights in zip(FRACTIONS, ([1.0] + [2.0] * 5,
+                                             [1.0] + [2.0] * 7 + [1.0])):
+            g = make_grid(nx=16, dealias_fraction=frac)
+            assert g.xi[0] == 0.0           # DC first
+            assert np.all(np.diff(g.xi) > 0.0)
+            w = g.mode_weights
+            assert list(w) == weights
+            assert np.sum(w) == (11 if frac < 1.0 else g.nx)
 
 
 class TestField:
@@ -142,16 +166,20 @@ class TestField:
         assert np.all(f.coeffs[:, 1] == 0.0)
 
     def test_real_field_has_no_hermitian_defect(self):
-        g = make_grid(nx=16, ny=64, ymax=8.0)
         rng = np.random.default_rng(3)
-        f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
-        assert f.hermitian_defect() < 1e-14
-        # DC and Nyquist are their own mirrors: an imaginary part there is
-        # the defect a real field cannot have
-        for col in (0, g.nmodes - 1):
-            broken = f.copy()
-            broken.coeffs[0, col] += 1.0j
-            assert broken.hermitian_defect() == pytest.approx(2.0)
+        for frac in FRACTIONS:
+            g = make_grid(nx=16, ny=64, ymax=8.0, dealias_fraction=frac)
+            f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
+            assert f.hermitian_defect() < 1e-14
+            # DC and a stored Nyquist are their own mirrors: an imaginary
+            # part there is the defect a real field cannot have.  The last
+            # mode kept by the 2/3 rule is interior and may be complex.
+            nyquist = g.nmodes == g.nx // 2 + 1
+            for col in (0, g.nmodes - 1):
+                broken = f.copy()
+                broken.coeffs[0, col] += 1.0j
+                expect = 2.0 if col == 0 or nyquist else 0.0
+                assert broken.hermitian_defect() == pytest.approx(expect)
 
 
 class TestXTransform:
@@ -165,68 +193,92 @@ class TestXTransform:
         assert np.max(np.abs(others)) < 1e-13
 
     def test_round_trip(self):
-        g = make_grid(nx=64, ny=48, ymax=8.0)
         rng = np.random.default_rng(11)
-        phys = rng.standard_normal((g.ny, g.nx))
-        back = x_transform(g, x_transform(g, phys, "forward"), "inverse")
-        assert np.max(np.abs(back - phys)) < 1e-12
+        for frac in FRACTIONS:
+            g = make_grid(nx=64, ny=48, ymax=8.0, dealias_fraction=frac)
+            phys = stored_physical(g, rng)
+            back = x_transform(g, x_transform(g, phys, "forward"), "inverse")
+            assert np.max(np.abs(back - phys)) < 1e-12
 
     def test_round_trip_to_roundoff(self):
-        g = make_grid(nx=64, ny=48, ymax=8.0)
         rng = np.random.default_rng(17)
-        phys = rng.standard_normal((g.ny, g.nx))
-        back = x_transform(g, x_transform(g, phys, "forward"), "inverse")
-        assert np.max(np.abs(back - phys)) < 1e-14
+        for frac in FRACTIONS:
+            g = make_grid(nx=64, ny=48, ymax=8.0, dealias_fraction=frac)
+            phys = stored_physical(g, rng)
+            back = x_transform(g, x_transform(g, phys, "forward"), "inverse")
+            assert np.max(np.abs(back - phys)) < 1e-14
 
     def test_stacked_fields_transform_like_single_ones(self):
         """The last axis is x, so one call transforms any stack of fields."""
-        g = make_grid(nx=32, ny=24, ymax=8.0)
         rng = np.random.default_rng(19)
-        stack = rng.standard_normal((3, g.ny, g.nx))
-        spec = x_transform(g, stack, "forward")
-        assert spec.shape == (3, g.ny, g.nmodes)
-        for k in range(3):
-            assert np.array_equal(spec[k], x_transform(g, stack[k], "forward"))
-        back = x_transform(g, spec, "inverse")
-        assert back.shape == stack.shape
-        assert np.max(np.abs(back - stack)) < 1e-14
+        for frac in FRACTIONS:
+            g = make_grid(nx=32, ny=24, ymax=8.0, dealias_fraction=frac)
+            stack = stored_physical(g, rng, (3,))
+            spec = x_transform(g, stack, "forward")
+            assert spec.shape == (3, g.ny, g.nmodes)
+            for k in range(3):
+                assert np.array_equal(spec[k],
+                                      x_transform(g, stack[k], "forward"))
+            back = x_transform(g, spec, "inverse")
+            assert back.shape == stack.shape
+            assert np.max(np.abs(back - stack)) < 1e-14
 
     def test_full_spectrum_is_the_complex_fft(self):
-        g = make_grid(nx=16, ny=24, ymax=8.0)
         rng = np.random.default_rng(23)
-        phys = rng.standard_normal((g.ny, g.nx))
-        full = full_spectrum(x_transform(g, phys, "forward"))
-        assert full.shape == (g.ny, g.nx)
-        assert np.max(np.abs(full - np.fft.fft(phys, axis=-1) / g.nx)) < 1e-15
-        assert np.array_equal(half_spectrum(full),
-                              x_transform(g, phys, "forward"))
-        full[3, -2] += 1e-3j
-        with pytest.raises(ValueError, match="conjugates"):
-            half_spectrum(full)
+        for frac in FRACTIONS:
+            g = make_grid(nx=16, ny=24, ymax=8.0, dealias_fraction=frac)
+            phys = stored_physical(g, rng)
+            full = full_spectrum(g, x_transform(g, phys, "forward"))
+            assert full.shape == (g.ny, g.nx)
+            assert np.max(np.abs(full - np.fft.fft(phys, axis=-1) / g.nx)) \
+                < 1e-15
+            assert np.array_equal(half_spectrum(g, full),
+                                  x_transform(g, phys, "forward"))
+            full[3, -2] += 1e-3j
+            with pytest.raises(ValueError, match="conjugates"):
+                half_spectrum(g, full)
 
     def test_bad_direction(self):
         g = make_grid(nx=16, ny=64, ymax=8.0)
         with pytest.raises(ValueError, match="forward"):
             x_transform(g, np.zeros((64, 16)), "sideways")
 
-    @given(seed=st.integers(0, 2**32 - 1))
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.sampled_from(FRACTIONS))
     @settings(max_examples=20, deadline=None)
-    def test_round_trip_property(self, seed):
-        """Inverse(forward(f)) = f for arbitrary real fields."""
-        g = GridSpec(lx=5.0, nx=16, ymax=6.0, ny=24)
+    def test_round_trip_property(self, seed, frac):
+        """Inverse(forward(f)) = f for arbitrary real fields the layout
+        holds."""
+        g = GridSpec(lx=5.0, nx=16, ymax=6.0, ny=24, dealias_fraction=frac)
         rng = np.random.default_rng(seed)
-        phys = rng.uniform(-10.0, 10.0, (g.ny, g.nx))
+        phys = 10.0 * stored_physical(g, rng)
         back = x_transform(g, x_transform(g, phys, "forward"), "inverse")
         assert np.max(np.abs(back - phys)) < 1e-11 * max(1.0, np.max(np.abs(phys)))
 
-    def test_dealias_zeroes_high_modes_only(self):
-        g = make_grid(nx=32, ny=64, ymax=8.0)
+    def test_forward_keeps_low_modes_only(self):
+        """The forward transform is the real FFT cut to the modes the
+        dealias rule keeps, bit for bit."""
         rng = np.random.default_rng(5)
-        f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
-        fd = dealias(f)
-        assert np.all(fd.coeffs[:, ~g.dealias_mask] == 0.0)
-        assert np.array_equal(fd.coeffs[:, g.dealias_mask],
-                              f.coeffs[:, g.dealias_mask])
+        phys = rng.standard_normal((64, 32))
+        full = sfft.rfft(phys, axis=-1, norm="forward")
+        for frac, nmodes in zip(FRACTIONS, (11, 17)):
+            g = make_grid(nx=32, ny=64, ymax=8.0, dealias_fraction=frac)
+            c = x_transform(g, phys, "forward")
+            assert c.shape == (g.ny, nmodes)
+            assert np.array_equal(c, full[:, :nmodes])
+
+    def test_above_cut_cosine_is_dropped(self):
+        """A cosine above the 2/3 cut leaves nothing in the stored modes:
+        exactly nothing at Nyquist, whose samples (-1)^n are exact, and
+        only the rounding of its samples (~1e-15) elsewhere."""
+        g = make_grid(nx=64, ny=16, ymax=8.0)
+        for j in range(g.nmodes, g.nx // 2 + 1):
+            phys = np.cos(j * g.x)[None, :] * np.ones((g.ny, 1))
+            c = x_transform(g, phys, "forward")
+            assert c.shape == (g.ny, g.nmodes)
+            if j == g.nx // 2:
+                assert np.all(c == 0.0)
+            else:
+                assert np.max(np.abs(c)) < 1e-14
 
 
 class TestDerivatives:
@@ -430,22 +482,29 @@ class TestWeightedNorms:
         assert got == pytest.approx(g.lx * np.sqrt(np.pi), rel=1e-7)
 
     def test_zero_weight_matches_physical_quadrature(self):
-        g = make_grid(nx=32, ny=512, ymax=12.0, lx=3.0)
         rng = np.random.default_rng(12)
-        phys = rng.standard_normal((g.ny, g.nx)) * np.exp(-g.y)[:, None]
-        f = Field.from_physical(g, phys)
-        direct = np.sqrt(np.sum(g.trapz_weights[:, None] * phys**2) * (g.lx / g.nx))
-        assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-12)
+        for frac in FRACTIONS:
+            g = make_grid(nx=32, ny=512, ymax=12.0, lx=3.0,
+                          dealias_fraction=frac)
+            phys = stored_physical(g, rng) * np.exp(-g.y)[:, None]
+            f = Field.from_physical(g, phys)
+            direct = np.sqrt(np.sum(g.trapz_weights[:, None] * phys**2)
+                             * (g.lx / g.nx))
+            assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct,
+                                                             rel=1e-12)
 
     def test_zero_weight_equals_physical_sum(self):
         """weighted_l2(f, 0, 0) is sqrt(lx/nx sum_y w_y sum_x f^2)."""
-        g = make_grid(nx=64, ny=300, ymax=10.0, lx=5.0)
         rng = np.random.default_rng(21)
-        phys = rng.standard_normal((g.ny, g.nx)) * np.exp(-0.3 * g.y)[:, None]
-        f = Field.from_physical(g, phys)
-        direct = np.sqrt(g.lx / g.nx * np.sum(
-            g.trapz_weights * np.sum(phys ** 2, axis=1)))
-        assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-13)
+        for frac in FRACTIONS:
+            g = make_grid(nx=64, ny=300, ymax=10.0, lx=5.0,
+                          dealias_fraction=frac)
+            phys = stored_physical(g, rng) * np.exp(-0.3 * g.y)[:, None]
+            f = Field.from_physical(g, phys)
+            direct = np.sqrt(g.lx / g.nx * np.sum(
+                g.trapz_weights * np.sum(phys ** 2, axis=1)))
+            assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct,
+                                                             rel=1e-13)
 
     def test_psi_weight_values(self):
         g = make_grid(ny=101, ymax=10.0)
@@ -503,13 +562,15 @@ class TestWeightedNorms:
         f = Field.from_physical(g, phys)
         assert weighted_l2(f, 0.5, 1.0) == weighted_l2(f.copy(), 0.5, 1.0)
 
-    @given(seed=st.integers(0, 2**32 - 1))
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.sampled_from(FRACTIONS))
     @settings(max_examples=15, deadline=None)
-    def test_parseval_property(self, seed):
-        """Spectral and physical quadrature agree for random fields."""
-        g = GridSpec(lx=2.0 * np.pi, nx=16, ymax=8.0, ny=48)
+    def test_parseval_property(self, seed, frac):
+        """Spectral and physical quadrature agree for random fields the
+        layout holds."""
+        g = GridSpec(lx=2.0 * np.pi, nx=16, ymax=8.0, ny=48,
+                     dealias_fraction=frac)
         rng = np.random.default_rng(seed)
-        phys = rng.uniform(-3.0, 3.0, (g.ny, g.nx))
+        phys = 3.0 * stored_physical(g, rng)
         f = Field.from_physical(g, phys)
         direct = np.sqrt(np.sum(g.trapz_weights[:, None] * phys**2) * (g.lx / g.nx))
         assert weighted_l2(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-12,

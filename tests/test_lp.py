@@ -10,7 +10,7 @@ the Bony product split, and the time-integrated shell accumulator.
 import numpy as np
 import pytest
 
-from mhdbl.grid import Field, GridSpec, ddx, weighted_l2
+from mhdbl.grid import Field, GridSpec, ddx, weighted_l2, x_transform
 from mhdbl.lp import (
     CLAccumulator,
     DyadicPartition,
@@ -30,8 +30,10 @@ from mhdbl.lp import (
 )
 
 
-def make_grid(nx=64, ny=96, ymax=12.0, lx=2.0 * np.pi):
-    return GridSpec(lx=lx, nx=nx, ymax=ymax, ny=ny)
+def make_grid(nx=64, ny=96, ymax=12.0, lx=2.0 * np.pi,
+              dealias_fraction=2.0 / 3.0):
+    return GridSpec(lx=lx, nx=nx, ymax=ymax, ny=ny,
+                    dealias_fraction=dealias_fraction)
 
 
 def single_mode_field(grid, j, profile, bc="dirichlet"):
@@ -81,14 +83,17 @@ class TestPartition:
         assert np.all(part.phi_table[:, ~nz] == 0.0)
 
     def test_window_covers_grid_frequencies(self):
-        g = make_grid(nx=64, lx=2.0 * np.pi)
-        part = build_partition(g)
-        assert part.n_shells == part.k_max - part.k_min + 1
-        assert part.n_shells >= 5
-        # smallest and largest nonzero frequencies both live in the window
-        assert part.phi_table[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
-        j_hi = g.nx // 2
-        assert part.phi_table[:, j_hi].sum() == pytest.approx(1.0, abs=1e-12)
+        for frac in (2.0 / 3.0, 1.0):
+            g = make_grid(nx=64, lx=2.0 * np.pi, dealias_fraction=frac)
+            part = build_partition(g)
+            assert part.n_shells == part.k_max - part.k_min + 1
+            assert part.n_shells >= 5
+            # smallest and largest stored nonzero frequencies both live in
+            # the window
+            assert part.phi_table[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
+            j_hi = g.nmodes - 1
+            assert part.phi_table[:, j_hi].sum() == pytest.approx(1.0,
+                                                                  abs=1e-12)
 
     def test_power_table_is_weighted_squared_shells(self):
         g = make_grid(nx=64)
@@ -253,18 +258,27 @@ class TestBesovNorms:
 
 class TestParaproduct:
     def test_bony_pieces_reconstruct_product(self):
-        g = make_grid(nx=64, ny=48)
-        part = build_partition(g)
-        rng = np.random.default_rng(6)
-        fa = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
-        fb = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
-        t1, t2, rem = paraproduct(part, fa, fb)
-        fp, gp = fa.physical(), fb.physical()
-        mean_term = (fa.coeffs[:, 0].real * fb.coeffs[:, 0].real)[:, None]
-        lhs = t1.physical() + t2.physical() + rem.physical()
-        rhs = fp * gp - mean_term
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
+        for frac in (2.0 / 3.0, 1.0):
+            g = make_grid(nx=64, ny=48, dealias_fraction=frac)
+            part = build_partition(g)
+            rng = np.random.default_rng(6)
+            fa = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
+            fb = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
+            t1, t2, rem = paraproduct(part, fa, fb)
+            fp, gp = fa.physical(), fb.physical()
+            mean_term = (fa.coeffs[:, 0].real * fb.coeffs[:, 0].real)[:, None]
+            # the pieces against the stored modes of the grid product
+            prod = x_transform(g, fp * gp, "forward")
+            prod[:, 0] -= mean_term[:, 0]
+            pieces = t1.coeffs + t2.coeffs + rem.coeffs
+            scale = max(1.0, float(np.max(np.abs(prod))))
+            assert np.max(np.abs(pieces - prod)) < 1e-10 * scale
+            if frac == 1.0:
+                # every mode stored: the pieces rebuild the product itself
+                lhs = t1.physical() + t2.physical() + rem.physical()
+                rhs = fp * gp - mean_term
+                scale = max(1.0, float(np.max(np.abs(rhs))))
+                assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
     def test_grid_mismatch_rejected(self):
         g1 = make_grid(nx=64)

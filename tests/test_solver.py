@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import cumulative_trapezoid
 
 from mhdbl.grid import BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, TailViolationError, ddy
@@ -58,8 +60,9 @@ from mhdbl.solver import (
 )
 
 
-def make_grid(nx=32, ny=513, ymax=16.0):
-    return GridSpec(lx=2.0 * np.pi, nx=nx, ymax=ymax, ny=ny)
+def make_grid(nx=32, ny=513, ymax=16.0, dealias_fraction=2.0 / 3.0):
+    return GridSpec(lx=2.0 * np.pi, nx=nx, ymax=ymax, ny=ny,
+                    dealias_fraction=dealias_fraction)
 
 
 def single_mode_field(grid, shape, bc, mode=1, amp=0.5):
@@ -163,8 +166,11 @@ class TestReconstructions:
 
 
 def full_spectrum(c, nx):
-    """All nx modes in FFT order from the stored non-negative ones."""
-    return np.concatenate([c, np.conj(c[:, nx // 2 - 1:0:-1])], axis=1)
+    """All nx modes in FFT order from the stored non-negative ones (the
+    modes above them are zero)."""
+    half = np.zeros((c.shape[0], nx // 2 + 1), dtype=complex)
+    half[:, :c.shape[1]] = c
+    return np.concatenate([half, np.conj(half[:, nx // 2 - 1:0:-1])], axis=1)
 
 
 def reference_tendency(grid, params, u, b):
@@ -234,20 +240,24 @@ class TestExplicitTendency:
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5])
     def test_matches_reference_spelling(self, kappa):
-        g = make_grid()
-        p = Params(kappa=kappa, epsilon=1e-3)
-        u0, b0, _ = initial_data_standard(g, p)
-        st = make_state(g, p, u0, b0)
-        ru, rb, _ = rhs_explicit(st)
-        ru_ref, rb_ref = reference_tendency(g, p, u0, b0)
-        scale = max(np.max(np.abs(ru_ref)), np.max(np.abs(rb_ref)))
-        assert np.max(np.abs(ru.coeffs - ru_ref)) < 1e-10 * scale
-        assert np.max(np.abs(rb.coeffs - rb_ref)) < 1e-10 * scale
+        # the 2/3 rule and the full band (every mode stored, none dropped)
+        for frac in (2.0 / 3.0, 1.0):
+            g = make_grid(dealias_fraction=frac)
+            p = Params(kappa=kappa, epsilon=1e-3)
+            u0, b0, _ = initial_data_standard(g, p)
+            st = make_state(g, p, u0, b0)
+            ru, rb, _ = rhs_explicit(st)
+            ru_ref, rb_ref = reference_tendency(g, p, u0, b0)
+            scale = max(np.max(np.abs(ru_ref)), np.max(np.abs(rb_ref)))
+            assert np.max(np.abs(ru.coeffs - ru_ref)) < 1e-10 * scale
+            assert np.max(np.abs(rb.coeffs - rb_ref)) < 1e-10 * scale
 
     @pytest.mark.parametrize("far", [False, True], ids=["trivial", "farfield"])
     def test_two_x_transforms_per_evaluation(self, monkeypatch, far):
         """All inverse transforms go in one batched call, the forward ones
-        in another, on both branches."""
+        in another, on both branches.  The inverse gets the workspace's
+        nx/2 + 1 wide stack (no padding inside the transform), and a step
+        leaves the stack's columns above the stored modes zero."""
         import mhdbl.grid
         g = make_grid(ny=257)
         p = Params(kappa=1.5, epsilon=1e-3)
@@ -257,18 +267,26 @@ class TestExplicitTendency:
             ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
             cut = build_cutoff(g)
         st = make_state(g, p, u0, b0)
+        ws = _Workspace(g)
         calls = []
+        widths = []
 
         def counted(grid, values, direction):
             calls.append(direction)
+            if direction == "inverse":
+                widths.append(values.shape[-1])
             return transform(grid, values, direction)
 
         transform = mhdbl.grid.x_transform
         for mod in ("grid", "lp", "scenario", "solver"):
             monkeypatch.setattr(f"mhdbl.{mod}.x_transform", counted)
-        ru, rb, _ = rhs_explicit(st, ff, cut)
+        ru, rb, _ = rhs_explicit(st, ff, cut, ws)
         assert sorted(calls) == ["forward", "inverse"]
+        assert widths == [g.nx // 2 + 1]
         assert np.max(np.abs(ru.coeffs)) > 0.0
+        step_imex(st, 1e-3, ff, cut, ws)
+        assert np.any(ws.factors[..., :g.nmodes])
+        assert not np.any(ws.factors[..., g.nmodes:])
 
     def test_farfield_needs_cutoff(self):
         g = make_grid()
@@ -739,11 +757,11 @@ class TestCheckpoint:
         expand = mhdbl.solver.full_spectrum
         calls = []
 
-        def failing(half):
+        def failing(grid, coeffs):
             calls.append(1)
             if len(calls) == 3:    # the header and u are already written
                 raise OSError("disk full")
-            return expand(half)
+            return expand(grid, coeffs)
 
         monkeypatch.setattr(mhdbl.solver, "full_spectrum", failing)
         st.t += 1.0
@@ -752,17 +770,21 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["keep.ckpt"]
 
-    def _parent_format_file(self, path, state, ff):
-        """A version-1 file as written before the half-spectrum layout: a
+    def _parent_format_file(self, path, state, ff, extras=None):
+        """A version-1 file as written before the stored-mode layout: a
         header without the diffusivity overrides and all nx modes of each
-        array, made by a complex FFT of the real fields."""
+        array, made by a complex FFT of the real fields, with the modes
+        above the dealias cut holding the 1e-214 tail that the standard
+        data leaves there."""
         import json, struct
         from scipy import fft as sfft
         from mhdbl.grid import x_transform
         g = state.grid
 
         def full(c):
-            return sfft.fft(x_transform(g, c, "inverse"), axis=-1) / g.nx
+            out = sfft.fft(x_transform(g, c, "inverse"), axis=-1) / g.nx
+            out[..., g.nmodes:g.nx - g.nmodes + 1] = 1e-214
+            return out
 
         g_full = full(ff.g_spec)
         header = {
@@ -778,7 +800,7 @@ class TestCheckpoint:
             "farfield": {"kind": ff.kind, "eps": ff.eps, "alpha": ff.alpha,
                          "g_re": g_full.real.tolist(),
                          "g_im": g_full.imag.tolist()},
-            "extras": {},
+            "extras": extras or {},
         }
         blob = json.dumps(header).encode("utf-8")
         arrays = b"".join(full(c).astype("<c16").tobytes() for c in (
@@ -792,22 +814,47 @@ class TestCheckpoint:
         g, p, st = self._stepped_state()
         ff = farfield_decaying(g, p, 1e-4, 2.5, np.cos(2.0 * g.x))
         old = tmp_path / "old.ckpt"
-        n = self._parent_format_file(str(old), st, ff)
-        st2, ff2, _ = load_checkpoint(str(old))
+        # the old layout had one more Chemin-Lerner shell, always 0.0
+        n_shells = build_partition(g).n_shells
+        cl = [float(k + 1) for k in range(n_shells)] + [0.0]
+        n = self._parent_format_file(str(old), st, ff,
+                                     extras={"cl_integrals": cl})
+        st2, ff2, extras = load_checkpoint(str(old))
         assert st2.params == p
+        assert extras["cl_integrals"] == cl[:n_shells]
         scale = np.max(np.abs(st.u.coeffs))
         assert np.max(np.abs(st2.u.coeffs - st.u.coeffs)) < 1e-15 * scale
         assert np.max(np.abs(ff2.g_spec - ff.g_spec)) < 1e-15
         new = tmp_path / "new.ckpt"
         save_checkpoint(str(new), st2, ff2)
-        # the array section comes back bit for bit, up to the sign of
-        # exact zeros in the mirrored modes: the stored half cannot carry
-        # it, and the old writers did not follow one rule for it
-        a = np.frombuffer(old.read_bytes()[-n:], dtype="<f8")
-        b = np.frombuffer(new.read_bytes()[-n:], dtype="<f8")
-        assert np.array_equal(a.view("<u8")[a != 0.0],
-                              b.view("<u8")[a != 0.0])
-        assert np.all(b[a == 0.0] == 0.0)
+        # the stored modes and their mirrors come back bit for bit, up to
+        # the sign of exact zeros in the mirrored modes: the stored half
+        # cannot carry it, and the old writers did not follow one rule for
+        # it.  The modes above the cut are dropped and written as zeros.
+        kept = np.zeros(g.nx, dtype=bool)
+        kept[:g.nmodes] = kept[g.nx - g.nmodes + 1:] = True
+        a = np.frombuffer(old.read_bytes()[-n:], dtype="<f8").reshape(
+            -1, g.ny, g.nx, 2)
+        b = np.frombuffer(new.read_bytes()[-n:], dtype="<f8").reshape(
+            -1, g.ny, g.nx, 2)
+        ak, bk = a[:, :, kept], b[:, :, kept]
+        assert np.array_equal(ak.view("<u8")[ak != 0.0],
+                              bk.view("<u8")[ak != 0.0])
+        assert np.all(bk[ak == 0.0] == 0.0)
+        assert np.all(a[:, :, ~kept] == np.array([1e-214, 0.0]))
+        assert np.all(b[:, :, ~kept] == 0.0)
+
+    def test_nonzero_extra_cl_shell_refused(self, tmp_path):
+        """A shell outside this grid's window may be dropped only when it
+        holds exactly 0; too few shells are refused as well."""
+        g, p, st = self._stepped_state()
+        n_shells = build_partition(g).n_shells
+        for cl in ([0.0] * n_shells + [1e-300], [0.0] * (n_shells - 1)):
+            path = tmp_path / "cl.ckpt"
+            self._parent_format_file(str(path), st, farfield_trivial(g),
+                                     extras={"cl_integrals": cl})
+            with pytest.raises(CheckpointError, match="Chemin-Lerner shells"):
+                load_checkpoint(str(path))
 
     def test_non_hermitian_file_refused(self, tmp_path):
         g, p, st = self._stepped_state()
@@ -841,6 +888,34 @@ class TestCheckpoint:
             path.write_bytes(blob)
             with pytest.raises(CheckpointError, match=msg):
                 load_checkpoint(str(path))
+
+    @pytest.fixture(scope="class")
+    def valid_file(self, tmp_path_factory):
+        """A checkpoint as a run leaves it: multistep history, CL
+        integrals, a far field."""
+        g, p, st = self._stepped_state()
+        ff = farfield_decaying(g, p, 1e-4, 2.5, default_x_profile(g))
+        extras = {"cl_integrals": [1e-6] * build_partition(g).n_shells,
+                  "theta_int1": 1e-3, "audit_min": {}, "umax_est": 0.1}
+        path = tmp_path_factory.mktemp("valid") / "valid.ckpt"
+        save_checkpoint(str(path), st, ff, extras=extras)
+        return path.read_bytes()
+
+    @given(data=hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_file_refused(self, valid_file, tmp_path_factory, data):
+        """Cut anywhere, a checkpoint raises CheckpointError and nothing
+        else.  Two thirds of the cuts land in the magic, the version and
+        length words (18 bytes) and the header."""
+        raw = valid_file
+        hend = 18 + int.from_bytes(raw[10:18], "little")
+        cut = data.draw(hst.one_of(hst.integers(0, 18),
+                                   hst.integers(0, hend + 16),
+                                   hst.integers(0, len(raw) - 1)), label="cut")
+        path = tmp_path_factory.mktemp("cut") / "cut.ckpt"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
