@@ -24,7 +24,7 @@ def run(grid, params, dt, t_final):
     ws = _Workspace(grid)
     n = round(t_final / dt)
     for _ in range(n):
-        st = step_imex(st, dt, None, None, ws)
+        st = step_imex(st, dt, None, ws)
     return st
 
 

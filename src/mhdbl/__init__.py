@@ -13,9 +13,9 @@ from .lp import (CLAccumulator, DyadicPartition, besov_h_norm, besov_norm,
 from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
                        assumption_check, bernoulli_residual, build_cutoff,
                        cutoff_value, default_x_profile, derived_exponents,
-                       farfield_decaying, farfield_trivial,
-                       flux_projection_profiles, initial_data_standard,
-                       project_zero_flux, source_terms)
+                       farfield_decaying, flux_projection_profiles,
+                       initial_data_standard, project_zero_flux,
+                       source_terms)
 from .solver import (CheckpointError, DivergenceError, FluxDriftError,
                      NormSeries, SimResult, State, TStarReachedError,
                      compute_GH, eikonal_residual, eqs2_residual,

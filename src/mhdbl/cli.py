@@ -16,9 +16,8 @@ import sys
 import numpy as np
 
 from .grid import Field, GridSpec, TailViolationError
-from .scenario import (Params, UnsupportedScenarioError, build_cutoff,
-                       default_x_profile, farfield_decaying, farfield_trivial,
-                       initial_data_standard)
+from .scenario import (Params, UnsupportedScenarioError, default_x_profile,
+                       farfield_decaying, initial_data_standard)
 from .solver import (CheckpointError, DivergenceError, NormSeries,
                      TStarReachedError, load_checkpoint,
                      resolve_branch_alpha, save_checkpoint, simulate)
@@ -133,8 +132,8 @@ def _prepare_out(out_dir: str) -> str:
 
 
 def build_run(cfg: dict):
-    """Grid, parameters, initial fields, far field, and cutoff from a
-    validated config."""
+    """Grid, parameters, initial fields, and far field (None for
+    scenario.farfield=trivial) from a validated config."""
     grid = GridSpec(lx=cfg["grid.lx"], nx=cfg["grid.nx"],
                     ymax=cfg["grid.ymax"], ny=cfg["grid.ny"])
     params = Params(kappa=cfg["params.kappa"], epsilon=cfg["params.epsilon"],
@@ -145,14 +144,11 @@ def build_run(cfg: dict):
         report = None
     else:
         u0, b0, report = initial_data_standard(grid, params)
-    if cfg["scenario.farfield"] == "trivial":
-        ff = farfield_trivial(grid)
-        cutoff = None
-    else:
+    ff = None
+    if cfg["scenario.farfield"] == "decaying":
         ff = farfield_decaying(grid, params, cfg["scenario.ff_eps"],
                                cfg["scenario.alpha"], default_x_profile(grid))
-        cutoff = build_cutoff(grid)
-    return grid, params, u0, b0, ff, cutoff, report
+    return grid, params, u0, b0, ff, report
 
 
 def write_norms_csv(path: str, series: NormSeries) -> None:
@@ -191,7 +187,8 @@ def _fits_for_summary(series: NormSeries, t_final: float) -> dict:
 
 def _write_outputs(out_dir: str, cfg, series, summary, state, ff) -> None:
     write_norms_csv(os.path.join(out_dir, "norms.csv"), series)
-    extras = summary.pop("_resume_extras", None)
+    extras = dict(summary.pop("_resume_extras"),
+                  scenario_id=cfg["scenario.id"])
     doc = {
         "config": cfg,
         "summary": summary,
@@ -222,9 +219,9 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, args.overrides)
     validate_config(cfg)
     out_dir = _prepare_out(args.out)
-    grid, params, u0, b0, ff, cutoff, id_report = build_run(cfg)
+    grid, params, u0, b0, ff, id_report = build_run(cfg)
     result, code = _run(grid=grid, params=params, u0=u0, b0=b0, farfield=ff,
-                        cutoff=cutoff, t_final=cfg["run.t_final"],
+                        t_final=cfg["run.t_final"],
                         dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
                         sample_every=cfg["run.sample_every"],
                         branch=cfg["run.branch"])
@@ -285,19 +282,19 @@ def cmd_resume(args) -> int:
     cfg.update({"grid.lx": g.lx, "grid.nx": g.nx, "grid.ny": g.ny,
                 "grid.ymax": g.ymax, "params.kappa": p.kappa,
                 "params.epsilon": p.epsilon, "params.delta": p.delta,
-                "params.lam": p.lam, "scenario.farfield": ff.kind})
-    if not ff.trivial:
-        cfg.update({"scenario.ff_eps": ff.eps, "scenario.alpha": ff.alpha})
+                "params.lam": p.lam,
+                "scenario.id": extras.get("scenario_id", cfg["scenario.id"])})
+    if ff is not None:
+        cfg.update({"scenario.farfield": "decaying",
+                    "scenario.ff_eps": ff.eps, "scenario.alpha": ff.alpha})
     if alpha != resolve_branch_alpha(p.kappa, "auto"):
         cfg["run.branch"] = "unit" if alpha == 1.0 else "kappa"
     if cfg["run.t_final"] <= state.t:
         raise ConfigError(
             f"run.t_final={cfg['run.t_final']} does not extend the "
             f"checkpoint time {state.t:.6g}")
-    cutoff = build_cutoff(state.grid) if not ff.trivial else None
     result, code = _run(grid=state.grid, params=state.params, u0=state.u,
-                        b0=state.b, farfield=ff, cutoff=cutoff,
-                        t_final=cfg["run.t_final"],
+                        b0=state.b, farfield=ff, t_final=cfg["run.t_final"],
                         dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
                         sample_every=cfg["run.sample_every"],
                         resume_state=state, resume_extras=extras)

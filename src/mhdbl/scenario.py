@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -196,7 +197,6 @@ def cutoff_value(y):
 class Cutoff:
     """Wall cutoff sampled on a grid's y nodes: chi, chi', chi'', chi'''."""
 
-    grid: GridSpec
     chi: np.ndarray
     dchi: np.ndarray
     d2chi: np.ndarray
@@ -215,7 +215,7 @@ def build_cutoff(grid: GridSpec) -> Cutoff:
         raise ValueError(
             f"cutoff transition zone holds only {in_zone} nodes; need >= 16 "
             "(refine ny or shrink ymax)")
-    return Cutoff(grid, cutoff_value(y), cutoff_slope(y), cutoff_slope_d1(y),
+    return Cutoff(cutoff_value(y), cutoff_slope(y), cutoff_slope_d1(y),
                   cutoff_slope_d2(y))
 
 
@@ -224,9 +224,10 @@ def build_cutoff(grid: GridSpec) -> Cutoff:
 
 @dataclass
 class FarField:
-    """Tangential flow U(t, x) imposed above the layer.
+    """Tangential flow U(t, x) imposed above the layer and patched onto it
+    through the wall cutoff.  A run without a far field passes None.
 
-    U is separable: amplitude * <t>^{-power} * profile(x), stored as the
+    U is separable: eps * <t>^{-alpha} * profile(x), stored as the
     profile's nmodes mode amplitudes.  The far magnetic field B is zero
     by construction: no supported family has B != 0 (farfield_decaying
     rejects the kappa = 1 background, the only case where B would enter),
@@ -234,14 +235,11 @@ class FarField:
     """
 
     grid: GridSpec
-    kind: str
-    eps: float = 0.0
-    alpha: float = 0.0
-    g_spec: np.ndarray = None
+    eps: float
+    alpha: float
+    g_spec: np.ndarray
 
     def __post_init__(self):
-        if self.g_spec is None:
-            self.g_spec = np.zeros(self.grid.nmodes, dtype=complex)
         # time-free parts of the physical rows, transformed once: g, d_x g
         # and the spectrum of g d_x g
         g = self.grid
@@ -250,21 +248,18 @@ class FarField:
         self._adv_spec = x_transform(g, self._g_row * self._dxg_row,
                                      "forward")
 
-    @property
-    def trivial(self) -> bool:
-        return self.kind == "trivial"
+    @cached_property
+    def cutoff(self) -> Cutoff:
+        """The wall cutoff on this grid, sampled on first use."""
+        return build_cutoff(self.grid)
 
     def _amp(self, t: float) -> float:
-        if self.trivial:
-            return 0.0
         return self.eps * (1.0 + t) ** (-self.alpha)
 
     def u_spec(self, t: float) -> np.ndarray:
         return self._amp(t) * self.g_spec
 
     def dt_u_spec(self, t: float) -> np.ndarray:
-        if self.trivial:
-            return np.zeros(self.grid.nmodes, dtype=complex)
         return (-self.alpha) * self.eps * (1.0 + t) ** (-self.alpha - 1.0) \
             * self.g_spec
 
@@ -276,10 +271,6 @@ class FarField:
     def advection_spec(self, t: float) -> np.ndarray:
         """Mode amplitudes of U d_x U at time t."""
         return self._amp(t) ** 2 * self._adv_spec
-
-
-def farfield_trivial(grid: GridSpec) -> FarField:
-    return FarField(grid, "trivial")
 
 
 def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
@@ -311,7 +302,7 @@ def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
         g_spec = x_transform(grid, g_profile, "forward")
     if abs(g_spec[0]) > 1e-13 * (1.0 + np.max(np.abs(g_spec))):
         raise UnsupportedScenarioError("far-field profile must have zero x mean")
-    return FarField(grid, "decaying", eps=eps, alpha=alpha, g_spec=g_spec)
+    return FarField(grid, eps, alpha, g_spec)
 
 
 def bernoulli_residual(ff: FarField, params: Params, t: float) -> float:
@@ -333,12 +324,6 @@ def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
     shell holds a non-negligible share.
     """
     report = {"ok": True, "divergent": [], "values": {}}
-    if ff.trivial:
-        report["values"] = {"sup_weighted_32": 0.0, "l2_weighted_12": 0.0,
-                            "l1_weighted_12": 0.0}
-        report["tail_share"] = 0.0
-        return report
-
     a = ff.alpha
     sn = besov_h_shell_norms(part, ff.g_spec, r=delta)   # ||Delta_k g|| e-wtd
     tail = float(sn[-1] / sn.sum()) if sn.sum() > 0 else 0.0
@@ -391,25 +376,20 @@ def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
 # ---- forcing ---------------------------------------------------------------
 
 
-def source_terms(ff: FarField, cutoff: Optional[Cutoff], grid: GridSpec,
-                 t: float) -> Field:
+def source_terms(ff: FarField, t: float) -> Field:
     """Forcing created by patching the far field onto the layer.
 
     Returns f_u, the tangential-velocity tendency (supported in the
     cutoff zone 0 <= y <= 2).  The magnetic half is zero by construction
     (B = 0 and bbar d_x U = 0 in every supported family), so it is not
-    formed.  A trivial far field gives a zero field.
+    formed.
     """
-    if ff.trivial:
-        return Field.zeros(grid, BC_NEUMANN)
-    if cutoff is None:
-        raise ValueError("nontrivial far field needs a cutoff")
-
-    quad_plus = 1.0 - cutoff.dchi ** 2 + cutoff.chi * cutoff.d2chi
-    cu = (np.outer(1.0 - cutoff.dchi, ff.dt_u_spec(t))
-          + np.outer(cutoff.d3chi, ff.u_spec(t))
+    cut = ff.cutoff
+    quad_plus = 1.0 - cut.dchi ** 2 + cut.chi * cut.d2chi
+    cu = (np.outer(1.0 - cut.dchi, ff.dt_u_spec(t))
+          + np.outer(cut.d3chi, ff.u_spec(t))
           + np.outer(quad_plus, ff.advection_spec(t)))
-    return Field(grid, cu, BC_NEUMANN)
+    return Field(ff.grid, cu, BC_NEUMANN)
 
 
 # ---- initial data ----------------------------------------------------------

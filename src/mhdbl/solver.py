@@ -27,8 +27,8 @@ from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
 from .lp import (CLAccumulator, DyadicPartition, besov_h_shell_norms,
                  besov_norm, besov_pair_norm, build_partition,
                  pair_shell_norms)
-from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
-                       derived_exponents, farfield_trivial,
+from .scenario import (FarField, Params, UnsupportedScenarioError,
+                       derived_exponents, farfield_decaying,
                        flux_projection_profiles, project_zero_flux,
                        source_terms)
 
@@ -130,7 +130,6 @@ class State:
     u: Field
     b: Field
     theta: float = 0.0
-    dt: float = 1e-2
     step_index: int = 0
     weight_alpha: float = 1.0       # 1: plain weight; 1/kappa: kappa branch
     prev_ru: Optional[np.ndarray] = None
@@ -160,9 +159,9 @@ class State:
 
 
 def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
-               branch: str = "auto", dt: float = 1e-2) -> State:
+               branch: str = "auto") -> State:
     alpha = resolve_branch_alpha(params.kappa, branch)
-    return State(grid, params, 0.0, u0.copy(), b0.copy(), theta=0.0, dt=dt,
+    return State(grid, params, 0.0, u0.copy(), b0.copy(), theta=0.0,
                  weight_alpha=alpha)
 
 
@@ -250,19 +249,15 @@ def compute_GH(state: State, phi: Field, psi: Field):
 
 
 def rhs_explicit(state: State, farfield: Optional[FarField] = None,
-                 cutoff: Optional[Cutoff] = None,
                  ws: Optional[_Workspace] = None):
     """Everything except the implicit diffusion: linear background
     coupling, the quadratic transport terms, far-field couplings through
-    the cutoff, and the patching sources.  Products are formed pointwise
+    its cutoff, and the patching sources.  Products are formed pointwise
     in physical space and dealiased.  Returns (ru, rb, umax), umax the
     largest physical |u| (plus |U| with a far field) for the CFL bound."""
     g = state.grid
     p = state.params
     u, b = state.u, state.b
-    trivial = farfield is None or farfield.trivial
-    if not trivial and cutoff is None:
-        raise ValueError("nontrivial far field needs a cutoff")
 
     # the eight factors, inverse-transformed in one call from ws.factors
     ws = ws or _Workspace(g)
@@ -288,12 +283,12 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     nl[0] = u_p * dux_p - b_p * dbx_p + v_p * duy_p - h_p * dby_p
     nl[1] = u_p * dbx_p - b_p * dux_p + v_p * dby_p - h_p * duy_p
 
-    if not trivial:
+    if farfield is not None:
         U_p, dxU_p = farfield.physical_rows(state.t)
         umax += float(np.max(np.abs(U_p)))
-        c1 = cutoff.dchi[:, None]
-        c0 = cutoff.chi[:, None]
-        c2 = cutoff.d2chi[:, None]
+        c1 = farfield.cutoff.dchi[:, None]
+        c0 = farfield.cutoff.chi[:, None]
+        c2 = farfield.cutoff.d2chi[:, None]
         nl[0] += (c1 * (U_p * dux_p) + c1 * (dxU_p * u_p)
                   + c0 * (-dxU_p * duy_p) + c2 * (U_p * v_p))
         nl[1] += (c1 * (U_p * dbx_p) + c1 * (-dxU_p * b_p)
@@ -306,8 +301,8 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     ru += p.bbar * dbx
     rb += p.bbar * dux
 
-    if not trivial:
-        ru += source_terms(farfield, cutoff, g, state.t).coeffs
+    if farfield is not None:
+        ru += source_terms(farfield, state.t).coeffs
 
     return (Field(g, ru, BC_DIRICHLET), Field(g, rb, BC_NEUMANN), umax)
 
@@ -326,7 +321,7 @@ def theta_components(state: State, farfield: Optional[FarField],
     per = pair_shell_norms(part, dG, dH, state.weight_alpha, t, radius)
     comp1 = (1.0 + t) ** 0.25 * part.besov_sum(per, 0.5)
     comp2 = 0.0
-    if farfield is not None and not farfield.trivial:
+    if farfield is not None:
         su = besov_h_shell_norms(part, farfield.u_spec(t), r=radius)
         comp2 = (state.params.epsilon ** (-0.5) * (1.0 + t) ** 1.25
                  * part.besov_sum(su, 0.5))
@@ -356,16 +351,21 @@ def _cn_matrix(ny: int, dy: float, nu: float, dt: float, bc: str) -> np.ndarray:
 
 
 class _Workspace:
-    """Per-run cache: partition, flux shapes, factor-free banded matrices
-    and the RHS factor stack."""
+    """Per-run cache: partition, zero-flux shapes, factor-free banded
+    matrices and the RHS factor stack."""
 
-    def __init__(self, grid: GridSpec, flux_shapes=None):
+    def __init__(self, grid: GridSpec):
         self.grid = grid
         self.part = build_partition(grid)
-        if flux_shapes is None:
-            flux_shapes = flux_projection_profiles(grid)
-        self.shape_u, self.shape_b = flux_shapes
         self._mats = {}
+        self._shapes = {}
+
+    def projection_shapes(self, nu_u: float):
+        """Zero-flux shapes for momentum diffusivity nu_u: the standard ones
+        at nu_u = 1, the conjugate system's (kappa = 1 / nu_u) otherwise."""
+        if nu_u not in self._shapes:
+            self._shapes[nu_u] = flux_projection_profiles(self.grid, 1 / nu_u)
+        return self._shapes[nu_u]
 
     def cn_matrix(self, nu: float, dt: float, bc: str) -> np.ndarray:
         key = (nu, dt, bc)
@@ -399,7 +399,6 @@ def _diffusivities(params: Params) -> tuple:
 
 
 def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
-              cutoff: Optional[Cutoff] = None,
               ws: Optional[_Workspace] = None) -> State:
     """One IMEX step: AB2 (RK2 midpoint bootstrap) for the explicit
     tendencies, Crank-Nicolson for diffusion, zero-flux projection of the
@@ -411,7 +410,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
         ws = _Workspace(state.grid)
     nu_u, nu_b = _diffusivities(state.params)
 
-    ru0, rb0, umax = rhs_explicit(state, farfield, cutoff, ws)
+    ru0, rb0, umax = rhs_explicit(state, farfield, ws)
     restart = (state.prev_ru is None or state.prev_dt is None
                or abs(state.prev_dt - dt) > 1e-9 * dt)
     if restart:
@@ -424,7 +423,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
                   Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
                         state.b.bc),
                   theta=state.theta, weight_alpha=state.weight_alpha),
-            farfield, cutoff, ws)
+            farfield, ws)
         eu, eb = rum.coeffs, rbm.coeffs
     else:
         eu = 1.5 * ru0.coeffs - 0.5 * state.prev_ru
@@ -432,8 +431,9 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
 
     u1 = _cn_solve(ws, state.u, eu, nu_u, dt)
     b1 = _cn_solve(ws, state.b, eb, nu_b, dt)
-    u1 = project_zero_flux(u1, ws.shape_u)
-    b1 = project_zero_flux(b1, ws.shape_b)
+    shape_u, shape_b = ws.projection_shapes(nu_u)
+    u1 = project_zero_flux(u1, shape_u)
+    b1 = project_zero_flux(b1, shape_b)
 
     m = max(float(np.max(np.abs(u1.coeffs))), float(np.max(np.abs(b1.coeffs))))
     if not math.isfinite(m):
@@ -441,7 +441,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
 
     t1 = state.t + dt
     new = State(state.grid, state.params, t1, u1, b1, theta=state.theta,
-                dt=dt, step_index=state.step_index + 1,
+                step_index=state.step_index + 1,
                 weight_alpha=state.weight_alpha,
                 prev_ru=ru0.coeffs, prev_rb=rb0.coeffs, prev_dt=dt)
     comp1, comp2 = theta_components(new, farfield, ws.part, state.radius)
@@ -515,7 +515,6 @@ def tail_guard_check(state: State) -> float:
 
 def eqs2_residual(state_prev: State, state_next: State,
                   farfield: Optional[FarField] = None,
-                  cutoff: Optional[Cutoff] = None,
                   part: Optional[DyadicPartition] = None) -> dict:
     """Residual of the antiderivative evolution equations evaluated on two
     consecutive solver states: forward time difference of the
@@ -539,9 +538,6 @@ def eqs2_residual(state_prev: State, state_next: State,
     dphi = (phi1.coeffs - phi0.coeffs) / dt
     dpsi = (psi1.coeffs - psi0.coeffs) / dt
 
-    far = farfield is not None and not farfield.trivial
-    if far and cutoff is None:
-        raise ValueError("nontrivial far field needs a cutoff")
     u, b = state_prev.u, state_prev.b
     ixi = 1j * g.xi
     dxphi = phi0.coeffs * ixi
@@ -552,14 +548,14 @@ def eqs2_residual(state_prev: State, state_next: State,
 
     # factors inverse-transformed in one call, products forward in one
     factors = [u.coeffs, b.coeffs, dxphi, dxpsi, duy.coeffs, dby.coeffs]
-    if far:
+    if farfield is not None:
         factors.append(phi0.coeffs)
     phys = x_transform(g, np.stack(factors), "inverse")
     u_p, b_p, dxphi_p, dxpsi_p, duy_p, dby_p = phys[:6]
     products = [u_p * dxphi_p - b_p * dxpsi_p,
                 u_p * dxpsi_p - b_p * dxphi_p,
                 dxphi_p * duy_p - dxpsi_p * dby_p]
-    if far:
+    if farfield is not None:
         U_p, dxU_p = farfield.physical_rows(state_prev.t)
         phi_p = phys[6]
         products += [U_p * dxphi_p, -dxU_p * u_p, dxU_p * phi_p,
@@ -573,17 +569,17 @@ def eqs2_residual(state_prev: State, state_next: State,
                + 2.0 * tail_cross)
     res_psi = (dpsi - nu_b * lap_psi - p.bbar * dxphi + adv_psi)
 
-    if far:
-        c0 = cutoff.chi[:, None]
-        c1 = cutoff.dchi[:, None]
-        c2 = cutoff.d2chi[:, None]
+    if farfield is not None:
+        c0 = farfield.cutoff.chi[:, None]
+        c1 = farfield.cutoff.dchi[:, None]
+        c2 = farfield.cutoff.d2chi[:, None]
         t1, t3, t4, s1, s3 = spec[3:]
         t2 = integrate_y_tail(Field(g, c2 * t1, BC_NEUMANN)).coeffs
         t5 = integrate_y_tail(Field(g, c2 * t4, BC_NEUMANN)).coeffs
         res_phi += c1 * t1 + 2.0 * t2 + c0 * t3 + 2.0 * c1 * t4 + 2.0 * t5
         res_psi += c1 * s1 + c0 * s3
         # the source's tail integral F_u = -int_y^ymax f_u enters as -F_u
-        f_u = source_terms(farfield, cutoff, g, state_prev.t)
+        f_u = source_terms(farfield, state_prev.t)
         res_phi += integrate_y_tail(f_u).coeffs
 
     res_phi[0] = 0.0
@@ -646,30 +642,24 @@ _AUDIT_EVERY = 10
 
 def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
              farfield: Optional[FarField] = None,
-             cutoff: Optional[Cutoff] = None,
              t_final: float = 1.0, dt_max: float = 1e-2, cfl: float = 0.4,
              sample_every: int = 10, branch: str = "auto",
              resume_state: Optional[State] = None,
-             resume_extras: Optional[dict] = None,
-             flux_shapes=None) -> SimResult:
+             resume_extras: Optional[dict] = None) -> SimResult:
     """Run the IMEX loop to t_final with sampling, guards, and audits.
 
     Returns the final state plus the sampled series and a summary with
     the audit minima, theta bookkeeping, and flux statistics.  Raises
     TStarReachedError / DivergenceError / TailViolationError with partial
-    output attached when a guard fires.
-
-    flux_shapes optionally replaces the zero-flux projection profiles
-    with a (shape_u, shape_b) pair sampled on grid.y; conjugate-system
-    runs pass scenario.flux_projection_profiles(grid, kappa) so both
-    discretizations remove mirror-image corrections.
+    output attached when a guard fires, and ValueError before the first
+    sample when the far field's cutoff is unresolved on the grid.
     """
-    if farfield is None:
-        farfield = farfield_trivial(grid)
-    if params.kappa == 1.0 and not farfield.trivial:
-        raise UnsupportedScenarioError(
-            "kappa = 1 runs require the trivial far field")
-    ws = _Workspace(grid, flux_shapes)
+    if farfield is not None:
+        if params.kappa == 1.0:
+            raise UnsupportedScenarioError(
+                "kappa = 1 runs require the trivial far field")
+        farfield.cutoff    # sampled now, so a bad grid fails before output
+    ws = _Workspace(grid)
 
     if resume_state is not None:
         state = resume_state
@@ -749,7 +739,7 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
             cl.add(pair_shell_norms(ws.part, du, db, state.weight_alpha,
                                     state.t, state.radius), w, dt)
 
-            new = step_imex(state, dt, farfield, cutoff, ws)
+            new = step_imex(state, dt, farfield, ws)
             theta_int1 += dt * new.diagnostics["theta_comp1"]
             umax_est = new.diagnostics["umax"]
 
@@ -806,16 +796,22 @@ _MAGIC = b"MHDBL\x00"
 _CKPT_VERSION = 1
 
 
-def save_checkpoint(path: str, state: State, farfield: FarField,
+def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
                     extras: Optional[dict] = None) -> None:
     """Binary snapshot: magic, version, JSON header, then the field and
     multistep-history arrays as little-endian complex pairs, y-major, with
     all nx x modes in FFT order; the modes above the dealias cut, which a
-    field does not store, are written as zeros.
+    field does not store, are written as zeros.  A run without a far
+    field writes "farfield": null.
 
     Written to a temporary file beside `path` and renamed over it, so a
     failed write leaves any previous file intact."""
-    g_full = full_spectrum(state.grid, farfield.g_spec)
+    ff = None
+    if farfield is not None:
+        g_full = full_spectrum(state.grid, farfield.g_spec)
+        ff = {"kind": "decaying", "eps": farfield.eps,
+              "alpha": farfield.alpha, "g_re": g_full.real.tolist(),
+              "g_im": g_full.imag.tolist()}
     header = {
         "version": _CKPT_VERSION,
         "grid": {"lx": state.grid.lx, "nx": state.grid.nx,
@@ -825,15 +821,11 @@ def save_checkpoint(path: str, state: State, farfield: FarField,
                    "epsilon": state.params.epsilon,
                    "delta": state.params.delta, "lam": state.params.lam,
                    "nu_u": state.params.nu_u, "nu_b": state.params.nu_b},
-        "t": state.t, "theta": state.theta, "dt": state.dt,
-        "prev_dt": state.prev_dt,
+        "t": state.t, "theta": state.theta, "prev_dt": state.prev_dt,
         "step_index": state.step_index,
         "weight_alpha": state.weight_alpha,
         "has_prev": state.prev_ru is not None,
-        "farfield": {"kind": farfield.kind, "eps": farfield.eps,
-                     "alpha": farfield.alpha,
-                     "g_re": g_full.real.tolist(),
-                     "g_im": g_full.imag.tolist()},
+        "farfield": ff,
         "extras": extras or {},
     }
     blob = json.dumps(header).encode("utf-8")
@@ -870,7 +862,8 @@ def load_checkpoint(path: str):
     Modes above the dealias cut are dropped, as is a trailing exactly-0
     Chemin-Lerner shell outside the grid's window (files written when all
     modes were stored); files without the diffusivity overrides load with
-    the standard pair."""
+    the standard pair, and a far field of kind "trivial" (older files)
+    loads as None."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -930,18 +923,23 @@ def _restore(header: dict, buf: io.BytesIO):
         prev_ru = read_arr("prev_ru")
         prev_rb = read_arr("prev_rb")
     state = State(grid, params, header["t"], u, b, theta=header["theta"],
-                  dt=header["dt"], step_index=header["step_index"],
+                  step_index=header["step_index"],
                   weight_alpha=header["weight_alpha"],
                   prev_ru=prev_ru, prev_rb=prev_rb,
                   prev_dt=header.get("prev_dt"))
     fd = header["farfield"]
-    g_full = np.asarray(fd["g_re"]) + 1j * np.asarray(fd["g_im"])
-    if g_full.shape != (grid.nx,):
-        raise CheckpointError("checkpoint far-field profile has the wrong "
-                              "length")
-    ff = FarField(grid, fd["kind"], eps=fd["eps"], alpha=fd["alpha"],
-                  g_spec=fold(g_full, "far-field profile"))
+    ff = None
+    if fd is not None and fd["kind"] != "trivial":
+        g_full = np.asarray(fd["g_re"]) + 1j * np.asarray(fd["g_im"])
+        if g_full.shape != (grid.nx,):
+            raise CheckpointError("checkpoint far-field profile has the "
+                                  "wrong length")
+        # validated as a new far field is, so a bad value exits 2
+        ff = farfield_decaying(grid, params, fd["eps"], fd["alpha"],
+                               fold(g_full, "far-field profile"))
     extras = header.get("extras", {})
+    if not isinstance(extras, dict):
+        raise CheckpointError("malformed checkpoint header")
     if "cl_integrals" in extras:
         cl, n = extras["cl_integrals"], build_partition(grid).n_shells
         if len(cl) < n or any(cl[n:]):

@@ -17,8 +17,7 @@ import pytest
 from mhdbl.cli import main, read_norms_csv
 from mhdbl.grid import BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, x_transform
 from mhdbl.lp import besov_pair_norm, build_partition, paraproduct
-from mhdbl.scenario import (Params, farfield_trivial,
-                            flux_projection_profiles, initial_data_standard)
+from mhdbl.scenario import Params, initial_data_standard
 from mhdbl.solver import (_Workspace, kappa_rescale_map, load_checkpoint,
                           make_state, recommended_ymax, save_checkpoint,
                           simulate, step_imex)
@@ -113,7 +112,7 @@ def _heat_run(grid, params, dt, t_final):
     st = make_state(grid, params, u0, b0)
     ws = _Workspace(grid)
     for _ in range(round(t_final / dt)):
-        st = step_imex(st, dt, None, None, ws)
+        st = step_imex(st, dt, None, ws)
     return st.u.coeffs[:, 0].real
 
 
@@ -208,8 +207,7 @@ class TestCriterion7ScalingSymmetry:
         res_a = simulate(grid_a, par_a, u0a, b0a, t_final=1.0,
                          dt_max=1e-2, sample_every=100)
         res_b = simulate(grid_b, par_b, u0b, b0b, t_final=1.0,
-                         dt_max=1e-2, sample_every=100,
-                         flux_shapes=flux_projection_profiles(grid_b, kap))
+                         dt_max=1e-2, sample_every=100)
         _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u,
                                       res_a.state.b, kap)
         part = build_partition(grid_b)
@@ -313,10 +311,10 @@ class TestCriterion9Structural:
         st = make_state(g, p, u0, b0)
         ws = _Workspace(g)
         for _ in range(3):
-            st = step_imex(st, 1e-3, None, None, ws)
+            st = step_imex(st, 1e-3, None, ws)
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
-        save_checkpoint(str(p1), st, farfield_trivial(g), extras={"tag": 1})
+        save_checkpoint(str(p1), st, None, extras={"tag": 1})
         st2, ff, extras = load_checkpoint(str(p1))
         save_checkpoint(str(p2), st2, ff, extras=extras)
         same_bytes = p1.read_bytes() == p2.read_bytes()

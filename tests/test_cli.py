@@ -139,7 +139,7 @@ class TestSimulateCommand:
         state, ff, extras = load_checkpoint(str(out / "final.ckpt"))
         assert state.t == pytest.approx(0.1, abs=1e-12)
         assert not np.any(state.u.coeffs)
-        assert ff.trivial
+        assert ff is None
 
     def test_standard_run_writes_report(self, tmp_path):
         out = tmp_path / "std"
@@ -217,6 +217,21 @@ class TestSimulateCommand:
         assert doc["summary"]["steps"] == 0
         assert len(read_norms_csv(str(out / "norms.csv"))["t"]) == 1
         assert (out / "final.ckpt").exists()
+
+    def test_unresolved_cutoff_exits_two_before_output(self, tmp_path,
+                                                       capsys):
+        # the same short domain with a far field: its cutoff cannot be
+        # sampled, an input error that precedes the t=0 sample
+        out = tmp_path / "cut"
+        code = run_cli(*base_args(out, "grid.ny=64", "grid.ymax=6",
+                                  "params.kappa=1.5",
+                                  "scenario.farfield=decaying",
+                                  "scenario.ff_eps=1e-4"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: cutoff transition zone holds only 11 nodes; "
+                       "need >= 16 (refine ny or shrink ymax)\n")
+        assert not (out / "norms.csv").exists()
 
 
 class TestVerifyCommand:
@@ -372,6 +387,18 @@ class TestResumeCommand:
         assert code == 2
         assert "Chemin-Lerner shells" in capsys.readouterr().err
 
+    def test_resume_echoes_the_scenario_id(self, tmp_path):
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first, "scenario.id=zero")) == 0
+        out = tmp_path / "r"
+        assert run_cli("resume", str(first / "final.ckpt"), "--out", str(out),
+                       "--set", "run.t_final=0.2") == 0
+        cfg = json.loads((out / "summary.json").read_text())["config"]
+        assert cfg["scenario.id"] == "zero"
+        # and the resumed run's checkpoint carries it on
+        _, _, extras = load_checkpoint(str(out / "final.ckpt"))
+        assert extras["scenario_id"] == "zero"
+
     def test_must_extend_the_run(self, tmp_path, capsys):
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
@@ -392,13 +419,45 @@ class TestResumeCommand:
         no_key = tmp_path / "key.ckpt"
         no_key.write_bytes(raw[:18] + header.replace(b'"grid"', b'"grit"')
                            + raw[18 + hlen:])
+        doc = json.loads(header)
+        doc["extras"] = []
+        blob = json.dumps(doc).encode("utf-8")
+        bad_extras = tmp_path / "extras.ckpt"
+        bad_extras.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
+                               + blob + raw[18 + hlen:])
         for path, msg in (
                 (tmp_path / "missing.ckpt", "cannot read checkpoint"),
                 (bad_json, "checkpoint header is not valid JSON"),
-                (no_key, "checkpoint header lacks key 'grid'")):
+                (no_key, "checkpoint header lacks key 'grid'"),
+                (bad_extras, "malformed checkpoint header")):
             code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
                            "--set", "run.t_final=0.2")
             assert code == 2, path
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and msg in err
+            assert err.count("\n") == 1
+
+    def test_bad_farfield_values_exit_two(self, tmp_path, capsys):
+        """A checkpoint's far field is validated like a new one: a bad
+        decay exponent exits 2 instead of running or raising."""
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first, "grid.ny=256", "params.kappa=1.5",
+                                  "scenario.farfield=decaying",
+                                  "scenario.ff_eps=1e-4")) == 0
+        raw = (first / "final.ckpt").read_bytes()
+        hlen = int.from_bytes(raw[10:18], "little")
+        header = json.loads(raw[18:18 + hlen])
+        for alpha, msg in ((-1.0, "need finite alpha > 0"),
+                           (float("nan"), "need finite alpha > 0"),
+                           ("x", "malformed checkpoint header")):
+            header["farfield"]["alpha"] = alpha
+            blob = json.dumps(header).encode("utf-8")
+            path = tmp_path / "bad.ckpt"
+            path.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
+                             + blob + raw[18 + hlen:])
+            code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
+                           "--set", "run.t_final=0.2")
+            assert code == 2, alpha
             err = capsys.readouterr().err
             assert err.startswith("error: ") and msg in err
             assert err.count("\n") == 1

@@ -28,7 +28,6 @@ from mhdbl.scenario import (
     default_x_profile,
     derived_exponents,
     farfield_decaying,
-    farfield_trivial,
     flux_projection_profiles,
     initial_data_standard,
     project_zero_flux,
@@ -152,21 +151,21 @@ class TestCutoff:
 
 
 class TestFarField:
-    def test_trivial_is_zero(self):
+    def test_cutoff_sampled_on_first_use(self):
+        """A far field carries the cutoff of its own grid, built once and
+        only when asked for, so an unresolving grid fails there."""
         g = make_grid()
-        ff = farfield_trivial(g)
-        assert ff.trivial
-        assert np.all(ff.u_spec(3.0) == 0.0)
-        assert np.all(ff.dt_u_spec(3.0) == 0.0)
-        for row in ff.physical_rows(3.0):
-            assert row.shape == (g.nx,) and np.all(row == 0.0)
-
-    def test_trivial_transport_residual_vanishes(self):
-        g = make_grid()
-        ff = farfield_trivial(g)
-        for kappa in (1.0, 1.5):
-            p = Params(kappa=kappa, epsilon=1e-3)
-            assert bernoulli_residual(ff, p, 0.7) == 0.0
+        p = Params(kappa=1.5, epsilon=1e-3)
+        ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
+        assert "cutoff" not in vars(ff)
+        ref = build_cutoff(g)
+        assert np.array_equal(ff.cutoff.chi, ref.chi)
+        assert np.array_equal(ff.cutoff.d3chi, ref.d3chi)
+        assert ff.cutoff is ff.cutoff
+        coarse = GridSpec(lx=2.0 * np.pi, nx=32, ymax=26.0, ny=64)
+        ff = farfield_decaying(coarse, p, 0.01, 2.5, np.cos(coarse.x))
+        with pytest.raises(ValueError, match="transition zone"):
+            ff.cutoff
 
     def test_decaying_rejected_on_unit_background(self):
         g = make_grid()
@@ -234,13 +233,6 @@ class TestAssumptionCheck:
         p = Params(kappa=1.5, epsilon=1e-3)
         return g, farfield_decaying(g, p, eps, alpha, np.cos(g.x))
 
-    def test_trivial_passes_with_zeros(self):
-        g = make_grid()
-        rep = assumption_check(farfield_trivial(g), build_partition(g), 1.0,
-                               1e-3)
-        assert rep["ok"]
-        assert rep["values"]["sup_weighted_32"] == 0.0
-
     def test_fast_decay_within_budget(self):
         g, ff = self.make_ff(2.5, eps=1e-6)
         rep = assumption_check(ff, build_partition(g), 0.5, 1e-2)
@@ -273,26 +265,11 @@ class TestAssumptionCheck:
 
 
 class TestSourceTerms:
-    def test_trivial_gives_zero_fields(self):
-        g = make_grid()
-        f_u = source_terms(farfield_trivial(g), None, g, 0.0)
-        F_u = -integrate_y_tail(f_u).coeffs
-        assert np.all(f_u.coeffs == 0.0)
-        assert np.all(F_u == 0.0)
-
-    def test_nontrivial_requires_cutoff(self):
-        g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
-        with pytest.raises(ValueError, match="cutoff"):
-            source_terms(ff, None, g, 0.0)
-
     def test_support_confined_to_cutoff_zone(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
-        cut = build_cutoff(g)
-        f_u = source_terms(ff, cut, g, 0.5)
+        f_u = source_terms(ff, 0.5)
         above = g.y > 2.0 + 1e-9
         scale = np.max(np.abs(f_u.coeffs))
         assert scale > 0.0
@@ -305,8 +282,7 @@ class TestSourceTerms:
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
-        cut = build_cutoff(g)
-        f_u = source_terms(ff, cut, g, 0.5)
+        f_u = source_terms(ff, 0.5)
         # F_u = -int_y^ymax f_u, the tail integral eqs2_residual forms:
         # zero at the top, minus the column flux of f_u at the wall
         F_u = -integrate_y_tail(f_u).coeffs
@@ -318,9 +294,8 @@ class TestSourceTerms:
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
         ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
-        cut = build_cutoff(g)
-        f0 = source_terms(ff, cut, g, 0.0)
-        f9 = source_terms(ff, cut, g, 9.0)
+        f0 = source_terms(ff, 0.0)
+        f9 = source_terms(ff, 9.0)
         assert np.max(np.abs(f9.coeffs)) < 0.01 * np.max(np.abs(f0.coeffs))
 
 

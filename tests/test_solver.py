@@ -7,6 +7,7 @@ audit helpers, the antiderivative-system residual, the kappa rescaling
 map, checkpoint round trips, and the simulate driver.
 """
 
+import json
 import math
 import os
 import warnings
@@ -23,10 +24,8 @@ from mhdbl.scenario import (
     FarField,
     Params,
     UnsupportedScenarioError,
-    build_cutoff,
     default_x_profile,
     farfield_decaying,
-    farfield_trivial,
     flux_projection_profiles,
     initial_data_standard,
     project_zero_flux,
@@ -262,10 +261,9 @@ class TestExplicitTendency:
         g = make_grid(ny=257)
         p = Params(kappa=1.5, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        ff = cut = None
+        ff = None
         if far:
             ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
-            cut = build_cutoff(g)
         st = make_state(g, p, u0, b0)
         ws = _Workspace(g)
         calls = []
@@ -280,24 +278,13 @@ class TestExplicitTendency:
         transform = mhdbl.grid.x_transform
         for mod in ("grid", "lp", "scenario", "solver"):
             monkeypatch.setattr(f"mhdbl.{mod}.x_transform", counted)
-        ru, rb, _ = rhs_explicit(st, ff, cut, ws)
+        ru, rb, _ = rhs_explicit(st, ff, ws)
         assert sorted(calls) == ["forward", "inverse"]
         assert widths == [g.nx // 2 + 1]
         assert np.max(np.abs(ru.coeffs)) > 0.0
-        step_imex(st, 1e-3, ff, cut, ws)
+        step_imex(st, 1e-3, ff, ws)
         assert np.any(ws.factors[..., :g.nmodes])
         assert not np.any(ws.factors[..., g.nmodes:])
-
-    def test_farfield_needs_cutoff(self):
-        g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
-        prof = np.zeros(g.ny)
-        ff = farfield_decaying(g, p, 1e-3, 2.5,
-                               np.cos(2.0 * np.pi * np.arange(g.nx) / g.nx))
-        u0, b0, _ = initial_data_standard(g, p)
-        st = make_state(g, p, u0, b0)
-        with pytest.raises(ValueError, match="cutoff"):
-            rhs_explicit(st, ff, None)
 
 
 class TestTheta:
@@ -335,7 +322,7 @@ class TestTheta:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st0 = make_state(g, p, u0, b0)
-        st1 = step_imex(st0, 1e-3, None, None, _Workspace(g))
+        st1 = step_imex(st0, 1e-3, None, _Workspace(g))
         part = build_partition(g)
         comp1, comp2 = theta_components(st1, None, part, st0.radius)
         rate = comp1 + comp2
@@ -352,7 +339,7 @@ class TestStepper:
                         Field.zeros(g, BC_NEUMANN))
         ws = _Workspace(g)
         for _ in range(4):
-            st = step_imex(st, 1e-2, None, None, ws)
+            st = step_imex(st, 1e-2, None, ws)
         assert not np.any(st.u.coeffs)
         assert not np.any(st.b.coeffs)
         assert st.theta == 0.0
@@ -364,7 +351,7 @@ class TestStepper:
         st = make_state(g, p, u0, b0)
         ws = _Workspace(g)
         for _ in range(5):
-            st = step_imex(st, 1e-3, None, None, ws)
+            st = step_imex(st, 1e-3, None, ws)
         assert flux_drift(st.u, st.b) < 1e-15
 
     def test_determinism(self):
@@ -376,7 +363,7 @@ class TestStepper:
             st = make_state(g, p, u0, b0)
             ws = _Workspace(g)
             for _ in range(6):
-                st = step_imex(st, 1e-3, None, None, ws)
+                st = step_imex(st, 1e-3, None, ws)
             return st
 
         a, b = run(), run()
@@ -411,7 +398,7 @@ class TestStepper:
         ws = _Workspace(g)
         dt = 1e-3
         for _ in range(1000):
-            st = step_imex(st, dt, None, None, ws)
+            st = step_imex(st, dt, None, ws)
         err = np.max(np.abs(st.u.coeffs[:, 0].real - heat_exact(g.y, st.t)))
         assert err < 1e-4
         assert not np.any(st.b.coeffs)
@@ -425,7 +412,7 @@ class TestStepper:
             st = make_state(g, p, u0, b0)
             ws = _Workspace(g)
             for _ in range(round(0.25 / dt)):
-                st = step_imex(st, dt, None, None, ws)
+                st = step_imex(st, dt, None, ws)
             return st.u.coeffs[:, 0].real
 
         # each dt divides the horizon exactly, so all runs land on t = 0.25
@@ -470,7 +457,7 @@ class TestAudits:
         for k in range(40):
             old = st.u.copy()
             t_old = st.t
-            st = step_imex(st, dt, None, None, ws)
+            st = step_imex(st, dt, None, ws)
             if k % 10 == 0:
                 for al, be in ((1.0, 1.0), (0.5, 1.0), (0.25, 1.0), (1.0, 0.5)):
                     slack = heat_energy_slack(old, st.u, t_old, st.t, al, be)
@@ -486,7 +473,7 @@ class TestAudits:
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
         ws = _Workspace(g)
-        new = step_imex(st, 1e-2, farfield_trivial(g), None, ws)
+        new = step_imex(st, 1e-2, None, ws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for fo, fn in ((u0, new.u), (b0, new.b)):
@@ -593,7 +580,7 @@ class TestEqs2Residual:
         norms = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
-            st1 = step_imex(st0, dt, None, None, _Workspace(g))
+            st1 = step_imex(st0, dt, None, _Workspace(g))
             norms.append(eqs2_residual(st0, st1)["norm_psi"])
         assert 1.7 < norms[0] / norms[1] < 2.3
         assert 1.7 < norms[1] / norms[2] < 2.3
@@ -606,12 +593,11 @@ class TestEqs2Residual:
         p = Params(kappa=1.5, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
-        cut = build_cutoff(g)
         res = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
-            st1 = step_imex(st0, dt, ff, cut, _Workspace(g))
-            res.append(eqs2_residual(st0, st1, ff, cut))
+            st1 = step_imex(st0, dt, ff, _Workspace(g))
+            res.append(eqs2_residual(st0, st1, ff))
         psi = [r["norm_psi"] for r in res]
         assert 1.7 < psi[0] / psi[1] < 2.3
         assert 1.7 < psi[1] / psi[2] < 2.3
@@ -625,7 +611,7 @@ class TestEqs2Residual:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st0 = make_state(g, p, u0, b0)
-        st1 = step_imex(st0, 1e-3, None, None, _Workspace(g))
+        st1 = step_imex(st0, 1e-3, None, _Workspace(g))
         r = eqs2_residual(st0, st1)
         assert 0.0 < r["norm_phi"] < 5.0 * p.epsilon
 
@@ -689,8 +675,7 @@ class TestKappaRescale:
         res_a = simulate(grid_a, par_a, u0a, b0a, t_final=0.2,
                          dt_max=1e-2, sample_every=100)
         res_b = simulate(grid_b, par_b, u0b, b0b, t_final=0.2,
-                         dt_max=1e-2, sample_every=100,
-                         flux_shapes=flux_projection_profiles(grid_b, kap))
+                         dt_max=1e-2, sample_every=100)
         _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u, res_a.state.b,
                                       kap)
         part = build_partition(grid_b)
@@ -710,7 +695,7 @@ class TestCheckpoint:
         st = make_state(g, p, u0, b0)
         ws = _Workspace(g)
         for _ in range(3):
-            st = step_imex(st, 1e-3, None, None, ws)
+            st = step_imex(st, 1e-3, None, ws)
         return g, p, st
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -729,7 +714,7 @@ class TestCheckpoint:
         assert st2.prev_dt == st.prev_dt
         assert st2.step_index == st.step_index
         assert st2.weight_alpha == st.weight_alpha
-        assert ff2.kind == ff.kind and ff2.eps == ff.eps
+        assert ff2.eps == ff.eps
         assert ff2.alpha == ff.alpha
         assert np.array_equal(ff2.g_spec, ff.g_spec)
         assert extras == {"note": 1.5}
@@ -744,14 +729,15 @@ class TestCheckpoint:
         u0, b0, _ = initial_data_standard(g, p)
         st = step_imex(make_state(g, p, u0, b0), 1e-3)
         path = str(tmp_path / "nu.ckpt")
-        save_checkpoint(path, st, farfield_trivial(g))
-        st2, _, _ = load_checkpoint(path)
+        save_checkpoint(path, st, None)
+        st2, ff, _ = load_checkpoint(path)
         assert st2.params == p
+        assert ff is None
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         g, p, st = self._stepped_state()
         path = tmp_path / "keep.ckpt"
-        save_checkpoint(str(path), st, farfield_trivial(g))
+        save_checkpoint(str(path), st, None)
         before = path.read_bytes()
         import mhdbl.solver
         expand = mhdbl.solver.full_spectrum
@@ -759,23 +745,24 @@ class TestCheckpoint:
 
         def failing(grid, coeffs):
             calls.append(1)
-            if len(calls) == 3:    # the header and u are already written
+            if len(calls) == 3:    # the header, u and b are already written
                 raise OSError("disk full")
             return expand(grid, coeffs)
 
         monkeypatch.setattr(mhdbl.solver, "full_spectrum", failing)
         st.t += 1.0
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(str(path), st, farfield_trivial(g))
+            save_checkpoint(str(path), st, None)
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["keep.ckpt"]
 
     def _parent_format_file(self, path, state, ff, extras=None):
         """A version-1 file as written before the stored-mode layout: a
-        header without the diffusivity overrides and all nx modes of each
-        array, made by a complex FFT of the real fields, with the modes
-        above the dealias cut holding the 1e-214 tail that the standard
-        data leaves there."""
+        header without the diffusivity overrides, with a "dt" key and a
+        far field of kind "trivial" (zero profile) where there is none,
+        and all nx modes of each array, made by a complex FFT of the real
+        fields, with the modes above the dealias cut holding the 1e-214
+        tail that the standard data leaves there."""
         import json, struct
         from scipy import fft as sfft
         from mhdbl.grid import x_transform
@@ -786,7 +773,12 @@ class TestCheckpoint:
             out[..., g.nmodes:g.nx - g.nmodes + 1] = 1e-214
             return out
 
-        g_full = full(ff.g_spec)
+        if ff is None:
+            kind, eps, alpha = "trivial", 0.0, 0.0
+            g_full = np.zeros(g.nx, complex)
+        else:
+            kind, eps, alpha = "decaying", ff.eps, ff.alpha
+            g_full = full(ff.g_spec)
         header = {
             "version": 1,
             "grid": {"lx": g.lx, "nx": g.nx, "ymax": g.ymax, "ny": g.ny,
@@ -794,10 +786,10 @@ class TestCheckpoint:
             "params": {"kappa": state.params.kappa,
                        "epsilon": state.params.epsilon,
                        "delta": state.params.delta, "lam": state.params.lam},
-            "t": state.t, "theta": state.theta, "dt": state.dt,
+            "t": state.t, "theta": state.theta, "dt": state.prev_dt,
             "prev_dt": state.prev_dt, "step_index": state.step_index,
             "weight_alpha": state.weight_alpha, "has_prev": True,
-            "farfield": {"kind": ff.kind, "eps": ff.eps, "alpha": ff.alpha,
+            "farfield": {"kind": kind, "eps": eps, "alpha": alpha,
                          "g_re": g_full.real.tolist(),
                          "g_im": g_full.imag.tolist()},
             "extras": extras or {},
@@ -844,6 +836,22 @@ class TestCheckpoint:
         assert np.all(a[:, :, ~kept] == np.array([1e-214, 0.0]))
         assert np.all(b[:, :, ~kept] == 0.0)
 
+    def test_parent_trivial_farfield_loads_as_none(self, tmp_path):
+        """An older file's far field of kind "trivial" is no far field,
+        and it re-saves as "farfield": null."""
+        g, p, st = self._stepped_state()
+        old = tmp_path / "old.ckpt"
+        self._parent_format_file(str(old), st, None)
+        st2, ff, _ = load_checkpoint(str(old))
+        assert ff is None
+        scale = np.max(np.abs(st.u.coeffs))
+        assert np.max(np.abs(st2.u.coeffs - st.u.coeffs)) < 1e-15 * scale
+        new = tmp_path / "new.ckpt"
+        save_checkpoint(str(new), st2, ff)
+        raw = new.read_bytes()
+        header = json.loads(raw[18:18 + int.from_bytes(raw[10:18], "little")])
+        assert header["farfield"] is None and "dt" not in header
+
     def test_nonzero_extra_cl_shell_refused(self, tmp_path):
         """A shell outside this grid's window may be dropped only when it
         holds exactly 0; too few shells are refused as well."""
@@ -851,7 +859,7 @@ class TestCheckpoint:
         n_shells = build_partition(g).n_shells
         for cl in ([0.0] * n_shells + [1e-300], [0.0] * (n_shells - 1)):
             path = tmp_path / "cl.ckpt"
-            self._parent_format_file(str(path), st, farfield_trivial(g),
+            self._parent_format_file(str(path), st, None,
                                      extras={"cl_integrals": cl})
             with pytest.raises(CheckpointError, match="Chemin-Lerner shells"):
                 load_checkpoint(str(path))
@@ -859,7 +867,7 @@ class TestCheckpoint:
     def test_non_hermitian_file_refused(self, tmp_path):
         g, p, st = self._stepped_state()
         path = tmp_path / "skew.ckpt"
-        n = self._parent_format_file(str(path), st, farfield_trivial(g))
+        n = self._parent_format_file(str(path), st, None)
         raw = bytearray(path.read_bytes())
         # the imaginary part of u at row 0, mode -1 (the last column)
         pos = len(raw) - n + (g.nx - 1) * 16 + 8
@@ -874,7 +882,7 @@ class TestCheckpoint:
             load_checkpoint(str(tmp_path / "missing.ckpt"))
         g, p, st = self._stepped_state()
         good = tmp_path / "good.ckpt"
-        save_checkpoint(str(good), st, farfield_trivial(g))
+        save_checkpoint(str(good), st, None)
         raw = good.read_bytes()
         hlen = int.from_bytes(raw[10:18], "little")
         header = raw[18:18 + hlen]
@@ -927,7 +935,7 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path):
         g, p, st = self._stepped_state()
         path = str(tmp_path / "v.ckpt")
-        save_checkpoint(path, st, farfield_trivial(g))
+        save_checkpoint(path, st, None)
         raw = bytearray(open(path, "rb").read())
         raw[6] = 99    # little-endian version word sits after the magic
         open(path, "wb").write(bytes(raw))
@@ -937,7 +945,7 @@ class TestCheckpoint:
     def test_truncation(self, tmp_path):
         g, p, st = self._stepped_state()
         path = str(tmp_path / "t.ckpt")
-        save_checkpoint(path, st, farfield_trivial(g))
+        save_checkpoint(path, st, None)
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-100])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -1026,7 +1034,7 @@ class TestSimulate:
         u0, b0, _ = initial_data_standard(g, p)
         spec = np.zeros(g.nmodes, complex)
         spec[1] = 1e-3
-        ff = FarField(g, "decaying", eps=1e-3, alpha=2.5, g_spec=spec)
+        ff = FarField(g, 1e-3, 2.5, spec)
         with pytest.raises(UnsupportedScenarioError, match="trivial far field"):
             simulate(g, p, u0, b0, farfield=ff, t_final=0.02)
 
@@ -1051,7 +1059,7 @@ class TestSimulate:
 
         first = simulate(g, p, u0, b0, t_final=0.1, dt_max=1e-2)
         path = str(tmp_path / "seam.ckpt")
-        save_checkpoint(path, first.state, farfield_trivial(g),
+        save_checkpoint(path, first.state, None,
                         extras=first.summary["_resume_extras"])
         st, ff, extras = load_checkpoint(path)
         second = simulate(g, p, None, None, farfield=ff, t_final=0.2,
@@ -1062,3 +1070,25 @@ class TestSimulate:
         assert second.state.theta == whole.state.theta
         assert second.summary["cl_dyub_sq_final"] == pytest.approx(
             whole.summary["cl_dyub_sq_final"], rel=1e-12)
+
+    def test_split_conjugate_run_matches_single_run_bitwise(self, tmp_path):
+        """A conjugate-system run (kappa = 2, diffusivities (1/2, 1)) takes
+        its zero-flux shapes from its own parameters, so a checkpoint,
+        which stores them, resumes it exactly."""
+        kap = 2.0
+        g = make_grid(nx=16, ny=129, ymax=25.0 / math.sqrt(kap))
+        p = Params(kappa=kap, epsilon=1e-3, nu_u=0.5, nu_b=1.0)
+        u0, b0, _ = initial_data_standard(g, p)
+        whole = simulate(g, p, u0, b0, t_final=0.2, dt_max=1e-2)
+
+        first = simulate(g, p, u0, b0, t_final=0.1, dt_max=1e-2)
+        path = str(tmp_path / "conj.ckpt")
+        save_checkpoint(path, first.state, None,
+                        extras=first.summary["_resume_extras"])
+        st, ff, extras = load_checkpoint(path)
+        second = simulate(g, st.params, None, None, farfield=ff, t_final=0.2,
+                          dt_max=1e-2, resume_state=st, resume_extras=extras)
+        assert second.state.t == whole.state.t
+        assert np.array_equal(second.state.u.coeffs, whole.state.u.coeffs)
+        assert np.array_equal(second.state.b.coeffs, whole.state.b.coeffs)
+        assert second.state.theta == whole.state.theta
