@@ -10,31 +10,23 @@ columns at nx = 64; all nx/2 + 1 with dealias_fraction = 1).  A physical
 cos(xi_1 x) f(y) has amplitude f(y)/2 at xi_1 (its mirror -xi_1 carries
 the other half).  Sums over modes that stand for sums over all nx modes
 (Parseval) weight each stored mode by its multiplicity, mode_weights.
+
+The x transforms are numpy.fft's rfft/irfft (pocketfft, one thread),
+which give the same bits as scipy.fft and keep scipy.fft, with the
+scipy.special it loads, off the import path.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 
 class TailViolationError(RuntimeError):
     """Weighted field mass escaped toward the top of the y domain."""
-
-
-def _workers() -> int:
-    raw = os.environ.get("MHDBL_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _is_pow2(n: int) -> bool:
@@ -195,12 +187,12 @@ def x_transform(grid: GridSpec, values: np.ndarray, direction: str) -> np.ndarra
     zero-filled unless already nx/2 + 1 wide (as hot callers pass them:
     padding per call costs 3x) -> physical real array."""
     if direction == "forward":
-        spec = sfft.rfft(np.asarray(values, dtype=float), axis=-1,
-                         norm="forward", workers=_workers())
+        spec = np.fft.rfft(np.asarray(values, dtype=float), axis=-1,
+                           norm="forward")
         return np.ascontiguousarray(spec[..., :grid.nmodes])
     if direction == "inverse":
-        return sfft.irfft(_zero_filled(grid, values), n=grid.nx, axis=-1,
-                          norm="forward", workers=_workers())
+        return np.fft.irfft(_zero_filled(grid, values), n=grid.nx, axis=-1,
+                            norm="forward")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 

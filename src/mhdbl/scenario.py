@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as sp_integrate
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
                    x_transform)
@@ -145,20 +144,35 @@ def _step_d2(s):
     return dnum / den ** 2 - 2.0 * num * dden / den ** 3
 
 
-_BUMP_MASS = None
+# The cutoff's integrals: a 20-point Gauss-Legendre rule on each of 64
+# equal panels of [1, 2] takes these smooth integrands to rounding.
+_PANELS = 64
+_EDGES = np.linspace(1.0, 2.0, _PANELS + 1)
 
 
+def _gauss_legendre(f, a, b):
+    """int_a^b f, elementwise over the arrays a and b (20 nodes each).
+
+    Each integral is summed on its own (not by a BLAS product, whose order
+    depends on the batch), so its bits do not depend on the others."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * (b - a)
+    pts = (0.5 * (a + b))[..., None] + half[..., None] * nodes
+    return half * np.sum(f(pts) * weights, axis=-1)
+
+
+@cache
 def _bump_mass() -> float:
     """int_1^2 of the interior bump, cached; sets the shape coefficient."""
-    global _BUMP_MASS
-    if _BUMP_MASS is None:
-        val, err = sp_integrate.quad(lambda y: float(_interior_bump(y)), 1.0,
-                                     2.0, epsabs=1e-14, epsrel=1e-13,
-                                     limit=200)
-        if err > 1e-11:
-            raise RuntimeError(f"bump mass quadrature too loose: {err:.2e}")
-        _BUMP_MASS = val
-    return _BUMP_MASS
+    return float(np.sum(_gauss_legendre(_interior_bump, _EDGES[:-1],
+                                        _EDGES[1:])))
+
+
+@cache
+def _cutoff_at_edges() -> np.ndarray:
+    """cutoff_value at the panel edges: one cumulative pass over [1, 2]."""
+    panels = _gauss_legendre(cutoff_slope, _EDGES[:-1], _EDGES[1:])
+    return np.concatenate([[0.0], np.cumsum(panels)])
 
 
 def cutoff_slope(y):
@@ -180,16 +194,18 @@ def cutoff_slope_d2(y):
 
 def cutoff_value(y):
     """The cutoff itself: 0 for y <= 1, y for y >= 2, smooth monotone rise
-    between, with unit slope and vanishing higher derivatives at y = 2."""
+    between, with unit slope and vanishing higher derivatives at y = 2.
+
+    In the rise, the value at each point is the cumulative integral up to
+    the left edge of its panel plus one Gauss-Legendre rule from there, so
+    it does not depend on which other points are passed with it."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros_like(y)
+    out = np.where(y >= 2.0, y, 0.0)
     mid = (y > 1.0) & (y < 2.0)
-    for idx in np.nonzero(mid)[0]:
-        val, _ = sp_integrate.quad(lambda s: float(cutoff_slope(s)), 1.0,
-                                   y[idx], epsabs=1e-13, epsrel=1e-12,
-                                   limit=200)
-        out[idx] = val
-    out[y >= 2.0] = y[y >= 2.0]
+    ym = y[mid]
+    k = ((ym - 1.0) * _PANELS).astype(int)       # exact: 0 <= k < _PANELS
+    out[mid] = _cutoff_at_edges()[k] + _gauss_legendre(cutoff_slope,
+                                                      _EDGES[k], ym)
     return out
 
 

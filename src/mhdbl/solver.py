@@ -135,6 +135,8 @@ class State:
     prev_ru: Optional[np.ndarray] = None
     prev_rb: Optional[np.ndarray] = None
     prev_dt: Optional[float] = None
+    # set by step_imex: theta_comp1, umax (the CFL speed) and field_max
+    # (max |u|, |b| coefficient, read by simulate's blow-up guard)
     diagnostics: dict = dc_field(default_factory=dict)
 
     @property
@@ -448,6 +450,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     new.theta = state.theta + dt * (comp1 + comp2)
     new.diagnostics["theta_comp1"] = comp1
     new.diagnostics["umax"] = umax
+    new.diagnostics["field_max"] = m
     if new.radius <= 0.0:
         raise TStarReachedError(f"band exhausted at t={t1:.6g}")
     return new
@@ -753,8 +756,7 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
                         s = heat_energy_slack(fo, fn, state.t, new.t, al, be)
                         audit_min[key] = min(audit_min.get(key, math.inf), s)
 
-            m = max(float(np.max(np.abs(new.u.coeffs))),
-                    float(np.max(np.abs(new.b.coeffs))))
+            m = new.diagnostics["field_max"]
             if m > blow_limit:
                 raise DivergenceError(
                     f"field magnitude {m:.3e} exceeds {blow_limit:.3e}")

@@ -12,9 +12,6 @@ every function is pure.
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.special import dawsn, erfcx
 
 from .grid import TailViolationError
 from .lp import build_partition, phi_shell, shell_weighted_norms, shell_window
@@ -132,6 +129,9 @@ def sup_constants():
     sits at y = 0 and equals sqrt(pi)/2; a coarse scan asserts the
     monotonicity rather than trusting it.
     """
+    # imported here, not at module level: a run never calls this suite
+    from scipy.optimize import minimize_scalar
+    from scipy.special import dawsn, erfcx
     res = minimize_scalar(lambda x: -dawsn(x), bounds=(0.0, 3.0),
                           method="bounded", options={"xatol": 1e-12})
     argmax1 = float(res.x)
@@ -148,6 +148,7 @@ def sup_constants():
 def run_sup_constants_suite() -> dict:
     """Suite wrapper with an independent quadrature route for the Dawson
     kernel at its maximizer."""
+    from scipy.integrate import quad
     sup1, argmax1, sup2 = sup_constants()
     inner, _ = quad(lambda z: math.exp(z * z), 0.0, argmax1)
     sup1_quad = math.exp(-argmax1 * argmax1) * inner

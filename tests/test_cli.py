@@ -5,10 +5,13 @@ simulate/verify/fit/resume flows, output files, and exit codes.
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mhdbl
 from mhdbl.cli import (
     ConfigError,
     main,
@@ -232,6 +235,35 @@ class TestSimulateCommand:
         assert err == ("error: cutoff transition zone holds only 11 nodes; "
                        "need >= 16 (refine ny or shrink ymax)\n")
         assert not (out / "norms.csv").exists()
+
+
+class TestImports:
+    def test_run_loads_no_unused_scipy_module(self, tmp_path):
+        """A far-field run and its resume, in a fresh interpreter, load
+        scipy.linalg and nothing heavier: the verify suites import the
+        rest of scipy on first use."""
+        out = tmp_path / "far"
+        argv = base_args(out, "grid.ny=256", "params.kappa=1.5",
+                         "scenario.farfield=decaying", "scenario.ff_eps=1e-4")
+        code = (
+            "import sys\n"
+            "import mhdbl.cli\n"
+            f"assert mhdbl.cli.main({argv!r}) == 0\n"
+            f"assert mhdbl.cli.main(['resume', {str(out / 'final.ckpt')!r},"
+            f" '--out', {str(tmp_path / 'more')!r},"
+            " '--set', 'run.t_final=0.2']) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(mhdbl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "scipy.linalg" in loaded
+        for name in ("scipy.fft", "scipy.integrate", "scipy.optimize",
+                     "scipy.special", "scipy.interpolate"):
+            assert name not in loaded, name
 
 
 class TestVerifyCommand:

@@ -18,6 +18,8 @@ from mhdbl.scenario import (
     FarField,
     Params,
     UnsupportedScenarioError,
+    _bump_mass,
+    _interior_bump,
     assumption_check,
     bernoulli_residual,
     build_cutoff,
@@ -130,6 +132,33 @@ class TestCutoff:
         fd2 = (cutoff_slope_d1(y + h) - cutoff_slope_d1(y - h)) / (2 * h)
         assert np.max(np.abs(fd2 - cutoff_slope_d2(y))) < 1e-4 * (
             1.0 + np.max(np.abs(fd2)))
+
+    def test_value_matches_adaptive_quadrature(self):
+        """On the far-field benchmark grid every transition-zone node
+        agrees with an adaptive quadrature of the slope from y = 1."""
+        g = GridSpec(lx=2.0 * np.pi, nx=64, ymax=26.0, ny=768)
+        zone = (g.y > 1.0) & (g.y < 2.0)
+        for yk, vk in zip(g.y[zone], build_cutoff(g).chi[zone]):
+            ref, _ = sp_integrate.quad(lambda s: float(cutoff_slope(s)), 1.0,
+                                       yk, epsabs=1e-13, epsrel=1e-12,
+                                       limit=200)
+            assert abs(vk - ref) < 1e-13
+
+    def test_bump_mass_matches_adaptive_quadrature(self):
+        ref, _ = sp_integrate.quad(lambda y: float(_interior_bump(y)), 1.0,
+                                   2.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs(_bump_mass() - ref) < 1e-15 * ref
+
+    def test_value_does_not_depend_on_order_or_companions(self):
+        """Shuffled points and points passed one at a time get the values
+        of the sorted array, bit for bit."""
+        y = make_grid(ny=769, ymax=26.0).y[:80]
+        v = cutoff_value(y)
+        perm = np.random.default_rng(3).permutation(y.size)
+        assert np.array_equal(cutoff_value(y[perm]), v[perm])
+        for k in np.nonzero((y > 0.9) & (y < 2.1))[0]:
+            assert np.array_equal(cutoff_value(y[k]), v[k:k + 1])
+            assert np.array_equal(cutoff_value(float(y[k])), v[k:k + 1])
 
     def test_build_requires_resolved_transition(self):
         coarse = GridSpec(lx=2.0 * np.pi, nx=8, ymax=26.0, ny=64)

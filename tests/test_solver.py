@@ -392,6 +392,35 @@ class TestStepper:
             simulate(g, p, u0, Field.zeros(g, BC_NEUMANN), t_final=1.0)
         assert ei.value.partial.reason == "divergence"
 
+    def test_step_reports_field_max(self):
+        g = make_grid()
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = step_imex(make_state(g, p, u0, b0), 1e-3)
+        assert st.diagnostics["field_max"] == max(
+            np.max(np.abs(st.u.coeffs)), np.max(np.abs(st.b.coeffs)))
+
+    def test_blowup_guard_reads_the_step_max(self, monkeypatch):
+        """simulate's blow-up guard takes max |u|, |b| from the step
+        instead of measuring the fields again."""
+        import mhdbl.solver
+        g = make_grid()
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        real_step = mhdbl.solver.step_imex
+
+        def inflated(*args, **kw):
+            new = real_step(*args, **kw)
+            new.diagnostics["field_max"] = 1e300
+            return new
+
+        monkeypatch.setattr(mhdbl.solver, "step_imex", inflated)
+        with pytest.raises(DivergenceError,
+                           match=r"magnitude 1\.000e\+300 exceeds") as ei:
+            simulate(g, p, u0, b0, t_final=0.01)
+        assert ei.value.partial.reason == "divergence"
+        assert ei.value.partial.state.step_index == 0
+
     def test_manufactured_heat_accuracy(self):
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
