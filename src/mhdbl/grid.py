@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -267,33 +268,41 @@ def d2dy(field: Field) -> Field:
 # ---- quadrature ------------------------------------------------------------
 
 
-def integrate_y_tail(field: Field) -> Field:
+def tail_suffix(field: Field) -> np.ndarray:
+    """Trapezoid partial sums from the top: row i of the (ny - 1, ...)
+    result is int_{y_i}^{ymax} f dy'.  Accumulated from the top because
+    the far rows have to decay with relative accuracy: they later meet
+    Gaussian-growing weights.  Both integrals below derive from it."""
+    c = field.coeffs
+    seg = 0.5 * field.grid.dy * (c[1:] + c[:-1])
+    return np.cumsum(seg[::-1], axis=0)[::-1]
+
+
+def integrate_y_tail(field: Field,
+                     suffix: Optional[np.ndarray] = None) -> Field:
     """Trapezoid integral from y up to ymax, accumulated from the top.
 
     Result[i] = int_{y_i}^{ymax} f dy'; exactly zero at the top node.
+    `suffix` is tail_suffix(field) when the caller already has it.
     """
-    c = field.coeffs
-    dy = field.grid.dy
-    seg = 0.5 * dy * (c[1:] + c[:-1])
-    out = np.zeros_like(c)
-    out[:-1] = np.cumsum(seg[::-1], axis=0)[::-1]
+    if suffix is None:
+        suffix = tail_suffix(field)
+    out = np.zeros_like(field.coeffs)
+    out[:-1] = suffix
     return Field(field.grid, out, BC_DIRICHLET)
 
 
-def integrate_y_from0(field: Field) -> Field:
+def integrate_y_from0(field: Field,
+                      suffix: Optional[np.ndarray] = None) -> Field:
     """Trapezoid integral from 0 up to y; exactly zero at the wall.
 
-    Shares the top-down accumulation of integrate_y_tail and returns
-    total - tail, so the two integrals sum to the per-mode total without
-    reassociating anything.  (The tail must be accumulated from the top:
-    its far-field rows have to decay with relative accuracy because they
-    later meet Gaussian-growing weights.)
+    Returns total - tail from the same top-down sums as integrate_y_tail
+    (`suffix`, computed here unless given), so the two integrals sum to
+    the per-mode total without reassociating anything.
     """
-    c = field.coeffs
-    dy = field.grid.dy
-    seg = 0.5 * dy * (c[1:] + c[:-1])
-    suffix = np.cumsum(seg[::-1], axis=0)[::-1]
-    out = np.zeros_like(c)
+    if suffix is None:
+        suffix = tail_suffix(field)
+    out = np.zeros_like(field.coeffs)
     out[1:-1] = suffix[0] - suffix[1:]
     out[-1] = suffix[0]
     return Field(field.grid, out, BC_DIRICHLET)

@@ -17,13 +17,12 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    TailViolationError, column_flux, d2dy, ddx, ddy,
                    full_spectrum, half_spectrum, integrate_y_from0,
-                   integrate_y_tail, psi_weight, row_power, weighted_l2,
-                   weighted_rows, x_transform)
+                   integrate_y_tail, psi_weight, row_power, tail_suffix,
+                   weighted_l2, weighted_rows, x_transform)
 from .lp import (CLAccumulator, DyadicPartition, besov_h_shell_norms,
                  besov_norm, besov_pair_norm, build_partition,
                  pair_shell_norms)
@@ -147,6 +146,12 @@ class State:
     # t must not change after that.
 
     @cached_property
+    def tail_sums(self):
+        """tail_suffix of (u, b): shared by (v, h) in the RHS of the next
+        step and by (phi, psi) in gh_fields."""
+        return tail_suffix(self.u), tail_suffix(self.b)
+
+    @cached_property
     def dy_ub(self):
         """(d_y u, d_y b): shared by the CL integral and the explicit RHS."""
         return ddy(self.u), ddy(self.b)
@@ -155,7 +160,7 @@ class State:
     def gh_fields(self):
         """(phi, psi, G, H, d_y G, d_y H): shared by the theta update and the
         sampled norms.  simulate frees them before the next step."""
-        phi, psi = reconstruct_phipsi(self.u, self.b)
+        phi, psi = reconstruct_phipsi(self.u, self.b, self.tail_sums)
         G, H = compute_GH(self, phi, psi)
         return phi, psi, G, H, ddy(G), ddy(H)
 
@@ -199,10 +204,12 @@ def branch_gain(params: Params, weight_alpha: float) -> float:
 # ---- kinematic reconstructions ----------------------------------------------
 
 
-def recover_vh(u: Field, b: Field, check: bool = True):
+def recover_vh(u: Field, b: Field, check: bool = True,
+               sums: Optional[tuple] = None):
     """Normal components from the divergence constraints:
     (v, h) = -d_x int_0^y (u, b) dy'.  Exact zero at the wall; decays at
-    the top when the column fluxes vanish."""
+    the top when the column fluxes vanish.  `sums` is the pair of
+    tail_suffix arrays of (u, b) when the caller holds them."""
     if check:
         scale = max(float(np.max(np.abs(u.coeffs))),
                     float(np.max(np.abs(b.coeffs))), 1e-300)
@@ -211,8 +218,9 @@ def recover_vh(u: Field, b: Field, check: bool = True):
             raise FluxDriftError(
                 f"nonzero-mode column flux {drift:.3e} vs field scale "
                 f"{scale:.3e}; divergence-free recovery would not close")
-    v = ddx(integrate_y_from0(u))
-    h = ddx(integrate_y_from0(b))
+    su, sb = sums or (None, None)
+    v = ddx(integrate_y_from0(u, su))
+    h = ddx(integrate_y_from0(b, sb))
     v.coeffs *= -1.0
     h.coeffs *= -1.0
     return v, h
@@ -225,11 +233,13 @@ def flux_drift(u: Field, b: Field) -> float:
     return max(float(np.max(np.abs(fu[1:]))), float(np.max(np.abs(fb[1:]))))
 
 
-def reconstruct_phipsi(u: Field, b: Field):
+def reconstruct_phipsi(u: Field, b: Field, sums: Optional[tuple] = None):
     """Antiderivatives phi = -int_y^inf u, psi = -int_y^inf b; both vanish
-    at the top by construction and at the wall up to the column flux."""
-    phi = integrate_y_tail(u)
-    psi = integrate_y_tail(b)
+    at the top by construction and at the wall up to the column flux.
+    `sums` as in recover_vh."""
+    su, sb = sums or (None, None)
+    phi = integrate_y_tail(u, su)
+    psi = integrate_y_tail(b, sb)
     phi.coeffs *= -1.0
     psi.coeffs *= -1.0
     return phi, psi
@@ -265,7 +275,7 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     ws = ws or _Workspace(g)
     ixi = 1j * g.xi
     duy, dby = state.dy_ub
-    v, h = recover_vh(u, b, check=False)
+    v, h = recover_vh(u, b, check=False, sums=state.tail_sums)
     spec = ws.factors[:, :, :g.nmodes]
     spec[0] = u.coeffs
     spec[1] = b.coeffs
@@ -352,14 +362,90 @@ def _cn_matrix(ny: int, dy: float, nu: float, dt: float, bc: str) -> np.ndarray:
     return ab
 
 
+# Rows per block of the spike solve: blocks small enough that their dense
+# inverses stay cheap to apply, few enough that the interface system is
+# small (48 unknowns at ny = 768).
+_CN_BLOCK = 32
+
+
+@dataclass(frozen=True)
+class CNFactors:
+    """A tridiagonal system prefactored for the block ("spike") solve of
+    Polizzi & Sameh (Parallel Computing 32, 2006).
+
+    The n rows, padded with identity rows to nb blocks of m, split into
+    diagonal blocks A_k and the two entries that couple neighbouring
+    blocks.  With x_k = A_k^{-1} b_k - up_k x_{k+1}[0] - down_k x_{k-1}[-1],
+    the first and last unknown of every block solve a 2 nb interface
+    system, kept as its inverse.  CN matrices are strictly diagonally
+    dominant M-matrices, so the inverses need no pivoting and are
+    nonnegative: for a one-signed right-hand side every sum in a solve
+    adds terms of one sign, and far rows keep their relative accuracy."""
+
+    n: int
+    inv_blocks: np.ndarray       # (nb, m, m): A_k^{-1}
+    up: np.ndarray               # (nb, m): A_k^{-1} column m-1 x coupling
+    down: np.ndarray             # (nb, m): A_k^{-1} column 0 x coupling
+    inv_interface: np.ndarray    # (2 nb, 2 nb), unknowns (x_k[0], x_k[-1])
+
+
+def cn_factors(ab: np.ndarray) -> CNFactors:
+    """Factor the banded (1,1) matrix `ab` (the _cn_matrix layout)."""
+    n, m = ab.shape[1], _CN_BLOCK
+    nb = -(-n // m)
+    diag = np.ones(nb * m)
+    diag[:n] = ab[1]
+    sup = np.zeros(nb * m)           # A[i, i + 1]
+    sup[:n - 1] = ab[0, 1:]
+    sub = np.zeros(nb * m)           # A[i + 1, i]
+    sub[:n - 1] = ab[2, :-1]
+    i = np.arange(m)
+    blocks = np.zeros((nb, m, m))
+    blocks[:, i, i] = diag.reshape(nb, m)
+    blocks[:, i[:-1], i[1:]] = sup.reshape(nb, m)[:, :-1]
+    blocks[:, i[1:], i[:-1]] = sub.reshape(nb, m)[:, :-1]
+    inv = np.linalg.inv(blocks)
+    # the entries that straddle a block edge; both are 0 after the last block
+    up = inv[:, :, -1] * sup[m - 1::m, None]
+    down = np.zeros((nb, m))
+    down[1:] = inv[1:, :, 0] * sub[m - 1:-1:m, None]
+    k = np.arange(nb - 1)
+    interface = np.eye(2 * nb).reshape(nb, 2, nb, 2)
+    interface[k, :, k + 1, 0] = up[:-1][:, [0, -1]]
+    interface[k + 1, :, k, 1] = down[1:][:, [0, -1]]
+    return CNFactors(n, inv, up, down,
+                     np.linalg.inv(interface.reshape(2 * nb, 2 * nb)))
+
+
+def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for the prefactored A; b is (n, cols), real or
+    complex, and a complex b is solved as its real (n, 2 cols) view.
+    One stacked matmul over the blocks, one interface matmul and two
+    broadcast corrections."""
+    inv = factors.inv_blocks
+    nb, m, _ = inv.shape
+    b = np.ascontiguousarray(b)
+    rows = b.view(np.float64).reshape(factors.n, -1)
+    cols = rows.shape[1]
+    if nb * m != factors.n:
+        rows = np.concatenate([rows, np.zeros((nb * m - factors.n, cols))])
+    x = inv @ rows.reshape(nb, m, cols)
+    ends = factors.inv_interface @ x[:, [0, -1]].reshape(2 * nb, cols)
+    ends = ends.reshape(nb, 2, cols)
+    x[:-1] -= factors.up[:-1, :, None] * ends[1:, None, 0]
+    x[1:] -= factors.down[1:, :, None] * ends[:-1, None, 1]
+    return x.reshape(nb * m, cols)[:factors.n].view(b.dtype)
+
+
 class _Workspace:
-    """Per-run cache: partition, zero-flux shapes, factor-free banded
-    matrices and the RHS factor stack."""
+    """Per-run cache: the LP partition, the zero-flux shapes, one CN
+    factorization per (nu, dt, bc) (a CFL change of dt adds one) and the
+    RHS factor stack."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.part = build_partition(grid)
-        self._mats = {}
+        self._cn = {}
         self._shapes = {}
 
     def projection_shapes(self, nu_u: float):
@@ -369,11 +455,12 @@ class _Workspace:
             self._shapes[nu_u] = flux_projection_profiles(self.grid, 1 / nu_u)
         return self._shapes[nu_u]
 
-    def cn_matrix(self, nu: float, dt: float, bc: str) -> np.ndarray:
+    def cn_factors(self, nu: float, dt: float, bc: str) -> CNFactors:
         key = (nu, dt, bc)
-        if key not in self._mats:
-            self._mats[key] = _cn_matrix(self.grid.ny, self.grid.dy, nu, dt, bc)
-        return self._mats[key]
+        if key not in self._cn:
+            self._cn[key] = cn_factors(
+                _cn_matrix(self.grid.ny, self.grid.dy, nu, dt, bc))
+        return self._cn[key]
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -389,8 +476,7 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: np.ndarray, nu: float,
     if field.bc == BC_DIRICHLET:
         rhs[0] = 0.0
     rhs[-1] = 0.0
-    ab = ws.cn_matrix(nu, dt, field.bc)
-    out = solve_banded((1, 1), ab, rhs)
+    out = solve_banded(ws.cn_factors(nu, dt, field.bc), b=rhs)
     return Field(field.grid, out, field.bc)
 
 
@@ -437,7 +523,8 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     u1 = project_zero_flux(u1, shape_u)
     b1 = project_zero_flux(b1, shape_b)
 
-    m = max(float(np.max(np.abs(u1.coeffs))), float(np.max(np.abs(b1.coeffs))))
+    # np.max keeps a NaN of either field, where Python's max may drop it
+    m = float(np.max([np.max(np.abs(u1.coeffs)), np.max(np.abs(b1.coeffs))]))
     if not math.isfinite(m):
         raise DivergenceError(f"non-finite fields after step at t={state.t:.6g}")
 
@@ -860,7 +947,8 @@ def load_checkpoint(path: str):
 
     Raises CheckpointError with a one-line message when the file cannot
     be read, is not a checkpoint, is truncated, has a header that is not
-    JSON or lacks a key, or holds a spectrum that is not a real field's.
+    JSON or lacks a key, or holds a spectrum that is not a real field's
+    or a non-finite value.
     Modes above the dealias cut are dropped, as is a trailing exactly-0
     Chemin-Lerner shell outside the grid's window (files written when all
     modes were stored); files without the diffusivity overrides load with
@@ -916,6 +1004,9 @@ def _restore(header: dict, buf: io.BytesIO):
         if len(data) != n:
             raise CheckpointError("truncated checkpoint")
         full = np.frombuffer(data, dtype="<c16").reshape(grid.ny, grid.nx)
+        if not np.all(np.isfinite(full)):
+            raise CheckpointError(f"checkpoint {name} holds non-finite "
+                                  "values")
         return fold(full.astype(np.complex128), name)
 
     u = Field(grid, read_arr("u"), BC_DIRICHLET)

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import cumulative_trapezoid
 
-from mhdbl.grid import BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, TailViolationError, ddy
+from mhdbl.grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
+                        TailViolationError, d2dy, ddy)
 from mhdbl.lp import besov_pair_norm, build_partition
 from mhdbl.scenario import (
     FarField,
@@ -37,8 +38,11 @@ from mhdbl.solver import (
     NormSeries,
     TStarReachedError,
     _choose_dt,
+    _cn_matrix,
+    _cn_solve,
     _Workspace,
     branch_gain,
+    cn_factors,
     eikonal_residual,
     eqs2_residual,
     flux_drift,
@@ -53,6 +57,7 @@ from mhdbl.solver import (
     rhs_explicit,
     save_checkpoint,
     simulate,
+    solve_banded,
     step_imex,
     tail_guard_check,
     theta_components,
@@ -421,6 +426,42 @@ class TestStepper:
         assert ei.value.partial.reason == "divergence"
         assert ei.value.partial.state.step_index == 0
 
+    @pytest.mark.parametrize("field", ["prev_ru", "prev_rb"])
+    def test_non_finite_tendency_is_divergence(self, field):
+        """A NaN in the multistep history reaches the step's finiteness
+        check (u and b alike) and ends as a divergence, not ValueError."""
+        g = make_grid()
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = step_imex(make_state(g, p, u0, b0), 1e-3)
+        hist = getattr(st, field).copy()
+        hist[40, 0] = np.nan
+        setattr(st, field, hist)
+        with pytest.raises(DivergenceError, match="non-finite fields"):
+            step_imex(st, 1e-3)
+
+    def test_state_sums_each_field_from_the_top_once(self, monkeypatch):
+        """(v, h) in the RHS and (phi, psi) in gh_fields share one
+        tail_suffix per field of a state, with the same bits as the
+        integrals computed on their own."""
+        import mhdbl.solver
+        g = make_grid()
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = make_state(g, p, u0, b0)
+        calls = []
+        real = mhdbl.solver.tail_suffix
+        monkeypatch.setattr(mhdbl.solver, "tail_suffix",
+                            lambda f: calls.append(f) or real(f))
+        phi, psi, *_ = st.gh_fields
+        rhs_explicit(st, None, _Workspace(g))
+        assert calls == [st.u, st.b]
+        v, h = recover_vh(st.u, st.b, check=False, sums=st.tail_sums)
+        v0, h0 = recover_vh(st.u, st.b, check=False)
+        phi0, psi0 = reconstruct_phipsi(st.u, st.b)
+        for x, y in ((v, v0), (h, h0), (phi, phi0), (psi, psi0)):
+            assert np.array_equal(x.coeffs, y.coeffs)
+
     def test_manufactured_heat_accuracy(self):
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
@@ -474,6 +515,102 @@ class TestStepper:
                      norm_gh=0.0, norm_dy_gh=0.0, norm_phipsi=0.0,
                      cl_dyub_sq=0.0, theta_integral1=0.0)
         assert s.column("t").tolist() == [0.0, 0.5]
+
+
+def dense_cn(ab):
+    return (np.diag(ab[1]) + np.diag(ab[0, 1:], 1)
+            + np.diag(ab[2, :-1], -1))
+
+
+def thomas_longdouble(ab, rhs):
+    """Reference tridiagonal solve of one real column in long double."""
+    n = ab.shape[1]
+    d, up, lo = (np.asarray(v, np.longdouble)
+                 for v in (ab[1], ab[0, 1:], ab[2, :-1]))
+    rhs = np.asarray(rhs, np.longdouble)
+    cp = np.zeros(n, np.longdouble)
+    dp = np.zeros(n, np.longdouble)
+    for i in range(n):
+        den = d[i] - (lo[i - 1] * cp[i - 1] if i else 0)
+        if i < n - 1:
+            cp[i] = up[i] / den
+        dp[i] = (rhs[i] - (lo[i - 1] * dp[i - 1] if i else 0)) / den
+    x = dp.copy()
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return x
+
+
+# ny against the solve's 32-row blocks: inside one block (16, 17), 3
+# blocks and 4 rows (100), 24 blocks and 1 row (769)
+CN_GRIDS = [(16, 5.0), (17, 5.0), (100, 24.0), (769, 181.0)]
+
+
+class TestCNSolve:
+    @pytest.mark.parametrize("ny, ymax", CN_GRIDS)
+    @pytest.mark.parametrize("nu", [1.0, 1.5])
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
+    def test_matches_dense_solve(self, ny, ymax, nu, bc):
+        g = make_grid(ny=ny, ymax=ymax)
+        ab = _cn_matrix(ny, g.dy, nu, 1e-2, bc)
+        rng = np.random.default_rng(ny)
+        rhs = (rng.standard_normal((ny, g.nmodes))
+               + 1j * rng.standard_normal((ny, g.nmodes)))
+        ref = np.linalg.solve(dense_cn(ab), rhs)
+        fac = cn_factors(ab)
+        got = solve_banded(fac, b=rhs)
+        assert got.shape == rhs.shape and got.dtype == rhs.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        real = solve_banded(fac, b=rhs.real)
+        assert real.dtype == np.float64
+        assert np.max(np.abs(real - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ny, ymax", CN_GRIDS)
+    @pytest.mark.parametrize("nu", [1.0, 1.5])
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
+    def test_gaussian_tail_rows_keep_relative_accuracy(self, ny, ymax, nu,
+                                                       bc):
+        """The solved tails later meet exp(y^2/8<t>) weights, so every row
+        down to 1e-250 must be accurate relative to itself, not to the
+        peak."""
+        g = make_grid(ny=ny, ymax=ymax)
+        ab = _cn_matrix(ny, g.dy, nu, 1e-2, bc)
+        amp = np.array([1.0, -0.3 + 0.7j, 2e-3j])
+        rhs = np.exp(-g.y ** 2 / 4.0)[:, None] * amp
+        if bc == BC_DIRICHLET:
+            rhs[0] = 0.0
+        rhs[-1] = 0.0
+        got = solve_banded(cn_factors(ab), b=rhs)
+        ref = np.stack([thomas_longdouble(ab, c.real)
+                        + 1j * thomas_longdouble(ab, c.imag)
+                        for c in rhs.T], axis=1)
+        mask = np.abs(ref) > 1e-250
+        rel = np.abs(got - ref)[mask] / np.abs(ref)[mask]
+        assert float(np.max(rel)) <= 1e-13
+        if ny == 769:
+            # the check reaches deep into the tail
+            assert np.min(np.abs(ref)[mask]) < 1e-240
+
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
+    def test_dt_change_builds_a_new_factorization(self, bc):
+        g = make_grid(ny=100, ymax=24.0)
+        ws = _Workspace(g)
+        rng = np.random.default_rng(7)
+        f = Field(g, rng.standard_normal((g.ny, g.nmodes)) + 0j, bc)
+        tend = rng.standard_normal((g.ny, g.nmodes)) + 0j
+        for dt in (1e-2, 5e-3, 1e-2):      # a CFL halving and back
+            fac = ws.cn_factors(1.5, dt, bc)
+            assert ws.cn_factors(1.5, dt, bc) is fac
+            got = _cn_solve(ws, f, tend, 1.5, dt).coeffs
+            rhs = f.coeffs + d2dy(f).coeffs * (0.75 * dt) + dt * tend
+            if bc == BC_DIRICHLET:
+                rhs[0] = 0.0
+            rhs[-1] = 0.0
+            ref = np.linalg.solve(
+                dense_cn(_cn_matrix(g.ny, g.dy, 1.5, dt, bc)), rhs)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert ws.cn_factors(1.5, 5e-3, bc) is not ws.cn_factors(1.5, 1e-2,
+                                                                  bc)
 
 
 class TestAudits:
