@@ -5,8 +5,9 @@ one per formulation, should land on the same fields.
 
 import numpy as np
 
-from mhdbl import (GridSpec, Field, Params, initial_data_standard, simulate,
-                   kappa_rescale_map, build_partition, besov_pair_norm)
+from mhdbl import (GridSpec, Field, Params, initial_data_standard,
+                   make_state, simulate, kappa_rescale_map, build_partition,
+                   besov_pair_norm)
 
 
 def main():
@@ -21,10 +22,10 @@ def main():
     print(f"run B: heights up to {grid_b.ymax:.4g}, diffusivities "
           f"({1.0 / kap:g}, 1)")
 
-    res_a = simulate(grid_a, par_a, u0a, b0a, t_final=0.5, dt_max=1e-2,
-                     sample_every=100)
-    res_b = simulate(grid_b, par_b, u0b, b0b, t_final=0.5, dt_max=1e-2,
-                     sample_every=100)
+    res_a = simulate(make_state(grid_a, par_a, u0a, b0a), t_final=0.5,
+                     dt_max=1e-2, sample_every=100)
+    res_b = simulate(make_state(grid_b, par_b, u0b, b0b), t_final=0.5,
+                     dt_max=1e-2, sample_every=100)
 
     _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u, res_a.state.b, kap)
     part = build_partition(grid_b)

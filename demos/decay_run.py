@@ -7,8 +7,8 @@ in tests/test_acceptance.py; this is the same physics at desk scale.
 
 import numpy as np
 
-from mhdbl import (GridSpec, Params, initial_data_standard, recommended_ymax,
-                   simulate, fit_decay, theta_report)
+from mhdbl import (GridSpec, Params, initial_data_standard, make_state,
+                   recommended_ymax, simulate, fit_decay, theta_report)
 
 
 def main():
@@ -19,8 +19,8 @@ def main():
     u0, b0, report = initial_data_standard(grid, params)
     print(f"initial data ok: {report['ok']}   domain height: {ymax}")
 
-    res = simulate(grid, params, u0, b0, t_final=t_final, dt_max=1e-2,
-                   sample_every=10)
+    res = simulate(make_state(grid, params, u0, b0), t_final=t_final,
+                   dt_max=1e-2, sample_every=10)
     print(f"finished: reason={res.reason}  t={res.summary['t_final']:g}")
 
     for name in ("norm_ub", "norm_gh", "norm_dy_gh"):

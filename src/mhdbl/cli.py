@@ -4,7 +4,8 @@ resume checkpointed runs.
 
 Exit codes: 0 success, 1 a verification suite reported failures,
 2 configuration or input errors, 3 the analytic band was exhausted
-(partial output is still written), 4 the fields diverged.
+(partial output is still written), 4 the fields diverged or the weighted
+tail left the domain (likewise); 3 and 4 name the guard on stderr.
 """
 
 import argparse
@@ -15,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .grid import Field, GridSpec, TailViolationError
+from .grid import Field, GridSpec
 from .scenario import (Params, UnsupportedScenarioError, default_x_profile,
                        farfield_decaying, initial_data_standard)
-from .solver import (CheckpointError, DivergenceError, NormSeries,
-                     TStarReachedError, load_checkpoint,
-                     resolve_branch_alpha, save_checkpoint, simulate)
+from .solver import (CheckpointError, NormSeries, load_checkpoint,
+                     make_state, resolve_branch_alpha, save_checkpoint,
+                     simulate)
 from .verify import (fit_loglog, run_poincare_suite, run_sup_constants_suite,
                      theta_report)
 
@@ -185,10 +186,15 @@ def _fits_for_summary(series: NormSeries, t_final: float) -> dict:
     return fits
 
 
-def _write_outputs(out_dir: str, cfg, series, summary, state, ff) -> None:
+# exit code of each way a run ends
+_EXIT_CODES = {"completed": 0, "tstar": 3, "divergence": 4, "tail": 4}
+
+
+def _finish(command: str, out_dir: str, cfg, result, ff) -> int:
+    """Write norms.csv, summary.json and final.ckpt; report the ending on
+    stdout, and a guard's message on stderr; return the exit code."""
+    series, summary = result.series, result.summary
     write_norms_csv(os.path.join(out_dir, "norms.csv"), series)
-    extras = dict(summary.pop("_resume_extras"),
-                  scenario_id=cfg["scenario.id"])
     doc = {
         "config": cfg,
         "summary": summary,
@@ -198,21 +204,13 @@ def _write_outputs(out_dir: str, cfg, series, summary, state, ff) -> None:
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    save_checkpoint(os.path.join(out_dir, "final.ckpt"), state, ff,
-                    extras=extras)
-
-
-def _run(**kw):
-    """simulate(**kw) and its exit code: 0 completed, 3 band exhausted,
-    4 divergence or tail violation (with the guard's partial result)."""
-    try:
-        return simulate(**kw), 0
-    except TStarReachedError as e:
-        return e.partial, 3
-    except (DivergenceError, TailViolationError) as e:
-        if getattr(e, "partial", None) is None:
-            raise
-        return e.partial, 4
+    save_checkpoint(os.path.join(out_dir, "final.ckpt"), result.state, ff,
+                    extras={"scenario_id": cfg["scenario.id"]})
+    print(f"{command}: reason={result.reason} t={result.state.t:.6g} "
+          f"theta={result.state.theta:.6g} -> {out_dir}")
+    if result.message:
+        print(f"{command}: stopped: {result.message}", file=sys.stderr)
+    return _EXIT_CODES[result.reason]
 
 
 def cmd_simulate(args) -> int:
@@ -220,18 +218,13 @@ def cmd_simulate(args) -> int:
     validate_config(cfg)
     out_dir = _prepare_out(args.out)
     grid, params, u0, b0, ff, id_report = build_run(cfg)
-    result, code = _run(grid=grid, params=params, u0=u0, b0=b0, farfield=ff,
-                        t_final=cfg["run.t_final"],
-                        dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
-                        sample_every=cfg["run.sample_every"],
-                        branch=cfg["run.branch"])
-    summary = dict(result.summary)
+    result = simulate(make_state(grid, params, u0, b0, cfg["run.branch"]),
+                      ff, t_final=cfg["run.t_final"],
+                      dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
+                      sample_every=cfg["run.sample_every"])
     if id_report is not None:
-        summary["initial_data"] = id_report
-    _write_outputs(out_dir, cfg, result.series, summary, result.state, ff)
-    print(f"simulate: reason={result.reason} t={result.state.t:.6g} "
-          f"theta={result.state.theta:.6g} -> {out_dir}")
-    return code
+        result.summary["initial_data"] = id_report
+    return _finish("simulate", out_dir, cfg, result, ff)
 
 
 def cmd_verify(args) -> int:
@@ -293,16 +286,10 @@ def cmd_resume(args) -> int:
         raise ConfigError(
             f"run.t_final={cfg['run.t_final']} does not extend the "
             f"checkpoint time {state.t:.6g}")
-    result, code = _run(grid=state.grid, params=state.params, u0=state.u,
-                        b0=state.b, farfield=ff, t_final=cfg["run.t_final"],
-                        dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
-                        sample_every=cfg["run.sample_every"],
-                        resume_state=state, resume_extras=extras)
-    _write_outputs(out_dir, cfg, result.series, dict(result.summary),
-                   result.state, ff)
-    print(f"resume: reason={result.reason} t={result.state.t:.6g} "
-          f"-> {out_dir}")
-    return code
+    result = simulate(state, ff, t_final=cfg["run.t_final"],
+                      dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
+                      sample_every=cfg["run.sample_every"])
+    return _finish("resume", out_dir, cfg, result, ff)
 
 
 def _build_parser():

@@ -192,37 +192,12 @@ def x_transform(grid: GridSpec, values: np.ndarray, direction: str) -> np.ndarra
                            norm="forward")
         return np.ascontiguousarray(spec[..., :grid.nmodes])
     if direction == "inverse":
-        return np.fft.irfft(_zero_filled(grid, values), n=grid.nx, axis=-1,
-                            norm="forward")
+        coeffs = np.asarray(values, dtype=complex)
+        pad = grid.nx // 2 + 1 - coeffs.shape[-1]
+        if pad:
+            coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, pad)])
+        return np.fft.irfft(coeffs, n=grid.nx, axis=-1, norm="forward")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def _zero_filled(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Stored amplitudes zero-filled along the last axis to nx/2 + 1."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    pad = grid.nx // 2 + 1 - coeffs.shape[-1]
-    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, pad)]) \
-        if pad else coeffs
-
-
-def full_spectrum(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """All nx modes in FFT order (0..nx/2, then -(nx/2 - 1)..-1) from the
-    stored ones along the last axis: modes above the cut are zero and the
-    mirrored modes are conjugates."""
-    half = _zero_filled(grid, coeffs)
-    return np.concatenate([half, np.conj(half[..., grid.nx // 2 - 1:0:-1])],
-                          axis=-1)
-
-
-def half_spectrum(grid: GridSpec, full: np.ndarray) -> np.ndarray:
-    """The stored modes of an all-modes spectrum (inverse of
-    full_spectrum; modes above the cut are dropped).  Raises ValueError
-    unless every mirrored mode is the exact conjugate of its twin."""
-    h = grid.nx // 2
-    if not np.array_equal(full[..., h + 1:], np.conj(full[..., h - 1:0:-1])):
-        raise ValueError("mirrored modes are not the conjugates of the "
-                         "stored ones")
-    return np.ascontiguousarray(full[..., :grid.nmodes])
 
 
 def ddx(field: Field) -> Field:

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -20,9 +20,9 @@ import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    TailViolationError, column_flux, d2dy, ddx, ddy,
-                   full_spectrum, half_spectrum, integrate_y_from0,
-                   integrate_y_tail, psi_weight, row_power, tail_suffix,
-                   weighted_l2, weighted_rows, x_transform)
+                   integrate_y_from0, integrate_y_tail, psi_weight,
+                   row_power, tail_suffix, weighted_l2, weighted_rows,
+                   x_transform)
 from .lp import (CLAccumulator, DyadicPartition, besov_h_shell_norms,
                  besov_norm, besov_pair_norm, build_partition,
                  pair_shell_norms)
@@ -121,7 +121,14 @@ class NormSeries:
 
 @dataclass
 class State:
-    """One instant of a run: fields, clock, and analytic-band budget."""
+    """One instant of a run: everything a continuation reads.
+
+    The fields and the clock; the analytic-band budget theta and the
+    running integral of its gradient term; the multistep history; the
+    speed that sets the next CFL step; the Chemin-Lerner shell integrals
+    and the audit minima so far; and the blow-up limit fixed at t = 0.
+    A checkpoint stores exactly these, so a resumed run continues the
+    unbroken one bit for bit."""
 
     grid: GridSpec
     params: Params
@@ -134,9 +141,11 @@ class State:
     prev_ru: Optional[np.ndarray] = None
     prev_rb: Optional[np.ndarray] = None
     prev_dt: Optional[float] = None
-    # set by step_imex: theta_comp1, umax (the CFL speed) and field_max
-    # (max |u|, |b| coefficient, read by simulate's blow-up guard)
-    diagnostics: dict = dc_field(default_factory=dict)
+    theta_int1: float = 0.0         # int_0^t of theta's first component
+    umax: float = 0.0               # the CFL speed of the last RHS
+    cl_integrals: Optional[np.ndarray] = None   # per dyadic shell; make_state
+    audit_min: dict = dc_field(default_factory=dict)
+    blow_limit: float = math.inf    # step_imex refuses a larger max |u|, |b|
 
     @property
     def radius(self) -> float:
@@ -167,9 +176,15 @@ class State:
 
 def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
                branch: str = "auto") -> State:
+    """The t = 0 state of a run from (u0, b0): the first CFL speed and the
+    blow-up limit 1e6 (m + 1) both come from m = max |u0|, |b0|."""
     alpha = resolve_branch_alpha(params.kappa, branch)
-    return State(grid, params, 0.0, u0.copy(), b0.copy(), theta=0.0,
-                 weight_alpha=alpha)
+    scale = max(float(np.max(np.abs(u0.coeffs))),
+                float(np.max(np.abs(b0.coeffs))))
+    return State(grid, params, 0.0, u0.copy(), b0.copy(), weight_alpha=alpha,
+                 umax=scale, cl_integrals=np.zeros(
+                     build_partition(grid).n_shells),
+                 blow_limit=1e6 * (scale + 1.0))
 
 
 def resolve_branch_alpha(kappa: float, branch: str) -> float:
@@ -491,7 +506,11 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     """One IMEX step: AB2 (RK2 midpoint bootstrap) for the explicit
     tendencies, Crank-Nicolson for diffusion, zero-flux projection of the
     x-varying modes, then an Euler update of theta using the end-of-step
-    fields and the pre-step band radius."""
+    fields and the pre-step band radius.  The new state carries the
+    input's tallies over; simulate adds the CL integrals and audits.
+
+    Raises DivergenceError when the new fields are not finite or exceed
+    state.blow_limit, TStarReachedError when the band is exhausted."""
     if state.radius <= 0.0:
         raise TStarReachedError(f"band exhausted at t={state.t:.6g}")
     if ws is None:
@@ -505,12 +524,11 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
         # the midpoint state is a temporary, so its derived fields are
         # freed before the CN solves
         rum, rbm, _ = rhs_explicit(
-            State(state.grid, state.params, state.t + 0.5 * dt,
-                  Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
-                        state.u.bc),
-                  Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
-                        state.b.bc),
-                  theta=state.theta, weight_alpha=state.weight_alpha),
+            replace(state, t=state.t + 0.5 * dt,
+                    u=Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
+                            state.u.bc),
+                    b=Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
+                            state.b.bc)),
             farfield, ws)
         eu, eb = rum.coeffs, rbm.coeffs
     else:
@@ -527,17 +545,17 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     m = float(np.max([np.max(np.abs(u1.coeffs)), np.max(np.abs(b1.coeffs))]))
     if not math.isfinite(m):
         raise DivergenceError(f"non-finite fields after step at t={state.t:.6g}")
+    if m > state.blow_limit:
+        raise DivergenceError(
+            f"field magnitude {m:.3e} exceeds {state.blow_limit:.3e}")
 
     t1 = state.t + dt
-    new = State(state.grid, state.params, t1, u1, b1, theta=state.theta,
-                step_index=state.step_index + 1,
-                weight_alpha=state.weight_alpha,
-                prev_ru=ru0.coeffs, prev_rb=rb0.coeffs, prev_dt=dt)
+    new = replace(state, t=t1, u=u1, b=b1, step_index=state.step_index + 1,
+                  prev_ru=ru0.coeffs, prev_rb=rb0.coeffs, prev_dt=dt,
+                  umax=umax)
     comp1, comp2 = theta_components(new, farfield, ws.part, state.radius)
     new.theta = state.theta + dt * (comp1 + comp2)
-    new.diagnostics["theta_comp1"] = comp1
-    new.diagnostics["umax"] = umax
-    new.diagnostics["field_max"] = m
+    new.theta_int1 = state.theta_int1 + dt * comp1
     if new.radius <= 0.0:
         raise TStarReachedError(f"band exhausted at t={t1:.6g}")
     return new
@@ -721,40 +739,42 @@ def kappa_rescale_map(grid: GridSpec, u: Field, b: Field, kappa: float):
 
 @dataclass
 class SimResult:
+    """How a run ended: the last state it reached (a step that trips a
+    guard is discarded; a tail trip at a sample keeps the sampled state),
+    the samples, the summary, and the reason, one of "completed", "tstar"
+    (band exhausted), "divergence" and "tail" (weighted tail left the
+    domain), with the guard's one-line message for all but "completed"."""
+
     state: State
     series: NormSeries
     summary: dict
     reason: str
+    message: str = ""
 
 
 _AUDIT_EVERY = 10
 
 
-def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
-             farfield: Optional[FarField] = None,
+def simulate(state: State, farfield: Optional[FarField] = None,
              t_final: float = 1.0, dt_max: float = 1e-2, cfl: float = 0.4,
-             sample_every: int = 10, branch: str = "auto",
-             resume_state: Optional[State] = None,
-             resume_extras: Optional[dict] = None) -> SimResult:
-    """Run the IMEX loop to t_final with sampling, guards, and audits.
+             sample_every: int = 10) -> SimResult:
+    """Run the IMEX loop from `state` to t_final with sampling, guards,
+    and audits: a new run passes make_state(...), a resumed one the state
+    load_checkpoint returns.  A state at step 0 gets the t = 0 sample.
 
-    Returns the final state plus the sampled series and a summary with
-    the audit minima, theta bookkeeping, and flux statistics.  Raises
-    TStarReachedError / DivergenceError / TailViolationError with partial
-    output attached when a guard fires, and ValueError before the first
-    sample when the far field's cutoff is unresolved on the grid.
+    Every ending, a guard's included, returns a SimResult whose summary
+    holds the audit minima, theta bookkeeping, and flux statistics.  Only
+    input errors raise, before the first sample: UnsupportedScenarioError
+    for a far field at kappa = 1, ValueError when the far field's cutoff
+    is unresolved on the grid.
     """
+    grid, params = state.grid, state.params
     if farfield is not None:
         if params.kappa == 1.0:
             raise UnsupportedScenarioError(
                 "kappa = 1 runs require the trivial far field")
         farfield.cutoff    # sampled now, so a bad grid fails before output
     ws = _Workspace(grid)
-
-    if resume_state is not None:
-        state = resume_state
-    else:
-        state = make_state(grid, params, u0, b0, branch)
     try:
         gain = branch_gain(params, state.weight_alpha)
     except ValueError:
@@ -765,14 +785,10 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
     # kappa = 1 all four collapse to one
     audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
                                 for be in (1.0, params.kappa))
-    cl = CLAccumulator(ws.part, 0.5, 2.0)
-    theta_int1 = 0.0
-    audit_min = {}
     series = NormSeries()
-    if resume_extras:
-        cl.integrals[:] = np.asarray(resume_extras["cl_integrals"])
-        theta_int1 = float(resume_extras["theta_int1"])
-        audit_min = dict(resume_extras.get("audit_min", {}))
+
+    def cl_dyub_sq(st: State) -> float:
+        return CLAccumulator(ws.part, 0.5, 2.0, st.cl_integrals).value() ** 2
 
     def take_sample(st: State):
         phi, psi, G, H, dG, dH = st.gh_fields
@@ -784,69 +800,53 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
             norm_gh=besov_pair_norm(ws.part, G, H, 0.5, a, st.t, r),
             norm_dy_gh=besov_pair_norm(ws.part, dG, dH, 0.5, a, st.t, r),
             norm_phipsi=besov_pair_norm(ws.part, phi, psi, 0.5, a, st.t, r),
-            cl_dyub_sq=cl.value() ** 2, theta_integral1=theta_int1)
+            cl_dyub_sq=cl_dyub_sq(st), theta_integral1=st.theta_int1)
         tail_guard_check(st)
 
-    scale0 = max(float(np.max(np.abs(state.u.coeffs))),
-                 float(np.max(np.abs(state.b.coeffs))))
-    blow_limit = 1e6 * (scale0 + 1.0)
-    umax_est = scale0
-    if resume_extras and "umax_est" in resume_extras:
-        umax_est = float(resume_extras["umax_est"])
-
-    def make_summary(reason):
-        drift = flux_drift(state.u, state.b)
-        return {
-            "t_final": state.t,
-            "steps": state.step_index,
-            "theta_final": state.theta,
-            "radius_final": state.radius,
-            "theta_integral1": theta_int1,
+    def result(st: State, reason: str, message: str = "") -> SimResult:
+        drift = flux_drift(st.u, st.b)
+        return SimResult(st, series, {
+            "t_final": st.t,
+            "steps": st.step_index,
+            "theta_final": st.theta,
+            "radius_final": st.radius,
+            "theta_integral1": st.theta_int1,
             "flux_drift_final": drift,
-            "flux_drift_per_unit": drift / max(state.t, 1e-300),
-            "audit_min_slack": audit_min,
-            "cl_dyub_sq_final": cl.value() ** 2,
-            "weight_alpha": state.weight_alpha,
+            "flux_drift_per_unit": drift / max(st.t, 1e-300),
+            "audit_min_slack": st.audit_min,
+            "cl_dyub_sq_final": cl_dyub_sq(st),
+            "weight_alpha": st.weight_alpha,
             "reason": reason,
-            "_resume_extras": {"cl_integrals": cl.integrals.tolist(),
-                               "theta_int1": theta_int1,
-                               "audit_min": audit_min,
-                               "umax_est": umax_est},
-        }
+        }, reason, message)
 
     try:
-        if resume_state is None:
+        if state.step_index == 0:
             take_sample(state)
         while state.t < t_final - 1e-12:
             # theta and the last sample are done with the (G, H) family;
             # free it before the step allocates its own
             vars(state).pop("gh_fields", None)
-            dt = _choose_dt(grid, dt_max, cfl, umax_est)
+            dt = _choose_dt(grid, dt_max, cfl, state.umax)
             dt = min(dt, t_final - state.t)
-            # pre-step accumulations (left endpoint in time)
+            # pre-step accumulation (left endpoint in time)
             du, db = state.dy_ub
-            w = (1.0 + state.t) ** weight_exp
+            cl = CLAccumulator(ws.part, 0.5, 2.0, state.cl_integrals.copy())
             cl.add(pair_shell_norms(ws.part, du, db, state.weight_alpha,
-                                    state.t, state.radius), w, dt)
+                                    state.t, state.radius),
+                   (1.0 + state.t) ** weight_exp, dt)
 
             new = step_imex(state, dt, farfield, ws)
-            theta_int1 += dt * new.diagnostics["theta_comp1"]
-            umax_est = new.diagnostics["umax"]
-
+            new.cl_integrals = cl.integrals
             # step_imex never modifies the fields of its input, so the
             # pre-step fields are still those of `state`
             if state.step_index % _AUDIT_EVERY == 0:
+                new.audit_min = audit = dict(state.audit_min)
                 for name, fo, fn in (("u", state.u, new.u),
                                      ("b", state.b, new.b)):
                     for al, be in audit_pairs:
                         key = f"{name}:a{al:.4g}:b{be:.4g}"
                         s = heat_energy_slack(fo, fn, state.t, new.t, al, be)
-                        audit_min[key] = min(audit_min.get(key, math.inf), s)
-
-            m = new.diagnostics["field_max"]
-            if m > blow_limit:
-                raise DivergenceError(
-                    f"field magnitude {m:.3e} exceeds {blow_limit:.3e}")
+                        audit[key] = min(audit.get(key, math.inf), s)
             state = new
             if state.step_index % sample_every == 0 \
                     or state.t >= t_final - 1e-12:
@@ -854,10 +854,8 @@ def simulate(grid: GridSpec, params: Params, u0: Field, b0: Field,
     except (TStarReachedError, DivergenceError, TailViolationError) as exc:
         reason = {TStarReachedError: "tstar",
                   DivergenceError: "divergence"}.get(type(exc), "tail")
-        exc.partial = SimResult(state, series, make_summary(reason), reason)
-        raise
-
-    return SimResult(state, series, make_summary("completed"), "completed")
+        return result(state, reason, str(exc))
+    return result(state, "completed")
 
 
 def _choose_dt(grid: GridSpec, dt_max: float, cfl: float, umax: float) -> float:
@@ -882,44 +880,66 @@ def _choose_dt(grid: GridSpec, dt_max: float, cfl: float, umax: float) -> float:
 # ---- checkpointing -----------------------------------------------------------
 
 _MAGIC = b"MHDBL\x00"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+
+
+def _finite(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _nonneg(v, params=None) -> bool:
+    return _finite(v) and v >= 0.0
+
+
+# The State's scalars as the header stores them, each with the test its
+# value must pass on load and what the test asks for.
+_SCALARS = {
+    "t": (_nonneg, "a finite number >= 0"),
+    "theta": (_nonneg, "a finite number >= 0"),
+    "step_index": (lambda v, p: type(v) is int and v >= 0, "an integer >= 0"),
+    "weight_alpha": (lambda v, p: _finite(v) and v in (1.0, 1.0 / p.kappa),
+                     "1 or 1/kappa"),
+    "prev_dt": (lambda v, p: v is None or (_finite(v) and v > 0.0),
+                "null or a finite number > 0"),
+    "theta_int1": (_nonneg, "a finite number >= 0"),
+    "umax": (_nonneg, "a finite number >= 0"),
+    "blow_limit": (lambda v, p: _finite(v) and v > 0.0,
+                   "a finite number > 0"),
+}
 
 
 def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
                     extras: Optional[dict] = None) -> None:
-    """Binary snapshot: magic, version, JSON header, then the field and
-    multistep-history arrays as little-endian complex pairs, y-major, with
-    all nx x modes in FFT order; the modes above the dealias cut, which a
-    field does not store, are written as zeros.  A run without a far
-    field writes "farfield": null.
+    """Binary snapshot of exactly `state` (format version 2): magic,
+    version, header length, a JSON header, then u, b and, when the state
+    has a multistep history (prev_dt not null), prev_ru and prev_rb, each
+    as its stored (ny, nmodes) amplitudes in little-endian complex pairs,
+    y major.
 
-    Written to a temporary file beside `path` and renamed over it, so a
-    failed write leaves any previous file intact."""
+    The header holds the grid, the params, the state's scalars (_SCALARS),
+    its Chemin-Lerner shell integrals and audit minima, the far field's
+    eps, alpha and stored-mode profile ("farfield": null without one), and
+    the caller's `extras`.  Written to a temporary file beside `path` and
+    renamed over it, so a failed write leaves any previous file intact."""
     ff = None
     if farfield is not None:
-        g_full = full_spectrum(state.grid, farfield.g_spec)
-        ff = {"kind": "decaying", "eps": farfield.eps,
-              "alpha": farfield.alpha, "g_re": g_full.real.tolist(),
-              "g_im": g_full.imag.tolist()}
+        ff = {"eps": farfield.eps, "alpha": farfield.alpha,
+              "g_re": farfield.g_spec.real.tolist(),
+              "g_im": farfield.g_spec.imag.tolist()}
     header = {
         "version": _CKPT_VERSION,
-        "grid": {"lx": state.grid.lx, "nx": state.grid.nx,
-                 "ymax": state.grid.ymax, "ny": state.grid.ny,
-                 "dealias_fraction": state.grid.dealias_fraction},
-        "params": {"kappa": state.params.kappa,
-                   "epsilon": state.params.epsilon,
-                   "delta": state.params.delta, "lam": state.params.lam,
-                   "nu_u": state.params.nu_u, "nu_b": state.params.nu_b},
-        "t": state.t, "theta": state.theta, "prev_dt": state.prev_dt,
-        "step_index": state.step_index,
-        "weight_alpha": state.weight_alpha,
-        "has_prev": state.prev_ru is not None,
+        "grid": asdict(state.grid),
+        "params": asdict(state.params),
+        **{key: getattr(state, key) for key in _SCALARS},
+        "cl_integrals": state.cl_integrals.tolist(),
+        "audit_min": state.audit_min,
         "farfield": ff,
         "extras": extras or {},
     }
     blob = json.dumps(header).encode("utf-8")
     arrays = [state.u.coeffs, state.b.coeffs]
-    if state.prev_ru is not None:
+    if state.prev_dt is not None:
         arrays += [state.prev_ru, state.prev_rb]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -929,8 +949,7 @@ def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
             for arr in arrays:
-                fh.write(full_spectrum(state.grid, arr).astype("<c16")
-                         .tobytes())
+                fh.write(arr.astype("<c16").tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -946,14 +965,12 @@ def load_checkpoint(path: str):
     """Inverse of save_checkpoint: returns (state, farfield, extras).
 
     Raises CheckpointError with a one-line message when the file cannot
-    be read, is not a checkpoint, is truncated, has a header that is not
-    JSON or lacks a key, or holds a spectrum that is not a real field's
-    or a non-finite value.
-    Modes above the dealias cut are dropped, as is a trailing exactly-0
-    Chemin-Lerner shell outside the grid's window (files written when all
-    modes were stored); files without the diffusivity overrides load with
-    the standard pair, and a far field of kind "trivial" (older files)
-    loads as None."""
+    be read, is not a checkpoint, has another format version (version 1,
+    which lacks the blow-up limit, included), is truncated or too long,
+    has a header that is not JSON, lacks a key or holds a value of the
+    wrong type or range, or holds an array with a non-finite value or with
+    an imaginary part in its DC column (and Nyquist column, when stored),
+    which a real field's spectrum has not."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -979,64 +996,76 @@ def load_checkpoint(path: str):
     except KeyError as e:
         raise CheckpointError(
             f"checkpoint header lacks key {e.args[0]!r}") from None
-    except TypeError:
+    except (TypeError, OverflowError):     # OverflowError: ints past float
         raise CheckpointError("malformed checkpoint header") from None
 
 
-def _restore(header: dict, buf: io.BytesIO):
-    gd = header["grid"]
-    grid = GridSpec(gd["lx"], gd["nx"], gd["ymax"], gd["ny"],
-                    gd["dealias_fraction"])
-    pd = header["params"]
-    params = Params(pd["kappa"], pd["epsilon"], pd["delta"], pd["lam"],
-                    nu_u=pd.get("nu_u"), nu_b=pd.get("nu_b"))
-    n = grid.ny * grid.nx * 16
+def _real_spectrum(arr: np.ndarray, grid: GridSpec, name: str) -> np.ndarray:
+    """`arr` after checking that it is finite and that its DC column (and
+    Nyquist column, when stored) is real, as in a real field's spectrum."""
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointError(f"checkpoint {name} holds non-finite values")
+    if np.any(arr[..., ::grid.nx // 2].imag):
+        raise CheckpointError(f"checkpoint {name} is not the spectrum of a "
+                              "real field")
+    return arr
 
-    def fold(full, name):
-        try:
-            return half_spectrum(grid, full)
-        except ValueError:
-            raise CheckpointError(f"checkpoint {name} is not the spectrum "
-                                  "of a real field") from None
+
+def _restore(header: dict, buf: io.BytesIO):
+    grid = GridSpec(**header["grid"])
+    params = Params(**header["params"])
+    scalars = {}
+    for key, (ok, what) in _SCALARS.items():
+        scalars[key] = val = header[key]
+        if not ok(val, params):
+            raise CheckpointError(f"checkpoint {key} must be {what}, got "
+                                  f"{val!r}")
+    # the arrays first: a grid too large for the file ends as truncation
+    # before anything is sized from it
+    n = grid.ny * grid.nmodes * 16
 
     def read_arr(name):
         data = buf.read(n)
         if len(data) != n:
             raise CheckpointError("truncated checkpoint")
-        full = np.frombuffer(data, dtype="<c16").reshape(grid.ny, grid.nx)
-        if not np.all(np.isfinite(full)):
-            raise CheckpointError(f"checkpoint {name} holds non-finite "
-                                  "values")
-        return fold(full.astype(np.complex128), name)
+        arr = np.frombuffer(data, dtype="<c16").reshape(grid.ny, grid.nmodes)
+        return _real_spectrum(arr.astype(np.complex128), grid, name)
 
     u = Field(grid, read_arr("u"), BC_DIRICHLET)
     b = Field(grid, read_arr("b"), BC_NEUMANN)
     prev_ru = prev_rb = None
-    if header["has_prev"]:
+    if scalars["prev_dt"] is not None:
         prev_ru = read_arr("prev_ru")
         prev_rb = read_arr("prev_rb")
-    state = State(grid, params, header["t"], u, b, theta=header["theta"],
-                  step_index=header["step_index"],
-                  weight_alpha=header["weight_alpha"],
-                  prev_ru=prev_ru, prev_rb=prev_rb,
-                  prev_dt=header.get("prev_dt"))
+    if buf.read(1):
+        raise CheckpointError("checkpoint holds data past its last array")
+
+    n_shells = build_partition(grid).n_shells
+    cl = header["cl_integrals"]
+    if not (isinstance(cl, list) and len(cl) == n_shells
+            and all(map(_nonneg, cl))):
+        raise CheckpointError(f"checkpoint cl_integrals must be {n_shells} "
+                              "finite numbers >= 0, one per Chemin-Lerner "
+                              "shell")
+    audit = header["audit_min"]
+    if not (isinstance(audit, dict) and all(map(_finite, audit.values()))):
+        raise CheckpointError("checkpoint audit_min must be an object of "
+                              "finite numbers")
+    extras = header["extras"]
+    if not isinstance(extras, dict):
+        raise CheckpointError("malformed checkpoint header")
     fd = header["farfield"]
     ff = None
-    if fd is not None and fd["kind"] != "trivial":
-        g_full = np.asarray(fd["g_re"]) + 1j * np.asarray(fd["g_im"])
-        if g_full.shape != (grid.nx,):
+    if fd is not None:
+        g_spec = np.asarray(fd["g_re"]) + 1j * np.asarray(fd["g_im"])
+        if g_spec.shape != (grid.nmodes,):
             raise CheckpointError("checkpoint far-field profile has the "
                                   "wrong length")
         # validated as a new far field is, so a bad value exits 2
         ff = farfield_decaying(grid, params, fd["eps"], fd["alpha"],
-                               fold(g_full, "far-field profile"))
-    extras = header.get("extras", {})
-    if not isinstance(extras, dict):
-        raise CheckpointError("malformed checkpoint header")
-    if "cl_integrals" in extras:
-        cl, n = extras["cl_integrals"], build_partition(grid).n_shells
-        if len(cl) < n or any(cl[n:]):
-            raise CheckpointError(f"checkpoint holds {len(cl)} Chemin-Lerner "
-                                  f"shells where the grid has {n}")
-        extras["cl_integrals"] = cl[:n]
+                               _real_spectrum(g_spec, grid,
+                                              "far-field profile"))
+    state = State(grid, params, u=u, b=b, prev_ru=prev_ru, prev_rb=prev_rb,
+                  cl_integrals=np.asarray(cl, dtype=float),
+                  audit_min=audit, **scalars)
     return state, ff, extras

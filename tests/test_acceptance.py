@@ -40,8 +40,8 @@ def _standard_run(kappa, weight_alpha, branch):
     u0, b0, report = initial_data_standard(grid, params)
     assert report["ok"]
     t0 = time.perf_counter()
-    res = simulate(grid, params, u0, b0, t_final=100.0, dt_max=1e-2,
-                   cfl=0.4, sample_every=10, branch=branch)
+    res = simulate(make_state(grid, params, u0, b0, branch), t_final=100.0,
+                   dt_max=1e-2, cfl=0.4, sample_every=10)
     wall = time.perf_counter() - t0
     assert res.reason == "completed"
     return {"grid": grid, "params": params, "res": res, "wall": wall,
@@ -204,9 +204,9 @@ class TestCriterion7ScalingSymmetry:
         grid_b, u0b, b0b = kappa_rescale_map(grid_a, u0a, b0a, kap)
         par_b = Params(kappa=kap, epsilon=1e-3, nu_u=1.0 / kap, nu_b=1.0)
 
-        res_a = simulate(grid_a, par_a, u0a, b0a, t_final=1.0,
+        res_a = simulate(make_state(grid_a, par_a, u0a, b0a), t_final=1.0,
                          dt_max=1e-2, sample_every=100)
-        res_b = simulate(grid_b, par_b, u0b, b0b, t_final=1.0,
+        res_b = simulate(make_state(grid_b, par_b, u0b, b0b), t_final=1.0,
                          dt_max=1e-2, sample_every=100)
         _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u,
                                       res_a.state.b, kap)
@@ -291,8 +291,8 @@ class TestCriterion9Structural:
     def test_zero_data_stays_zero(self):
         g = GridSpec(2.0 * np.pi, 16, 12.0, 65)
         p = Params(kappa=1.0, epsilon=1e-3)
-        res = simulate(g, p, Field.zeros(g, BC_DIRICHLET),
-                       Field.zeros(g, BC_NEUMANN), t_final=0.1,
+        res = simulate(make_state(g, p, Field.zeros(g, BC_DIRICHLET),
+                                  Field.zeros(g, BC_NEUMANN)), t_final=0.1,
                        dt_max=1e-2, sample_every=5)
         s = res.series
         cols_zero = all(not np.any(s.column(c)) for c in

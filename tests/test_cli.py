@@ -20,7 +20,6 @@ from mhdbl.cli import (
     validate_config,
     write_norms_csv,
 )
-from mhdbl.grid import GridSpec
 from mhdbl.solver import NormSeries, load_checkpoint
 
 
@@ -35,26 +34,6 @@ def base_args(out, *overrides):
     for ov in overrides:
         args += ["--set", ov]
     return args
-
-
-def parent_layout(src, dst, extra_shell=0.0):
-    """Rewrite checkpoint `src` to `dst` as the writer did when every mode
-    was stored: the modes above the dealias cut hold the 1e-214 tail of
-    the standard data, and cl_integrals has one more shell."""
-    raw = src.read_bytes()
-    hlen = int.from_bytes(raw[10:18], "little")
-    header = json.loads(raw[18:18 + hlen])
-    gd = header["grid"]
-    nx = gd["nx"]
-    nmodes = GridSpec(gd["lx"], nx, gd["ymax"], gd["ny"],
-                      gd["dealias_fraction"]).nmodes
-    header["extras"]["cl_integrals"].append(extra_shell)
-    arrays = np.frombuffer(raw[18 + hlen:], dtype="<c16").reshape(
-        -1, gd["ny"], nx).copy()
-    arrays[..., nmodes:nx - nmodes + 1] = 1e-214
-    blob = json.dumps(header).encode("utf-8")
-    dst.write_bytes(raw[:10] + len(blob).to_bytes(8, "little") + blob
-                    + arrays.tobytes())
 
 
 class TestConfig:
@@ -203,7 +182,10 @@ class TestSimulateCommand:
         out = tmp_path / "tstar"
         code = run_cli(*base_args(out, "params.lam=1000000000"))
         assert code == 3
-        assert "reason=tstar" in capsys.readouterr().out
+        cap = capsys.readouterr()
+        assert "reason=tstar" in cap.out
+        assert re.fullmatch(r"simulate: stopped: band exhausted at t=\S+\n",
+                            cap.err)
         doc = json.loads((out / "summary.json").read_text())
         assert doc["summary"]["reason"] == "tstar"
         assert (out / "norms.csv").exists()
@@ -214,7 +196,12 @@ class TestSimulateCommand:
         out = tmp_path / "short"
         code = run_cli(*base_args(out, "grid.ymax=6"))
         assert code == 4
-        assert "reason=tail t=0 " in capsys.readouterr().out
+        cap = capsys.readouterr()
+        assert "reason=tail t=0 " in cap.out
+        # the guard's message, one line on stderr
+        assert re.fullmatch(r"simulate: stopped: weighted tail ratio \S+ "
+                            r"above 0\.8\*ymax at t=0; domain too short "
+                            r"for this horizon\n", cap.err)
         doc = json.loads((out / "summary.json").read_text())
         assert doc["summary"]["reason"] == "tail"
         assert doc["summary"]["steps"] == 0
@@ -396,27 +383,6 @@ class TestResumeCommand:
         assert cfg["run.branch"] == echo
         assert cfg["run.t_final"] == 0.2
 
-    def test_parent_layout_checkpoint_resumes(self, tmp_path, capsys):
-        """A checkpoint written when every mode was stored resumes exactly
-        like the same state written now: its modes above the dealias cut
-        and its trailing zero Chemin-Lerner shell are dropped."""
-        first = tmp_path / "first"
-        assert run_cli(*base_args(first)) == 0
-        old = tmp_path / "old.ckpt"
-        parent_layout(first / "final.ckpt", old)
-        for ckpt, out in ((first / "final.ckpt", "new"), (old, "old")):
-            assert run_cli("resume", str(ckpt), "--out", str(tmp_path / out),
-                           "--set", "run.t_final=0.2") == 0
-        for name in ("norms.csv", "summary.json", "final.ckpt"):
-            assert (tmp_path / "old" / name).read_bytes() == \
-                (tmp_path / "new" / name).read_bytes()
-        # a shell outside the window that is not exactly 0 is refused
-        parent_layout(first / "final.ckpt", old, extra_shell=1e-30)
-        code = run_cli("resume", str(old), "--out", str(tmp_path / "bad"),
-                       "--set", "run.t_final=0.2")
-        assert code == 2
-        assert "Chemin-Lerner shells" in capsys.readouterr().err
-
     def test_resume_echoes_the_scenario_id(self, tmp_path):
         first = tmp_path / "first"
         assert run_cli(*base_args(first, "scenario.id=zero")) == 0
@@ -455,11 +421,18 @@ class TestResumeCommand:
         bad_extras = tmp_path / "extras.ckpt"
         bad_extras.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
                                + blob + raw[18 + hlen:])
+        doc = json.loads(header)
+        doc["t"] = 10 ** 400            # an integer no float can hold
+        blob = json.dumps(doc).encode("utf-8")
+        huge = tmp_path / "huge.ckpt"
+        huge.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
+                         + blob + raw[18 + hlen:])
         for path, msg in (
                 (tmp_path / "missing.ckpt", "cannot read checkpoint"),
                 (bad_json, "checkpoint header is not valid JSON"),
                 (no_key, "checkpoint header lacks key 'grid'"),
-                (bad_extras, "malformed checkpoint header")):
+                (bad_extras, "malformed checkpoint header"),
+                (huge, "malformed checkpoint header")):
             code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
                            "--set", "run.t_final=0.2")
             assert code == 2, path
@@ -471,15 +444,15 @@ class TestResumeCommand:
                              enumerate(["u", "b", "prev_ru", "prev_rb"]))
     def test_non_finite_checkpoint_arrays_exit_two(self, tmp_path, capsys,
                                                    index, name):
-        """A NaN in the DC column, which the conjugate-mirror check never
-        sees, is refused on load whichever array holds it."""
+        """A NaN in the real part of the DC column, which the real-field
+        check never sees, is refused on load whichever array holds it."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
         raw = bytearray((first / "final.ckpt").read_bytes())
         hlen = int.from_bytes(raw[10:18], "little")
-        assert json.loads(raw[18:18 + hlen])["has_prev"]
-        nx, row = 16, 5
-        at = 18 + hlen + (index * 128 + row) * nx * 16    # mode 0 of row 5
+        assert json.loads(raw[18:18 + hlen])["prev_dt"] is not None
+        nmodes, row = 6, 5          # 16 modes keep j = 0..5 under 2/3
+        at = 18 + hlen + (index * 128 + row) * nmodes * 16   # row 5, j = 0
         raw[at:at + 8] = np.float64(np.nan).tobytes()
         bad = tmp_path / "nan.ckpt"
         bad.write_bytes(bytes(raw))
@@ -489,6 +462,65 @@ class TestResumeCommand:
         err = capsys.readouterr().err
         assert err == f"error: checkpoint {name} holds non-finite values\n"
         assert not (tmp_path / "r" / "norms.csv").exists()
+
+    @pytest.fixture(scope="class")
+    def stepped_checkpoint(self, tmp_path_factory):
+        """The bytes of a run's final checkpoint, multistep history
+        included."""
+        first = tmp_path_factory.mktemp("stepped")
+        assert run_cli(*base_args(first)) == 0
+        return (first / "final.ckpt").read_bytes()
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("key, value, msg", [
+        ("t", "x", "a finite number >= 0"),
+        ("t", NAN, "a finite number >= 0"),
+        ("t", -0.5, "a finite number >= 0"),
+        ("theta", "x", "a finite number >= 0"),
+        ("step_index", "x", "an integer >= 0"),
+        ("step_index", 1.5, "an integer >= 0"),
+        ("step_index", -1, "an integer >= 0"),
+        ("weight_alpha", "x", "1 or 1/kappa"),
+        ("weight_alpha", 0.3, "1 or 1/kappa"),
+        ("prev_dt", "x", "null or a finite number > 0"),
+        ("prev_dt", NAN, "null or a finite number > 0"),
+        ("theta_int1", [1], "a finite number >= 0"),
+        ("theta_int1", NAN, "a finite number >= 0"),
+        ("umax", {}, "a finite number >= 0"),
+        ("umax", NAN, "a finite number >= 0"),
+        ("blow_limit", NAN, "a finite number > 0"),
+        ("blow_limit", 0.0, "a finite number > 0"),
+        ("cl_integrals", "nan in one", "4 finite numbers >= 0"),
+        ("cl_integrals", "one short", "4 finite numbers >= 0"),
+        ("audit_min", {"u:a1:b1": "x"}, "an object of finite numbers"),
+        ("audit_min", [], "an object of finite numbers"),
+    ])
+    def test_bad_header_values_exit_two(self, tmp_path, capsys,
+                                        stepped_checkpoint, key, value, msg):
+        """Every value of the state's header is checked for type, finiteness
+        and range on load, so a bad one exits 2 with one line before any
+        step or output."""
+        raw = stepped_checkpoint
+        hlen = int.from_bytes(raw[10:18], "little")
+        header = json.loads(raw[18:18 + hlen])
+        if key == "cl_integrals":
+            cl = header[key]
+            assert len(cl) == 4
+            value = cl[:-1] if value == "one short" else [self.NAN] + cl[1:]
+        header[key] = value
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(raw[:10] + len(blob).to_bytes(8, "little") + blob
+                         + raw[18 + hlen:])
+        out = tmp_path / "r"
+        code = run_cli("resume", str(path), "--out", str(out),
+                       "--set", "run.t_final=0.2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {key} must be {msg}")
+        assert err.count("\n") == 1
+        assert not (out / "norms.csv").exists()
 
     def test_bad_farfield_values_exit_two(self, tmp_path, capsys):
         """A checkpoint's far field is validated like a new one: a bad
@@ -515,15 +547,39 @@ class TestResumeCommand:
             assert err.startswith("error: ") and msg in err
             assert err.count("\n") == 1
 
+    def test_step_zero_checkpoint_trips_the_t0_guard_again(self, tmp_path,
+                                                           capsys):
+        """A checkpoint written at step 0, as the t=0 tail-guard trip
+        writes it, holds a state at step 0: resuming it takes the t=0
+        sample again and trips the same guard."""
+        first = tmp_path / "short"
+        assert run_cli(*base_args(first, "grid.ymax=6")) == 4
+        err = capsys.readouterr().err
+        out = tmp_path / "r"
+        code = run_cli("resume", str(first / "final.ckpt"), "--out", str(out),
+                       "--set", "run.t_final=0.2")
+        assert code == 4
+        cap = capsys.readouterr()
+        assert "reason=tail t=0 " in cap.out
+        assert cap.err == err.replace("simulate:", "resume:", 1)
+        for name in ("norms.csv", "final.ckpt"):
+            assert (out / name).read_bytes() == (first / name).read_bytes()
+
     def test_corrupt_version_rejected(self, tmp_path, capsys):
+        """Any version but 2 is refused, version 1 included: its files
+        stored all nx modes and kept part of a run's tallies outside the
+        state, without the blow-up limit, so they cannot resume a run
+        exactly."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
         ckpt = first / "final.ckpt"
-        raw = bytearray(ckpt.read_bytes())
-        raw[6] = 42
-        broken = tmp_path / "broken.ckpt"
-        broken.write_bytes(bytes(raw))
-        code = run_cli("resume", str(broken), "--out", str(tmp_path / "r"),
-                       "--set", "run.t_final=0.2")
-        assert code == 2
-        assert "unsupported checkpoint version 42" in capsys.readouterr().err
+        for version in (42, 1):
+            raw = bytearray(ckpt.read_bytes())
+            raw[6:10] = version.to_bytes(4, "little")
+            broken = tmp_path / "broken.ckpt"
+            broken.write_bytes(bytes(raw))
+            code = run_cli("resume", str(broken), "--out", str(tmp_path / "r"),
+                           "--set", "run.t_final=0.2")
+            assert code == 2
+            assert capsys.readouterr().err == \
+                f"error: unsupported checkpoint version {version}\n"

@@ -25,8 +25,6 @@ from mhdbl.grid import (
     ddx,
     ddy,
     integrate_y_from0,
-    full_spectrum,
-    half_spectrum,
     integrate_y_tail,
     psi_weight,
     weighted_l2,
@@ -222,21 +220,6 @@ class TestXTransform:
             back = x_transform(g, spec, "inverse")
             assert back.shape == stack.shape
             assert np.max(np.abs(back - stack)) < 1e-14
-
-    def test_full_spectrum_is_the_complex_fft(self):
-        rng = np.random.default_rng(23)
-        for frac in FRACTIONS:
-            g = make_grid(nx=16, ny=24, ymax=8.0, dealias_fraction=frac)
-            phys = stored_physical(g, rng)
-            full = full_spectrum(g, x_transform(g, phys, "forward"))
-            assert full.shape == (g.ny, g.nx)
-            assert np.max(np.abs(full - np.fft.fft(phys, axis=-1) / g.nx)) \
-                < 1e-15
-            assert np.array_equal(half_spectrum(g, full),
-                                  x_transform(g, phys, "forward"))
-            full[3, -2] += 1e-3j
-            with pytest.raises(ValueError, match="conjugates"):
-                half_spectrum(g, full)
 
     def test_bad_direction(self):
         g = make_grid(nx=16, ny=64, ymax=8.0)

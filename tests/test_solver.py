@@ -10,6 +10,7 @@ map, checkpoint round trips, and the simulate driver.
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -387,44 +388,47 @@ class TestStepper:
 
     def test_runaway_velocity_aborts(self):
         # a velocity scale this large drives the CFL subdivision below any
-        # sane step; the driver reports it as a divergence with partials
+        # sane step; simulate reports it as a divergence, with its message
         g = make_grid()
         p = Params(kappa=1.0, epsilon=1e-3)
         shape = 1e12 * (g.y - g.y ** 3 / 2.0) * np.exp(-g.y ** 2 / 2.0)
         u0 = project_zero_flux(single_mode_field(g, shape, BC_DIRICHLET),
                                flux_projection_profiles(g)[0])
-        with pytest.raises(DivergenceError, match="CFL limit collapsed") as ei:
-            simulate(g, p, u0, Field.zeros(g, BC_NEUMANN), t_final=1.0)
-        assert ei.value.partial.reason == "divergence"
+        res = simulate(make_state(g, p, u0, Field.zeros(g, BC_NEUMANN)),
+                       t_final=1.0)
+        assert res.reason == "divergence"
+        assert res.message == "CFL limit collapsed; velocities diverged"
 
     def test_step_reports_field_max(self):
+        """The step's blow-up guard names max |u|, |b| of the new fields
+        and the state's limit."""
         g = make_grid()
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        st = step_imex(make_state(g, p, u0, b0), 1e-3)
-        assert st.diagnostics["field_max"] == max(
-            np.max(np.abs(st.u.coeffs)), np.max(np.abs(st.b.coeffs)))
-
-    def test_blowup_guard_reads_the_step_max(self, monkeypatch):
-        """simulate's blow-up guard takes max |u|, |b| from the step
-        instead of measuring the fields again."""
-        import mhdbl.solver
-        g = make_grid()
-        p = Params(kappa=1.0, epsilon=1e-3)
-        u0, b0, _ = initial_data_standard(g, p)
-        real_step = mhdbl.solver.step_imex
-
-        def inflated(*args, **kw):
-            new = real_step(*args, **kw)
-            new.diagnostics["field_max"] = 1e300
-            return new
-
-        monkeypatch.setattr(mhdbl.solver, "step_imex", inflated)
+        st = make_state(g, p, u0, b0)
+        new = step_imex(st, 1e-3)
+        m = max(np.max(np.abs(new.u.coeffs)), np.max(np.abs(new.b.coeffs)))
+        st.blow_limit = 0.5 * m
         with pytest.raises(DivergenceError,
-                           match=r"magnitude 1\.000e\+300 exceeds") as ei:
-            simulate(g, p, u0, b0, t_final=0.01)
-        assert ei.value.partial.reason == "divergence"
-        assert ei.value.partial.state.step_index == 0
+                           match=re.escape(f"field magnitude {m:.3e} "
+                                           f"exceeds {0.5 * m:.3e}")):
+            step_imex(st, 1e-3)
+
+    def test_blowup_guard_reads_the_step_max(self):
+        """simulate ends a step past the state's blow-up limit as a
+        divergence and returns the last state within it."""
+        g = make_grid()
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = make_state(g, p, u0, b0)
+        assert st.blow_limit == 1e6 * (max(np.max(np.abs(u0.coeffs)),
+                                           np.max(np.abs(b0.coeffs))) + 1.0)
+        st.blow_limit = 1e-300
+        res = simulate(st, t_final=0.01)
+        assert res.reason == "divergence"
+        assert re.fullmatch(r"field magnitude \S+ exceeds 1\.000e-300",
+                            res.message)
+        assert res.state.step_index == 0
 
     @pytest.mark.parametrize("field", ["prev_ru", "prev_rb"])
     def test_non_finite_tendency_is_divergence(self, field):
@@ -838,9 +842,9 @@ class TestKappaRescale:
         grid_b, u0b, b0b = kappa_rescale_map(grid_a, u0a, b0a, kap)
         par_b = Params(kappa=kap, epsilon=1e-3, nu_u=1.0 / kap, nu_b=1.0)
 
-        res_a = simulate(grid_a, par_a, u0a, b0a, t_final=0.2,
+        res_a = simulate(make_state(grid_a, par_a, u0a, b0a), t_final=0.2,
                          dt_max=1e-2, sample_every=100)
-        res_b = simulate(grid_b, par_b, u0b, b0b, t_final=0.2,
+        res_b = simulate(make_state(grid_b, par_b, u0b, b0b), t_final=0.2,
                          dt_max=1e-2, sample_every=100)
         _, mu, mb = kappa_rescale_map(grid_a, res_a.state.u, res_a.state.b,
                                       kap)
@@ -869,6 +873,8 @@ class TestCheckpoint:
         prof = np.zeros(g.nmodes, complex)
         prof[2] = 0.3
         ff = farfield_decaying(g, p, 1e-4, 2.5, prof)
+        st.cl_integrals = np.linspace(1e-6, 2e-6, len(st.cl_integrals))
+        st.audit_min = {"u:a1:b1": -1e-9, "b:a1:b1": 3e-8}
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, st, ff, extras={"note": 1.5})
         st2, ff2, extras = load_checkpoint(path)
@@ -880,6 +886,9 @@ class TestCheckpoint:
         assert st2.prev_dt == st.prev_dt
         assert st2.step_index == st.step_index
         assert st2.weight_alpha == st.weight_alpha
+        for key in ("theta_int1", "umax", "audit_min", "blow_limit"):
+            assert getattr(st2, key) == getattr(st, key), key
+        assert np.array_equal(st2.cl_integrals, st.cl_integrals)
         assert ff2.eps == ff.eps
         assert ff2.alpha == ff.alpha
         assert np.array_equal(ff2.g_spec, ff.g_spec)
@@ -900,147 +909,73 @@ class TestCheckpoint:
         assert st2.params == p
         assert ff is None
 
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_file(self, tmp_path):
         g, p, st = self._stepped_state()
         path = tmp_path / "keep.ckpt"
         save_checkpoint(str(path), st, None)
         before = path.read_bytes()
-        import mhdbl.solver
-        expand = mhdbl.solver.full_spectrum
-        calls = []
 
-        def failing(grid, coeffs):
-            calls.append(1)
-            if len(calls) == 3:    # the header, u and b are already written
+        class FailingArray:
+            """Fails as the writer reaches it: the header, u and b are
+            already written."""
+
+            def astype(self, dtype):
                 raise OSError("disk full")
-            return expand(grid, coeffs)
 
-        monkeypatch.setattr(mhdbl.solver, "full_spectrum", failing)
         st.t += 1.0
+        st.prev_ru = FailingArray()
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(str(path), st, None)
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["keep.ckpt"]
 
-    def _parent_format_file(self, path, state, ff, extras=None):
-        """A version-1 file as written before the stored-mode layout: a
-        header without the diffusivity overrides, with a "dt" key and a
-        far field of kind "trivial" (zero profile) where there is none,
-        and all nx modes of each array, made by a complex FFT of the real
-        fields, with the modes above the dealias cut holding the 1e-214
-        tail that the standard data leaves there."""
-        import json, struct
-        from scipy import fft as sfft
-        from mhdbl.grid import x_transform
-        g = state.grid
-
-        def full(c):
-            out = sfft.fft(x_transform(g, c, "inverse"), axis=-1) / g.nx
-            out[..., g.nmodes:g.nx - g.nmodes + 1] = 1e-214
-            return out
-
-        if ff is None:
-            kind, eps, alpha = "trivial", 0.0, 0.0
-            g_full = np.zeros(g.nx, complex)
-        else:
-            kind, eps, alpha = "decaying", ff.eps, ff.alpha
-            g_full = full(ff.g_spec)
-        header = {
-            "version": 1,
-            "grid": {"lx": g.lx, "nx": g.nx, "ymax": g.ymax, "ny": g.ny,
-                     "dealias_fraction": g.dealias_fraction},
-            "params": {"kappa": state.params.kappa,
-                       "epsilon": state.params.epsilon,
-                       "delta": state.params.delta, "lam": state.params.lam},
-            "t": state.t, "theta": state.theta, "dt": state.prev_dt,
-            "prev_dt": state.prev_dt, "step_index": state.step_index,
-            "weight_alpha": state.weight_alpha, "has_prev": True,
-            "farfield": {"kind": kind, "eps": eps, "alpha": alpha,
-                         "g_re": g_full.real.tolist(),
-                         "g_im": g_full.imag.tolist()},
-            "extras": extras or {},
-        }
-        blob = json.dumps(header).encode("utf-8")
-        arrays = b"".join(full(c).astype("<c16").tobytes() for c in (
-            state.u.coeffs, state.b.coeffs, state.prev_ru, state.prev_rb))
-        with open(path, "wb") as fh:
-            fh.write(b"MHDBL\x00" + struct.pack("<I", 1)
-                     + struct.pack("<Q", len(blob)) + blob + arrays)
-        return len(arrays)
-
-    def test_parent_format_file_loads_and_resaves(self, tmp_path):
-        g, p, st = self._stepped_state()
-        ff = farfield_decaying(g, p, 1e-4, 2.5, np.cos(2.0 * g.x))
-        old = tmp_path / "old.ckpt"
-        # the old layout had one more Chemin-Lerner shell, always 0.0
-        n_shells = build_partition(g).n_shells
-        cl = [float(k + 1) for k in range(n_shells)] + [0.0]
-        n = self._parent_format_file(str(old), st, ff,
-                                     extras={"cl_integrals": cl})
-        st2, ff2, extras = load_checkpoint(str(old))
-        assert st2.params == p
-        assert extras["cl_integrals"] == cl[:n_shells]
-        scale = np.max(np.abs(st.u.coeffs))
-        assert np.max(np.abs(st2.u.coeffs - st.u.coeffs)) < 1e-15 * scale
-        assert np.max(np.abs(ff2.g_spec - ff.g_spec)) < 1e-15
-        new = tmp_path / "new.ckpt"
-        save_checkpoint(str(new), st2, ff2)
-        # the stored modes and their mirrors come back bit for bit, up to
-        # the sign of exact zeros in the mirrored modes: the stored half
-        # cannot carry it, and the old writers did not follow one rule for
-        # it.  The modes above the cut are dropped and written as zeros.
-        kept = np.zeros(g.nx, dtype=bool)
-        kept[:g.nmodes] = kept[g.nx - g.nmodes + 1:] = True
-        a = np.frombuffer(old.read_bytes()[-n:], dtype="<f8").reshape(
-            -1, g.ny, g.nx, 2)
-        b = np.frombuffer(new.read_bytes()[-n:], dtype="<f8").reshape(
-            -1, g.ny, g.nx, 2)
-        ak, bk = a[:, :, kept], b[:, :, kept]
-        assert np.array_equal(ak.view("<u8")[ak != 0.0],
-                              bk.view("<u8")[ak != 0.0])
-        assert np.all(bk[ak == 0.0] == 0.0)
-        assert np.all(a[:, :, ~kept] == np.array([1e-214, 0.0]))
-        assert np.all(b[:, :, ~kept] == 0.0)
-
-    def test_parent_trivial_farfield_loads_as_none(self, tmp_path):
-        """An older file's far field of kind "trivial" is no far field,
-        and it re-saves as "farfield": null."""
-        g, p, st = self._stepped_state()
-        old = tmp_path / "old.ckpt"
-        self._parent_format_file(str(old), st, None)
-        st2, ff, _ = load_checkpoint(str(old))
-        assert ff is None
-        scale = np.max(np.abs(st.u.coeffs))
-        assert np.max(np.abs(st2.u.coeffs - st.u.coeffs)) < 1e-15 * scale
-        new = tmp_path / "new.ckpt"
-        save_checkpoint(str(new), st2, ff)
-        raw = new.read_bytes()
-        header = json.loads(raw[18:18 + int.from_bytes(raw[10:18], "little")])
-        assert header["farfield"] is None and "dt" not in header
-
-    def test_nonzero_extra_cl_shell_refused(self, tmp_path):
-        """A shell outside this grid's window may be dropped only when it
-        holds exactly 0; too few shells are refused as well."""
-        g, p, st = self._stepped_state()
-        n_shells = build_partition(g).n_shells
-        for cl in ([0.0] * n_shells + [1e-300], [0.0] * (n_shells - 1)):
-            path = tmp_path / "cl.ckpt"
-            self._parent_format_file(str(path), st, None,
-                                     extras={"cl_integrals": cl})
-            with pytest.raises(CheckpointError, match="Chemin-Lerner shells"):
-                load_checkpoint(str(path))
+    @staticmethod
+    def _split(raw):
+        """(header dict, offset of the first array) of checkpoint bytes."""
+        hlen = int.from_bytes(raw[10:18], "little")
+        return json.loads(raw[18:18 + hlen]), 18 + hlen
 
     def test_non_hermitian_file_refused(self, tmp_path):
+        """An imaginary part in the DC column of any array, or in the
+        Nyquist column where the grid stores it, is refused."""
+        for frac, col in ((2.0 / 3.0, "dc"), (1.0, "dc"), (1.0, "nyquist")):
+            g = make_grid(ny=129, dealias_fraction=frac)
+            p = Params(kappa=1.5, epsilon=1e-3)
+            u0, b0, _ = initial_data_standard(g, p)
+            st = step_imex(make_state(g, p, u0, b0), 1e-3)
+            good = tmp_path / "good.ckpt"
+            save_checkpoint(str(good), st, None)
+            raw = good.read_bytes()
+            _, start = self._split(raw)
+            j = 0 if col == "dc" else g.nx // 2
+            assert j < g.nmodes
+            for index, name in enumerate(["u", "b", "prev_ru", "prev_rb"]):
+                bad = bytearray(raw)
+                # the imaginary part of row 3, column j of array `index`
+                pos = start + ((index * g.ny + 3) * g.nmodes + j) * 16 + 8
+                assert np.frombuffer(bytes(bad[pos:pos + 8]))[0] == 0.0
+                bad[pos:pos + 8] = np.float64(0.25).tobytes()
+                path = tmp_path / "skew.ckpt"
+                path.write_bytes(bytes(bad))
+                with pytest.raises(CheckpointError,
+                                   match=f"checkpoint {name} is not the "
+                                         "spectrum of a real field"):
+                    load_checkpoint(str(path))
+
+    def test_data_past_the_last_array_refused(self, tmp_path):
+        """The header says how many arrays follow (prev_dt null: no
+        multistep history), so a file with more bytes is refused."""
         g, p, st = self._stepped_state()
-        path = tmp_path / "skew.ckpt"
-        n = self._parent_format_file(str(path), st, None)
-        raw = bytearray(path.read_bytes())
-        # the imaginary part of u at row 0, mode -1 (the last column)
-        pos = len(raw) - n + (g.nx - 1) * 16 + 8
-        raw[pos:pos + 8] = np.float64(0.25).tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="checkpoint u is not the "
-                           "spectrum of a real field"):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), st, None)
+        raw = good.read_bytes()
+        header, start = self._split(raw)
+        header["prev_dt"] = None
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(raw[:10] + len(blob).to_bytes(8, "little") + blob
+                         + raw[start:])
+        with pytest.raises(CheckpointError, match="past its last array"):
             load_checkpoint(str(path))
 
     def test_unreadable_file_and_bad_headers(self, tmp_path):
@@ -1069,10 +1004,11 @@ class TestCheckpoint:
         integrals, a far field."""
         g, p, st = self._stepped_state()
         ff = farfield_decaying(g, p, 1e-4, 2.5, default_x_profile(g))
-        extras = {"cl_integrals": [1e-6] * build_partition(g).n_shells,
-                  "theta_int1": 1e-3, "audit_min": {}, "umax_est": 0.1}
+        st.cl_integrals = np.full(build_partition(g).n_shells, 1e-6)
+        st.theta_int1 = 1e-3
+        st.audit_min = {"u:a1:b1": 1e-8, "b:a1:b1": 2e-8}
         path = tmp_path_factory.mktemp("valid") / "valid.ckpt"
-        save_checkpoint(str(path), st, ff, extras=extras)
+        save_checkpoint(str(path), st, ff, extras={"scenario_id": "standard"})
         return path.read_bytes()
 
     @given(data=hst.data())
@@ -1122,8 +1058,8 @@ class TestSimulate:
     def test_zero_data_run_is_identically_zero(self):
         g = make_grid(ny=129)
         p = Params(kappa=1.0, epsilon=1e-3)
-        res = simulate(g, p, Field.zeros(g, BC_DIRICHLET),
-                       Field.zeros(g, BC_NEUMANN), t_final=0.1)
+        res = simulate(make_state(g, p, Field.zeros(g, BC_DIRICHLET),
+                                  Field.zeros(g, BC_NEUMANN)), t_final=0.1)
         assert res.reason == "completed"
         assert not np.any(res.state.u.coeffs)
         assert not np.any(res.state.b.coeffs)
@@ -1135,7 +1071,7 @@ class TestSimulate:
         g = make_grid(ny=129)
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        res = simulate(g, p, u0, b0, t_final=0.05, dt_max=1e-2,
+        res = simulate(make_state(g, p, u0, b0), t_final=0.05, dt_max=1e-2,
                        sample_every=2)
         ts = res.series.column("t")
         assert ts[0] == 0.0
@@ -1147,7 +1083,7 @@ class TestSimulate:
         g = make_grid(ny=129)
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        res = simulate(g, p, u0, b0, t_final=0.12, dt_max=1e-2)
+        res = simulate(make_state(g, p, u0, b0), t_final=0.12, dt_max=1e-2)
         s = res.summary
         for key in ("t_final", "steps", "theta_final", "radius_final",
                     "theta_integral1", "flux_drift_final", "audit_min_slack",
@@ -1165,8 +1101,8 @@ class TestSimulate:
         g = make_grid(ny=129)
         p = Params(kappa=1.5, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        res = simulate(g, p, u0, b0, t_final=0.03, dt_max=1e-2,
-                       branch="kappa")
+        res = simulate(make_state(g, p, u0, b0, branch="kappa"),
+                       t_final=0.03, dt_max=1e-2)
         keys = res.summary["audit_min_slack"]
         assert len(keys) == 8
         assert "u:a0.6667:b1.5" in keys
@@ -1188,7 +1124,7 @@ class TestSimulate:
         g = make_grid(ny=129)
         p = Params(kappa=kappa, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        res = simulate(g, p, u0, b0, t_final=0.2, dt_max=1e-2)
+        res = simulate(make_state(g, p, u0, b0), t_final=0.2, dt_max=1e-2)
         # audits run at steps 0 and 10 of 20
         assert len(calls) == 2 * per_audit
         # keys and their first-seen order (the checkpoint header keeps it)
@@ -1202,40 +1138,55 @@ class TestSimulate:
         spec[1] = 1e-3
         ff = FarField(g, 1e-3, 2.5, spec)
         with pytest.raises(UnsupportedScenarioError, match="trivial far field"):
-            simulate(g, p, u0, b0, farfield=ff, t_final=0.02)
+            simulate(make_state(g, p, u0, b0), farfield=ff, t_final=0.02)
 
     def test_tstar_partial_result(self):
         g = make_grid(ny=129)
         p = Params(kappa=1.0, epsilon=1e-3, lam=1e9)
         u0, b0, _ = initial_data_standard(g, p)
-        with pytest.raises(TStarReachedError, match="band exhausted") as ei:
-            simulate(g, p, u0, b0, t_final=1.0, dt_max=1e-2)
-        partial = ei.value.partial
+        partial = simulate(make_state(g, p, u0, b0), t_final=1.0,
+                           dt_max=1e-2)
         assert partial.reason == "tstar"
+        assert partial.message.startswith("band exhausted at t=")
         assert partial.summary["reason"] == "tstar"
         # the partial result carries the last state whose band was intact
         assert partial.state.radius > 0.0
         assert len(partial.series.t) >= 1
 
+    @staticmethod
+    def _split_run(tmp_path, g, p, u0, b0):
+        """The run to t = 0.2 unbroken, and split at t = 0.1 through a
+        checkpoint: (whole, state loaded at the seam, second half)."""
+        whole = simulate(make_state(g, p, u0, b0), t_final=0.2, dt_max=1e-2)
+        first = simulate(make_state(g, p, u0, b0), t_final=0.1, dt_max=1e-2)
+        path = str(tmp_path / "seam.ckpt")
+        save_checkpoint(path, first.state, None)
+        st, ff, _ = load_checkpoint(path)
+        second = simulate(st, ff, t_final=0.2, dt_max=1e-2)
+        return whole, st, second
+
     def test_resume_matches_single_run_bitwise(self, tmp_path):
         g = make_grid(ny=129)
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        whole = simulate(g, p, u0, b0, t_final=0.2, dt_max=1e-2)
-
-        first = simulate(g, p, u0, b0, t_final=0.1, dt_max=1e-2)
-        path = str(tmp_path / "seam.ckpt")
-        save_checkpoint(path, first.state, None,
-                        extras=first.summary["_resume_extras"])
-        st, ff, extras = load_checkpoint(path)
-        second = simulate(g, p, None, None, farfield=ff, t_final=0.2,
-                          dt_max=1e-2, resume_state=st, resume_extras=extras)
+        whole, seam, second = self._split_run(tmp_path, g, p, u0, b0)
         assert second.state.t == whole.state.t
         assert np.array_equal(second.state.u.coeffs, whole.state.u.coeffs)
         assert np.array_equal(second.state.b.coeffs, whole.state.b.coeffs)
         assert second.state.theta == whole.state.theta
         assert second.summary["cl_dyub_sq_final"] == pytest.approx(
             whole.summary["cl_dyub_sq_final"], rel=1e-12)
+        # and so do the tallies a continuation reads
+        for key in ("theta_int1", "umax", "audit_min", "blow_limit"):
+            assert getattr(second.state, key) == getattr(whole.state, key)
+        assert np.array_equal(second.state.cl_integrals,
+                              whole.state.cl_integrals)
+        # the blow-up limit is fixed by the t = 0 fields and travels with
+        # the state, instead of being recomputed from the fields at the seam
+        assert seam.blow_limit == make_state(g, p, u0, b0).blow_limit
+        assert seam.blow_limit != 1e6 * (max(np.max(np.abs(seam.u.coeffs)),
+                                             np.max(np.abs(seam.b.coeffs)))
+                                         + 1.0)
 
     def test_split_conjugate_run_matches_single_run_bitwise(self, tmp_path):
         """A conjugate-system run (kappa = 2, diffusivities (1/2, 1)) takes
@@ -1245,15 +1196,8 @@ class TestSimulate:
         g = make_grid(nx=16, ny=129, ymax=25.0 / math.sqrt(kap))
         p = Params(kappa=kap, epsilon=1e-3, nu_u=0.5, nu_b=1.0)
         u0, b0, _ = initial_data_standard(g, p)
-        whole = simulate(g, p, u0, b0, t_final=0.2, dt_max=1e-2)
-
-        first = simulate(g, p, u0, b0, t_final=0.1, dt_max=1e-2)
-        path = str(tmp_path / "conj.ckpt")
-        save_checkpoint(path, first.state, None,
-                        extras=first.summary["_resume_extras"])
-        st, ff, extras = load_checkpoint(path)
-        second = simulate(g, st.params, None, None, farfield=ff, t_final=0.2,
-                          dt_max=1e-2, resume_state=st, resume_extras=extras)
+        whole, seam, second = self._split_run(tmp_path, g, p, u0, b0)
+        assert seam.params == p
         assert second.state.t == whole.state.t
         assert np.array_equal(second.state.u.coeffs, whole.state.u.coeffs)
         assert np.array_equal(second.state.b.coeffs, whole.state.b.coeffs)
