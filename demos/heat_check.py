@@ -7,7 +7,7 @@ import numpy as np
 
 from mhdbl.grid import BC_DIRICHLET, BC_NEUMANN, Field, GridSpec
 from mhdbl.scenario import Params
-from mhdbl.solver import _Workspace, make_state, step_imex
+from mhdbl.solver import make_state, step_imex
 
 
 def heat_exact(y, t):
@@ -21,10 +21,9 @@ def run(grid, params, dt, t_final):
     u0 = Field.from_profiles(grid, spec, heat_exact(grid.y, 0.0), BC_DIRICHLET)
     b0 = Field.zeros(grid, BC_NEUMANN)
     st = make_state(grid, params, u0, b0)
-    ws = _Workspace(grid)
     n = round(t_final / dt)
     for _ in range(n):
-        st = step_imex(st, dt, None, ws)
+        st = step_imex(st, dt)
     return st
 
 

@@ -16,14 +16,13 @@ from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
                        farfield_decaying, flux_projection_profiles,
                        initial_data_standard, project_zero_flux,
                        source_terms)
-from .solver import (CheckpointError, DivergenceError, FluxDriftError,
-                     NormSeries, SimResult, State, TStarReachedError,
-                     compute_GH, eikonal_residual, eqs2_residual,
-                     flux_drift, heat_energy_slack, kappa_rescale_map,
-                     load_checkpoint, make_state, recommended_ymax,
-                     reconstruct_phipsi, recover_vh, rhs_explicit,
-                     save_checkpoint, simulate, step_imex, tail_guard_check,
-                     theta_components)
+from .solver import (CheckpointError, DivergenceError, NormSeries,
+                     SimResult, State, TStarReachedError, compute_GH,
+                     eikonal_residual, eqs2_residual, flux_drift,
+                     heat_energy_slack, kappa_rescale_map, load_checkpoint,
+                     make_state, recommended_ymax, reconstruct_phipsi,
+                     recover_vh, rhs_explicit, save_checkpoint, simulate,
+                     step_imex, tail_guard_check, theta_components)
 from .verify import (fit_decay, fit_loglog, gh_equivalence_check,
                      monotone_decay_check, multiplier_convexity_check,
                      poincare_check, product_law_check, run_poincare_suite,

@@ -23,9 +23,8 @@ from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    integrate_y_from0, integrate_y_tail, psi_weight,
                    row_power, tail_suffix, weighted_l2, weighted_rows,
                    x_transform)
-from .lp import (CLAccumulator, DyadicPartition, besov_h_shell_norms,
-                 besov_norm, besov_pair_norm, build_partition,
-                 pair_shell_norms)
+from .lp import (CLAccumulator, besov_h_shell_norms, besov_norm,
+                 besov_pair_norm, build_partition, pair_shell_norms)
 from .scenario import (FarField, Params, UnsupportedScenarioError,
                        derived_exponents, farfield_decaying,
                        flux_projection_profiles, project_zero_flux,
@@ -38,10 +37,6 @@ class TStarReachedError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Solution blew up or produced non-finite values."""
-
-
-class FluxDriftError(RuntimeError):
-    """Column flux of the x-varying part drifted beyond tolerance."""
 
 
 # ---- weights and closed-form identities -------------------------------------
@@ -119,6 +114,40 @@ class NormSeries:
         return np.asarray(getattr(self, name), dtype=float)
 
 
+class _Workspace:
+    """A run's caches, held by each of its states (State.ws): the LP
+    partition, the zero-flux shapes, one CN factorization per (nu, dt, bc)
+    (a CFL change of dt adds one) and the RHS factor stack.  All of them
+    follow from the grid and the step's arguments, so a checkpoint stores
+    none of them."""
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.part = build_partition(grid)
+        self._cn = {}
+        self._shapes = {}
+
+    def projection_shapes(self, nu_u: float):
+        """Zero-flux shapes for momentum diffusivity nu_u: the standard ones
+        at nu_u = 1, the conjugate system's (kappa = 1 / nu_u) otherwise."""
+        if nu_u not in self._shapes:
+            self._shapes[nu_u] = flux_projection_profiles(self.grid, 1 / nu_u)
+        return self._shapes[nu_u]
+
+    def cn_factors(self, nu: float, dt: float, bc: str) -> CNFactors:
+        key = (nu, dt, bc)
+        if key not in self._cn:
+            self._cn[key] = cn_factors(
+                *_cn_matrix(self.grid.ny, self.grid.dy, nu, dt, bc))
+        return self._cn[key]
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """The RHS's 8 product factors, (8, ny, nx/2 + 1): only the stored
+        modes are written, so the inverse transform needs no padding."""
+        return np.zeros((8, self.grid.ny, self.grid.nx // 2 + 1), complex)
+
+
 @dataclass
 class State:
     """One instant of a run: everything a continuation reads.
@@ -128,7 +157,9 @@ class State:
     speed that sets the next CFL step; the Chemin-Lerner shell integrals
     and the audit minima so far; and the blow-up limit fixed at t = 0.
     A checkpoint stores exactly these, so a resumed run continues the
-    unbroken one bit for bit."""
+    unbroken one bit for bit.  Beside them `ws`, the run's caches: built
+    when not given, passed on by dataclasses.replace, so a run's states
+    share one, and left out of equality, repr and checkpoints."""
 
     grid: GridSpec
     params: Params
@@ -143,9 +174,17 @@ class State:
     prev_dt: Optional[float] = None
     theta_int1: float = 0.0         # int_0^t of theta's first component
     umax: float = 0.0               # the CFL speed of the last RHS
-    cl_integrals: Optional[np.ndarray] = None   # per dyadic shell; make_state
+    cl_integrals: Optional[np.ndarray] = None   # per dyadic shell; 0 if None
     audit_min: dict = dc_field(default_factory=dict)
     blow_limit: float = math.inf    # step_imex refuses a larger max |u|, |b|
+    ws: Optional[_Workspace] = dc_field(default=None, compare=False,
+                                        repr=False)
+
+    def __post_init__(self):
+        if self.ws is None:
+            self.ws = _Workspace(self.grid)
+        if self.cl_integrals is None:
+            self.cl_integrals = np.zeros(self.ws.part.n_shells)
 
     @property
     def radius(self) -> float:
@@ -169,7 +208,7 @@ class State:
     def gh_fields(self):
         """(phi, psi, G, H, d_y G, d_y H): shared by the theta update and the
         sampled norms.  simulate frees them before the next step."""
-        phi, psi = reconstruct_phipsi(self.u, self.b, self.tail_sums)
+        phi, psi = reconstruct_phipsi(self)
         G, H = compute_GH(self, phi, psi)
         return phi, psi, G, H, ddy(G), ddy(H)
 
@@ -182,9 +221,7 @@ def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
     scale = max(float(np.max(np.abs(u0.coeffs))),
                 float(np.max(np.abs(b0.coeffs))))
     return State(grid, params, 0.0, u0.copy(), b0.copy(), weight_alpha=alpha,
-                 umax=scale, cl_integrals=np.zeros(
-                     build_partition(grid).n_shells),
-                 blow_limit=1e6 * (scale + 1.0))
+                 umax=scale, blow_limit=1e6 * (scale + 1.0))
 
 
 def resolve_branch_alpha(kappa: float, branch: str) -> float:
@@ -219,23 +256,13 @@ def branch_gain(params: Params, weight_alpha: float) -> float:
 # ---- kinematic reconstructions ----------------------------------------------
 
 
-def recover_vh(u: Field, b: Field, check: bool = True,
-               sums: Optional[tuple] = None):
+def recover_vh(state: State):
     """Normal components from the divergence constraints:
-    (v, h) = -d_x int_0^y (u, b) dy'.  Exact zero at the wall; decays at
-    the top when the column fluxes vanish.  `sums` is the pair of
-    tail_suffix arrays of (u, b) when the caller holds them."""
-    if check:
-        scale = max(float(np.max(np.abs(u.coeffs))),
-                    float(np.max(np.abs(b.coeffs))), 1e-300)
-        drift = flux_drift(u, b)
-        if drift > 1e-6 * scale:
-            raise FluxDriftError(
-                f"nonzero-mode column flux {drift:.3e} vs field scale "
-                f"{scale:.3e}; divergence-free recovery would not close")
-    su, sb = sums or (None, None)
-    v = ddx(integrate_y_from0(u, su))
-    h = ddx(integrate_y_from0(b, sb))
+    (v, h) = -d_x int_0^y (u, b) dy', from the state's tail_sums.  Exact
+    zero at the wall; decays at the top when the column fluxes vanish."""
+    su, sb = state.tail_sums
+    v = ddx(integrate_y_from0(state.u, su))
+    h = ddx(integrate_y_from0(state.b, sb))
     v.coeffs *= -1.0
     h.coeffs *= -1.0
     return v, h
@@ -248,13 +275,13 @@ def flux_drift(u: Field, b: Field) -> float:
     return max(float(np.max(np.abs(fu[1:]))), float(np.max(np.abs(fb[1:]))))
 
 
-def reconstruct_phipsi(u: Field, b: Field, sums: Optional[tuple] = None):
-    """Antiderivatives phi = -int_y^inf u, psi = -int_y^inf b; both vanish
-    at the top by construction and at the wall up to the column flux.
-    `sums` as in recover_vh."""
-    su, sb = sums or (None, None)
-    phi = integrate_y_tail(u, su)
-    psi = integrate_y_tail(b, sb)
+def reconstruct_phipsi(state: State):
+    """Antiderivatives phi = -int_y^inf u, psi = -int_y^inf b, from the
+    state's tail_sums; both vanish at the top by construction and at the
+    wall up to the column flux."""
+    su, sb = state.tail_sums
+    phi = integrate_y_tail(state.u, su)
+    psi = integrate_y_tail(state.b, sb)
     phi.coeffs *= -1.0
     psi.coeffs *= -1.0
     return phi, psi
@@ -275,8 +302,7 @@ def compute_GH(state: State, phi: Field, psi: Field):
 # ---- explicit tendencies -----------------------------------------------------
 
 
-def rhs_explicit(state: State, farfield: Optional[FarField] = None,
-                 ws: Optional[_Workspace] = None):
+def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     """Everything except the implicit diffusion: linear background
     coupling, the quadratic transport terms, far-field couplings through
     its cutoff, and the patching sources.  Products are formed pointwise
@@ -287,10 +313,10 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
     u, b = state.u, state.b
 
     # the eight factors, inverse-transformed in one call from ws.factors
-    ws = ws or _Workspace(g)
+    ws = state.ws
     ixi = 1j * g.xi
     duy, dby = state.dy_ub
-    v, h = recover_vh(u, b, check=False, sums=state.tail_sums)
+    v, h = recover_vh(state)
     spec = ws.factors[:, :, :g.nmodes]
     spec[0] = u.coeffs
     spec[1] = b.coeffs
@@ -338,13 +364,14 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None,
 
 
 def theta_components(state: State, farfield: Optional[FarField],
-                     part: DyadicPartition, radius: float):
+                     radius: float):
     """The two terms of the band consumption rate at band radius `radius`:
     <t>^{1/4} times the weighted gradient norm of (G, H) in B^{1/2,0}, and
     the far-field term eps^{-1/2} <t>^{5/4} ||U||_{B^{1/2}_h} under the
     same band multiplier (B = 0, so ||(U, B)|| = ||U||)."""
     *_, dG, dH = state.gh_fields
     t = state.t
+    part = state.ws.part
     per = pair_shell_norms(part, dG, dH, state.weight_alpha, t, radius)
     comp1 = (1.0 + t) ** 0.25 * part.besov_sum(per, 0.5)
     comp2 = 0.0
@@ -358,23 +385,22 @@ def theta_components(state: State, farfield: Optional[FarField],
 # ---- Crank-Nicolson machinery ------------------------------------------------
 
 
-def _cn_matrix(ny: int, dy: float, nu: float, dt: float, bc: str) -> np.ndarray:
-    """Banded (1,1) form of I - (dt/2) nu D2 with the bc ghost closure at
-    the wall and pinned values at both Dirichlet rows."""
+def _cn_matrix(ny: int, dy: float, nu: float, dt: float, bc: str):
+    """The diagonals (sub, diag, sup) of I - (dt/2) nu D2 with the bc
+    ghost closure at the wall and pinned values at both Dirichlet rows:
+    sub[i] = A[i + 1, i] and sup[i] = A[i, i + 1]."""
     r = nu * dt / (2.0 * dy * dy)
-    ab = np.zeros((3, ny))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[0, 2:] = -r          # upper diagonal, rows 1..ny-2
-    ab[2, :-2] = -r         # lower diagonal
+    diag = np.full(ny, 1.0 + 2.0 * r)
+    sub = np.full(ny - 1, -r)
+    sup = np.full(ny - 1, -r)
     if bc == BC_DIRICHLET:
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
+        diag[0] = 1.0
+        sup[0] = 0.0
     else:
-        ab[1, 0] = 1.0 + 2.0 * r
-        ab[0, 1] = -2.0 * r
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
-    return ab
+        sup[0] = -2.0 * r
+    diag[-1] = 1.0
+    sub[-1] = 0.0
+    return sub, diag, sup
 
 
 # Rows per block of the spike solve: blocks small enough that their dense
@@ -404,16 +430,16 @@ class CNFactors:
     inv_interface: np.ndarray    # (2 nb, 2 nb), unknowns (x_k[0], x_k[-1])
 
 
-def cn_factors(ab: np.ndarray) -> CNFactors:
-    """Factor the banded (1,1) matrix `ab` (the _cn_matrix layout)."""
-    n, m = ab.shape[1], _CN_BLOCK
+def cn_factors(sub: np.ndarray, diag: np.ndarray,
+               sup: np.ndarray) -> CNFactors:
+    """Factor the tridiagonal matrix with diagonals (sub, diag, sup), laid
+    out as _cn_matrix returns them."""
+    n, m = len(diag), _CN_BLOCK
     nb = -(-n // m)
-    diag = np.ones(nb * m)
-    diag[:n] = ab[1]
-    sup = np.zeros(nb * m)           # A[i, i + 1]
-    sup[:n - 1] = ab[0, 1:]
-    sub = np.zeros(nb * m)           # A[i + 1, i]
-    sub[:n - 1] = ab[2, :-1]
+    # padded with identity rows to nb blocks
+    diag = np.concatenate([diag, np.ones(nb * m - n)])
+    sup = np.concatenate([sup, np.zeros(nb * m - n + 1)])
+    sub = np.concatenate([sub, np.zeros(nb * m - n + 1)])
     i = np.arange(m)
     blocks = np.zeros((nb, m, m))
     blocks[:, i, i] = diag.reshape(nb, m)
@@ -452,38 +478,6 @@ def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
     return x.reshape(nb * m, cols)[:factors.n].view(b.dtype)
 
 
-class _Workspace:
-    """Per-run cache: the LP partition, the zero-flux shapes, one CN
-    factorization per (nu, dt, bc) (a CFL change of dt adds one) and the
-    RHS factor stack."""
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.part = build_partition(grid)
-        self._cn = {}
-        self._shapes = {}
-
-    def projection_shapes(self, nu_u: float):
-        """Zero-flux shapes for momentum diffusivity nu_u: the standard ones
-        at nu_u = 1, the conjugate system's (kappa = 1 / nu_u) otherwise."""
-        if nu_u not in self._shapes:
-            self._shapes[nu_u] = flux_projection_profiles(self.grid, 1 / nu_u)
-        return self._shapes[nu_u]
-
-    def cn_factors(self, nu: float, dt: float, bc: str) -> CNFactors:
-        key = (nu, dt, bc)
-        if key not in self._cn:
-            self._cn[key] = cn_factors(
-                _cn_matrix(self.grid.ny, self.grid.dy, nu, dt, bc))
-        return self._cn[key]
-
-    @cached_property
-    def factors(self) -> np.ndarray:
-        """The RHS's 8 product factors, (8, ny, nx/2 + 1): only the stored
-        modes are written, so the inverse transform needs no padding."""
-        return np.zeros((8, self.grid.ny, self.grid.nx // 2 + 1), complex)
-
-
 def _cn_solve(ws: _Workspace, field: Field, tendency: np.ndarray, nu: float,
               dt: float) -> Field:
     half = d2dy(field).coeffs * (0.5 * dt * nu)
@@ -501,8 +495,8 @@ def _diffusivities(params: Params) -> tuple:
     return nu_u, nu_b
 
 
-def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
-              ws: Optional[_Workspace] = None) -> State:
+def step_imex(state: State, dt: float,
+              farfield: Optional[FarField] = None) -> State:
     """One IMEX step: AB2 (RK2 midpoint bootstrap) for the explicit
     tendencies, Crank-Nicolson for diffusion, zero-flux projection of the
     x-varying modes, then an Euler update of theta using the end-of-step
@@ -513,11 +507,9 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     state.blow_limit, TStarReachedError when the band is exhausted."""
     if state.radius <= 0.0:
         raise TStarReachedError(f"band exhausted at t={state.t:.6g}")
-    if ws is None:
-        ws = _Workspace(state.grid)
     nu_u, nu_b = _diffusivities(state.params)
 
-    ru0, rb0, umax = rhs_explicit(state, farfield, ws)
+    ru0, rb0, umax = rhs_explicit(state, farfield)
     restart = (state.prev_ru is None or state.prev_dt is None
                or abs(state.prev_dt - dt) > 1e-9 * dt)
     if restart:
@@ -529,15 +521,15 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
                             state.u.bc),
                     b=Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
                             state.b.bc)),
-            farfield, ws)
+            farfield)
         eu, eb = rum.coeffs, rbm.coeffs
     else:
         eu = 1.5 * ru0.coeffs - 0.5 * state.prev_ru
         eb = 1.5 * rb0.coeffs - 0.5 * state.prev_rb
 
-    u1 = _cn_solve(ws, state.u, eu, nu_u, dt)
-    b1 = _cn_solve(ws, state.b, eb, nu_b, dt)
-    shape_u, shape_b = ws.projection_shapes(nu_u)
+    u1 = _cn_solve(state.ws, state.u, eu, nu_u, dt)
+    b1 = _cn_solve(state.ws, state.b, eb, nu_b, dt)
+    shape_u, shape_b = state.ws.projection_shapes(nu_u)
     u1 = project_zero_flux(u1, shape_u)
     b1 = project_zero_flux(b1, shape_b)
 
@@ -553,7 +545,7 @@ def step_imex(state: State, dt: float, farfield: Optional[FarField] = None,
     new = replace(state, t=t1, u=u1, b=b1, step_index=state.step_index + 1,
                   prev_ru=ru0.coeffs, prev_rb=rb0.coeffs, prev_dt=dt,
                   umax=umax)
-    comp1, comp2 = theta_components(new, farfield, ws.part, state.radius)
+    comp1, comp2 = theta_components(new, farfield, state.radius)
     new.theta = state.theta + dt * (comp1 + comp2)
     new.theta_int1 = state.theta_int1 + dt * comp1
     if new.radius <= 0.0:
@@ -622,8 +614,7 @@ def tail_guard_check(state: State) -> float:
 
 
 def eqs2_residual(state_prev: State, state_next: State,
-                  farfield: Optional[FarField] = None,
-                  part: Optional[DyadicPartition] = None) -> dict:
+                  farfield: Optional[FarField] = None) -> dict:
     """Residual of the antiderivative evolution equations evaluated on two
     consecutive solver states: forward time difference of the
     reconstructed (phi, psi) minus the spatial terms at the earlier time.
@@ -634,15 +625,13 @@ def eqs2_residual(state_prev: State, state_next: State,
     """
     g = state_prev.grid
     p = state_prev.params
-    if part is None:
-        part = build_partition(g)
     dt = state_next.t - state_prev.t
     if dt <= 0.0:
         raise ValueError("states must be time ordered")
     nu_u, nu_b = _diffusivities(p)
 
-    phi0, psi0 = reconstruct_phipsi(state_prev.u, state_prev.b)
-    phi1, psi1 = reconstruct_phipsi(state_next.u, state_next.b)
+    phi0, psi0 = reconstruct_phipsi(state_prev)
+    phi1, psi1 = reconstruct_phipsi(state_next)
     dphi = (phi1.coeffs - phi0.coeffs) / dt
     dpsi = (psi1.coeffs - psi0.coeffs) / dt
 
@@ -699,8 +688,8 @@ def eqs2_residual(state_prev: State, state_next: State,
     return {
         "res_phi": fphi,
         "res_psi": fpsi,
-        "norm_phi": besov_norm(part, fphi, 0.5),
-        "norm_psi": besov_norm(part, fpsi, 0.5),
+        "norm_phi": besov_norm(state_prev.ws.part, fphi, 0.5),
+        "norm_psi": besov_norm(state_prev.ws.part, fpsi, 0.5),
     }
 
 
@@ -766,7 +755,7 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     holds the audit minima, theta bookkeeping, and flux statistics.  Only
     input errors raise, before the first sample: UnsupportedScenarioError
     for a far field at kappa = 1, ValueError when the far field's cutoff
-    is unresolved on the grid.
+    is unresolved on the grid or weight_alpha has no branch at kappa.
     """
     grid, params = state.grid, state.params
     if farfield is not None:
@@ -774,13 +763,8 @@ def simulate(state: State, farfield: Optional[FarField] = None,
             raise UnsupportedScenarioError(
                 "kappa = 1 runs require the trivial far field")
         farfield.cutoff    # sampled now, so a bad grid fails before output
-    ws = _Workspace(grid)
-    try:
-        gain = branch_gain(params, state.weight_alpha)
-    except ValueError:
-        gain = 0.0   # conjugate-system runs sit outside the branch ranges
-
-    weight_exp = 2.0 * (0.5 + gain)
+    part = state.ws.part
+    weight_exp = 2.0 * (0.5 + branch_gain(params, state.weight_alpha))
     # distinct (alpha, beta) audit combinations in first-seen order; at
     # kappa = 1 all four collapse to one
     audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
@@ -788,7 +772,7 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     series = NormSeries()
 
     def cl_dyub_sq(st: State) -> float:
-        return CLAccumulator(ws.part, 0.5, 2.0, st.cl_integrals).value() ** 2
+        return CLAccumulator(part, 0.5, 2.0, st.cl_integrals).value() ** 2
 
     def take_sample(st: State):
         phi, psi, G, H, dG, dH = st.gh_fields
@@ -796,10 +780,10 @@ def simulate(state: State, farfield: Optional[FarField] = None,
         r = st.radius
         series.append(
             t=st.t, theta=st.theta, radius=st.radius,
-            norm_ub=besov_pair_norm(ws.part, st.u, st.b, 0.5, a, st.t, r),
-            norm_gh=besov_pair_norm(ws.part, G, H, 0.5, a, st.t, r),
-            norm_dy_gh=besov_pair_norm(ws.part, dG, dH, 0.5, a, st.t, r),
-            norm_phipsi=besov_pair_norm(ws.part, phi, psi, 0.5, a, st.t, r),
+            norm_ub=besov_pair_norm(part, st.u, st.b, 0.5, a, st.t, r),
+            norm_gh=besov_pair_norm(part, G, H, 0.5, a, st.t, r),
+            norm_dy_gh=besov_pair_norm(part, dG, dH, 0.5, a, st.t, r),
+            norm_phipsi=besov_pair_norm(part, phi, psi, 0.5, a, st.t, r),
             cl_dyub_sq=cl_dyub_sq(st), theta_integral1=st.theta_int1)
         tail_guard_check(st)
 
@@ -830,12 +814,12 @@ def simulate(state: State, farfield: Optional[FarField] = None,
             dt = min(dt, t_final - state.t)
             # pre-step accumulation (left endpoint in time)
             du, db = state.dy_ub
-            cl = CLAccumulator(ws.part, 0.5, 2.0, state.cl_integrals.copy())
-            cl.add(pair_shell_norms(ws.part, du, db, state.weight_alpha,
+            cl = CLAccumulator(part, 0.5, 2.0, state.cl_integrals.copy())
+            cl.add(pair_shell_norms(part, du, db, state.weight_alpha,
                                     state.t, state.radius),
                    (1.0 + state.t) ** weight_exp, dt)
 
-            new = step_imex(state, dt, farfield, ws)
+            new = step_imex(state, dt, farfield)
             new.cl_integrals = cl.integrals
             # step_imex never modifies the fields of its input, so the
             # pre-step fields are still those of `state`
@@ -892,14 +876,25 @@ def _nonneg(v, params=None) -> bool:
     return _finite(v) and v >= 0.0
 
 
+def _branch_alphas(kappa: float) -> list:
+    """The weight_alpha of each branch that exists at kappa."""
+    alphas = []
+    for branch in ("unit", "kappa"):
+        try:
+            alphas.append(resolve_branch_alpha(kappa, branch))
+        except ValueError:
+            pass
+    return alphas
+
+
 # The State's scalars as the header stores them, each with the test its
 # value must pass on load and what the test asks for.
 _SCALARS = {
     "t": (_nonneg, "a finite number >= 0"),
     "theta": (_nonneg, "a finite number >= 0"),
     "step_index": (lambda v, p: type(v) is int and v >= 0, "an integer >= 0"),
-    "weight_alpha": (lambda v, p: _finite(v) and v in (1.0, 1.0 / p.kappa),
-                     "1 or 1/kappa"),
+    "weight_alpha": (lambda v, p: _finite(v) and v in _branch_alphas(p.kappa),
+                     "1 or 1/kappa, of a branch that exists at this kappa"),
     "prev_dt": (lambda v, p: v is None or (_finite(v) and v > 0.0),
                 "null or a finite number > 0"),
     "theta_int1": (_nonneg, "a finite number >= 0"),
@@ -1040,7 +1035,8 @@ def _restore(header: dict, buf: io.BytesIO):
     if buf.read(1):
         raise CheckpointError("checkpoint holds data past its last array")
 
-    n_shells = build_partition(grid).n_shells
+    ws = _Workspace(grid)
+    n_shells = ws.part.n_shells
     cl = header["cl_integrals"]
     if not (isinstance(cl, list) and len(cl) == n_shells
             and all(map(_nonneg, cl))):
@@ -1067,5 +1063,5 @@ def _restore(header: dict, buf: io.BytesIO):
                                               "far-field profile"))
     state = State(grid, params, u=u, b=b, prev_ru=prev_ru, prev_rb=prev_rb,
                   cl_integrals=np.asarray(cl, dtype=float),
-                  audit_min=audit, **scalars)
+                  audit_min=audit, ws=ws, **scalars)
     return state, ff, extras

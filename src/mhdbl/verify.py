@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .grid import TailViolationError
-from .lp import build_partition, phi_shell, shell_weighted_norms, shell_window
+from .lp import phi_shell, shell_weighted_norms, shell_window
 from .solver import NormSeries, State
 
 __all__ = [
@@ -164,7 +164,7 @@ def run_sup_constants_suite() -> dict:
 # ---- equivalence ratios between raw and damped fields -------------------------
 
 
-def gh_equivalence_check(state: State, gamma: float, part=None) -> dict:
+def gh_equivalence_check(state: State, gamma: float) -> dict:
     """Per-shell ratio report comparing each raw field against its damped
     combination, with the numerator carrying the softened weight exponent
     gamma * alpha and the denominator the full alpha.
@@ -178,8 +178,7 @@ def gh_equivalence_check(state: State, gamma: float, part=None) -> dict:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if part is None:
-        part = build_partition(state.grid)
+    part = state.ws.part
     a = state.weight_alpha
     t = state.t
     r = max(state.radius, 0.0)

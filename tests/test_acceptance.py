@@ -18,9 +18,9 @@ from mhdbl.cli import main, read_norms_csv
 from mhdbl.grid import BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, x_transform
 from mhdbl.lp import besov_pair_norm, build_partition, paraproduct
 from mhdbl.scenario import Params, initial_data_standard
-from mhdbl.solver import (_Workspace, kappa_rescale_map, load_checkpoint,
-                          make_state, recommended_ymax, save_checkpoint,
-                          simulate, step_imex)
+from mhdbl.solver import (kappa_rescale_map, load_checkpoint, make_state,
+                          recommended_ymax, save_checkpoint, simulate,
+                          step_imex)
 from mhdbl.verify import (fit_decay, multiplier_convexity_check,
                           poincare_check, run_poincare_suite,
                           run_sup_constants_suite, theta_report)
@@ -110,9 +110,8 @@ def _heat_run(grid, params, dt, t_final):
                              BC_DIRICHLET)
     b0 = Field.zeros(grid, BC_NEUMANN)
     st = make_state(grid, params, u0, b0)
-    ws = _Workspace(grid)
     for _ in range(round(t_final / dt)):
-        st = step_imex(st, dt, None, ws)
+        st = step_imex(st, dt)
     return st.u.coeffs[:, 0].real
 
 
@@ -309,9 +308,8 @@ class TestCriterion9Structural:
         p = Params(kappa=1.5, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g)
         for _ in range(3):
-            st = step_imex(st, 1e-3, None, ws)
+            st = step_imex(st, 1e-3)
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(str(p1), st, None, extras={"tag": 1})

@@ -495,6 +495,10 @@ class TestResumeCommand:
         ("cl_integrals", "one short", "4 finite numbers >= 0"),
         ("audit_min", {"u:a1:b1": "x"}, "an object of finite numbers"),
         ("audit_min", [], "an object of finite numbers"),
+        # (kappa, weight_alpha): 1/kappa without the kappa branch (kappa <=
+        # 1/2) and 1 without the plain one (kappa >= 2)
+        ("weight_alpha", (0.4, 2.5), "1 or 1/kappa"),
+        ("weight_alpha", (3.0, 1.0), "1 or 1/kappa"),
     ])
     def test_bad_header_values_exit_two(self, tmp_path, capsys,
                                         stepped_checkpoint, key, value, msg):
@@ -508,6 +512,8 @@ class TestResumeCommand:
             cl = header[key]
             assert len(cl) == 4
             value = cl[:-1] if value == "one short" else [self.NAN] + cl[1:]
+        if isinstance(value, tuple):
+            header["params"]["kappa"], value = value
         header[key] = value
         blob = json.dumps(header).encode("utf-8")
         path = tmp_path / "bad.ckpt"

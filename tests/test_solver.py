@@ -12,6 +12,7 @@ import math
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import strategies as hst
 from scipy.integrate import cumulative_trapezoid
 
 from mhdbl.grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
-                        TailViolationError, d2dy, ddy)
+                        TailViolationError, d2dy, ddx, ddy, integrate_y_from0,
+                        integrate_y_tail)
 from mhdbl.lp import besov_pair_norm, build_partition
 from mhdbl.scenario import (
     FarField,
@@ -35,13 +37,12 @@ from mhdbl.scenario import (
 from mhdbl.solver import (
     CheckpointError,
     DivergenceError,
-    FluxDriftError,
     NormSeries,
+    State,
     TStarReachedError,
     _choose_dt,
     _cn_matrix,
     _cn_solve,
-    _Workspace,
     branch_gain,
     cn_factors,
     eikonal_residual,
@@ -102,7 +103,8 @@ class TestReconstructions:
         u = single_mode_field(g, shape, BC_DIRICHLET)
         su, _ = flux_projection_profiles(g)
         u = project_zero_flux(u, su)
-        v, h = recover_vh(u, Field.zeros(g, BC_NEUMANN), check=True)
+        p = Params(kappa=1.0, epsilon=1e-3)
+        v, h = recover_vh(make_state(g, p, u, Field.zeros(g, BC_NEUMANN)))
         X, Y = np.meshgrid(g.x, g.y)
         v_exact = np.sin(X) * (Y ** 2 / 2.0) * np.exp(-Y ** 2 / 2.0)
         assert np.max(np.abs(v.physical().real - v_exact)) < 1e-4
@@ -110,22 +112,14 @@ class TestReconstructions:
         # wall rows are exact zeros by construction
         assert not np.any(v.coeffs[0])
 
-    def test_recover_vh_flux_guard(self):
-        g = make_grid()
-        # flux-carrying mode: integral of y e^{-y^2/2} is 1, not 0
-        u = single_mode_field(g, g.y * np.exp(-g.y ** 2 / 2.0), BC_DIRICHLET)
-        with pytest.raises(FluxDriftError, match="column flux"):
-            recover_vh(u, Field.zeros(g, BC_NEUMANN), check=True)
-        # same field passes with the guard off
-        recover_vh(u, Field.zeros(g, BC_NEUMANN), check=False)
-
     def test_antiderivatives_closed_form(self):
         g = make_grid(ny=1025)
         u_shape = (g.y - g.y ** 3 / 2.0) * np.exp(-g.y ** 2 / 2.0)
         b_shape = (1.0 - g.y ** 2) * np.exp(-g.y ** 2 / 2.0)
         u = single_mode_field(g, u_shape, BC_DIRICHLET)
         b = single_mode_field(g, b_shape, BC_NEUMANN)
-        phi, psi = reconstruct_phipsi(u, b)
+        p = Params(kappa=1.0, epsilon=1e-3)
+        phi, psi = reconstruct_phipsi(make_state(g, p, u, b))
         phi_exact = (g.y ** 2 / 2.0) * np.exp(-g.y ** 2 / 2.0)
         psi_exact = g.y * np.exp(-g.y ** 2 / 2.0)
         assert np.max(np.abs(phi.coeffs[:, 1].real - 0.5 * phi_exact)) < 1e-4
@@ -163,7 +157,7 @@ class TestReconstructions:
         st3.t = 3.0
         G0 = st0.gh_fields[2]
         G3 = st3.gh_fields[2]
-        phi, _ = reconstruct_phipsi(u, b)
+        phi, _ = reconstruct_phipsi(st0)
         corr0 = G0.coeffs - u.coeffs
         corr3 = G3.coeffs - u.coeffs
         # recovering the correction by subtracting u costs a few ulps of u
@@ -271,7 +265,6 @@ class TestExplicitTendency:
         if far:
             ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g)
         calls = []
         widths = []
 
@@ -284,13 +277,13 @@ class TestExplicitTendency:
         transform = mhdbl.grid.x_transform
         for mod in ("grid", "lp", "scenario", "solver"):
             monkeypatch.setattr(f"mhdbl.{mod}.x_transform", counted)
-        ru, rb, _ = rhs_explicit(st, ff, ws)
+        ru, rb, _ = rhs_explicit(st, ff)
         assert sorted(calls) == ["forward", "inverse"]
         assert widths == [g.nx // 2 + 1]
         assert np.max(np.abs(ru.coeffs)) > 0.0
-        step_imex(st, 1e-3, ff, ws)
-        assert np.any(ws.factors[..., :g.nmodes])
-        assert not np.any(ws.factors[..., g.nmodes:])
+        step_imex(st, 1e-3, ff)
+        assert np.any(st.ws.factors[..., :g.nmodes])
+        assert not np.any(st.ws.factors[..., g.nmodes:])
 
 
 class TestTheta:
@@ -299,8 +292,7 @@ class TestTheta:
         p = Params(kappa=1.0, epsilon=1e-3)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN))
-        assert theta_components(st, None, build_partition(g),
-                                st.radius) == (0.0, 0.0)
+        assert theta_components(st, None, st.radius) == (0.0, 0.0)
 
     def test_farfield_term_closed_form(self):
         # single far-field mode at xi = 3 sits in one dyadic shell, so the
@@ -319,7 +311,7 @@ class TestTheta:
         tt = 1.0 + st.t
         expected = (p.epsilon ** 0.5 * tt ** (1.25 - 2.5) * math.sqrt(2.0)
                     * math.sqrt(2.0 * g.lx) * amp * math.exp(3.0 * r))
-        comp1, got = theta_components(st, ff, build_partition(g), r)
+        comp1, got = theta_components(st, ff, r)
         assert comp1 == 0.0
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -328,13 +320,12 @@ class TestTheta:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st0 = make_state(g, p, u0, b0)
-        st1 = step_imex(st0, 1e-3, None, _Workspace(g))
-        part = build_partition(g)
-        comp1, comp2 = theta_components(st1, None, part, st0.radius)
+        st1 = step_imex(st0, 1e-3)
+        comp1, comp2 = theta_components(st1, None, st0.radius)
         rate = comp1 + comp2
         assert st1.theta == st0.theta + 1e-3 * rate
         # the post-step radius would give a different (smaller) rate
-        assert sum(theta_components(st1, None, part, st1.radius)) < rate
+        assert sum(theta_components(st1, None, st1.radius)) < rate
 
 
 class TestStepper:
@@ -343,9 +334,8 @@ class TestStepper:
         p = Params(kappa=1.0, epsilon=1e-3)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN))
-        ws = _Workspace(g)
         for _ in range(4):
-            st = step_imex(st, 1e-2, None, ws)
+            st = step_imex(st, 1e-2)
         assert not np.any(st.u.coeffs)
         assert not np.any(st.b.coeffs)
         assert st.theta == 0.0
@@ -355,9 +345,8 @@ class TestStepper:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g)
         for _ in range(5):
-            st = step_imex(st, 1e-3, None, ws)
+            st = step_imex(st, 1e-3)
         assert flux_drift(st.u, st.b) < 1e-15
 
     def test_determinism(self):
@@ -367,9 +356,8 @@ class TestStepper:
 
         def run():
             st = make_state(g, p, u0, b0)
-            ws = _Workspace(g)
             for _ in range(6):
-                st = step_imex(st, 1e-3, None, ws)
+                st = step_imex(st, 1e-3)
             return st
 
         a, b = run(), run()
@@ -458,21 +446,48 @@ class TestStepper:
         monkeypatch.setattr(mhdbl.solver, "tail_suffix",
                             lambda f: calls.append(f) or real(f))
         phi, psi, *_ = st.gh_fields
-        rhs_explicit(st, None, _Workspace(g))
+        rhs_explicit(st)
         assert calls == [st.u, st.b]
-        v, h = recover_vh(st.u, st.b, check=False, sums=st.tail_sums)
-        v0, h0 = recover_vh(st.u, st.b, check=False)
-        phi0, psi0 = reconstruct_phipsi(st.u, st.b)
+        v, h = recover_vh(st)
+        v0, h0 = (ddx(integrate_y_from0(f)) for f in (st.u, st.b))
+        phi0, psi0 = (integrate_y_tail(f) for f in (st.u, st.b))
         for x, y in ((v, v0), (h, h0), (phi, phi0), (psi, psi0)):
-            assert np.array_equal(x.coeffs, y.coeffs)
+            assert np.array_equal(x.coeffs, -y.coeffs)
+
+    def test_one_workspace_per_lineage(self, monkeypatch):
+        """Every state of a run shares the first state's workspace: five
+        steps build the partition once and one CN factorization per
+        (nu, bc).  A state built directly gets a workspace of its own,
+        and dataclasses.replace passes it on."""
+        import mhdbl.solver
+        g = make_grid(ny=129)
+        p = Params(kappa=1.5, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        calls = {"build_partition": [], "cn_factors": []}
+        for name, seen in calls.items():
+            real = getattr(mhdbl.solver, name)
+            monkeypatch.setattr(
+                mhdbl.solver, name,
+                lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+        lineage = [make_state(g, p, u0, b0)]
+        for _ in range(5):
+            lineage.append(step_imex(lineage[-1], 1e-3))
+        assert len(calls["build_partition"]) == 1
+        # (nu_u = 1, Dirichlet) and (nu_b = kappa, Neumann)
+        assert len(calls["cn_factors"]) == 2
+        first = lineage[0].ws
+        assert all(st.ws is first for st in lineage)
+        direct = State(g, p, 0.0, u0, b0)
+        assert direct.ws is not first
+        assert len(direct.cl_integrals) == direct.ws.part.n_shells
+        assert replace(direct, t=1.0).ws is direct.ws
 
     def test_manufactured_heat_accuracy(self):
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g)
         dt = 1e-3
         for _ in range(1000):
-            st = step_imex(st, dt, None, ws)
+            st = step_imex(st, dt)
         err = np.max(np.abs(st.u.coeffs[:, 0].real - heat_exact(g.y, st.t)))
         assert err < 1e-4
         assert not np.any(st.b.coeffs)
@@ -484,9 +499,8 @@ class TestStepper:
 
         def final(dt):
             st = make_state(g, p, u0, b0)
-            ws = _Workspace(g)
             for _ in range(round(0.25 / dt)):
-                st = step_imex(st, dt, None, ws)
+                st = step_imex(st, dt)
             return st.u.coeffs[:, 0].real
 
         # each dt divides the horizon exactly, so all runs land on t = 0.25
@@ -521,16 +535,14 @@ class TestStepper:
         assert s.column("t").tolist() == [0.0, 0.5]
 
 
-def dense_cn(ab):
-    return (np.diag(ab[1]) + np.diag(ab[0, 1:], 1)
-            + np.diag(ab[2, :-1], -1))
+def dense_cn(sub, diag, sup):
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
-def thomas_longdouble(ab, rhs):
+def thomas_longdouble(sub, diag, sup, rhs):
     """Reference tridiagonal solve of one real column in long double."""
-    n = ab.shape[1]
-    d, up, lo = (np.asarray(v, np.longdouble)
-                 for v in (ab[1], ab[0, 1:], ab[2, :-1]))
+    n = len(diag)
+    d, up, lo = (np.asarray(v, np.longdouble) for v in (diag, sup, sub))
     rhs = np.asarray(rhs, np.longdouble)
     cp = np.zeros(n, np.longdouble)
     dp = np.zeros(n, np.longdouble)
@@ -556,12 +568,12 @@ class TestCNSolve:
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
     def test_matches_dense_solve(self, ny, ymax, nu, bc):
         g = make_grid(ny=ny, ymax=ymax)
-        ab = _cn_matrix(ny, g.dy, nu, 1e-2, bc)
+        tri = _cn_matrix(ny, g.dy, nu, 1e-2, bc)
         rng = np.random.default_rng(ny)
         rhs = (rng.standard_normal((ny, g.nmodes))
                + 1j * rng.standard_normal((ny, g.nmodes)))
-        ref = np.linalg.solve(dense_cn(ab), rhs)
-        fac = cn_factors(ab)
+        ref = np.linalg.solve(dense_cn(*tri), rhs)
+        fac = cn_factors(*tri)
         got = solve_banded(fac, b=rhs)
         assert got.shape == rhs.shape and got.dtype == rhs.dtype
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -578,15 +590,15 @@ class TestCNSolve:
         down to 1e-250 must be accurate relative to itself, not to the
         peak."""
         g = make_grid(ny=ny, ymax=ymax)
-        ab = _cn_matrix(ny, g.dy, nu, 1e-2, bc)
+        tri = _cn_matrix(ny, g.dy, nu, 1e-2, bc)
         amp = np.array([1.0, -0.3 + 0.7j, 2e-3j])
         rhs = np.exp(-g.y ** 2 / 4.0)[:, None] * amp
         if bc == BC_DIRICHLET:
             rhs[0] = 0.0
         rhs[-1] = 0.0
-        got = solve_banded(cn_factors(ab), b=rhs)
-        ref = np.stack([thomas_longdouble(ab, c.real)
-                        + 1j * thomas_longdouble(ab, c.imag)
+        got = solve_banded(cn_factors(*tri), b=rhs)
+        ref = np.stack([thomas_longdouble(*tri, c.real)
+                        + 1j * thomas_longdouble(*tri, c.imag)
                         for c in rhs.T], axis=1)
         mask = np.abs(ref) > 1e-250
         rel = np.abs(got - ref)[mask] / np.abs(ref)[mask]
@@ -598,7 +610,9 @@ class TestCNSolve:
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
     def test_dt_change_builds_a_new_factorization(self, bc):
         g = make_grid(ny=100, ymax=24.0)
-        ws = _Workspace(g)
+        ws = make_state(g, Params(kappa=1.5, epsilon=1e-3),
+                        Field.zeros(g, BC_DIRICHLET),
+                        Field.zeros(g, BC_NEUMANN)).ws
         rng = np.random.default_rng(7)
         f = Field(g, rng.standard_normal((g.ny, g.nmodes)) + 0j, bc)
         tend = rng.standard_normal((g.ny, g.nmodes)) + 0j
@@ -611,7 +625,7 @@ class TestCNSolve:
                 rhs[0] = 0.0
             rhs[-1] = 0.0
             ref = np.linalg.solve(
-                dense_cn(_cn_matrix(g.ny, g.dy, 1.5, dt, bc)), rhs)
+                dense_cn(*_cn_matrix(g.ny, g.dy, 1.5, dt, bc)), rhs)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert ws.cn_factors(1.5, 5e-3, bc) is not ws.cn_factors(1.5, 1e-2,
                                                                   bc)
@@ -621,13 +635,12 @@ class TestAudits:
     def test_heat_energy_slack_on_heat_flow(self):
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g)
         dt = 1e-3
         bound = -(10.0 * dt + 10.0 * g.dy ** 2)
         for k in range(40):
             old = st.u.copy()
             t_old = st.t
-            st = step_imex(st, dt, None, ws)
+            st = step_imex(st, dt)
             if k % 10 == 0:
                 for al, be in ((1.0, 1.0), (0.5, 1.0), (0.25, 1.0), (1.0, 0.5)):
                     slack = heat_energy_slack(old, st.u, t_old, st.t, al, be)
@@ -642,8 +655,7 @@ class TestAudits:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g)
-        new = step_imex(st, 1e-2, None, ws)
+        new = step_imex(st, 1e-2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for fo, fn in ((u0, new.u), (b0, new.b)):
@@ -750,7 +762,7 @@ class TestEqs2Residual:
         norms = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
-            st1 = step_imex(st0, dt, None, _Workspace(g))
+            st1 = step_imex(st0, dt)
             norms.append(eqs2_residual(st0, st1)["norm_psi"])
         assert 1.7 < norms[0] / norms[1] < 2.3
         assert 1.7 < norms[1] / norms[2] < 2.3
@@ -766,7 +778,7 @@ class TestEqs2Residual:
         res = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
-            st1 = step_imex(st0, dt, ff, _Workspace(g))
+            st1 = step_imex(st0, dt, ff)
             res.append(eqs2_residual(st0, st1, ff))
         psi = [r["norm_psi"] for r in res]
         assert 1.7 < psi[0] / psi[1] < 2.3
@@ -781,7 +793,7 @@ class TestEqs2Residual:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st0 = make_state(g, p, u0, b0)
-        st1 = step_imex(st0, 1e-3, None, _Workspace(g))
+        st1 = step_imex(st0, 1e-3)
         r = eqs2_residual(st0, st1)
         assert 0.0 < r["norm_phi"] < 5.0 * p.epsilon
 
@@ -863,9 +875,8 @@ class TestCheckpoint:
         p = Params(kappa=kappa, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
-        ws = _Workspace(g)
         for _ in range(3):
-            st = step_imex(st, 1e-3, None, ws)
+            st = step_imex(st, 1e-3)
         return g, p, st
 
     def test_round_trip_bit_exact(self, tmp_path):
