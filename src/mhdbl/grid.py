@@ -14,6 +14,20 @@ the other half).  Sums over modes that stand for sums over all nx modes
 The x transforms are numpy.fft's rfft/irfft (pocketfft, one thread),
 which give the same bits as scipy.fft and keep scipy.fft, with the
 scipy.special it loads, off the import path.
+
+Row window.  The solutions are Gaussian-localized in y, so on a tall
+domain the upper rows are often exactly 0.0 (the tails underflow).  A
+Field records this in `rows`: every row from `rows` up is exactly zero
+(rows = ny claims nothing).  The y operators and reductions below read
+only `Field.window` = min(ny, rows + 2) rows, the support and two zero
+rows above it: on those the top closures of ddy and d2dy give exactly the
+full-grid values, and every output row above is exactly zero, so a
+windowed result has the same values as a full-grid one.  Reductions over
+y stop at the support.  The running sums (tail_suffix, column_flux, the
+shell norms) add in ascending or descending y, so the zeros they skip
+would not change a bit; weighted_l2's pairwise sum may change in the
+last bit.  So results depend on the data, not on how far the grid
+reaches above it.
 """
 
 from __future__ import annotations
@@ -124,14 +138,21 @@ class Field:
     module docstring).  `bc` tags the wall behaviour at y = 0
     ("dirichlet": value pinned to zero, "neumann": zero normal
     derivative).  The top boundary is always a homogeneous Dirichlet
-    truncation of the decaying far tail.
+    truncation of the decaying far tail.  `rows` bounds the support:
+    rows from `rows` up are exactly zero and stay so while the field is
+    in use (see the module docstring).
     """
 
     grid: GridSpec
     coeffs: np.ndarray
     bc: str = BC_DIRICHLET
+    rows: Optional[int] = None      # coeffs[rows:] is all zero; None: ny
 
     def __post_init__(self):
+        if self.rows is None:
+            self.rows = self.grid.ny
+        if not 0 <= self.rows <= self.grid.ny:
+            raise ValueError(f"rows {self.rows} outside [0, {self.grid.ny}]")
         if self.coeffs.shape != (self.grid.ny, self.grid.nmodes):
             raise ValueError(
                 f"coeffs shape {self.coeffs.shape} does not match grid "
@@ -163,7 +184,17 @@ class Field:
         return cls(grid, c, bc)
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.coeffs.copy(), self.bc)
+        return Field(self.grid, self.coeffs.copy(), self.bc, self.rows)
+
+    @property
+    def window(self) -> int:
+        """Rows a y operator reads: the support and two zero rows above."""
+        return min(self.grid.ny, self.rows + 2)
+
+    def trimmed(self) -> "Field":
+        """This field (same array) with `rows` lowered to its support."""
+        return Field(self.grid, self.coeffs, self.bc,
+                     support(self.coeffs[:self.rows]))
 
     def physical(self) -> np.ndarray:
         return x_transform(self.grid, self.coeffs, "inverse")
@@ -200,20 +231,46 @@ def x_transform(grid: GridSpec, values: np.ndarray, direction: str) -> np.ndarra
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
+def support(rows: np.ndarray) -> int:
+    """One past the last row (first axis) of `rows` holding a nonzero or
+    NaN entry; 0 when there is none.  Scanned from the top in blocks of
+    32 rows, so data that reach the top cost one block."""
+    top = len(rows)
+    while top > 0:
+        block = rows[max(0, top - 32):top]
+        if block.any():
+            live = block.reshape(len(block), -1).any(axis=1)
+            return top - len(block) + int(np.flatnonzero(live)[-1]) + 1
+        top -= len(block)
+    return 0
+
+
+def zero_above(like: np.ndarray, n: int) -> np.ndarray:
+    """An uninitialized array like `like` with rows n and up set to zero;
+    the caller fills rows [0, n)."""
+    out = np.empty_like(like)
+    out[n:] = 0.0
+    return out
+
+
 def ddx(field: Field) -> Field:
     """Exact spectral x derivative (i*xi per mode)."""
-    return Field(field.grid, field.coeffs * (1j * field.grid.xi), field.bc)
+    return Field(field.grid, field.coeffs * (1j * field.grid.xi), field.bc,
+                 field.rows)
 
 
 def ddy(field: Field) -> Field:
     """Second order centered y derivative with ghost closures from the bc tag.
 
     Dirichlet: odd ghost f(-dy) = -f(dy); Neumann: even ghost f(-dy) = f(dy).
-    Top: odd ghost about ymax (value pinned to zero there).
+    Top: odd ghost about ymax (value pinned to zero there).  Computed over
+    the field's window; the result's support is one row taller.
     """
-    c = field.coeffs
+    n = field.window
+    c = field.coeffs[:n]
     dy = field.grid.dy
-    out = np.empty_like(c)
+    full = zero_above(field.coeffs, n)
+    out = full[:n]
     out[1:-1] = (c[2:] - c[:-2]) / (2.0 * dy)
     if field.bc == BC_DIRICHLET:
         out[0] = c[1] / dy
@@ -223,21 +280,25 @@ def ddy(field: Field) -> Field:
     # the derivative of a Dirichlet field is Neumann-like at the wall and
     # vice versa; tag conservatively as Neumann (no pinned wall value).
     new_bc = BC_NEUMANN if field.bc == BC_DIRICHLET else BC_DIRICHLET
-    return Field(field.grid, out, new_bc)
+    return Field(field.grid, full, new_bc, min(field.grid.ny, field.rows + 1))
 
 
 def d2dy(field: Field) -> Field:
-    """Second order centered second derivative, bc-tagged ghost closure."""
-    c = field.coeffs
+    """Second order centered second derivative, bc-tagged ghost closure,
+    over the field's window like ddy."""
+    n = field.window
+    c = field.coeffs[:n]
     dy2 = field.grid.dy ** 2
-    out = np.empty_like(c)
+    full = zero_above(field.coeffs, n)
+    out = full[:n]
     out[1:-1] = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / dy2
     if field.bc == BC_DIRICHLET:
         out[0] = -2.0 * c[0] / dy2
     else:
         out[0] = 2.0 * (c[1] - c[0]) / dy2
     out[-1] = -2.0 * c[-1] / dy2
-    return Field(field.grid, out, field.bc)
+    return Field(field.grid, full, field.bc,
+                 min(field.grid.ny, field.rows + 1))
 
 
 # ---- quadrature ------------------------------------------------------------
@@ -247,10 +308,16 @@ def tail_suffix(field: Field) -> np.ndarray:
     """Trapezoid partial sums from the top: row i of the (ny - 1, ...)
     result is int_{y_i}^{ymax} f dy'.  Accumulated from the top because
     the far rows have to decay with relative accuracy: they later meet
-    Gaussian-growing weights.  Both integrals below derive from it."""
+    Gaussian-growing weights.  Both integrals below derive from it.  Rows
+    from field.rows up are exactly zero and are not summed: adding their
+    zeros first would leave every partial sum's bits as they are."""
     c = field.coeffs
-    seg = 0.5 * field.grid.dy * (c[1:] + c[:-1])
-    return np.cumsum(seg[::-1], axis=0)[::-1]
+    n = min(field.rows, field.grid.ny - 1)
+    out = zero_above(c[1:], n)
+    seg = 0.5 * field.grid.dy * (c[1:n + 1] + c[:n])
+    # summed from the top into the reversed view of rows [0, n)
+    np.cumsum(seg[::-1], axis=0, out=out[:n][::-1])
+    return out
 
 
 def integrate_y_tail(field: Field,
@@ -262,9 +329,10 @@ def integrate_y_tail(field: Field,
     """
     if suffix is None:
         suffix = tail_suffix(field)
-    out = np.zeros_like(field.coeffs)
-    out[:-1] = suffix
-    return Field(field.grid, out, BC_DIRICHLET)
+    n = min(field.rows, field.grid.ny - 1)
+    out = zero_above(field.coeffs, n)
+    out[:n] = suffix[:n]
+    return Field(field.grid, out, BC_DIRICHLET, n)
 
 
 def integrate_y_from0(field: Field,
@@ -273,21 +341,28 @@ def integrate_y_from0(field: Field,
 
     Returns total - tail from the same top-down sums as integrate_y_tail
     (`suffix`, computed here unless given), so the two integrals sum to
-    the per-mode total without reassociating anything.
+    the per-mode total without reassociating anything.  Above the support
+    the tail is zero, so the rows there hold the total.
     """
     if suffix is None:
         suffix = tail_suffix(field)
-    out = np.zeros_like(field.coeffs)
-    out[1:-1] = suffix[0] - suffix[1:]
-    out[-1] = suffix[0]
+    n = max(1, min(field.rows, field.grid.ny - 1))
+    out = np.empty_like(field.coeffs)
+    out[0] = 0.0
+    out[1:n] = suffix[0] - suffix[1:n]
+    out[n:] = suffix[0]
     return Field(field.grid, out, BC_DIRICHLET)
 
 
 def column_flux(field: Field) -> np.ndarray:
     """Per-mode trapezoid integral over the whole y range (shape
-    (nmodes,))."""
-    w = field.grid.trapz_weights
-    return w @ field.coeffs
+    (nmodes,)), summed in ascending y over the support.  A plain einsum
+    on the real view, not a BLAS product, whose threading can cost 10x
+    in some processes."""
+    n = field.rows
+    w = field.grid.trapz_weights[:n]
+    flat = field.coeffs[:n].view(np.float64)
+    return np.einsum("y,yj->j", w, flat).view(np.complex128)
 
 
 # ---- weighted norms --------------------------------------------------------
@@ -299,19 +374,22 @@ def mode_power(coeffs: np.ndarray) -> np.ndarray:
 
 
 def row_power(field: Field) -> np.ndarray:
-    """sum_j |c_ij|^2 over all nx modes per row: the stored modes weighted
-    by their multiplicities, summed in stored (ascending |xi|) order."""
-    return np.einsum("yj,j->y", mode_power(field.coeffs),
+    """sum_j |c_ij|^2 over all nx modes per row of the support (shape
+    (field.rows,)): the stored modes weighted by their multiplicities,
+    summed in stored (ascending |xi|) order."""
+    return np.einsum("yj,j->y", mode_power(field.coeffs[:field.rows]),
                      field.grid.mode_weights)
 
 
-def psi_weight(grid: GridSpec, a: float, t: float) -> np.ndarray:
-    """exp(a * y^2 / (8 <t>)) sampled on the y nodes, <t> = 1 + t.
+def psi_weight(grid: GridSpec, a: float, t: float,
+               rows: Optional[int] = None) -> np.ndarray:
+    """exp(a * y^2 / (8 <t>)) sampled on the y nodes, <t> = 1 + t (the
+    first `rows` nodes, all when None).
 
     Rows beyond the double-precision range come back as inf without a
     warning; weighted_rows masks them where the data is exactly zero."""
     with np.errstate(over="ignore"):
-        return np.exp(a * grid.y ** 2 / (8.0 * (1.0 + t)))
+        return np.exp(a * grid.y[:rows] ** 2 / (8.0 * (1.0 + t)))
 
 
 def weighted_rows(x: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
@@ -335,7 +413,8 @@ def weighted_l2(field: Field, a: float, t: float) -> float:
     ascending y.  a = 0 gives the plain L2 norm over the strip.
     """
     g = field.grid
-    amp = weighted_rows(np.sqrt(row_power(field)), psi_weight(g, a, t),
+    n = field.rows
+    amp = weighted_rows(np.sqrt(row_power(field)), psi_weight(g, a, t, n),
                         "amplitude")
-    total = np.add.reduce(g.trapz_weights * amp * amp)
+    total = np.add.reduce(g.trapz_weights[:n] * amp * amp)
     return float(np.sqrt(g.lx * total))

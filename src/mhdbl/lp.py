@@ -151,15 +151,19 @@ def shell_weighted_norms(part: DyadicPartition, field: Field, a: float,
                          t: float, r: float = 0.0) -> np.ndarray:
     """|| e^{a Psi} Delta_k (e^{r|Dx|} f) ||_{L2} for each shell k.
 
-    Vectorized over shells; same quadrature and summation order as
-    grid.weighted_l2.  Returns an (n_shells,) array.
+    Vectorized over shells; same quadrature as grid.weighted_l2, with the
+    rows summed in ascending y over the field's support.  Returns an
+    (n_shells,) array.
     """
     g = field.grid
-    c = field.coeffs if r == 0.0 else field.coeffs * np.exp(r * g.xi)
+    n = field.rows
+    c = field.coeffs[:n]
+    if r != 0.0:
+        c = c * np.exp(r * g.xi)
     m = np.einsum("yj,kj->yk", mode_power(c), part.power_table)
-    amp = weighted_rows(np.sqrt(m), psi_weight(g, a, t)[:, None],
+    amp = weighted_rows(np.sqrt(m), psi_weight(g, a, t, n)[:, None],
                         "shell amplitude")
-    tot = np.einsum("y,yk->k", g.trapz_weights, amp * amp)
+    tot = np.einsum("y,yk->k", g.trapz_weights[:n], amp * amp)
     return np.sqrt(g.lx * tot)
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
-                   x_transform)
+                   x_transform, zero_above)
 from .lp import DyadicPartition, _gexp, besov_h_shell_norms, smooth_step
 
 
@@ -449,12 +449,16 @@ def project_zero_flux(field: Field, shape: np.ndarray) -> Field:
 
     The DC column is left alone: x-independent states (heating tests and
     the like) legitimately carry mean flux, and the zero-flux constraint
-    comes from the x-decay of the ansatz, which only binds j != 0.
+    comes from the x-decay of the ansatz, which only binds j != 0.  The
+    result is formed on the rows the field or the shape fills.
     """
     flux = column_flux(field)
     flux[0] = 0.0
-    c = field.coeffs - np.outer(shape, flux)
-    return Field(field.grid, c, field.bc)
+    live = np.flatnonzero(shape)
+    n = max(field.rows, int(live[-1]) + 1 if live.size else 0)
+    c = zero_above(field.coeffs, n)
+    np.subtract(field.coeffs[:n], np.outer(shape[:n], flux), out=c[:n])
+    return Field(field.grid, c, field.bc, n)
 
 
 def initial_data_standard(grid: GridSpec, params: Params,

@@ -21,8 +21,8 @@ import numpy as np
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    TailViolationError, column_flux, d2dy, ddx, ddy,
                    integrate_y_from0, integrate_y_tail, psi_weight,
-                   row_power, tail_suffix, weighted_l2, weighted_rows,
-                   x_transform)
+                   row_power, support, tail_suffix, weighted_l2,
+                   weighted_rows, x_transform, zero_above)
 from .lp import (CLAccumulator, besov_h_shell_norms, besov_norm,
                  besov_pair_norm, build_partition, pair_shell_norms)
 from .scenario import (FarField, Params, UnsupportedScenarioError,
@@ -144,7 +144,8 @@ class _Workspace:
     @cached_property
     def factors(self) -> np.ndarray:
         """The RHS's 8 product factors, (8, ny, nx/2 + 1): only the stored
-        modes are written, so the inverse transform needs no padding."""
+        modes are written, so the inverse transform needs no padding, and
+        each step uses the rows of its window."""
         return np.zeros((8, self.grid.ny, self.grid.nx // 2 + 1), complex)
 
 
@@ -216,12 +217,13 @@ class State:
 def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
                branch: str = "auto") -> State:
     """The t = 0 state of a run from (u0, b0): the first CFL speed and the
-    blow-up limit 1e6 (m + 1) both come from m = max |u0|, |b0|."""
+    blow-up limit 1e6 (m + 1) both come from m = max |u0|, |b0|.  The
+    state's fields are copies, their `rows` cut to their support."""
     alpha = resolve_branch_alpha(params.kappa, branch)
     scale = max(float(np.max(np.abs(u0.coeffs))),
                 float(np.max(np.abs(b0.coeffs))))
-    return State(grid, params, 0.0, u0.copy(), b0.copy(), weight_alpha=alpha,
-                 umax=scale, blow_limit=1e6 * (scale + 1.0))
+    return State(grid, params, 0.0, u0.copy().trimmed(), b0.copy().trimmed(),
+                 weight_alpha=alpha, umax=scale, blow_limit=1e6 * (scale + 1.0))
 
 
 def resolve_branch_alpha(kappa: float, branch: str) -> float:
@@ -290,13 +292,18 @@ def reconstruct_phipsi(state: State):
 def compute_GH(state: State, phi: Field, psi: Field):
     """Damped combinations G = u + y phi / (2<t>), H = b + y psi /
     (2 kappa <t>); G inherits the wall zero of u, H keeps the zero wall
-    slope of b."""
-    y = state.grid.y[:, None]
+    slope of b.  Each is formed over the rows its two terms may fill."""
     tt = 1.0 + state.t
-    gc = state.u.coeffs + (y / (2.0 * tt)) * phi.coeffs
-    hc = state.b.coeffs + (y / (2.0 * state.params.kappa * tt)) * psi.coeffs
-    return (Field(state.grid, gc, BC_DIRICHLET),
-            Field(state.grid, hc, BC_NEUMANN))
+    out = []
+    for f, a, scale, bc in ((state.u, phi, 2.0 * tt, BC_DIRICHLET),
+                            (state.b, psi, 2.0 * state.params.kappa * tt,
+                             BC_NEUMANN)):
+        n = max(f.rows, a.rows)
+        c = zero_above(f.coeffs, n)
+        np.multiply(state.grid.y[:n, None] / scale, a.coeffs[:n], out=c[:n])
+        c[:n] += f.coeffs[:n]
+        out.append(Field(state.grid, c, bc, n))
+    return tuple(out)
 
 
 # ---- explicit tendencies -----------------------------------------------------
@@ -307,41 +314,51 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     coupling, the quadratic transport terms, far-field couplings through
     its cutoff, and the patching sources.  Products are formed pointwise
     in physical space and dealiased.  Returns (ru, rb, umax), umax the
-    largest physical |u| (plus |U| with a far field) for the CFL bound."""
+    largest physical |u| (plus |U| with a far field) for the CFL bound.
+
+    The products are formed on the n rows of the window of (u, b) and
+    ru, rb are zero above them (ru but for the far field's source): every
+    term holds a factor of u, b or their y derivatives, but for the far
+    field's chi'' U (v, h), whose window is the cutoff zone y <= 2.  (v
+    and h hold the column flux above the support.)"""
     g = state.grid
     p = state.params
     u, b = state.u, state.b
+    n = max(u.window, b.window)
+    if farfield is not None:
+        n = max(n, int(np.flatnonzero(farfield.cutoff.d2chi)[-1]) + 1)
 
     # the eight factors, inverse-transformed in one call from ws.factors
     ws = state.ws
     ixi = 1j * g.xi
     duy, dby = state.dy_ub
     v, h = recover_vh(state)
-    spec = ws.factors[:, :, :g.nmodes]
-    spec[0] = u.coeffs
-    spec[1] = b.coeffs
-    np.multiply(u.coeffs, ixi, out=spec[2])
-    np.multiply(b.coeffs, ixi, out=spec[3])
-    spec[4] = duy.coeffs
-    spec[5] = dby.coeffs
-    spec[6] = v.coeffs
-    spec[7] = h.coeffs
+    stack = ws.factors[:, :n]
+    spec = stack[..., :g.nmodes]
+    spec[0] = u.coeffs[:n]
+    spec[1] = b.coeffs[:n]
+    np.multiply(u.coeffs[:n], ixi, out=spec[2])
+    np.multiply(b.coeffs[:n], ixi, out=spec[3])
+    spec[4] = duy.coeffs[:n]
+    spec[5] = dby.coeffs[:n]
+    spec[6] = v.coeffs[:n]
+    spec[7] = h.coeffs[:n]
     dux, dbx = spec[2], spec[3]
     u_p, b_p, dux_p, dbx_p, duy_p, dby_p, v_p, h_p = x_transform(
-        g, ws.factors, "inverse")
+        g, stack, "inverse")
 
     umax = float(np.max(np.abs(u_p)))
 
-    nl = np.empty((2, g.ny, g.nx))
+    nl = np.empty((2, n, g.nx))
     nl[0] = u_p * dux_p - b_p * dbx_p + v_p * duy_p - h_p * dby_p
     nl[1] = u_p * dbx_p - b_p * dux_p + v_p * dby_p - h_p * duy_p
 
     if farfield is not None:
         U_p, dxU_p = farfield.physical_rows(state.t)
         umax += float(np.max(np.abs(U_p)))
-        c1 = farfield.cutoff.dchi[:, None]
-        c0 = farfield.cutoff.chi[:, None]
-        c2 = farfield.cutoff.d2chi[:, None]
+        c1 = farfield.cutoff.dchi[:n, None]
+        c0 = farfield.cutoff.chi[:n, None]
+        c2 = farfield.cutoff.d2chi[:n, None]
         nl[0] += (c1 * (U_p * dux_p) + c1 * (dxU_p * u_p)
                   + c0 * (-dxU_p * duy_p) + c2 * (U_p * v_p))
         nl[1] += (c1 * (U_p * dbx_p) + c1 * (-dxU_p * b_p)
@@ -349,15 +366,18 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
 
     # nl_u and nl_b forward-transformed in one call
     r = x_transform(g, nl, "forward")
-    np.negative(r, out=r)
-    ru, rb = r
-    ru += p.bbar * dbx
-    rb += p.bbar * dux
+    ru, rb = zero_above(u.coeffs, n), zero_above(b.coeffs, n)
+    # -nl + bbar d_x (b, u), written as one subtraction per field
+    np.subtract(p.bbar * dbx, r[0], out=ru[:n])
+    np.subtract(p.bbar * dux, r[1], out=rb[:n])
+    ru_rows = n
 
     if farfield is not None:
         ru += source_terms(farfield, state.t).coeffs
+        ru_rows = g.ny
 
-    return (Field(g, ru, BC_DIRICHLET), Field(g, rb, BC_NEUMANN), umax)
+    return (Field(g, ru, BC_DIRICHLET, ru_rows), Field(g, rb, BC_NEUMANN, n),
+            umax)
 
 
 # ---- theta -----------------------------------------------------------------
@@ -461,8 +481,9 @@ def cn_factors(sub: np.ndarray, diag: np.ndarray,
 def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
     """x with A x = b for the prefactored A; b is (n, cols), real or
     complex, and a complex b is solved as its real (n, 2 cols) view.
-    One stacked matmul over the blocks, one interface matmul and two
-    broadcast corrections."""
+    One stacked matmul over the blocks up to the last one holding a
+    nonzero entry of b (the blocks above solve to exact zeros), one
+    interface matmul and two broadcast corrections over all blocks."""
     inv = factors.inv_blocks
     nb, m, _ = inv.shape
     b = np.ascontiguousarray(b)
@@ -470,7 +491,11 @@ def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
     cols = rows.shape[1]
     if nb * m != factors.n:
         rows = np.concatenate([rows, np.zeros((nb * m - factors.n, cols))])
-    x = inv @ rows.reshape(nb, m, cols)
+    k = -(-support(rows) // m)
+    rows = rows.reshape(nb, m, cols)
+    x = np.empty((nb, m, cols))
+    np.matmul(inv[:k], rows[:k], out=x[:k])
+    x[k:] = 0.0
     ends = factors.inv_interface @ x[:, [0, -1]].reshape(2 * nb, cols)
     ends = ends.reshape(nb, 2, cols)
     x[:-1] -= factors.up[:-1, :, None] * ends[1:, None, 0]
@@ -478,15 +503,32 @@ def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
     return x.reshape(nb * m, cols)[:factors.n].view(b.dtype)
 
 
-def _cn_solve(ws: _Workspace, field: Field, tendency: np.ndarray, nu: float,
+def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
               dt: float) -> Field:
-    half = d2dy(field).coeffs * (0.5 * dt * nu)
-    rhs = field.coeffs + half + dt * tendency
+    """The Crank-Nicolson update of `field` with the explicit `tendency`;
+    the right-hand side is formed on the rows its terms fill, and the
+    result's `rows` is its support (the solve spreads the data upward)."""
+    half = d2dy(field)
+    n = max(half.rows, tendency.rows)
+    rhs = zero_above(field.coeffs, n)
+    np.multiply(half.coeffs[:n], 0.5 * dt * nu, out=rhs[:n])
+    rhs[:n] += field.coeffs[:n]
+    rhs[:n] += dt * tendency.coeffs[:n]
     if field.bc == BC_DIRICHLET:
         rhs[0] = 0.0
     rhs[-1] = 0.0
     out = solve_banded(ws.cn_factors(nu, dt, field.bc), b=rhs)
-    return Field(field.grid, out, field.bc)
+    return Field(field.grid, out, field.bc).trimmed()
+
+
+def _ab2(r: Field, prev: np.ndarray) -> Field:
+    """The Adams-Bashforth tendency 1.5 r - 0.5 prev, on the rows either
+    of them fills."""
+    n = max(r.rows, support(prev))
+    c = zero_above(r.coeffs, n)
+    np.multiply(r.coeffs[:n], 1.5, out=c[:n])
+    c[:n] -= 0.5 * prev[:n]
+    return Field(r.grid, c, r.bc, n)
 
 
 def _diffusivities(params: Params) -> tuple:
@@ -518,23 +560,27 @@ def step_imex(state: State, dt: float,
         rum, rbm, _ = rhs_explicit(
             replace(state, t=state.t + 0.5 * dt,
                     u=Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
-                            state.u.bc),
+                            state.u.bc, max(state.u.rows, ru0.rows)),
                     b=Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
-                            state.b.bc)),
+                            state.b.bc, max(state.b.rows, rb0.rows))),
             farfield)
-        eu, eb = rum.coeffs, rbm.coeffs
+        eu, eb = rum, rbm
     else:
-        eu = 1.5 * ru0.coeffs - 0.5 * state.prev_ru
-        eb = 1.5 * rb0.coeffs - 0.5 * state.prev_rb
+        eu = _ab2(ru0, state.prev_ru)
+        eb = _ab2(rb0, state.prev_rb)
 
     u1 = _cn_solve(state.ws, state.u, eu, nu_u, dt)
     b1 = _cn_solve(state.ws, state.b, eb, nu_b, dt)
     shape_u, shape_b = state.ws.projection_shapes(nu_u)
-    u1 = project_zero_flux(u1, shape_u)
-    b1 = project_zero_flux(b1, shape_b)
+    # the projection keeps the support of the solve and its shape; the
+    # exact support of the result sets the row window of every kernel of
+    # the next step (a NaN row counts as live)
+    u1 = project_zero_flux(u1, shape_u).trimmed()
+    b1 = project_zero_flux(b1, shape_b).trimmed()
 
     # np.max keeps a NaN of either field, where Python's max may drop it
-    m = float(np.max([np.max(np.abs(u1.coeffs)), np.max(np.abs(b1.coeffs))]))
+    m = float(np.max([np.max(np.abs(f.coeffs[:f.rows]), initial=0.0)
+                      for f in (u1, b1)]))
     if not math.isfinite(m):
         raise DivergenceError(f"non-finite fields after step at t={state.t:.6g}")
     if m > state.blow_limit:
@@ -570,22 +616,27 @@ def heat_energy_slack(f_old: Field, f_new: Field, t_old: float, t_new: float,
     g = f_old.grid
     dt = t_new - t_old
     tm = 0.5 * (t_old + t_new)
-    mid = Field(g, 0.5 * (f_old.coeffs + f_new.coeffs), f_old.bc)
-    dfdt = (f_new.coeffs - f_old.coeffs) / dt
-    lap = d2dy(mid).coeffs
-    inner = dfdt - beta * lap
-    m = mid.coeffs
+    # the inner product vanishes where mid does: above both supports
+    n = max(f_old.rows, f_new.rows)
+    old, new = f_old.coeffs[:n], f_new.coeffs[:n]
+    mc = zero_above(f_old.coeffs, n)
+    np.add(old, new, out=mc[:n])
+    mc[:n] *= 0.5
+    mid = Field(g, mc, f_old.bc, n)
+    dfdt = (new - old) / dt
+    inner = dfdt - beta * d2dy(mid).coeffs[:n]
+    m = mc[:n]
     # Re(inner conj(mid)) summed over all nx modes
     rowsum = np.einsum("yj,j->y", inner.real * m.real + inner.imag * m.imag,
                        g.mode_weights)
     with np.errstate(over="ignore"):
-        w = g.trapz_weights * psi_weight(g, alpha, tm) ** 2
+        w = g.trapz_weights[:n] * psi_weight(g, alpha, tm, n) ** 2
     contrib = weighted_rows(rowsum, w, "energy audit")
     ip = float(np.add.reduce(contrib) * g.lx)
     n_new = weighted_l2(f_new, alpha, t_new)
     n_old = weighted_l2(f_old, alpha, t_old)
     ddt_norm = (n_new ** 2 - n_old ** 2) / (2.0 * dt)
-    n_dy = weighted_l2(Field(g, ddy(mid).coeffs, mid.bc), alpha, tm)
+    n_dy = weighted_l2(ddy(mid), alpha, tm)
     rhs = ddt_norm + (beta - 0.5 * beta ** 2 * alpha) * n_dy ** 2
     return ip - rhs
 
@@ -594,14 +645,16 @@ def tail_guard_check(state: State) -> float:
     """Ratio of the weighted field magnitude above 0.8 ymax to its global
     max; raises when the truncation stops being faithful (> 1e-8)."""
     g = state.grid
-    w = psi_weight(g, state.weight_alpha, state.t)
+    w = psi_weight(g, state.weight_alpha, state.t,
+                   max(state.u.rows, state.b.rows))
     worst = 0.0
     for f in (state.u, state.b):
-        amp = weighted_rows(np.sqrt(row_power(f)), w, "field")
-        m = float(np.max(amp))
+        # amp over the support; the rows above it are zero
+        amp = weighted_rows(np.sqrt(row_power(f)), w[:f.rows], "field")
+        m = float(np.max(amp, initial=0.0))
         if m == 0.0:
             continue
-        top = float(np.max(amp[g.y > 0.8 * g.ymax]))
+        top = float(np.max(amp[g.y[:f.rows] > 0.8 * g.ymax], initial=0.0))
         worst = max(worst, top / m)
     if worst > 1e-8:
         raise TailViolationError(
@@ -1026,8 +1079,8 @@ def _restore(header: dict, buf: io.BytesIO):
         arr = np.frombuffer(data, dtype="<c16").reshape(grid.ny, grid.nmodes)
         return _real_spectrum(arr.astype(np.complex128), grid, name)
 
-    u = Field(grid, read_arr("u"), BC_DIRICHLET)
-    b = Field(grid, read_arr("b"), BC_NEUMANN)
+    u = Field(grid, read_arr("u"), BC_DIRICHLET).trimmed()
+    b = Field(grid, read_arr("b"), BC_NEUMANN).trimmed()
     prev_ru = prev_rb = None
     if scalars["prev_dt"] is not None:
         prev_ru = read_arr("prev_ru")

@@ -1,12 +1,16 @@
 """The benchmark checks every invocation's output against its recorded
 reference and reads back its final checkpoint; a change to the outputs or
 to the checkpoint format that breaks either makes every benchmark
-invocation fail.  This runs one workload's invocations in-process and
-applies the benchmark's own check to each.
+invocation fail.  This runs workloads' invocations in-process and applies
+the benchmark's own check to each: dense-sample-resume for the checkpoint
+round trip, accept-k1 for a tall grid whose upper rows are exactly zero
+(the row window), farfield-k32 for the far field.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from mhdbl.cli import main
 from mhdbl.solver import load_checkpoint
@@ -21,16 +25,27 @@ def bench_module():
     return ns
 
 
-def test_dense_sample_resume_passes_the_reference_check(tmp_path):
+def check_against_reference(workload, out_dir, k=0):
+    """Run seed class k of `workload` and check each invocation; returns
+    the CLI command of each."""
     bench = bench_module()
-    workload, k = "dense-sample-resume", 0
     with open(bench["REFERENCE"] / f"{workload}.json") as f:
         refs = json.load(f)[str(k)]
-    plan = bench["invocations"](workload, k, tmp_path)
-    assert [argv[0] for argv, _ in plan] == ["simulate", "resume"]
-    for (argv, out_dir), ref in zip(plan, refs, strict=True):
+    plan = bench["invocations"](workload, k, out_dir)
+    for (argv, out), ref in zip(plan, refs, strict=True):
         assert main(argv) == 0, argv
-        errors, dev = bench["check_invocation"](out_dir, ref,
-                                                load_checkpoint)
+        errors, dev = bench["check_invocation"](out, ref, load_checkpoint)
         assert errors == [], argv[0]
         assert dev <= bench["CHECK_RTOL"]
+    return [argv[0] for argv, _ in plan]
+
+
+def test_dense_sample_resume_passes_the_reference_check(tmp_path):
+    assert check_against_reference("dense-sample-resume", tmp_path) \
+        == ["simulate", "resume"]
+
+
+@pytest.mark.parametrize("workload", ["accept-k1", "farfield-k32"])
+def test_tall_and_far_field_runs_pass_the_reference_check(workload,
+                                                         tmp_path):
+    assert check_against_reference(workload, tmp_path) == ["simulate"]

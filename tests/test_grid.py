@@ -2,7 +2,8 @@
 
 Covers: GridSpec validation and derived geometry (the modes the dealias
 rule keeps, their Parseval multiplicities) under the 2/3 rule and on the
-full band, Field construction and Hermitian symmetry, the x transform
+full band, Field construction and Hermitian symmetry, the row window of
+the y kernels against their full-grid results, the x transform
 round trip, its normalization and its cut above the stored modes,
 spectral/finite-difference derivatives with both wall closures, cumulative
 y quadrature against closed-form Gaussian integrals, the complement
@@ -178,6 +179,44 @@ class TestField:
                 broken.coeffs[0, col] += 1.0j
                 expect = 2.0 if col == 0 or nyquist else 0.0
                 assert broken.hermitian_defect() == pytest.approx(expect)
+
+
+class TestRowWindow:
+    """A field's `rows` (its rows from there up are exactly zero) lets the
+    y kernels stop at its window; their results equal the full-grid ones."""
+
+    def window_pair(self, bc, support=37):
+        g = make_grid(nx=16, ny=128, ymax=30.0)
+        rng = np.random.default_rng(support)
+        c = np.zeros((g.ny, g.nmodes), complex)
+        c[:support] = (rng.standard_normal((support, g.nmodes))
+                       + 1j * rng.standard_normal((support, g.nmodes)))
+        c[support - 1, 3:] = 0.0          # a partly empty top row
+        return Field(g, c, bc).trimmed(), Field(g, c, bc)
+
+    def test_rows_checked(self):
+        g = make_grid(nx=16, ny=64, ymax=8.0)
+        for rows in (-1, 65):
+            with pytest.raises(ValueError, match="rows"):
+                Field(g, np.zeros((64, g.nmodes), complex), rows=rows)
+        assert Field.zeros(g).rows == 64
+        assert Field.zeros(g).trimmed().rows == 0
+
+    @pytest.mark.parametrize("support", [1, 32, 33, 37, 126, 127, 128])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_kernels_match_the_full_grid(self, bc, support):
+        win, full = self.window_pair(bc, support)
+        assert win.rows == support and win.window == min(128, support + 2)
+        for op in (ddx, ddy, d2dy, integrate_y_tail, integrate_y_from0):
+            got, want = op(win), op(full)
+            assert np.array_equal(got.coeffs, want.coeffs), op.__name__
+            assert not np.any(got.coeffs[got.rows:]), op.__name__
+        assert np.array_equal(column_flux(win), column_flux(full))
+        part = build_partition(win.grid)
+        assert np.array_equal(shell_weighted_norms(part, win, 1.0, 0.5, 0.2),
+                              shell_weighted_norms(part, full, 1.0, 0.5, 0.2))
+        assert weighted_l2(win, 1.0, 0.5) == pytest.approx(
+            weighted_l2(full, 1.0, 0.5), rel=1e-15)
 
 
 class TestXTransform:

@@ -3,8 +3,9 @@
 Covers the kinematic recoveries (normal components, antiderivatives, the
 damped combinations), the explicit tendency against an independently
 written reference, theta bookkeeping, the IMEX step and its guards, the
-audit helpers, the antiderivative-system residual, the kappa rescaling
-map, checkpoint round trips, and the simulate driver.
+audit helpers, the row window (windowed steps against full-grid ones and
+against a grid cut above the data), the antiderivative-system residual,
+the kappa rescaling map, checkpoint round trips, and the simulate driver.
 """
 
 import json
@@ -557,6 +558,22 @@ def thomas_longdouble(sub, diag, sup, rhs):
     return x
 
 
+def every_block_solve(factors, b):
+    """Reference spike solve of a complex b that forms the product of
+    every block, zero blocks included."""
+    inv = factors.inv_blocks
+    nb, m, _ = inv.shape
+    rows = b.view(np.float64).reshape(factors.n, -1)
+    cols = rows.shape[1]
+    rows = np.concatenate([rows, np.zeros((nb * m - factors.n, cols))])
+    x = inv @ rows.reshape(nb, m, cols)
+    ends = (factors.inv_interface @ x[:, [0, -1]].reshape(2 * nb, cols)
+            ).reshape(nb, 2, cols)
+    x[:-1] -= factors.up[:-1, :, None] * ends[1:, None, 0]
+    x[1:] -= factors.down[1:, :, None] * ends[:-1, None, 1]
+    return x.reshape(nb * m, cols)[:factors.n].view(np.complex128)
+
+
 # ny against the solve's 32-row blocks: inside one block (16, 17), 3
 # blocks and 4 rows (100), 24 blocks and 1 row (769)
 CN_GRIDS = [(16, 5.0), (17, 5.0), (100, 24.0), (769, 181.0)]
@@ -607,6 +624,26 @@ class TestCNSolve:
             # the check reaches deep into the tail
             assert np.min(np.abs(ref)[mask]) < 1e-240
 
+    @pytest.mark.parametrize("ny", [768, 769])
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
+    def test_zero_top_blocks_solve_like_every_block_product(self, ny, bc):
+        """The solve skips the block products of the all-zero blocks at the
+        top of b, and gives the bits of the solve that forms all of them
+        (769: the last block padded)."""
+        g = make_grid(ny=ny, ymax=181.0)
+        tri = _cn_matrix(ny, g.dy, 1.0, 1e-2, bc)
+        rng = np.random.default_rng(ny)
+        rhs = np.zeros((ny, g.nmodes), complex)
+        rhs[:300] = (rng.standard_normal((300, g.nmodes))
+                     + 1j * rng.standard_normal((300, g.nmodes)))
+        if bc == BC_DIRICHLET:
+            rhs[0] = 0.0
+        fac = cn_factors(*tri)
+        got = solve_banded(fac, b=rhs)
+        assert np.array_equal(got, every_block_solve(fac, rhs))
+        ref = np.linalg.solve(dense_cn(*tri), rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
     def test_dt_change_builds_a_new_factorization(self, bc):
         g = make_grid(ny=100, ymax=24.0)
@@ -619,7 +656,7 @@ class TestCNSolve:
         for dt in (1e-2, 5e-3, 1e-2):      # a CFL halving and back
             fac = ws.cn_factors(1.5, dt, bc)
             assert ws.cn_factors(1.5, dt, bc) is fac
-            got = _cn_solve(ws, f, tend, 1.5, dt).coeffs
+            got = _cn_solve(ws, f, Field(g, tend, bc), 1.5, dt).coeffs
             rhs = f.coeffs + d2dy(f).coeffs * (0.75 * dt) + dt * tend
             if bc == BC_DIRICHLET:
                 rhs[0] = 0.0
@@ -629,6 +666,116 @@ class TestCNSolve:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert ws.cn_factors(1.5, 5e-3, bc) is not ws.cn_factors(1.5, 1e-2,
                                                                   bc)
+
+
+def full_rows(st):
+    """st with fields that claim no zero rows: every kernel then runs
+    over the whole grid."""
+    return replace(st, u=Field(st.grid, st.u.coeffs, st.u.bc),
+                   b=Field(st.grid, st.b.coeffs, st.b.bc))
+
+
+def sampled_norms(st):
+    """The four Besov norms a sample writes, from st's gh_fields."""
+    phi, psi, G, H, dG, dH = st.gh_fields
+    return [besov_pair_norm(st.ws.part, f1, f2, 0.5, st.weight_alpha, st.t,
+                            st.radius)
+            for f1, f2 in ((st.u, st.b), (G, H), (dG, dH), (phi, psi))]
+
+
+def window_cases():
+    """(grid, params, far field) of a tall kappa = 1 run whose upper rows
+    stay exactly zero, a short one whose data reach the top row, and a
+    far-field run."""
+    tall = GridSpec(2.0 * np.pi, 16, 96.0, 769)
+    top = GridSpec(2.0 * np.pi, 16, 12.0, 129)
+    far = GridSpec(2.0 * np.pi, 16, 48.0, 769)
+    k1 = Params(kappa=1.0, epsilon=1e-3)
+    k32 = Params(kappa=1.5, epsilon=1e-3)
+    ff = farfield_decaying(far, k32, 1e-4, 2.5, default_x_profile(far))
+    return {"tall": (tall, k1, None), "top": (top, k1, None),
+            "farfield": (far, k32, ff)}
+
+
+class TestRowWindow:
+    @pytest.mark.parametrize("case", ["tall", "top", "farfield"])
+    def test_windowed_step_matches_the_full_grid(self, case):
+        """Steps, theta, the sampled norms, the tail guard and the audit
+        over the row window equal the same computations over every row
+        (the audit's pairwise sum to roundoff); a restart step and two
+        multistep steps."""
+        g, p, ff = window_cases()[case]
+        u0, b0, _ = initial_data_standard(g, p)
+        st = make_state(g, p, u0, b0)
+        windows = []
+        for _ in range(3):
+            windows.append(max(st.u.window, st.b.window))
+            new, ref = step_imex(st, 1e-2, ff), step_imex(full_rows(st), 1e-2,
+                                                         ff)
+            for name in ("u", "b"):
+                assert np.array_equal(getattr(new, name).coeffs,
+                                      getattr(ref, name).coeffs)
+                f = getattr(new, name)
+                assert not np.any(f.coeffs[f.rows:])
+                assert f.rows == 0 or np.any(f.coeffs[f.rows - 1])
+            assert np.array_equal(new.prev_ru, ref.prev_ru)
+            assert np.array_equal(new.prev_rb, ref.prev_rb)
+            assert (new.theta, new.theta_int1, new.umax) \
+                == (ref.theta, ref.theta_int1, ref.umax)
+            assert sampled_norms(new) == sampled_norms(full_rows(new))
+            assert tail_guard_check(new) == tail_guard_check(full_rows(new))
+            for name in ("u", "b"):
+                fo, fn = getattr(st, name), getattr(new, name)
+                got = heat_energy_slack(fo, fn, st.t, new.t, 1.0, 1.0)
+                want = heat_energy_slack(Field(g, fo.coeffs, fo.bc),
+                                         Field(g, fn.coeffs, fn.bc),
+                                         st.t, new.t, 1.0, 1.0)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            st = new
+        if case == "tall":
+            assert max(windows) < g.ny - 100
+        if case == "top":
+            assert windows == [g.ny] * 3
+
+    def test_tall_grid_matches_the_grid_cut_above_the_data(self):
+        """A kappa = 1 state stepped on a tall grid and the same state on
+        the grid cut 40 rows above its support (same dy) step alike: the
+        same fields over the shared rows and zeros above them, the same
+        theta, sampled norms and audit.  The tail guard looks at the top
+        fifth of each grid, so it is compared only on the tall one, where
+        it sees zeros."""
+        g, p, _ = window_cases()["tall"]
+        u0, b0, _ = initial_data_standard(g, p)
+        tall = make_state(g, p, u0, b0)
+        for _ in range(3):
+            tall = step_imex(tall, 1e-2)
+        ny = max(tall.u.rows, tall.b.rows) + 40
+        cut_grid = GridSpec(g.lx, g.nx, (ny - 1) * g.dy, ny)
+        assert cut_grid.dy == g.dy
+        assert not np.any(tall.prev_ru[ny:]) and not np.any(tall.prev_rb[ny:])
+        cut = replace(tall, grid=cut_grid,
+                      u=Field(cut_grid, tall.u.coeffs[:ny], BC_DIRICHLET
+                              ).trimmed(),
+                      b=Field(cut_grid, tall.b.coeffs[:ny], BC_NEUMANN
+                              ).trimmed(),
+                      prev_ru=tall.prev_ru[:ny], prev_rb=tall.prev_rb[:ny],
+                      ws=None)
+        for _ in range(3):
+            new_tall, new_cut = step_imex(tall, 1e-2), step_imex(cut, 1e-2)
+            for name in ("u", "b"):
+                t_f, c_f = getattr(new_tall, name), getattr(new_cut, name)
+                assert t_f.rows == c_f.rows < ny - 2
+                assert np.array_equal(t_f.coeffs[:ny], c_f.coeffs)
+                assert not np.any(t_f.coeffs[ny:])
+                assert heat_energy_slack(getattr(tall, name), t_f, tall.t,
+                                         new_tall.t, 1.0, 1.0) \
+                    == heat_energy_slack(getattr(cut, name), c_f, cut.t,
+                                         new_cut.t, 1.0, 1.0)
+            assert (new_tall.theta, new_tall.theta_int1) \
+                == (new_cut.theta, new_cut.theta_int1)
+            assert sampled_norms(new_tall) == sampled_norms(new_cut)
+            assert tail_guard_check(new_tall) == 0.0
+            tall, cut = new_tall, new_cut
 
 
 class TestAudits:
