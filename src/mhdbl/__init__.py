@@ -7,9 +7,9 @@ estimates the scheme is meant to exhibit.
 from .grid import (Field, GridSpec, TailViolationError, ddx, ddy, d2dy,
                    integrate_y_from0, integrate_y_tail, psi_weight,
                    weighted_l2, x_transform)
-from .lp import (CLAccumulator, DyadicPartition, besov_h_norm, besov_norm,
-                 besov_pair_norm, build_partition, gevrey_multiplier,
-                 lowpass, lp_project, paraproduct, shell_weighted_norms)
+from .lp import (DyadicPartition, besov_h_norm, besov_norm, besov_pair_norm,
+                 build_partition, gevrey_multiplier, lowpass, lp_project,
+                 paraproduct, shell_weighted_norms)
 from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
                        assumption_check, bernoulli_residual, build_cutoff,
                        cutoff_value, default_x_profile, derived_exponents,

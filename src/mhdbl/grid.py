@@ -23,8 +23,8 @@ only `Field.window` = min(ny, rows + 2) rows, the support and two zero
 rows above it: on those the top closures of ddy and d2dy give exactly the
 full-grid values, and every output row above is exactly zero, so a
 windowed result has the same values as a full-grid one.  Reductions over
-y stop at the support.  The running sums (tail_suffix, column_flux, the
-shell norms) add in ascending or descending y, so the zeros they skip
+y stop at the support.  The running sums (integrate_y_tail, column_flux,
+the shell norms) add in ascending or descending y, so the zeros they skip
 would not change a bit; weighted_l2's pairwise sum may change in the
 last bit.  So results depend on the data, not on how far the grid
 reaches above it.
@@ -61,11 +61,12 @@ class GridSpec:
     def __post_init__(self):
         if not _is_pow2(self.nx) or self.nx < 8:
             raise ValueError(f"nx must be a power of two >= 8, got {self.nx}")
-        if not (math.isfinite(self.ymax) and self.ymax > 4.0):
-            raise ValueError(f"ymax must be finite and exceed 4, got "
-                             f"grid.ymax={self.ymax!r}")
         if self.ny < 16:
             raise ValueError(f"ny must be >= 16, got {self.ny}")
+        # d2dy squares dy as a Python float, which raises on overflow
+        if not (self.ymax > 4.0 and math.isfinite(self.dy * self.dy)):
+            raise ValueError(f"ymax must exceed 4 and keep dy^2 finite, got "
+                             f"grid.ymax={self.ymax!r}")
         if not (0.0 < self.dealias_fraction <= 1.0 and self.nmodes > 1):
             raise ValueError("dealias_fraction must be in (0, 1] and keep j=1")
         if not (math.isfinite(self.lx) and self.lx > 0.0):
@@ -304,54 +305,33 @@ def d2dy(field: Field) -> Field:
 # ---- quadrature ------------------------------------------------------------
 
 
-def tail_suffix(field: Field) -> np.ndarray:
-    """Trapezoid partial sums from the top: row i of the (ny - 1, ...)
-    result is int_{y_i}^{ymax} f dy'.  Accumulated from the top because
-    the far rows have to decay with relative accuracy: they later meet
-    Gaussian-growing weights.  Both integrals below derive from it.  Rows
-    from field.rows up are exactly zero and are not summed: adding their
-    zeros first would leave every partial sum's bits as they are."""
-    c = field.coeffs
-    n = min(field.rows, field.grid.ny - 1)
-    out = zero_above(c[1:], n)
-    seg = 0.5 * field.grid.dy * (c[1:n + 1] + c[:n])
-    # summed from the top into the reversed view of rows [0, n)
-    np.cumsum(seg[::-1], axis=0, out=out[:n][::-1])
-    return out
-
-
-def integrate_y_tail(field: Field,
-                     suffix: Optional[np.ndarray] = None) -> Field:
+def integrate_y_tail(field: Field) -> Field:
     """Trapezoid integral from y up to ymax, accumulated from the top.
 
     Result[i] = int_{y_i}^{ymax} f dy'; exactly zero at the top node.
-    `suffix` is tail_suffix(field) when the caller already has it.
+    Accumulated from the top because the far rows have to decay with
+    relative accuracy: they later meet Gaussian-growing weights.  Rows
+    from field.rows up are exactly zero and are not summed: adding their
+    zeros first would leave every partial sum's bits as they are.
     """
-    if suffix is None:
-        suffix = tail_suffix(field)
+    c = field.coeffs
     n = min(field.rows, field.grid.ny - 1)
-    out = zero_above(field.coeffs, n)
-    out[:n] = suffix[:n]
+    out = zero_above(c, n)
+    seg = 0.5 * field.grid.dy * (c[1:n + 1] + c[:n])
+    # summed from the top into the reversed view of rows [0, n)
+    np.cumsum(seg[::-1], axis=0, out=out[:n][::-1])
     return Field(field.grid, out, BC_DIRICHLET, n)
 
 
-def integrate_y_from0(field: Field,
-                      suffix: Optional[np.ndarray] = None) -> Field:
+def integrate_y_from0(field: Field) -> Field:
     """Trapezoid integral from 0 up to y; exactly zero at the wall.
 
-    Returns total - tail from the same top-down sums as integrate_y_tail
-    (`suffix`, computed here unless given), so the two integrals sum to
-    the per-mode total without reassociating anything.  Above the support
-    the tail is zero, so the rows there hold the total.
+    Returns tail[0] - tail for tail = integrate_y_tail(field), so the two
+    integrals sum to the per-mode total without reassociating anything.
+    Above the support the tail is zero, so the rows there hold the total.
     """
-    if suffix is None:
-        suffix = tail_suffix(field)
-    n = max(1, min(field.rows, field.grid.ny - 1))
-    out = np.empty_like(field.coeffs)
-    out[0] = 0.0
-    out[1:n] = suffix[0] - suffix[1:n]
-    out[n:] = suffix[0]
-    return Field(field.grid, out, BC_DIRICHLET)
+    tail = integrate_y_tail(field).coeffs
+    return Field(field.grid, tail[0] - tail, BC_DIRICHLET)
 
 
 def column_flux(field: Field) -> np.ndarray:

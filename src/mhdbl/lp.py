@@ -1,5 +1,5 @@
 """Dyadic frequency analysis in x: smooth shell partition, Besov norms,
-analytic-band multipliers, paraproduct split, time-integrated shell norms.
+analytic-band multipliers, paraproduct split.
 
 Shells follow the classical convention: a low cutoff chi supported in
 {|tau| <= 4/3} equal to 1 on {|tau| <= 3/4}, and phi(tau) = chi(tau/2) -
@@ -10,7 +10,7 @@ phi(2^-k .) = 1 and sum_{k in Z} phi(2^-k tau) = 1 for tau > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -256,44 +256,3 @@ def paraproduct(part: DyadicPartition, f: Field, g: Field):
         rem += f_shell[i] * near
     to_f = lambda arr, bc: Field(gr, x_transform(gr, arr, "forward"), bc)
     return to_f(t_fg, f.bc), to_f(t_gf, f.bc), to_f(rem, f.bc)
-
-
-# ---- time-integrated (Chemin-Lerner style) accumulation ---------------------
-
-
-@dataclass
-class CLAccumulator:
-    """Left-endpoint running integrals of weighted shell norms.
-
-    Accumulates I_k += w(t) * ||Delta_k a(t)||^p * dt per shell and
-    reports sum_k 2^{ks} I_k^{1/p}; p = inf tracks the sup instead.
-    """
-
-    part: DyadicPartition
-    s: float
-    p: float
-    integrals: np.ndarray = dc_field(default=None)
-
-    def __post_init__(self):
-        if self.integrals is None:
-            self.integrals = np.zeros(self.part.n_shells)
-        else:
-            self.integrals = np.asarray(self.integrals, dtype=float)
-        if not (self.p in (1.0, 2.0) or math.isinf(self.p)):
-            raise ValueError("p must be 1, 2, or inf")
-
-    def add(self, shell_norms: np.ndarray, weight: float, dt: float) -> None:
-        sn = np.asarray(shell_norms, dtype=float)
-        if sn.shape != self.integrals.shape:
-            raise ValueError("shell norm vector has wrong length")
-        if math.isinf(self.p):
-            np.maximum(self.integrals, weight * sn, out=self.integrals)
-        else:
-            self.integrals += weight * sn ** self.p * dt
-
-    def value(self) -> float:
-        if math.isinf(self.p):
-            per = self.integrals
-        else:
-            per = self.integrals ** (1.0 / self.p)
-        return self.part.besov_sum(per, self.s)

@@ -20,11 +20,10 @@ import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    TailViolationError, column_flux, d2dy, ddx, ddy,
-                   integrate_y_from0, integrate_y_tail, psi_weight,
-                   row_power, support, tail_suffix, weighted_l2,
-                   weighted_rows, x_transform, zero_above)
-from .lp import (CLAccumulator, besov_h_shell_norms, besov_norm,
-                 besov_pair_norm, build_partition, pair_shell_norms)
+                   integrate_y_tail, psi_weight, row_power, support,
+                   weighted_l2, weighted_rows, x_transform, zero_above)
+from .lp import (besov_h_shell_norms, besov_norm, besov_pair_norm,
+                 build_partition, pair_shell_norms)
 from .scenario import (FarField, Params, UnsupportedScenarioError,
                        derived_exponents, farfield_decaying,
                        flux_projection_profiles, project_zero_flux,
@@ -195,10 +194,10 @@ class State:
     # t must not change after that.
 
     @cached_property
-    def tail_sums(self):
-        """tail_suffix of (u, b): shared by (v, h) in the RHS of the next
-        step and by (phi, psi) in gh_fields."""
-        return tail_suffix(self.u), tail_suffix(self.b)
+    def phipsi(self):
+        """(phi, psi): shared by (v, h) in the RHS of the next step and by
+        gh_fields."""
+        return reconstruct_phipsi(self)
 
     @cached_property
     def dy_ub(self):
@@ -208,8 +207,9 @@ class State:
     @cached_property
     def gh_fields(self):
         """(phi, psi, G, H, d_y G, d_y H): shared by the theta update and the
-        sampled norms.  simulate frees them before the next step."""
-        phi, psi = reconstruct_phipsi(self)
+        sampled norms.  simulate drops them before the next step (phi and
+        psi stay in phipsi)."""
+        phi, psi = self.phipsi
         G, H = compute_GH(self, phi, psi)
         return phi, psi, G, H, ddy(G), ddy(H)
 
@@ -260,14 +260,16 @@ def branch_gain(params: Params, weight_alpha: float) -> float:
 
 def recover_vh(state: State):
     """Normal components from the divergence constraints:
-    (v, h) = -d_x int_0^y (u, b) dy', from the state's tail_sums.  Exact
-    zero at the wall; decays at the top when the column fluxes vanish."""
-    su, sb = state.tail_sums
-    v = ddx(integrate_y_from0(state.u, su))
-    h = ddx(integrate_y_from0(state.b, sb))
-    v.coeffs *= -1.0
-    h.coeffs *= -1.0
-    return v, h
+    (v, h) = -d_x int_0^y (u, b) dy', with int_0^y = (phi, psi) - (phi,
+    psi)|_{y=0} from the state's phipsi: the bits of integrate_y_from0,
+    since (-a) - (-b) = b - a exactly.  Exact zero at the wall; decays at
+    the top when the column fluxes vanish."""
+    out = []
+    for a in state.phipsi:
+        f = ddx(Field(a.grid, a.coeffs - a.coeffs[0], BC_DIRICHLET))
+        f.coeffs *= -1.0
+        out.append(f)
+    return tuple(out)
 
 
 def flux_drift(u: Field, b: Field) -> float:
@@ -278,12 +280,11 @@ def flux_drift(u: Field, b: Field) -> float:
 
 
 def reconstruct_phipsi(state: State):
-    """Antiderivatives phi = -int_y^inf u, psi = -int_y^inf b, from the
-    state's tail_sums; both vanish at the top by construction and at the
-    wall up to the column flux."""
-    su, sb = state.tail_sums
-    phi = integrate_y_tail(state.u, su)
-    psi = integrate_y_tail(state.b, sb)
+    """Antiderivatives phi = -int_y^inf u, psi = -int_y^inf b (the
+    state's phipsi caches them); both vanish at the top by construction
+    and at the wall up to the column flux."""
+    phi = integrate_y_tail(state.u)
+    psi = integrate_y_tail(state.b)
     phi.coeffs *= -1.0
     psi.coeffs *= -1.0
     return phi, psi
@@ -481,9 +482,8 @@ def cn_factors(sub: np.ndarray, diag: np.ndarray,
 def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
     """x with A x = b for the prefactored A; b is (n, cols), real or
     complex, and a complex b is solved as its real (n, 2 cols) view.
-    One stacked matmul over the blocks up to the last one holding a
-    nonzero entry of b (the blocks above solve to exact zeros), one
-    interface matmul and two broadcast corrections over all blocks."""
+    One stacked matmul over the blocks, one interface matmul and two
+    broadcast corrections."""
     inv = factors.inv_blocks
     nb, m, _ = inv.shape
     b = np.ascontiguousarray(b)
@@ -491,11 +491,7 @@ def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
     cols = rows.shape[1]
     if nb * m != factors.n:
         rows = np.concatenate([rows, np.zeros((nb * m - factors.n, cols))])
-    k = -(-support(rows) // m)
-    rows = rows.reshape(nb, m, cols)
-    x = np.empty((nb, m, cols))
-    np.matmul(inv[:k], rows[:k], out=x[:k])
-    x[k:] = 0.0
+    x = inv @ rows.reshape(nb, m, cols)
     ends = factors.inv_interface @ x[:, [0, -1]].reshape(2 * nb, cols)
     ends = ends.reshape(nb, 2, cols)
     x[:-1] -= factors.up[:-1, :, None] * ends[1:, None, 0]
@@ -603,13 +599,17 @@ def step_imex(state: State, dt: float,
 
 
 def heat_energy_slack(f_old: Field, f_new: Field, t_old: float, t_new: float,
-                      alpha: float, beta: float) -> float:
+                      pairs) -> list:
     """Discrete form of the weighted energy inequality
     (d_t f - beta d2y f | e^{2 alpha Psi} f) >= (1/2) d/dt ||e^{alpha Psi} f||^2
-    + (beta - beta^2 alpha / 2) ||e^{alpha Psi} d_y f||^2.
+    + (beta - beta^2 alpha / 2) ||e^{alpha Psi} d_y f||^2
+    for each (alpha, beta) of `pairs`.
 
     Time derivative by forward difference, spatial terms at the midpoint
-    state; returns lhs - rhs (nonnegative up to O(dt + dy^2) slack).
+    state; returns lhs - rhs per pair, in the order of `pairs`
+    (nonnegative up to O(dt + dy^2) slack).  The midpoint and its y
+    derivatives are formed once, the weighted norms once per alpha and the
+    inner product's row sums once per beta.
     Raises TailViolationError if a row with nonzero field content meets an
     overflowed weight (tall domains overflow the squared weight near the
     top at small t; those rows carry exactly-zero fields and drop out)."""
@@ -624,21 +624,33 @@ def heat_energy_slack(f_old: Field, f_new: Field, t_old: float, t_new: float,
     mc[:n] *= 0.5
     mid = Field(g, mc, f_old.bc, n)
     dfdt = (new - old) / dt
-    inner = dfdt - beta * d2dy(mid).coeffs[:n]
+    lap = d2dy(mid).coeffs[:n]
+    dy_mid = ddy(mid)
     m = mc[:n]
-    # Re(inner conj(mid)) summed over all nx modes
-    rowsum = np.einsum("yj,j->y", inner.real * m.real + inner.imag * m.imag,
-                       g.mode_weights)
-    with np.errstate(over="ignore"):
-        w = g.trapz_weights[:n] * psi_weight(g, alpha, tm, n) ** 2
-    contrib = weighted_rows(rowsum, w, "energy audit")
-    ip = float(np.add.reduce(contrib) * g.lx)
-    n_new = weighted_l2(f_new, alpha, t_new)
-    n_old = weighted_l2(f_old, alpha, t_old)
-    ddt_norm = (n_new ** 2 - n_old ** 2) / (2.0 * dt)
-    n_dy = weighted_l2(ddy(mid), alpha, tm)
-    rhs = ddt_norm + (beta - 0.5 * beta ** 2 * alpha) * n_dy ** 2
-    return ip - rhs
+    rowsums, weights, norms = {}, {}, {}
+    slacks = []
+    for alpha, beta in pairs:
+        if beta not in rowsums:
+            inner = dfdt - beta * lap
+            # Re(inner conj(mid)) summed over all nx modes
+            rowsums[beta] = np.einsum(
+                "yj,j->y", inner.real * m.real + inner.imag * m.imag,
+                g.mode_weights)
+        if alpha not in weights:
+            with np.errstate(over="ignore"):
+                weights[alpha] = (g.trapz_weights[:n]
+                                  * psi_weight(g, alpha, tm, n) ** 2)
+        contrib = weighted_rows(rowsums[beta], weights[alpha], "energy audit")
+        ip = float(np.add.reduce(contrib) * g.lx)
+        if alpha not in norms:
+            n_new = weighted_l2(f_new, alpha, t_new)
+            n_old = weighted_l2(f_old, alpha, t_old)
+            norms[alpha] = ((n_new ** 2 - n_old ** 2) / (2.0 * dt),
+                            weighted_l2(dy_mid, alpha, tm) ** 2)
+        ddt_norm, dy_sq = norms[alpha]
+        rhs = ddt_norm + (beta - 0.5 * beta ** 2 * alpha) * dy_sq
+        slacks.append(ip - rhs)
+    return slacks
 
 
 def tail_guard_check(state: State) -> float:
@@ -683,8 +695,8 @@ def eqs2_residual(state_prev: State, state_next: State,
         raise ValueError("states must be time ordered")
     nu_u, nu_b = _diffusivities(p)
 
-    phi0, psi0 = reconstruct_phipsi(state_prev)
-    phi1, psi1 = reconstruct_phipsi(state_next)
+    phi0, psi0 = state_prev.phipsi
+    phi1, psi1 = state_next.phipsi
     dphi = (phi1.coeffs - phi0.coeffs) / dt
     dpsi = (psi1.coeffs - psi0.coeffs) / dt
 
@@ -808,7 +820,8 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     holds the audit minima, theta bookkeeping, and flux statistics.  Only
     input errors raise, before the first sample: UnsupportedScenarioError
     for a far field at kappa = 1, ValueError when the far field's cutoff
-    is unresolved on the grid or weight_alpha has no branch at kappa.
+    is unresolved on the grid, weight_alpha has no branch at kappa or
+    kappa^2 overflows.
     """
     grid, params = state.grid, state.params
     if farfield is not None:
@@ -822,10 +835,15 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     # kappa = 1 all four collapse to one
     audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
                                 for be in (1.0, params.kappa))
+    # the audit squares kappa as a Python float, which raises on overflow
+    if not math.isfinite(params.kappa * params.kappa):
+        raise ValueError(f"params.kappa={params.kappa!r} is too large: the "
+                         "energy audit squares it")
     series = NormSeries()
 
     def cl_dyub_sq(st: State) -> float:
-        return CLAccumulator(part, 0.5, 2.0, st.cl_integrals).value() ** 2
+        """The squared L~^2_t(B^{1/2}) norm of d_y (u, b) so far."""
+        return part.besov_sum(st.cl_integrals ** 0.5, 0.5) ** 2
 
     def take_sample(st: State):
         phi, psi, G, H, dG, dH = st.gh_fields
@@ -865,24 +883,26 @@ def simulate(state: State, farfield: Optional[FarField] = None,
             vars(state).pop("gh_fields", None)
             dt = _choose_dt(grid, dt_max, cfl, state.umax)
             dt = min(dt, t_final - state.t)
-            # pre-step accumulation (left endpoint in time)
+            # the Chemin-Lerner integrals of d_y (u, b) per shell, left
+            # endpoint in time
             du, db = state.dy_ub
-            cl = CLAccumulator(part, 0.5, 2.0, state.cl_integrals.copy())
-            cl.add(pair_shell_norms(part, du, db, state.weight_alpha,
-                                    state.t, state.radius),
-                   (1.0 + state.t) ** weight_exp, dt)
+            per = pair_shell_norms(part, du, db, state.weight_alpha, state.t,
+                                   state.radius)
+            cl = (state.cl_integrals
+                  + (1.0 + state.t) ** weight_exp * per ** 2.0 * dt)
 
             new = step_imex(state, dt, farfield)
-            new.cl_integrals = cl.integrals
+            new.cl_integrals = cl
             # step_imex never modifies the fields of its input, so the
             # pre-step fields are still those of `state`
             if state.step_index % _AUDIT_EVERY == 0:
                 new.audit_min = audit = dict(state.audit_min)
                 for name, fo, fn in (("u", state.u, new.u),
                                      ("b", state.b, new.b)):
-                    for al, be in audit_pairs:
+                    slacks = heat_energy_slack(fo, fn, state.t, new.t,
+                                               audit_pairs)
+                    for (al, be), s in zip(audit_pairs, slacks):
                         key = f"{name}:a{al:.4g}:b{be:.4g}"
-                        s = heat_energy_slack(fo, fn, state.t, new.t, al, be)
                         audit[key] = min(audit.get(key, math.inf), s)
             state = new
             if state.step_index % sample_every == 0 \

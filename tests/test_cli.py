@@ -7,9 +7,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mhdbl
 from mhdbl.cli import (
@@ -177,6 +180,18 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and f"got {item}" in err
             assert err.count("\n") == 1
+        # and values whose square overflows a Python float: kappa in the
+        # energy audit, dy in d2dy
+        for item, msg in (
+                ("params.kappa=1e160", "params.kappa=1e+160 is too large: "
+                                       "the energy audit squares it"),
+                ("grid.ymax=1e300", "ymax must exceed 4 and keep dy^2 "
+                                    "finite, got grid.ymax=1e+300")):
+            out = tmp_path / "huge"
+            code = run_cli(*base_args(out, item))
+            assert code == 2, item
+            assert capsys.readouterr().err == f"error: {msg}\n"
+            assert not (out / "norms.csv").exists()
 
     def test_tstar_exits_three_with_partial_output(self, tmp_path, capsys):
         out = tmp_path / "tstar"
@@ -222,6 +237,50 @@ class TestSimulateCommand:
         assert err == ("error: cutoff transition zone holds only 11 nodes; "
                        "need >= 16 (refine ny or shrink ymax)\n")
         assert not (out / "norms.csv").exists()
+
+
+# Configs for the property test: small grids and at most 3 steps of
+# dt_max = 0.01, every float log-uniform over 1e-300 to 1e300, and at
+# most one key set to a negative, non-finite or malformed value.
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0 ** e))
+_CONFIG = {
+    "grid.nx": st.sampled_from(["8", "16"]),
+    "grid.ny": st.integers(16, 96).map(str),
+    "run.t_final": st.floats(1e-6, 0.03).map(repr),
+}
+_OPTIONAL = {
+    **{key: _MAGNITUDE for key in (
+        "params.kappa", "params.epsilon", "params.delta", "params.lam",
+        "grid.lx", "grid.ymax", "scenario.alpha", "scenario.ff_eps",
+        "run.cfl")},
+    "run.sample_every": st.integers(1, 4).map(str),
+    "scenario.id": st.sampled_from(["standard", "zero"]),
+    "scenario.farfield": st.sampled_from(["trivial", "decaying"]),
+    "run.branch": st.sampled_from(["auto", "unit", "kappa"]),
+}
+_BAD = st.tuples(
+    st.sampled_from(sorted({*_CONFIG, *_OPTIONAL})),
+    _MAGNITUDE.map(lambda v: "-" + v)
+    | st.sampled_from(["0", "-0.0", "nan", "inf", "-inf", "1e999", "7", "",
+                       "x", "1,5"]))
+
+
+class TestAnyConfig:
+    @given(cfg=st.fixed_dictionaries(_CONFIG, optional=_OPTIONAL),
+           bad=st.none() | _BAD)
+    @settings(max_examples=40, deadline=None)
+    def test_simulate_ends_with_a_documented_exit_code(self, cfg, bad):
+        """Over bounded configs with extreme magnitudes and at most one
+        bad value, simulate returns 0, 2, 3 or 4 and raises nothing.
+        numpy's overflow and invalid-value warnings, which extreme values
+        set off on their way to a guard, are not raised here."""
+        if bad is not None:
+            cfg[bad[0]] = bad[1]
+        items = ["run.dt_max=0.01"] + [f"{k}={v}" for k, v in cfg.items()]
+        with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"):
+            code = run_cli("simulate", "--out", out,
+                           *[a for item in items for a in ("--set", item)])
+        assert code in (0, 2, 3, 4)
 
 
 class TestImports:

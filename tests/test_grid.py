@@ -571,7 +571,7 @@ class TestWeightedNorms:
             State(f.grid, Params(kappa=1.0, epsilon=1e-3), 0.0, f, f,
                   weight_alpha=a)),
         "heat_energy_slack": lambda f, a: heat_energy_slack(
-            f, Field(f.grid, 2.0 * f.coeffs, f.bc), 0.0, 1e-2, a, 1.0),
+            f, Field(f.grid, 2.0 * f.coeffs, f.bc), 0.0, 1e-2, [(a, 1.0)]),
     }
 
     @pytest.mark.parametrize("reduction", sorted(REDUCTIONS))

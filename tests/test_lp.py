@@ -4,7 +4,7 @@ Covers: the smooth cutoff pair (supports, telescoping, partition of
 unity), shell tables on a concrete grid, shell projections and Bernstein
 bounds, weighted shell norms against the plain weighted norm, Besov norms
 in both the strip and profile flavours, the analytic-band multiplier,
-the Bony product split, and the time-integrated shell accumulator.
+and the Bony product split.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 
 from mhdbl.grid import Field, GridSpec, ddx, weighted_l2, x_transform
 from mhdbl.lp import (
-    CLAccumulator,
     DyadicPartition,
     besov_h_norm,
     besov_h_shell_norms,
@@ -286,42 +285,3 @@ class TestParaproduct:
         part = build_partition(g1)
         with pytest.raises(ValueError, match="share a grid"):
             paraproduct(part, Field.zeros(g1), Field.zeros(g2))
-
-
-class TestCLAccumulator:
-    def test_rejects_bad_exponent(self):
-        part = build_partition(make_grid())
-        with pytest.raises(ValueError, match="p must be"):
-            CLAccumulator(part, 0.5, 3.0)
-
-    def test_rejects_wrong_length(self):
-        part = build_partition(make_grid())
-        acc = CLAccumulator(part, 0.5, 1.0)
-        with pytest.raises(ValueError, match="wrong length"):
-            acc.add(np.ones(part.n_shells + 2), 1.0, 0.1)
-
-    def test_linear_accumulation_closed_form(self):
-        part = build_partition(make_grid())
-        acc = CLAccumulator(part, 0.5, 1.0)
-        sn = np.ones(part.n_shells)
-        for t in (0.0, 0.1, 0.2):
-            acc.add(np.exp(-t) * sn, 1.0, 0.1)
-        sigma = 0.1 * (1.0 + np.exp(-0.1) + np.exp(-0.2))
-        expect = sigma * float(np.sum(2.0 ** (0.5 * part.ks)))
-        assert acc.value() == pytest.approx(expect, rel=1e-12)
-
-    def test_quadratic_accumulation_takes_root(self):
-        part = build_partition(make_grid())
-        acc = CLAccumulator(part, 0.0, 2.0)
-        sn = 2.0 * np.ones(part.n_shells)
-        acc.add(sn, 1.0, 0.25)
-        # I_k = 4 * 0.25 = 1 per shell, value = sum_k 1
-        assert acc.value() == pytest.approx(float(part.n_shells), rel=1e-12)
-
-    def test_sup_accumulation(self):
-        part = build_partition(make_grid())
-        acc = CLAccumulator(part, 0.0, float("inf"))
-        acc.add(np.ones(part.n_shells), 1.0, 0.1)
-        acc.add(3.0 * np.ones(part.n_shells), 1.0, 0.1)
-        acc.add(2.0 * np.ones(part.n_shells), 1.0, 0.1)
-        assert acc.value() == pytest.approx(3.0 * part.n_shells, rel=1e-12)

@@ -24,7 +24,7 @@ from scipy.integrate import cumulative_trapezoid
 from mhdbl.grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                         TailViolationError, d2dy, ddx, ddy, integrate_y_from0,
                         integrate_y_tail)
-from mhdbl.lp import besov_pair_norm, build_partition
+from mhdbl.lp import besov_pair_norm, build_partition, pair_shell_norms
 from mhdbl.scenario import (
     FarField,
     Params,
@@ -434,21 +434,25 @@ class TestStepper:
             step_imex(st, 1e-3)
 
     def test_state_sums_each_field_from_the_top_once(self, monkeypatch):
-        """(v, h) in the RHS and (phi, psi) in gh_fields share one
-        tail_suffix per field of a state, with the same bits as the
-        integrals computed on their own."""
+        """One (phi, psi) per state, the state's phipsi, feeds (v, h) in
+        the RHS and gh_fields: one integral from the top per field, with
+        the same bits as the integrals computed on their own."""
+        import mhdbl.grid
         import mhdbl.solver
         g = make_grid()
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
         calls = []
-        real = mhdbl.solver.tail_suffix
-        monkeypatch.setattr(mhdbl.solver, "tail_suffix",
-                            lambda f: calls.append(f) or real(f))
+        real = mhdbl.grid.integrate_y_tail
+        for mod in (mhdbl.grid, mhdbl.solver):
+            # the grid's binding counts integrate_y_from0's calls too
+            monkeypatch.setattr(mod, "integrate_y_tail",
+                                lambda f: calls.append(f) or real(f))
         phi, psi, *_ = st.gh_fields
         rhs_explicit(st)
         assert calls == [st.u, st.b]
+        assert st.phipsi[0] is phi and st.phipsi[1] is psi
         v, h = recover_vh(st)
         v0, h0 = (ddx(integrate_y_from0(f)) for f in (st.u, st.b))
         phi0, psi0 = (integrate_y_tail(f) for f in (st.u, st.b))
@@ -558,22 +562,6 @@ def thomas_longdouble(sub, diag, sup, rhs):
     return x
 
 
-def every_block_solve(factors, b):
-    """Reference spike solve of a complex b that forms the product of
-    every block, zero blocks included."""
-    inv = factors.inv_blocks
-    nb, m, _ = inv.shape
-    rows = b.view(np.float64).reshape(factors.n, -1)
-    cols = rows.shape[1]
-    rows = np.concatenate([rows, np.zeros((nb * m - factors.n, cols))])
-    x = inv @ rows.reshape(nb, m, cols)
-    ends = (factors.inv_interface @ x[:, [0, -1]].reshape(2 * nb, cols)
-            ).reshape(nb, 2, cols)
-    x[:-1] -= factors.up[:-1, :, None] * ends[1:, None, 0]
-    x[1:] -= factors.down[1:, :, None] * ends[:-1, None, 1]
-    return x.reshape(nb * m, cols)[:factors.n].view(np.complex128)
-
-
 # ny against the solve's 32-row blocks: inside one block (16, 17), 3
 # blocks and 4 rows (100), 24 blocks and 1 row (769)
 CN_GRIDS = [(16, 5.0), (17, 5.0), (100, 24.0), (769, 181.0)]
@@ -589,14 +577,20 @@ class TestCNSolve:
         rng = np.random.default_rng(ny)
         rhs = (rng.standard_normal((ny, g.nmodes))
                + 1j * rng.standard_normal((ny, g.nmodes)))
-        ref = np.linalg.solve(dense_cn(*tri), rhs)
         fac = cn_factors(*tri)
-        got = solve_banded(fac, b=rhs)
-        assert got.shape == rhs.shape and got.dtype == rhs.dtype
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        real = solve_banded(fac, b=rhs.real)
-        assert real.dtype == np.float64
-        assert np.max(np.abs(real - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+        # and the same b with zeros from row ny // 3 up, all-zero blocks at
+        # the top as on a tall grid
+        top = rhs.copy()
+        top[ny // 3:] = 0.0
+        for b in (rhs, top):
+            ref = np.linalg.solve(dense_cn(*tri), b)
+            got = solve_banded(fac, b=b)
+            assert got.shape == b.shape and got.dtype == b.dtype
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            real = solve_banded(fac, b=b.real)
+            assert real.dtype == np.float64
+            assert np.max(np.abs(real - ref.real)) \
+                <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("ny, ymax", CN_GRIDS)
     @pytest.mark.parametrize("nu", [1.0, 1.5])
@@ -623,26 +617,6 @@ class TestCNSolve:
         if ny == 769:
             # the check reaches deep into the tail
             assert np.min(np.abs(ref)[mask]) < 1e-240
-
-    @pytest.mark.parametrize("ny", [768, 769])
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
-    def test_zero_top_blocks_solve_like_every_block_product(self, ny, bc):
-        """The solve skips the block products of the all-zero blocks at the
-        top of b, and gives the bits of the solve that forms all of them
-        (769: the last block padded)."""
-        g = make_grid(ny=ny, ymax=181.0)
-        tri = _cn_matrix(ny, g.dy, 1.0, 1e-2, bc)
-        rng = np.random.default_rng(ny)
-        rhs = np.zeros((ny, g.nmodes), complex)
-        rhs[:300] = (rng.standard_normal((300, g.nmodes))
-                     + 1j * rng.standard_normal((300, g.nmodes)))
-        if bc == BC_DIRICHLET:
-            rhs[0] = 0.0
-        fac = cn_factors(*tri)
-        got = solve_banded(fac, b=rhs)
-        assert np.array_equal(got, every_block_solve(fac, rhs))
-        ref = np.linalg.solve(dense_cn(*tri), rhs)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
     def test_dt_change_builds_a_new_factorization(self, bc):
@@ -726,10 +700,10 @@ class TestRowWindow:
             assert tail_guard_check(new) == tail_guard_check(full_rows(new))
             for name in ("u", "b"):
                 fo, fn = getattr(st, name), getattr(new, name)
-                got = heat_energy_slack(fo, fn, st.t, new.t, 1.0, 1.0)
+                got = heat_energy_slack(fo, fn, st.t, new.t, [(1.0, 1.0)])
                 want = heat_energy_slack(Field(g, fo.coeffs, fo.bc),
                                          Field(g, fn.coeffs, fn.bc),
-                                         st.t, new.t, 1.0, 1.0)
+                                         st.t, new.t, [(1.0, 1.0)])
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             st = new
         if case == "tall":
@@ -768,9 +742,9 @@ class TestRowWindow:
                 assert np.array_equal(t_f.coeffs[:ny], c_f.coeffs)
                 assert not np.any(t_f.coeffs[ny:])
                 assert heat_energy_slack(getattr(tall, name), t_f, tall.t,
-                                         new_tall.t, 1.0, 1.0) \
+                                         new_tall.t, [(1.0, 1.0)]) \
                     == heat_energy_slack(getattr(cut, name), c_f, cut.t,
-                                         new_cut.t, 1.0, 1.0)
+                                         new_cut.t, [(1.0, 1.0)])
             assert (new_tall.theta, new_tall.theta_int1) \
                 == (new_cut.theta, new_cut.theta_int1)
             assert sampled_norms(new_tall) == sampled_norms(new_cut)
@@ -780,19 +754,26 @@ class TestRowWindow:
 
 class TestAudits:
     def test_heat_energy_slack_on_heat_flow(self):
+        """The slack of each pair is small on a heat flow, and one call
+        over several pairs gives each pair the bits of a call of its own
+        (the terms shared by an alpha or a beta are formed once)."""
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
         dt = 1e-3
         bound = -(10.0 * dt + 10.0 * g.dy ** 2)
+        pairs = [(1.0, 1.0), (0.5, 1.0), (0.25, 1.0), (1.0, 0.5), (0.5, 0.5)]
         for k in range(40):
             old = st.u.copy()
             t_old = st.t
             st = step_imex(st, dt)
             if k % 10 == 0:
-                for al, be in ((1.0, 1.0), (0.5, 1.0), (0.25, 1.0), (1.0, 0.5)):
-                    slack = heat_energy_slack(old, st.u, t_old, st.t, al, be)
+                slacks = heat_energy_slack(old, st.u, t_old, st.t, pairs)
+                assert len(slacks) == len(pairs)
+                for pair, slack in zip(pairs, slacks):
                     assert slack >= bound
                     assert math.isfinite(slack)
+                    assert slack == heat_energy_slack(old, st.u, t_old, st.t,
+                                                      [pair])[0]
 
     def test_energy_audit_tall_domain(self):
         # near the top of a tall domain the squared weight overflows at
@@ -806,7 +787,7 @@ class TestAudits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for fo, fn in ((u0, new.u), (b0, new.b)):
-                s = heat_energy_slack(fo, fn, 0.0, new.t, 1.0, 1.0)
+                [s] = heat_energy_slack(fo, fn, 0.0, new.t, [(1.0, 1.0)])
                 assert math.isfinite(s)
 
     def test_energy_audit_overflow_raises(self):
@@ -817,7 +798,7 @@ class TestAudits:
         coeffs[-2, 1] = 1.0
         f = Field(g, coeffs, BC_DIRICHLET)
         with pytest.raises(TailViolationError, match="tail too wide"):
-            heat_energy_slack(f, f, 0.0, 1e-2, 1.0, 1.0)
+            heat_energy_slack(f, f, 0.0, 1e-2, [(1.0, 1.0)])
 
     def test_tail_guard_levels(self):
         g = make_grid()
@@ -1255,6 +1236,29 @@ class TestSimulate:
         assert sorted(s["audit_min_slack"]) == ["b:a1:b1", "u:a1:b1"]
         assert all(v > -1e-3 for v in s["audit_min_slack"].values())
 
+    def test_cl_column_is_the_chemin_lerner_norm(self):
+        """cl_dyub_sq is (sum_k 2^{k/2} I_k^{1/2})^2, I_k the left-endpoint
+        sum over the steps of <t>^{1 + 2 gain} ||Delta_k d_y (u, b)||^2 dt
+        under the band multiplier of the step's start."""
+        g = make_grid(ny=129)
+        p = Params(kappa=1.5, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = make_state(g, p, u0, b0)
+        res = simulate(st, t_final=0.05, dt_max=1e-2, sample_every=1)
+        part = st.ws.part
+        w = 1.0 + 2.0 * branch_gain(p, st.weight_alpha)
+        integrals = np.zeros(part.n_shells)
+        for k in range(5):
+            per = pair_shell_norms(part, ddy(st.u), ddy(st.b),
+                                   st.weight_alpha, st.t, st.radius)
+            integrals += (1.0 + st.t) ** w * per ** 2 * 1e-2
+            st = step_imex(st, 1e-2)
+            want = float(np.sum(2.0 ** (part.ks / 2.0)
+                                * np.sqrt(integrals))) ** 2
+            assert res.series.cl_dyub_sq[k + 1] == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+        assert res.series.cl_dyub_sq[0] == 0.0
+
     def test_audit_matrix_for_kappa_branch(self):
         g = make_grid(ny=129)
         p = Params(kappa=1.5, epsilon=1e-3)
@@ -1272,10 +1276,12 @@ class TestSimulate:
     ])
     def test_audit_evaluates_each_pair_once(self, monkeypatch, kappa,
                                             per_audit, keys):
+        """Each field is audited once per audit step, by one call over
+        every distinct pair; per_audit slacks come out of an audit step."""
         calls = []
 
         def counted(*args):
-            calls.append(args[4:])
+            calls.append(args[4])
             return heat_energy_slack(*args)
 
         monkeypatch.setattr("mhdbl.solver.heat_energy_slack", counted)
@@ -1283,8 +1289,10 @@ class TestSimulate:
         p = Params(kappa=kappa, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         res = simulate(make_state(g, p, u0, b0), t_final=0.2, dt_max=1e-2)
-        # audits run at steps 0 and 10 of 20
-        assert len(calls) == 2 * per_audit
+        # audits run at steps 0 and 10 of 20, one call per field
+        assert len(calls) == 2 * 2
+        assert all(pairs == calls[0] for pairs in calls)
+        assert len(set(calls[0])) == len(calls[0]) == per_audit // 2
         # keys and their first-seen order (the checkpoint header keeps it)
         assert list(res.summary["audit_min_slack"]) == keys
 
