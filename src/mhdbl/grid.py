@@ -18,16 +18,20 @@ scipy.special it loads, off the import path.
 Row window.  The solutions are Gaussian-localized in y, so on a tall
 domain the upper rows are often exactly 0.0 (the tails underflow).  A
 Field records this in `rows`: every row from `rows` up is exactly zero
-(rows = ny claims nothing).  The y operators and reductions below read
-only `Field.window` = min(ny, rows + 2) rows, the support and two zero
-rows above it: on those the top closures of ddy and d2dy give exactly the
-full-grid values, and every output row above is exactly zero, so a
-windowed result has the same values as a full-grid one.  Reductions over
-y stop at the support.  The running sums (integrate_y_tail, column_flux,
-the shell norms) add in ascending or descending y, so the zeros they skip
-would not change a bit; weighted_l2's pairwise sum may change in the
-last bit.  So results depend on the data, not on how far the grid
-reaches above it.
+(rows = ny claims nothing).  Where `rows` is set from the data
+(Field.trimmed), amplitudes below the smallest normal double, 2.2e-308,
+are stored as 0 first, so `rows` bounds the normal entries and the
+kernels never take the CPU's slow path for subnormal operands.  The y
+operators and reductions below read only `Field.window` =
+min(ny, rows + 2) rows, the support and two zero rows above it: on those
+the top closures of ddy and d2dy give exactly the full-grid values, and
+every output row above is exactly zero, so a windowed result has the
+same values as a full-grid one.  Reductions over y stop at the
+support.  The running sums (integrate_y_tail, column_flux, the shell
+norms) add in ascending or descending y, so the zeros they skip would
+not change a bit; weighted_l2's pairwise sum may change in the last bit.
+So results depend on the data, not on how far the grid reaches above
+it.
 """
 
 from __future__ import annotations
@@ -125,6 +129,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# The smallest normal double: a magnitude below it is subnormal or zero.
+_TINY = np.finfo(float).tiny
+
 BC_DIRICHLET = "dirichlet"
 BC_NEUMANN = "neumann"
 
@@ -141,7 +148,8 @@ class Field:
     derivative).  The top boundary is always a homogeneous Dirichlet
     truncation of the decaying far tail.  `rows` bounds the support:
     rows from `rows` up are exactly zero and stay so while the field is
-    in use (see the module docstring).
+    in use; after `trimmed` it bounds the normal entries (see the module
+    docstring).
     """
 
     grid: GridSpec
@@ -193,9 +201,16 @@ class Field:
         return min(self.grid.ny, self.rows + 2)
 
     def trimmed(self) -> "Field":
-        """This field (same array) with `rows` lowered to its support."""
-        return Field(self.grid, self.coeffs, self.bc,
-                     support(self.coeffs[:self.rows]))
+        """This field (same array) with every real and imaginary part below
+        the smallest normal double in magnitude set to 0, and `rows`
+        lowered to the support of what is left.  NaN and +-inf stay, and
+        count as live.  The masks take a byte per entry: no float
+        temporary the size of the field."""
+        flat = self.coeffs[:self.rows].view(np.float64)
+        small = flat < _TINY
+        small &= flat > -_TINY
+        np.copyto(flat, 0.0, where=small)
+        return Field(self.grid, self.coeffs, self.bc, support(flat))
 
     def physical(self) -> np.ndarray:
         return x_transform(self.grid, self.coeffs, "inverse")

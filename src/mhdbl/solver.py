@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
@@ -217,11 +218,15 @@ class State:
 def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
                branch: str = "auto") -> State:
     """The t = 0 state of a run from (u0, b0): the first CFL speed and the
-    blow-up limit 1e6 (m + 1) both come from m = max |u0|, |b0|.  The
-    state's fields are copies, their `rows` cut to their support."""
+    blow-up limit 1e6 (m + 1) both come from m = max |u0|, |b0|, which
+    must have a finite square, as the norms need.  The state's fields are
+    trimmed copies (Field.trimmed)."""
     alpha = resolve_branch_alpha(params.kappa, branch)
     scale = max(float(np.max(np.abs(u0.coeffs))),
                 float(np.max(np.abs(b0.coeffs))))
+    if scale * scale == math.inf:
+        raise ValueError(f"initial amplitude max |u0|, |b0| = {scale:.3e} is "
+                         "too large: its square overflows a double")
     return State(grid, params, 0.0, u0.copy().trimmed(), b0.copy().trimmed(),
                  weight_alpha=alpha, umax=scale, blow_limit=1e6 * (scale + 1.0))
 
@@ -503,7 +508,8 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
               dt: float) -> Field:
     """The Crank-Nicolson update of `field` with the explicit `tendency`;
     the right-hand side is formed on the rows its terms fill, and the
-    result's `rows` is its support (the solve spreads the data upward)."""
+    result's `rows` is its support (the solve spreads the data upward).
+    Its subnormal parts are left for the trim after the projection."""
     half = d2dy(field)
     n = max(half.rows, tendency.rows)
     rhs = zero_above(field.coeffs, n)
@@ -514,7 +520,7 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
         rhs[0] = 0.0
     rhs[-1] = 0.0
     out = solve_banded(ws.cn_factors(nu, dt, field.bc), b=rhs)
-    return Field(field.grid, out, field.bc).trimmed()
+    return Field(field.grid, out, field.bc, support(out))
 
 
 def _ab2(r: Field, prev: np.ndarray) -> Field:
@@ -569,8 +575,9 @@ def step_imex(state: State, dt: float,
     b1 = _cn_solve(state.ws, state.b, eb, nu_b, dt)
     shape_u, shape_b = state.ws.projection_shapes(nu_u)
     # the projection keeps the support of the solve and its shape; the
-    # exact support of the result sets the row window of every kernel of
-    # the next step (a NaN row counts as live)
+    # result, its subnormal parts flushed, sets by its exact support the
+    # row window of every kernel of the next step (a NaN row counts as
+    # live)
     u1 = project_zero_flux(u1, shape_u).trimmed()
     b1 = project_zero_flux(b1, shape_b).trimmed()
 
@@ -937,7 +944,7 @@ def _choose_dt(grid: GridSpec, dt_max: float, cfl: float, umax: float) -> float:
 # ---- checkpointing -----------------------------------------------------------
 
 _MAGIC = b"MHDBL\x00"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 def _finite(v) -> bool:
@@ -979,11 +986,11 @@ _SCALARS = {
 
 def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
                     extras: Optional[dict] = None) -> None:
-    """Binary snapshot of exactly `state` (format version 2): magic,
+    """Binary snapshot of exactly `state` (format version 3): magic,
     version, header length, a JSON header, then u, b and, when the state
     has a multistep history (prev_dt not null), prev_ru and prev_rb, each
     as its stored (ny, nmodes) amplitudes in little-endian complex pairs,
-    y major.
+    y major, and last the CRC-32 of everything after the magic.
 
     The header holds the grid, the params, the state's scalars (_SCALARS),
     its Chemin-Lerner shell integrals and audit minima, the far field's
@@ -1012,12 +1019,14 @@ def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _CKPT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+            head = struct.pack("<IQ", _CKPT_VERSION, len(blob)) + blob
+            fh.write(_MAGIC + head)
+            crc = zlib.crc32(head)
             for arr in arrays:
-                fh.write(arr.astype("<c16").tobytes())
+                data = arr.astype("<c16").tobytes()
+                fh.write(data)
+                crc = zlib.crc32(data, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -1033,19 +1042,23 @@ def load_checkpoint(path: str):
     """Inverse of save_checkpoint: returns (state, farfield, extras).
 
     Raises CheckpointError with a one-line message when the file cannot
-    be read, is not a checkpoint, has another format version (version 1,
-    which lacks the blow-up limit, included), is truncated or too long,
-    has a header that is not JSON, lacks a key or holds a value of the
-    wrong type or range, or holds an array with a non-finite value or with
-    an imaginary part in its DC column (and Nyquist column, when stored),
-    which a real field's spectrum has not."""
+    be read, is not a checkpoint, has another format version (versions 1
+    and 2, which lack the CRC, included), is truncated or too long, has a
+    header that is not JSON, lacks a key or holds a value of the wrong
+    type or range, holds an array with a non-finite value or with an
+    imaginary part in its DC column (and Nyquist column, when stored),
+    which a real field's spectrum has not, or, all of that passed, fails
+    its CRC-32."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise CheckpointError(
             f"cannot read checkpoint {path!r}: {e.strerror or e}") from None
-    buf = io.BytesIO(raw)
+    # the CRC-32 closes the file; what it covers is parsed first, so a
+    # damaged file that still parses is the one the CRC refuses
+    body, crc = raw[:-4], raw[-4:]
+    buf = io.BytesIO(body)
     if buf.read(len(_MAGIC)) != _MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     try:
@@ -1060,12 +1073,16 @@ def load_checkpoint(path: str):
     except ValueError:
         raise CheckpointError("checkpoint header is not valid JSON") from None
     try:
-        return _restore(header, buf)
+        loaded = _restore(header, buf)
     except KeyError as e:
         raise CheckpointError(
             f"checkpoint header lacks key {e.args[0]!r}") from None
     except (TypeError, OverflowError):     # OverflowError: ints past float
         raise CheckpointError("malformed checkpoint header") from None
+    if zlib.crc32(body[len(_MAGIC):]) != int.from_bytes(crc, "little"):
+        raise CheckpointError("checkpoint fails its CRC-32 check: the file "
+                              "is damaged")
+    return loaded
 
 
 def _real_spectrum(arr: np.ndarray, grid: GridSpec, name: str) -> np.ndarray:

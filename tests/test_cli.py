@@ -192,6 +192,18 @@ class TestSimulateCommand:
             assert code == 2, item
             assert capsys.readouterr().err == f"error: {msg}\n"
             assert not (out / "norms.csv").exists()
+        # and initial data whose square overflows, refused before any norm
+        # squares it (and warns)
+        out = tmp_path / "loud"
+        code = run_cli("simulate", "--out", str(out), "--set", "grid.nx=16",
+                       "--set", "grid.ny=92", "--set", "params.epsilon=3e227",
+                       "--set", "run.t_final=1e-6")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial amplitude max |u0|, |b0| = ")
+        assert err.endswith(" is too large: its square overflows a double\n")
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err
+        assert not (out / "norms.csv").exists()
 
     def test_tstar_exits_three_with_partial_output(self, tmp_path, capsys):
         out = tmp_path / "tstar"
@@ -631,14 +643,14 @@ class TestResumeCommand:
             assert (out / name).read_bytes() == (first / name).read_bytes()
 
     def test_corrupt_version_rejected(self, tmp_path, capsys):
-        """Any version but 2 is refused, version 1 included: its files
-        stored all nx modes and kept part of a run's tallies outside the
-        state, without the blow-up limit, so they cannot resume a run
-        exactly."""
+        """Any version but 3 is refused, versions 1 and 2 included: version
+        1 files stored all nx modes and kept part of a run's tallies
+        outside the state, without the blow-up limit, so they cannot
+        resume a run exactly; version 2 files carry no CRC."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
         ckpt = first / "final.ckpt"
-        for version in (42, 1):
+        for version in (42, 1, 2):
             raw = bytearray(ckpt.read_bytes())
             raw[6:10] = version.to_bytes(4, "little")
             broken = tmp_path / "broken.ckpt"

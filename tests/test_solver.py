@@ -1183,6 +1183,38 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 99"):
             load_checkpoint(path)
 
+    def test_flipped_bit_refused(self, tmp_path):
+        """One flipped bit in the header, in u or in prev_rb leaves a file
+        that still parses, with values in range; its CRC-32 refuses it."""
+        g, p, st = self._stepped_state()
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), st, None, extras={"scenario_id": "standard"})
+        raw = good.read_bytes()
+        _, start = self._split(raw)
+        arr = g.ny * g.nmodes * 16
+        flips = {
+            # "standard" -> "rtandard": still JSON, extras are free-form
+            "header": raw.index(b'"standard"') + 1,
+            # the low mantissa byte of the real part of u[5, 1]
+            "u": start + (5 * g.nmodes + 1) * 16,
+            # and of the imaginary part of prev_rb[7, 2]
+            "prev_rb": start + 3 * arr + (7 * g.nmodes + 2) * 16 + 8,
+        }
+        for where, pos in flips.items():
+            bad = bytearray(raw)
+            bad[pos] ^= 1
+            path = tmp_path / f"{where}.ckpt"
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError,
+                               match="^checkpoint fails its CRC-32 check"):
+                load_checkpoint(str(path))
+        # so does a file whose CRC word itself is damaged
+        bad = bytearray(raw)
+        bad[-1] ^= 0x80
+        (tmp_path / "crc.ckpt").write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="CRC-32"):
+            load_checkpoint(str(tmp_path / "crc.ckpt"))
+
     def test_truncation(self, tmp_path):
         g, p, st = self._stepped_state()
         path = str(tmp_path / "t.ckpt")
@@ -1368,3 +1400,68 @@ class TestSimulate:
         assert np.array_equal(second.state.u.coeffs, whole.state.u.coeffs)
         assert np.array_equal(second.state.b.coeffs, whole.state.b.coeffs)
         assert second.state.theta == whole.state.theta
+
+
+def subnormals(a: np.ndarray) -> int:
+    """The real and imaginary parts of `a` that are subnormal."""
+    f = np.asarray(a).view(np.float64)
+    return int(np.count_nonzero((f != 0.0)
+                                & (np.abs(f) < np.finfo(float).tiny)))
+
+
+class TestSubnormalFlush:
+    """On a grid whose Gaussian tails underflow below its top, the fields a
+    run holds are normal: make_state, each step and the checkpoint loader
+    flush the subnormal parts, and a resumed run still continues the
+    unbroken one bit for bit."""
+
+    @staticmethod
+    def setup_run():
+        g = make_grid(nx=16, ny=256, ymax=80.0)
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        return g, p, u0, b0
+
+    def test_fields_hold_no_subnormal(self, tmp_path, monkeypatch):
+        g, p, u0, b0 = self.setup_run()
+        assert subnormals(u0.coeffs) and subnormals(b0.coeffs)
+        solved = []
+
+        def counted(factors, b):
+            x = solve_banded(factors, b=b)
+            solved.append(subnormals(x))
+            return x
+
+        monkeypatch.setattr("mhdbl.solver.solve_banded", counted)
+        st = make_state(g, p, u0, b0)
+        states = [st]
+        for _ in range(12):
+            st = step_imex(st, 1e-2)
+            states.append(st)
+        # the CN solves leave subnormal tails for the step to flush
+        assert sum(solved) > 0
+        # a file written from fields that hold subnormals loads flushed
+        path = str(tmp_path / "tails.ckpt")
+        save_checkpoint(path, replace(st, u=u0.copy(), b=b0.copy()), None)
+        states.append(load_checkpoint(path)[0])
+        for s in states:
+            for f in (s.u, s.b):
+                assert subnormals(f.coeffs) == 0
+                assert 0 < f.rows < g.ny
+                assert np.any(f.coeffs[f.rows - 1])
+                assert not np.any(f.coeffs[f.rows:])
+
+    def test_resume_matches_single_run_bitwise(self, tmp_path):
+        g, p, u0, b0 = self.setup_run()
+        whole, seam, second = TestSimulate._split_run(tmp_path, g, p, u0, b0)
+        assert second.state.t == whole.state.t
+        for name in ("u", "b"):
+            got, want = getattr(second.state, name), getattr(whole.state, name)
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert got.rows == want.rows < g.ny
+        assert np.array_equal(second.state.prev_ru, whole.state.prev_ru)
+        assert np.array_equal(second.state.prev_rb, whole.state.prev_rb)
+        for key in ("theta", "theta_int1", "umax", "audit_min", "blow_limit"):
+            assert getattr(second.state, key) == getattr(whole.state, key)
+        assert np.array_equal(second.state.cl_integrals,
+                              whole.state.cl_integrals)
