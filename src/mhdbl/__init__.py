@@ -7,25 +7,24 @@ estimates the scheme is meant to exhibit.
 from .grid import (Field, GridSpec, TailViolationError, ddx, ddy, d2dy,
                    integrate_y_from0, integrate_y_tail, psi_weight,
                    weighted_l2, x_transform)
-from .lp import (DyadicPartition, besov_h_norm, besov_norm, besov_pair_norm,
-                 build_partition, gevrey_multiplier, lowpass, lp_project,
-                 paraproduct, shell_weighted_norms)
+from .lp import (DyadicPartition, besov_norm, besov_pair_norm,
+                 build_partition, lowpass, lp_project, paraproduct,
+                 shell_weighted_norms)
 from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
-                       assumption_check, bernoulli_residual, build_cutoff,
-                       cutoff_value, default_x_profile, derived_exponents,
-                       farfield_decaying, flux_projection_profiles,
-                       initial_data_standard, project_zero_flux,
-                       source_terms)
+                       build_cutoff, cutoff_value, default_x_profile,
+                       derived_exponents, farfield_decaying,
+                       flux_projection_profiles, initial_data_standard,
+                       project_zero_flux, source_terms)
 from .solver import (CheckpointError, DivergenceError, NormSeries,
                      SimResult, State, TStarReachedError, compute_GH,
-                     eikonal_residual, eqs2_residual, flux_drift,
-                     heat_energy_slack, kappa_rescale_map, load_checkpoint,
-                     make_state, recommended_ymax, reconstruct_phipsi,
-                     recover_vh, rhs_explicit, save_checkpoint, simulate,
-                     step_imex, tail_guard_check, theta_components)
+                     eqs2_residual, flux_drift, heat_energy_slack,
+                     kappa_rescale_map, load_checkpoint, make_state,
+                     recommended_ymax, reconstruct_phipsi, recover_vh,
+                     rhs_explicit, save_checkpoint, simulate, step_imex,
+                     tail_guard_check, theta_components)
 from .verify import (fit_decay, fit_loglog, gh_equivalence_check,
-                     monotone_decay_check, multiplier_convexity_check,
-                     poincare_check, product_law_check, run_poincare_suite,
-                     run_sup_constants_suite, sup_constants, theta_report)
+                     multiplier_convexity_check, poincare_check,
+                     run_poincare_suite, run_sup_constants_suite,
+                     sup_constants, theta_report)
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Dyadic frequency analysis in x: smooth shell partition, Besov norms,
-analytic-band multipliers, paraproduct split.
+paraproduct split.
 
 Shells follow the classical convention: a low cutoff chi supported in
 {|tau| <= 4/3} equal to 1 on {|tau| <= 3/4}, and phi(tau) = chi(tau/2) -
@@ -133,17 +133,6 @@ def lowpass(part: DyadicPartition, field: Field, k: int) -> Field:
     return Field(field.grid, field.coeffs * row, field.bc)
 
 
-# ---- analytic-band multiplier ----------------------------------------------
-
-
-def gevrey_multiplier(field: Field, r: float) -> Field:
-    """Multiply mode xi by exp(r |xi|) (analytic-band weight, radius r >= 0)."""
-    if r < 0.0:
-        raise ValueError(f"band radius must be nonnegative, got {r}")
-    w = np.exp(r * field.grid.xi)
-    return Field(field.grid, field.coeffs * w, field.bc)
-
-
 # ---- Besov norms -----------------------------------------------------------
 
 
@@ -176,7 +165,7 @@ def besov_norm(part: DyadicPartition, field: Field, s: float, a: float = 0.0,
     """
     if s > 0.5:
         raise ValueError("horizontal regularity above 1/2 is not supported "
-                         "for strip fields; use besov_h_norm for profiles")
+                         "for strip fields; use besov_h_shell_norms for profiles")
     return part.besov_sum(shell_weighted_norms(part, field, a, t, r), s)
 
 
@@ -208,15 +197,6 @@ def besov_h_shell_norms(part: DyadicPartition, spectrum: np.ndarray,
         c = c * np.exp(r * g.xi)
     return np.sqrt(g.lx * np.einsum("kj,j->k", part.power_table,
                                     mode_power(c)))
-
-
-def besov_h_norm(part: DyadicPartition, spectrum: np.ndarray, s: float,
-                 r: float = 0.0) -> float:
-    """1-D horizontal Besov norm sum_k 2^{ks} ||Delta_k f||_{L2(x)}.
-
-    Profiles are genuinely one dimensional, so any s is allowed here.
-    """
-    return part.besov_sum(besov_h_shell_norms(part, spectrum, r), s)
 
 
 # ---- paraproduct -----------------------------------------------------------

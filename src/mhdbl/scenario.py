@@ -1,6 +1,6 @@
 """Problem setup: physical parameters, the wall cutoff profile, admissible
-far-field flows, their decay-hypothesis audit, forcing terms, and the
-standard analytic initial data family.
+far-field flows, forcing terms, and the standard analytic initial data
+family.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
                    x_transform, zero_above)
-from .lp import DyadicPartition, _gexp, besov_h_shell_norms, smooth_step
+from .lp import _gexp, smooth_step
 
 
 class UnsupportedScenarioError(ValueError):
@@ -321,74 +321,6 @@ def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
     return FarField(grid, eps, alpha, g_spec)
 
 
-def bernoulli_residual(ff: FarField, params: Params, t: float) -> float:
-    """Max-norm residual of the tangential transport law at time t:
-    d_t(B + bbar) + U d_x(B + bbar) - (B + bbar) d_x U, which reduces to
-    -bbar d_x U since B = 0."""
-    _, dxu = ff.physical_rows(t)
-    return float(np.max(np.abs(params.bbar * dxu)))
-
-
-def assumption_check(ff: FarField, part: DyadicPartition, delta: float,
-                     eps_budget: float) -> dict:
-    """Audit the far-field decay hypotheses against the budget eps_budget.
-
-    Uses the separable structure for exact time factors: sup and integrals
-    of <t>^p are evaluated in closed form, so divergence (slow alpha) is
-    detected rather than truncated away.  Shell sums carry the analytic
-    weight e^{delta |xi|}; the report flags spectral truncation if the top
-    shell holds a non-negligible share.
-    """
-    report = {"ok": True, "divergent": [], "values": {}}
-    a = ff.alpha
-    sn = besov_h_shell_norms(part, ff.g_spec, r=delta)   # ||Delta_k g|| e-wtd
-    tail = float(sn[-1] / sn.sum()) if sn.sum() > 0 else 0.0
-    report["tail_share"] = tail
-    if tail > 1e-8:
-        report["ok"] = False
-        report["divergent"].append("spectral tail not resolved on this grid")
-
-    b32 = part.besov_sum(sn, 1.5)
-    b12 = part.besov_sum(sn, 0.5)
-
-    # sup_t <t>^{9/4 - alpha}
-    if a >= 2.25:
-        sup_w = ff.eps * b32
-    else:
-        sup_w = math.inf
-        report["divergent"].append("sup-in-time weight <t>^(9/4) diverges")
-    report["values"]["sup_weighted_32"] = sup_w
-
-    # (int_0^inf <t>^{7/2} (|dtU|^2 + |U|^2) dt)^{1/2} per shell, summed
-    p = 3.5 - 2.0 * a
-    if p < -1.0:
-        time_sq = 1.0 / (-p - 1.0)
-        p2 = 3.5 - 2.0 * (a + 1.0)
-        time_sq_dt = a * a / (-p2 - 1.0)
-        l2_w = ff.eps * math.sqrt(time_sq + time_sq_dt) * b12
-    else:
-        l2_w = math.inf
-        report["divergent"].append("L2-in-time weight <t>^(7/4) diverges")
-    report["values"]["l2_weighted_12"] = l2_w
-
-    # int_0^inf <t>^{5/4 - alpha} dt
-    q = 1.25 - a
-    if q < -1.0:
-        l1_w = ff.eps * (1.0 / (-q - 1.0)) * b12
-    else:
-        l1_w = math.inf
-        report["divergent"].append("L1-in-time weight <t>^(5/4) diverges")
-    report["values"]["l1_weighted_12"] = l1_w
-
-    if not (sup_w + l2_w <= eps_budget):
-        report["ok"] = False
-    if not (l1_w <= eps_budget):
-        report["ok"] = False
-    if report["divergent"]:
-        report["ok"] = False
-    return report
-
-
 # ---- forcing ---------------------------------------------------------------
 
 
@@ -439,9 +371,16 @@ def flux_projection_profiles(grid: GridSpec, kappa: float = 1.0):
         raise ValueError("kappa must be positive")
     y = grid.y * math.sqrt(kappa)
     w = grid.trapz_weights
-    p = y * np.exp(-0.5 * y ** 2)
-    q = np.exp(-0.5 * y ** 2)
-    return p / (w @ p), q / (w @ q)
+    with np.errstate(over="ignore"):    # y^2 = inf gives the right e^-inf = 0
+        q = np.exp(-0.5 * y ** 2)
+    p = y * q
+    mass = w @ p
+    if mass == 0.0:
+        raise ValueError(
+            f"grid.ymax={grid.ymax:g} over grid.ny={grid.ny} gives "
+            f"dy={grid.dy:.3g}: the zero-flux shape y e^(-y^2/2) underflows "
+            "to 0 at every node")
+    return p / mass, q / (w @ q)
 
 
 def project_zero_flux(field: Field, shape: np.ndarray) -> Field:
@@ -481,13 +420,15 @@ def initial_data_standard(grid: GridSpec, params: Params,
     if abs(x_profile[0]) > 0.0:
         raise ValueError("x profile must have zero mean (DC amplitude 0)")
 
+    # the shapes first: they refuse a grid too coarse to hold them, before
+    # the profiles' y^3 can overflow
+    shape_u, shape_b = flux_projection_profiles(grid)
     y = grid.y
     pu = (y - 0.5 * y ** 3) * np.exp(-0.5 * y ** 2)
     pb = (1.0 - y ** 2) * np.exp(-0.5 * y ** 2)
     u0 = Field.from_profiles(grid, params.epsilon * x_profile, pu, BC_DIRICHLET)
     b0 = Field.from_profiles(grid, params.epsilon * x_profile, pb, BC_NEUMANN)
 
-    shape_u, shape_b = flux_projection_profiles(grid)
     u0 = project_zero_flux(u0, shape_u)
     b0 = project_zero_flux(b0, shape_b)
 

@@ -39,18 +39,7 @@ class DivergenceError(RuntimeError):
     """Solution blew up or produced non-finite values."""
 
 
-# ---- weights and closed-form identities -------------------------------------
-
-
-def eikonal_residual(grid: GridSpec, t: float, kappa: float = 1.0) -> float:
-    """Nodal residual of d_t Psi_k + 2 kappa (d_y Psi_k)^2 with
-    Psi_k = y^2 / (8 kappa <t>).  Zero in exact arithmetic; the discrete
-    evaluation reproduces that cancellation to roundoff."""
-    y = grid.y
-    tt = 1.0 + t
-    dpsi_dt = -y ** 2 / (8.0 * kappa * tt ** 2)
-    dpsi_dy = y / (4.0 * kappa * tt)
-    return float(np.max(np.abs(dpsi_dt + 2.0 * kappa * dpsi_dy ** 2)))
+# ---- domain height ---------------------------------------------------------
 
 
 def recommended_ymax(t_final: float, kappa: float = 1.0,
@@ -827,8 +816,8 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     holds the audit minima, theta bookkeeping, and flux statistics.  Only
     input errors raise, before the first sample: UnsupportedScenarioError
     for a far field at kappa = 1, ValueError when the far field's cutoff
-    is unresolved on the grid, weight_alpha has no branch at kappa or
-    kappa^2 overflows.
+    is unresolved on the grid, dy leaves the zero-flux shapes no mass,
+    weight_alpha has no branch at kappa or kappa^2 overflows.
     """
     grid, params = state.grid, state.params
     if farfield is not None:
@@ -836,6 +825,8 @@ def simulate(state: State, farfield: Optional[FarField] = None,
             raise UnsupportedScenarioError(
                 "kappa = 1 runs require the trivial far field")
         farfield.cutoff    # sampled now, so a bad grid fails before output
+    # the zero-flux shapes too: a grid too coarse for them fails here
+    state.ws.projection_shapes(_diffusivities(params)[0])
     part = state.ws.part
     weight_exp = 2.0 * (0.5 + branch_gain(params, state.weight_alpha))
     # distinct (alpha, beta) audit combinations in first-seen order; at

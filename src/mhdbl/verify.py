@@ -1,7 +1,7 @@
 """Stand-alone numerical checks: weighted Poincare inequalities, the two
 Gaussian sup constants, per-shell equivalence ratios between the raw
-fields and their damped combinations, product-law spot checks, decay
-exponent fitting, and the band-budget convergence report.
+fields and their damped combinations, the band-multiplier convexity of
+products, decay exponent fitting, and the band-budget convergence report.
 
 Inequality checks with an explicit constant are tested sharply; anything
 whose constant is unspecified is tested as a finite ratio that stays put
@@ -20,8 +20,8 @@ from .solver import NormSeries, State
 __all__ = [
     "poincare_check", "run_poincare_suite", "sup_constants",
     "run_sup_constants_suite", "gh_equivalence_check",
-    "multiplier_convexity_check", "product_law_check", "fit_loglog",
-    "fit_decay", "theta_report", "monotone_decay_check",
+    "multiplier_convexity_check", "fit_loglog", "fit_decay",
+    "theta_report",
 ]
 
 _RATIO_FLOOR = 1e-300
@@ -285,38 +285,6 @@ def multiplier_convexity_check(f_spec, g_spec, r: float,
             "max_excess": worst}
 
 
-def _besov_half_1d(amp, xi, lx, ks):
-    total = 0.0
-    for k in ks:
-        p2 = phi_shell(np.abs(xi) / 2.0 ** k) ** 2
-        total += 2.0 ** (0.5 * k) * math.sqrt(
-            lx * float(np.add.reduce(p2 * amp ** 2)))
-    return total
-
-
-def product_law_check(f_spec, g_spec, lx: float = 2.0 * math.pi) -> dict:
-    """Ratio of the horizontal Besov-1/2 norm of a product against the
-    product of the factors' norms.
-
-    The constant is unspecified, so this only reports the ratio; tests
-    pin it down by re-running on a doubled mode set and demanding
-    stability.  Products are formed by exact linear convolution.
-    """
-    F, xf = _ordered_spectrum(f_spec, lx)
-    G, xg = _ordered_spectrum(g_spec, lx)
-    nf = _besov_half_1d(np.abs(F), xf, lx, shell_window(xf[np.abs(F) > 0.0]))
-    ng = _besov_half_1d(np.abs(G), xg, lx, shell_window(xg[np.abs(G) > 0.0]))
-    if nf == 0.0 or ng == 0.0:
-        return {"ratio": 0.0, "vacuous": True,
-                "norm_product": 0.0, "norm_f": nf, "norm_g": ng}
-    P = np.abs(np.convolve(F, G))
-    dxi = 2.0 * math.pi / lx
-    xi = (xf[0] / dxi + xg[0] / dxi + np.arange(P.shape[0])) * dxi
-    np_norm = _besov_half_1d(P, xi, lx, shell_window(xi[P > 0.0]))
-    return {"ratio": np_norm / (nf * ng), "vacuous": False,
-            "norm_product": np_norm, "norm_f": nf, "norm_g": ng}
-
-
 # ---- decay fits and the band budget -------------------------------------------
 
 
@@ -374,20 +342,3 @@ def theta_report(series: NormSeries, t_split=None) -> dict:
         "integral1_tail_fraction":
             (i1_end - i1_mid) / i1_end if i1_end > 0.0 else 0.0,
     }
-
-
-def monotone_decay_check(series: NormSeries, quantity: str = "norm_ub",
-                         t_min: float = 1.0, rel_tol: float = 1e-3) -> dict:
-    """Assert a sampled norm never climbs by more than rel_tol (relative)
-    between consecutive samples once t >= t_min."""
-    t = series.column("t")
-    v = series.column(quantity)
-    mask = t >= t_min
-    vv = v[mask]
-    if vv.shape[0] < 2:
-        return {"passed": True, "max_uptick": 0.0, "samples": int(vv.shape[0])}
-    prev = vv[:-1]
-    upt = (vv[1:] - prev) / np.maximum(prev, _RATIO_FLOOR)
-    worst = float(np.max(upt))
-    return {"passed": worst <= rel_tol, "max_uptick": worst,
-            "samples": int(vv.shape[0])}

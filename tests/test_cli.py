@@ -204,6 +204,21 @@ class TestSimulateCommand:
         assert err.endswith(" is too large: its square overflows a double\n")
         assert err.count("\n") == 1 and "RuntimeWarning" not in err
         assert not (out / "norms.csv").exists()
+        # and heights whose dy leaves the zero-flux shape y e^{-y^2/2} no
+        # mass at any node, refused before the profiles' y^3 overflows
+        for ymax, extra in (("1e60", ()), ("1e103", ()), ("1e155", ()),
+                            ("1e120", ("--set", "scenario.id=zero"))):
+            out = tmp_path / f"coarse{ymax}"
+            code = run_cli("simulate", "--out", str(out),
+                           "--set", "grid.nx=16", "--set", "grid.ny=92",
+                           "--set", f"grid.ymax={ymax}",
+                           "--set", "run.t_final=1e-6", *extra)
+            assert code == 2, ymax
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: grid.ymax={float(ymax):g} over "
+                                  "grid.ny=92 gives dy="), err
+            assert err.count("\n") == 1 and "RuntimeWarning" not in err
+            assert not (out / "norms.csv").exists()
 
     def test_tstar_exits_three_with_partial_output(self, tmp_path, capsys):
         out = tmp_path / "tstar"

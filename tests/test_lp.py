@@ -13,13 +13,11 @@ import pytest
 from mhdbl.grid import Field, GridSpec, ddx, weighted_l2, x_transform
 from mhdbl.lp import (
     DyadicPartition,
-    besov_h_norm,
     besov_h_shell_norms,
     besov_norm,
     besov_pair_norm,
     build_partition,
     chi_lowpass,
-    gevrey_multiplier,
     lowpass,
     lp_project,
     paraproduct,
@@ -182,26 +180,12 @@ class TestShellNorms:
         assert norms[1 - part.k_min] == pytest.approx(
             weighted_l2(f, 1.0, 2.0), rel=1e-12)
 
-    def test_gevrey_multiplier_semigroup(self):
-        g = make_grid(nx=32)
-        rng = np.random.default_rng(4)
-        f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
-        once = gevrey_multiplier(gevrey_multiplier(f, 0.1), 0.25)
-        direct = gevrey_multiplier(f, 0.35)
-        assert np.max(np.abs(once.coeffs - direct.coeffs)) < 1e-12 * np.max(
-            np.abs(direct.coeffs))
-
-    def test_gevrey_multiplier_rejects_negative_radius(self):
-        g = make_grid(nx=32)
-        with pytest.raises(ValueError, match="nonnegative"):
-            gevrey_multiplier(Field.zeros(g), -0.1)
-
 
 class TestBesovNorms:
     def test_high_regularity_rejected_for_strip_fields(self):
         g = make_grid()
         part = build_partition(g)
-        with pytest.raises(ValueError, match="besov_h_norm"):
+        with pytest.raises(ValueError, match="besov_h_shell_norms"):
             besov_norm(part, Field.zeros(g), 0.75)
 
     def test_single_shell_value(self):
@@ -245,7 +229,7 @@ class TestBesovNorms:
         k1 = 1 - part.k_min
         expect = np.sqrt(g.lx * 2.0 * 0.25)
         assert shells[k1] == pytest.approx(expect, rel=1e-12)
-        assert besov_h_norm(part, spec, 2.0) == pytest.approx(
+        assert part.besov_sum(shells, 2.0) == pytest.approx(
             4.0 * expect, rel=1e-12)
 
     def test_profile_norm_validates_shape(self):

@@ -1,10 +1,8 @@
 """Tests for problem setup: parameters, the wall cutoff family, far-field
-flows and their decay audit, patching sources, and the standard initial
-data.
+flows, patching sources, and the standard initial data.
 
 The cutoff family is cross-checked against finite differences of its own
-samples; far-field admissibility is probed on both sides of each decay
-threshold; initial data are compared with their closed forms.
+samples; initial data are compared with their closed forms.
 """
 
 import numpy as np
@@ -12,7 +10,6 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from mhdbl.grid import Field, GridSpec, column_flux, ddy, integrate_y_tail
-from mhdbl.lp import build_partition
 from mhdbl.scenario import (
     Cutoff,
     FarField,
@@ -20,8 +17,6 @@ from mhdbl.scenario import (
     UnsupportedScenarioError,
     _bump_mass,
     _interior_bump,
-    assumption_check,
-    bernoulli_residual,
     build_cutoff,
     cutoff_slope,
     cutoff_slope_d1,
@@ -226,12 +221,6 @@ class TestFarField:
         dt = ff.dt_u_spec(2.0)
         assert np.max(np.abs(dt + 2.5 * ff.u_spec(2.0) / 3.0)) < 1e-16
 
-    def test_decaying_transport_residual_vanishes(self):
-        g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.02, 2.5, np.cos(g.x))
-        assert bernoulli_residual(ff, p, 1.3) == 0.0
-
     def test_complex_spectrum_accepted_directly(self):
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
@@ -254,43 +243,6 @@ class TestFarField:
         adv = ff.advection_spec(1.0)
         assert adv[4] == pytest.approx(0.5j * amp ** 2, abs=1e-20)
         assert np.max(np.abs(np.delete(adv, [4]))) < 1e-20
-
-
-class TestAssumptionCheck:
-    def make_ff(self, alpha, eps=1e-3):
-        g = make_grid(nx=64)
-        p = Params(kappa=1.5, epsilon=1e-3)
-        return g, farfield_decaying(g, p, eps, alpha, np.cos(g.x))
-
-    def test_fast_decay_within_budget(self):
-        g, ff = self.make_ff(2.5, eps=1e-6)
-        rep = assumption_check(ff, build_partition(g), 0.5, 1e-2)
-        assert rep["ok"]
-        assert rep["divergent"] == []
-        for v in rep["values"].values():
-            assert np.isfinite(v)
-
-    def test_slow_decay_flags_divergence(self):
-        g, ff = self.make_ff(2.0)
-        rep = assumption_check(ff, build_partition(g), 0.5, 1e30)
-        assert not rep["ok"]
-        assert any("sup-in-time" in d for d in rep["divergent"])
-        assert rep["values"]["sup_weighted_32"] == np.inf
-
-    def test_marginal_decay_flags_integrals(self):
-        g, ff = self.make_ff(2.25)
-        rep = assumption_check(ff, build_partition(g), 0.5, 1e30)
-        # alpha = 9/4 exactly passes the sup threshold but both time
-        # integrals sit on their divergence boundary
-        assert np.isfinite(rep["values"]["sup_weighted_32"])
-        assert any("L2-in-time" in d for d in rep["divergent"])
-        assert any("L1-in-time" in d for d in rep["divergent"])
-
-    def test_budget_is_binding(self):
-        g, ff = self.make_ff(2.5, eps=1.0)
-        rep = assumption_check(ff, build_partition(g), 0.5, 1e-10)
-        assert not rep["ok"]
-        assert rep["divergent"] == []
 
 
 class TestSourceTerms:

@@ -46,7 +46,6 @@ from mhdbl.solver import (
     _cn_solve,
     branch_gain,
     cn_factors,
-    eikonal_residual,
     eqs2_residual,
     flux_drift,
     heat_energy_slack,
@@ -816,12 +815,6 @@ class TestAudits:
                           Field.zeros(g, BC_NEUMANN))
         with pytest.raises(TailViolationError, match="domain too short"):
             tail_guard_check(wide)
-
-    @pytest.mark.parametrize("kappa", [1.0, 1.5])
-    @pytest.mark.parametrize("t", [0.0, 1.0, 37.5])
-    def test_eikonal_identity(self, kappa, t):
-        g = make_grid()
-        assert eikonal_residual(g, t, kappa) < 1e-14
 
     def test_recommended_ymax(self):
         # generous for short runs, grows like the heat spread for long ones

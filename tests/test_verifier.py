@@ -1,7 +1,7 @@
 """Checks for the stand-alone verification helpers: weighted Poincare
 inequalities, the two Gaussian sup constants, raw-vs-damped equivalence
-ratios, band-multiplier convexity, product-law ratios, decay fitting, and
-the band-budget report.
+ratios, band-multiplier convexity, decay fitting, and the band-budget
+report.
 """
 
 import math
@@ -16,10 +16,8 @@ from mhdbl.verify import (
     fit_decay,
     fit_loglog,
     gh_equivalence_check,
-    monotone_decay_check,
     multiplier_convexity_check,
     poincare_check,
-    product_law_check,
     run_poincare_suite,
     run_sup_constants_suite,
     sup_constants,
@@ -194,38 +192,6 @@ class TestMultiplierConvexity:
             multiplier_convexity_check(z, z, -0.1)
 
 
-class TestProductLaw:
-    def test_single_modes_report_finite_ratio(self):
-        f = fft_modes(64, [(2, 1.0 + 0.0j)])
-        g = fft_modes(64, [(5, 0.5 + 0.0j)])
-        rep = product_law_check(f, g)
-        assert not rep["vacuous"]
-        assert 0.0 < rep["ratio"] < 10.0
-        assert rep["norm_product"] > 0.0
-
-    def test_ratio_independent_of_padding(self):
-        # the same live modes in a longer layout describe the same
-        # functions, so the ratio must not move
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            pairs_f = [(int(j), complex(a, b)) for j, a, b in zip(
-                rng.integers(1, 8, 3), rng.standard_normal(3),
-                rng.standard_normal(3))]
-            pairs_g = [(int(j), complex(a, b)) for j, a, b in zip(
-                rng.integers(1, 8, 3), rng.standard_normal(3),
-                rng.standard_normal(3))]
-            r64 = product_law_check(fft_modes(64, pairs_f),
-                                    fft_modes(64, pairs_g))
-            r128 = product_law_check(fft_modes(128, pairs_f),
-                                     fft_modes(128, pairs_g))
-            assert r128["ratio"] == pytest.approx(r64["ratio"], rel=1e-12)
-
-    def test_zero_factor_vacuous(self):
-        f = fft_modes(32, [(1, 1.0 + 0.0j)])
-        rep = product_law_check(f, np.zeros(32, complex))
-        assert rep["vacuous"] and rep["ratio"] == 0.0
-
-
 class TestFits:
     def test_exact_power_law(self):
         t = np.linspace(0.0, 100.0, 400)
@@ -301,29 +267,3 @@ class TestThetaReport:
         rep = theta_report(s)
         assert rep["tail_fraction"] == 0.0
         assert rep["integral1_tail_fraction"] == 0.0
-
-
-class TestMonotoneDecay:
-    def _series(self, values):
-        s = NormSeries()
-        for i, v in enumerate(values):
-            s.append(t=float(i), theta=0.0, radius=1.0, norm_ub=v,
-                     norm_gh=v, norm_dy_gh=v, norm_phipsi=v,
-                     cl_dyub_sq=0.0, theta_integral1=0.0)
-        return s
-
-    def test_decaying_passes(self):
-        s = self._series(10.0 / (1.0 + np.arange(30.0)))
-        rep = monotone_decay_check(s)
-        assert rep["passed"]
-
-    def test_bump_detected(self):
-        v = list(10.0 / (1.0 + np.arange(30.0)))
-        v[20] = v[19] * 1.1    # ten percent climb
-        rep = monotone_decay_check(self._series(v))
-        assert not rep["passed"]
-        assert rep["max_uptick"] == pytest.approx(0.1, abs=1e-2)
-
-    def test_short_series_vacuous(self):
-        rep = monotone_decay_check(self._series([1.0]), t_min=5.0)
-        assert rep["passed"] and rep["samples"] <= 1
