@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
                    x_transform, zero_above)
-from .lp import _gexp, smooth_step
+from .lp import _gexp
 
 
 class UnsupportedScenarioError(ValueError):
@@ -75,73 +75,13 @@ def derived_exponents(params: Params) -> dict:
 # ---- wall cutoff -----------------------------------------------------------
 
 
-def _interior_bump(y):
-    """exp(-1/((y-1)(2-y))) on (1, 2), zero outside; C-infinity."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = (y > 1.0) & (y < 2.0)
-    p = (y[inside] - 1.0) * (2.0 - y[inside])
-    out[inside] = np.exp(-1.0 / p)
-    return out
-
-
-def _interior_bump_d1(y):
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = (y > 1.0) & (y < 2.0)
-    yi = y[inside]
-    p = (yi - 1.0) * (2.0 - yi)
-    dp = 3.0 - 2.0 * yi
-    out[inside] = np.exp(-1.0 / p) * dp / p ** 2
-    return out
-
-
-def _interior_bump_d2(y):
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = (y > 1.0) & (y < 2.0)
-    yi = y[inside]
-    p = (yi - 1.0) * (2.0 - yi)
-    dp = 3.0 - 2.0 * yi
-    b = np.exp(-1.0 / p)
-    out[inside] = b * (dp ** 2 / p ** 4 - 2.0 / p ** 2 - 2.0 * dp ** 2 / p ** 3)
-    return out
-
-
-def _g1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    out[pos] = np.exp(-1.0 / s[pos]) / s[pos] ** 2
-    return out
-
-
-def _g2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    si = s[pos]
-    out[pos] = np.exp(-1.0 / si) * (1.0 / si ** 4 - 2.0 / si ** 3)
-    return out
-
-
-def _step_d1(s):
-    g, gb = _gexp(s), _gexp(1.0 - s)
-    g1, gb1 = _g1(s), -_g1(1.0 - s)
-    den = g + gb
-    return (g1 * den - g * (g1 + gb1)) / den ** 2
-
-
-def _step_d2(s):
-    g, gb = _gexp(s), _gexp(1.0 - s)
-    g1, gb1 = _g1(s), -_g1(1.0 - s)
-    g2, gb2 = _g2(s), _g2(1.0 - s)
-    den = g + gb
-    dden = g1 + gb1
-    d2den = g2 + gb2
-    num = g1 * den - g * dden
-    dnum = g2 * den - g * d2den
-    return dnum / den ** 2 - 2.0 * num * dden / den ** 3
+def _gexp_jet(s):
+    """(g, g', g'') of g(s) = exp(-1/s), zero for s <= 0: g' = g/s^2 and
+    g'' = g (1 - 2s)/s^4."""
+    g = _gexp(s)
+    s = np.where(g > 0.0, s, 1.0)       # no division where g = 0
+    d1 = g / s / s
+    return g, d1, d1 * (1.0 - 2.0 * s) / s / s
 
 
 # The cutoff's integrals: a 20-point Gauss-Legendre rule on each of 64
@@ -163,9 +103,10 @@ def _gauss_legendre(f, a, b):
 
 @cache
 def _bump_mass() -> float:
-    """int_1^2 of the interior bump, cached; sets the shape coefficient."""
-    return float(np.sum(_gauss_legendre(_interior_bump, _EDGES[:-1],
-                                        _EDGES[1:])))
+    """int_1^2 of the interior bump exp(-1/((y-1)(2-y))) = g(y-1) g(2-y),
+    cached; sets the shape coefficient."""
+    return float(np.sum(_gauss_legendre(
+        lambda y: _gexp(y - 1.0) * _gexp(2.0 - y), _EDGES[:-1], _EDGES[1:])))
 
 
 @cache
@@ -175,21 +116,29 @@ def _cutoff_at_edges() -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(panels)])
 
 
+def _slope_jet(y):
+    """(chi', chi'', chi''') at y.  With s = y - 1, chi' is the step
+    g(s)/(g(s) + g(1-s)) plus c times the interior bump g(s) g(1-s) =
+    exp(-1/((y-1)(2-y))), whose weight c makes the total integral over
+    [1, 2] exactly 2.  The quotient rule differentiates the step, the
+    product rule the bump."""
+    s = np.asarray(y, dtype=float) - 1.0
+    a, a1, a2 = _gexp_jet(s)
+    b, b1, b2 = _gexp_jet(1.0 - s)
+    b1 = -b1                            # d/ds of g(1 - s)
+    den, dden, d2den = a + b, a1 + b1, a2 + b2
+    num = a1 * den - a * dden
+    c = 1.5 / _bump_mass()
+    return (a / den + c * (a * b),
+            num / den ** 2 + c * (a1 * b + a * b1),
+            (a2 * den - a * d2den) / den ** 2 - 2.0 * num * dden / den ** 3
+            + c * (a2 * b + 2.0 * a1 * b1 + a * b2))
+
+
 def cutoff_slope(y):
     """The wall cutoff's derivative: step rise on [1, 2] plus a scaled
     interior bump whose weight makes the total integral exactly 2."""
-    c = 1.5 / _bump_mass()
-    return smooth_step(np.asarray(y, dtype=float) - 1.0) + c * _interior_bump(y)
-
-
-def cutoff_slope_d1(y):
-    c = 1.5 / _bump_mass()
-    return _step_d1(np.asarray(y, dtype=float) - 1.0) + c * _interior_bump_d1(y)
-
-
-def cutoff_slope_d2(y):
-    c = 1.5 / _bump_mass()
-    return _step_d2(np.asarray(y, dtype=float) - 1.0) + c * _interior_bump_d2(y)
+    return _slope_jet(y)[0]
 
 
 def cutoff_value(y):
@@ -231,8 +180,7 @@ def build_cutoff(grid: GridSpec) -> Cutoff:
         raise ValueError(
             f"cutoff transition zone holds only {in_zone} nodes; need >= 16 "
             "(refine ny or shrink ymax)")
-    return Cutoff(cutoff_value(y), cutoff_slope(y), cutoff_slope_d1(y),
-                  cutoff_slope_d2(y))
+    return Cutoff(cutoff_value(y), *_slope_jet(y))
 
 
 # ---- far fields ------------------------------------------------------------
@@ -301,8 +249,10 @@ def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
         raise UnsupportedScenarioError(
             "a nontrivial decaying far field is incompatible with the "
             "kappa = 1 background; use the trivial far field there")
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"need finite eps >= 0, got scenario.ff_eps={eps!r}")
+    # U d_x U squares the amplitude, at most eps, as a Python float
+    if not (math.isfinite(eps * eps) and eps >= 0.0):
+        raise ValueError(f"need finite eps >= 0 with a finite square, got "
+                         f"scenario.ff_eps={eps!r}")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(
             f"need finite alpha > 0, got scenario.alpha={alpha!r}")

@@ -817,7 +817,8 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     input errors raise, before the first sample: UnsupportedScenarioError
     for a far field at kappa = 1, ValueError when the far field's cutoff
     is unresolved on the grid, dy leaves the zero-flux shapes no mass,
-    weight_alpha has no branch at kappa or kappa^2 overflows.
+    weight_alpha has no branch at kappa, kappa^2 overflows or the band
+    multiplier e^(delta xi) overflows on the grid's top mode.
     """
     grid, params = state.grid, state.params
     if farfield is not None:
@@ -837,6 +838,10 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     if not math.isfinite(params.kappa * params.kappa):
         raise ValueError(f"params.kappa={params.kappa!r} is too large: the "
                          "energy audit squares it")
+    xi_max = float(grid.xi[-1])
+    if params.delta * xi_max > math.log(np.finfo(float).max):
+        raise ValueError(f"params.delta={params.delta!r} is too large: "
+                         f"e^(delta xi) overflows at xi_max={xi_max:g}")
     series = NormSeries()
 
     def cl_dyub_sq(st: State) -> float:

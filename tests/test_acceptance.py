@@ -2,9 +2,9 @@
 per check (run with -s to stream them while the long fixtures cook).
 
 Criteria 4, 5, and 8 share one 100-time-unit run at kappa=1; criterion 6
-runs the kappa=3/2 branch at the same scale.  Those two runs take about
-four minutes each, so the file is roughly ten minutes end to end; deselect
-them with `-m "not slow"`.
+runs the kappa=3/2 branch at the same scale.  Those two runs take 75 to
+90 seconds each on two CPU cores, so the file is about three minutes end
+to end; deselect them with `-m "not slow"`.
 """
 
 import json

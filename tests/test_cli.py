@@ -181,16 +181,31 @@ class TestSimulateCommand:
             assert err.startswith("error: ") and f"got {item}" in err
             assert err.count("\n") == 1
         # and values whose square overflows a Python float: kappa in the
-        # energy audit, dy in d2dy
-        for item, msg in (
+        # energy audit, dy in d2dy, the far-field amplitude in U d_x U
+        for item, msg, far in (
                 ("params.kappa=1e160", "params.kappa=1e+160 is too large: "
-                                       "the energy audit squares it"),
+                                       "the energy audit squares it", ()),
                 ("grid.ymax=1e300", "ymax must exceed 4 and keep dy^2 "
-                                    "finite, got grid.ymax=1e+300")):
+                                    "finite, got grid.ymax=1e+300", ()),
+                ("scenario.ff_eps=1e160", "need finite eps >= 0 with a "
+                 "finite square, got scenario.ff_eps=1e+160",
+                 ("params.kappa=1.5", "scenario.farfield=decaying"))):
             out = tmp_path / "huge"
-            code = run_cli(*base_args(out, item))
+            code = run_cli(*base_args(out, *far, item))
             assert code == 2, item
             assert capsys.readouterr().err == f"error: {msg}\n"
+            assert not (out / "norms.csv").exists()
+        # and a band radius whose multiplier e^(delta xi) overflows on the
+        # default grid's top mode, xi_max = 21, or on a short period's
+        for item, delta, xi_max in (("params.delta=34", 34.0, "21"),
+                                    ("params.delta=800", 800.0, "21"),
+                                    ("grid.lx=1e-3", 1.0, "131947")):
+            out = tmp_path / "band"
+            code = run_cli("simulate", "--out", str(out), "--set", item)
+            assert code == 2, item
+            assert capsys.readouterr().err == (
+                f"error: params.delta={delta!r} is too large: e^(delta xi) "
+                f"overflows at xi_max={xi_max}\n")
             assert not (out / "norms.csv").exists()
         # and initial data whose square overflows, refused before any norm
         # squares it (and warns)
@@ -616,7 +631,8 @@ class TestResumeCommand:
 
     def test_bad_farfield_values_exit_two(self, tmp_path, capsys):
         """A checkpoint's far field is validated like a new one: a bad
-        decay exponent exits 2 instead of running or raising."""
+        decay exponent or amplitude exits 2 instead of running or
+        raising."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first, "grid.ny=256", "params.kappa=1.5",
                                   "scenario.farfield=decaying",
@@ -624,17 +640,19 @@ class TestResumeCommand:
         raw = (first / "final.ckpt").read_bytes()
         hlen = int.from_bytes(raw[10:18], "little")
         header = json.loads(raw[18:18 + hlen])
-        for alpha, msg in ((-1.0, "need finite alpha > 0"),
-                           (float("nan"), "need finite alpha > 0"),
-                           ("x", "malformed checkpoint header")):
-            header["farfield"]["alpha"] = alpha
-            blob = json.dumps(header).encode("utf-8")
+        for key, value, msg in (
+                ("alpha", -1.0, "need finite alpha > 0"),
+                ("alpha", float("nan"), "need finite alpha > 0"),
+                ("alpha", "x", "malformed checkpoint header"),
+                ("eps", 1e160, "need finite eps >= 0 with a finite square")):
+            bad = {**header, "farfield": {**header["farfield"], key: value}}
+            blob = json.dumps(bad).encode("utf-8")
             path = tmp_path / "bad.ckpt"
             path.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
                              + blob + raw[18 + hlen:])
             code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
                            "--set", "run.t_final=0.2")
-            assert code == 2, alpha
+            assert code == 2, value
             err = capsys.readouterr().err
             assert err.startswith("error: ") and msg in err
             assert err.count("\n") == 1

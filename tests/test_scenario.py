@@ -5,6 +5,8 @@ The cutoff family is cross-checked against finite differences of its own
 samples; initial data are compared with their closed forms.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -16,11 +18,9 @@ from mhdbl.scenario import (
     Params,
     UnsupportedScenarioError,
     _bump_mass,
-    _interior_bump,
+    _slope_jet,
     build_cutoff,
     cutoff_slope,
-    cutoff_slope_d1,
-    cutoff_slope_d2,
     cutoff_value,
     default_x_profile,
     derived_exponents,
@@ -121,12 +121,41 @@ class TestCutoff:
     def test_derivative_chain_by_finite_differences(self):
         y = np.linspace(1.05, 1.95, 41)
         h = 1e-5
+        _, d1, d2 = _slope_jet(y)
         fd1 = (cutoff_slope(y + h) - cutoff_slope(y - h)) / (2 * h)
-        assert np.max(np.abs(fd1 - cutoff_slope_d1(y))) < 1e-4 * (
+        assert np.max(np.abs(fd1 - d1)) < 1e-4 * (
             1.0 + np.max(np.abs(fd1)))
-        fd2 = (cutoff_slope_d1(y + h) - cutoff_slope_d1(y - h)) / (2 * h)
-        assert np.max(np.abs(fd2 - cutoff_slope_d2(y))) < 1e-4 * (
+        fd2 = (_slope_jet(y + h)[1] - _slope_jet(y - h)[1]) / (2 * h)
+        assert np.max(np.abs(fd2 - d2)) < 1e-4 * (
             1.0 + np.max(np.abs(fd2)))
+
+    def test_slope_jet_matches_closed_forms(self):
+        """On the far-field benchmark grid's transition zone the jet is
+        the step's quotient-rule derivatives plus c times the bump's closed
+        forms: beta = e^{-1/p}, p = s(1-s), beta' = beta (1-2s)/p^2 and
+        beta'' = beta ((1-2s)^2/p^4 - 2/p^2 - 2(1-2s)^2/p^3)."""
+        g = GridSpec(lx=2.0 * np.pi, nx=64, ymax=26.0, ny=768)
+        y = g.y[(g.y > 1.0) & (g.y < 2.0)]
+        s = y - 1.0
+        p, dp = s * (1.0 - s), 1.0 - 2.0 * s
+        beta = np.exp(-1.0 / p)
+        beta1 = beta * dp / p ** 2
+        beta2 = beta * (dp ** 2 / p ** 4 - 2.0 / p ** 2 - 2.0 * dp ** 2 / p ** 3)
+        # the step ga/(ga + gb), ga = e^{-1/s}, gb = e^{-1/(1-s)}
+        r = 1.0 - s
+        ga, gb = np.exp(-1.0 / s), np.exp(-1.0 / r)
+        ga1, gb1 = ga / s ** 2, -gb / r ** 2
+        ga2 = ga * (1.0 / s ** 4 - 2.0 / s ** 3)
+        gb2 = gb * (1.0 / r ** 4 - 2.0 / r ** 3)
+        den = ga + gb
+        w = ga1 * gb - ga * gb1
+        step1 = w / den ** 2
+        step2 = ((ga2 * gb - ga * gb2) * den
+                 - 2.0 * w * (ga1 + gb1)) / den ** 3
+        c = 1.5 / _bump_mass()
+        want = (ga / den + c * beta, step1 + c * beta1, step2 + c * beta2)
+        for got, ref in zip(_slope_jet(y), want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_value_matches_adaptive_quadrature(self):
         """On the far-field benchmark grid every transition-zone node
@@ -140,8 +169,9 @@ class TestCutoff:
             assert abs(vk - ref) < 1e-13
 
     def test_bump_mass_matches_adaptive_quadrature(self):
-        ref, _ = sp_integrate.quad(lambda y: float(_interior_bump(y)), 1.0,
-                                   2.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+        ref, _ = sp_integrate.quad(
+            lambda y: math.exp(-1.0 / ((y - 1.0) * (2.0 - y))), 1.0, 2.0,
+            epsabs=1e-14, epsrel=1e-13, limit=200)
         assert abs(_bump_mass() - ref) < 1e-15 * ref
 
     def test_value_does_not_depend_on_order_or_companions(self):
