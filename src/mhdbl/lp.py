@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (Field, GridSpec, mode_power, psi_weight, weighted_rows,
-                   x_transform)
+from .grid import (Field, GridSpec, TailViolationError, mode_power,
+                   psi_weight, weighted_rows, x_transform)
 
 
 # ---- bump functions --------------------------------------------------------
@@ -147,11 +147,18 @@ def shell_weighted_norms(part: DyadicPartition, field: Field, a: float,
     g = field.grid
     n = field.rows
     c = field.coeffs[:n]
-    if r != 0.0:
-        c = c * np.exp(r * g.xi)
-    m = np.einsum("yj,kj->yk", mode_power(c), part.power_table)
-    amp = weighted_rows(np.sqrt(m), psi_weight(g, a, t, n)[:, None],
-                        "shell amplitude")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if r != 0.0:
+            c = c * np.exp(r * g.xi)
+        m = np.einsum("yj,kj->yk", mode_power(c), part.power_table)
+    try:
+        amp = weighted_rows(np.sqrt(m), psi_weight(g, a, t, n)[:, None],
+                            "shell amplitude")
+    except TailViolationError:
+        if np.all(np.isfinite(m)):
+            raise
+        raise TailViolationError(f"band multiplier e^(r xi) at radius "
+                                 f"r={r:.6g} overflows the shell power")
     tot = np.einsum("y,yk->k", g.trapz_weights[:n], amp * amp)
     return np.sqrt(g.lx * tot)
 

@@ -58,18 +58,23 @@ class Params:
     def bbar(self) -> float:
         return 1.0 if self.kappa == 1.0 else 0.0
 
+    @property
+    def diffusivities(self) -> tuple:
+        """(nu_u, nu_b): the overrides, or the standard pair (1, kappa)."""
+        return self.nu_u or 1.0, self.nu_b or self.kappa
 
-def derived_exponents(params: Params) -> dict:
-    """Decay-rate increments attached to the diffusivity ratio.
 
-    l = kappa (2 - kappa) / 4 on 0 < kappa < 2, and ell = (2 kappa - 1) /
-    (4 kappa^2) for kappa > 1/2; each is None where undefined.  Both land
-    in (0, 1/4] on their domains.
-    """
-    k = params.kappa
-    l_val = k * (2.0 - k) / 4.0 if 0.0 < k < 2.0 else None
-    ell_val = (2.0 * k - 1.0) / (4.0 * k * k) if k > 0.5 else None
-    return {"l": l_val, "ell": ell_val}
+def weight_branches(kappa: float) -> dict:
+    """{branch: (alpha, gain)} for the weight branches that exist at
+    kappa: the weight exp(alpha y^2/8<t>) and the decay-rate gain in the
+    time weight of the Chemin-Lerner integrals, in (0, 1/4]."""
+    k = kappa
+    out = {}
+    if 0.0 < k < 2.0:
+        out["unit"] = (1.0, k * (2.0 - k) / 4.0)
+    if k > 0.5:
+        out["kappa"] = (1.0 / k, (2.0 * k - 1.0) / (4.0 * k * k))
+    return out
 
 
 # ---- wall cutoff -----------------------------------------------------------
@@ -302,24 +307,19 @@ def default_x_profile(grid: GridSpec) -> np.ndarray:
     return spec
 
 
-def flux_projection_profiles(grid: GridSpec, kappa: float = 1.0):
+def flux_projection_profiles(grid: GridSpec, nu_u: float = 1.0):
     """Per-mode correction shapes used to pin the column flux to zero.
 
     The tangential-velocity shape vanishes at the wall; the tangential
     field shape has zero wall slope.  Both are normalized to unit
     discrete flux so subtracting flux * shape zeroes the column exactly.
-
-    kappa != 1 expresses the shapes of the unscaled coordinate on a
-    y/sqrt(kappa) grid: a run of the conjugate system (heights divided by
-    sqrt(kappa), both diffusivities divided by kappa) mirrors the original
-    discretization step for step only if its zero-flux projection removes
-    the same correction field, so the shapes are evaluated at the source
-    heights grid.y * sqrt(kappa) and renormalized to unit flux in the new
-    measure.
+    They are evaluated at y / sqrt(nu_u), so a run of the conjugate system
+    (nu_u = 1 / kappa on the y / sqrt(kappa) grid) removes the correction
+    field of the original run node for node.
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    y = grid.y * math.sqrt(kappa)
+    if nu_u <= 0.0:
+        raise ValueError("nu_u must be positive")
+    y = grid.y / math.sqrt(nu_u)
     w = grid.trapz_weights
     with np.errstate(over="ignore"):    # y^2 = inf gives the right e^-inf = 0
         q = np.exp(-0.5 * y ** 2)

@@ -26,9 +26,8 @@ from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
 from .lp import (besov_h_shell_norms, besov_norm, besov_pair_norm,
                  build_partition, pair_shell_norms)
 from .scenario import (FarField, Params, UnsupportedScenarioError,
-                       derived_exponents, farfield_decaying,
-                       flux_projection_profiles, project_zero_flux,
-                       source_terms)
+                       farfield_decaying, flux_projection_profiles,
+                       project_zero_flux, source_terms, weight_branches)
 
 
 class TStarReachedError(RuntimeError):
@@ -117,10 +116,9 @@ class _Workspace:
         self._shapes = {}
 
     def projection_shapes(self, nu_u: float):
-        """Zero-flux shapes for momentum diffusivity nu_u: the standard ones
-        at nu_u = 1, the conjugate system's (kappa = 1 / nu_u) otherwise."""
+        """Zero-flux shapes for momentum diffusivity nu_u."""
         if nu_u not in self._shapes:
-            self._shapes[nu_u] = flux_projection_profiles(self.grid, 1 / nu_u)
+            self._shapes[nu_u] = flux_projection_profiles(self.grid, nu_u)
         return self._shapes[nu_u]
 
     def cn_factors(self, nu: float, dt: float, bc: str) -> CNFactors:
@@ -221,32 +219,18 @@ def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
 
 
 def resolve_branch_alpha(kappa: float, branch: str) -> float:
-    """Weight selector: 1 uses exp(y^2/8<t>), "kappa" uses the 1/kappa
-    variant required when the magnetic diffusivity dominates."""
-    if branch == "unit":
-        if not kappa < 2.0:
-            raise ValueError("plain-weight branch needs kappa < 2")
-        return 1.0
-    if branch == "kappa":
-        if not kappa > 0.5:
-            raise ValueError("kappa-weight branch needs kappa > 1/2")
-        return 1.0 / kappa
+    """The weight_alpha of `branch` in weight_branches(kappa); "auto" is
+    "unit" up to kappa = 1 and "kappa" above."""
     if branch == "auto":
-        return 1.0 if kappa <= 1.0 else 1.0 / kappa
-    raise ValueError(f"unknown branch {branch!r}")
-
-
-def branch_gain(params: Params, weight_alpha: float) -> float:
-    """Decay-rate gain for the active branch (enters the time weight of
-    the accumulated squared gradient norm)."""
-    exps = derived_exponents(params)
-    if weight_alpha == 1.0:
-        gain = exps["l"]
-    else:
-        gain = exps["ell"]
-    if gain is None:
-        raise ValueError("kappa outside the active branch's range")
-    return gain
+        branch = "unit" if kappa <= 1.0 else "kappa"
+    needs = {"unit": "plain-weight branch needs kappa < 2",
+             "kappa": "kappa-weight branch needs kappa > 1/2"}
+    if branch not in needs:
+        raise ValueError(f"unknown branch {branch!r}")
+    try:
+        return weight_branches(kappa)[branch][0]
+    except KeyError:
+        raise ValueError(needs[branch]) from None
 
 
 # ---- kinematic reconstructions ----------------------------------------------
@@ -522,12 +506,6 @@ def _ab2(r: Field, prev: np.ndarray) -> Field:
     return Field(r.grid, c, r.bc, n)
 
 
-def _diffusivities(params: Params) -> tuple:
-    nu_u = params.nu_u or 1.0
-    nu_b = params.nu_b or params.kappa
-    return nu_u, nu_b
-
-
 def step_imex(state: State, dt: float,
               farfield: Optional[FarField] = None) -> State:
     """One IMEX step: AB2 (RK2 midpoint bootstrap) for the explicit
@@ -540,7 +518,7 @@ def step_imex(state: State, dt: float,
     state.blow_limit, TStarReachedError when the band is exhausted."""
     if state.radius <= 0.0:
         raise TStarReachedError(f"band exhausted at t={state.t:.6g}")
-    nu_u, nu_b = _diffusivities(state.params)
+    nu_u, nu_b = state.params.diffusivities
 
     ru0, rb0, umax = rhs_explicit(state, farfield)
     restart = (state.prev_ru is None or state.prev_dt is None
@@ -689,7 +667,7 @@ def eqs2_residual(state_prev: State, state_next: State,
     dt = state_next.t - state_prev.t
     if dt <= 0.0:
         raise ValueError("states must be time ordered")
-    nu_u, nu_b = _diffusivities(p)
+    nu_u, nu_b = p.diffusivities
 
     phi0, psi0 = state_prev.phipsi
     phi1, psi1 = state_next.phipsi
@@ -758,30 +736,18 @@ def eqs2_residual(state_prev: State, state_next: State,
 
 
 def kappa_rescale_map(grid: GridSpec, u: Field, b: Field, kappa: float):
-    """Resample (u, b) onto the y / sqrt(kappa) grid (cubic in y).
+    """Copies of (u, b) on the y / sqrt(kappa) grid, whose node i is node
+    i of `grid` at height y_i / sqrt(kappa), so it keeps its values.
 
     The companion change of variables divides both diffusivities by kappa
     and scales the normal components by 1/sqrt(kappa); tangential fields
-    keep their amplitude, so only the grid and sample heights change here.
-    """
+    keep their amplitude, so only the grid changes here."""
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    from scipy.interpolate import CubicSpline
-    root = math.sqrt(kappa)
-    new_grid = GridSpec(grid.lx, grid.nx, grid.ymax / root, grid.ny,
-                        grid.dealias_fraction)
-    src = grid.y
-    tgt = new_grid.y * root          # heights in the source coordinate
-    if tgt[-1] > src[-1] * (1.0 + 1e-9):
-        raise ValueError("target grid reaches above the source domain")
-    tgt = np.minimum(tgt, src[-1])
-    out = []
-    for f in (u, b):
-        spl_r = CubicSpline(src, f.coeffs.real, axis=0)
-        spl_i = CubicSpline(src, f.coeffs.imag, axis=0)
-        c = spl_r(tgt) + 1j * spl_i(tgt)
-        out.append(Field(new_grid, c, f.bc))
-    return new_grid, out[0], out[1]
+    new_grid = GridSpec(grid.lx, grid.nx, grid.ymax / math.sqrt(kappa),
+                        grid.ny, grid.dealias_fraction)
+    return (new_grid, *(Field(new_grid, f.coeffs.copy(), f.bc, f.rows)
+                        for f in (u, b)))
 
 
 # ---- driver ------------------------------------------------------------------
@@ -817,19 +783,33 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     input errors raise, before the first sample: UnsupportedScenarioError
     for a far field at kappa = 1, ValueError when the far field's cutoff
     is unresolved on the grid, dy leaves the zero-flux shapes no mass,
-    weight_alpha has no branch at kappa, kappa^2 overflows or the band
-    multiplier e^(delta xi) overflows on the grid's top mode.
+    weight_alpha has no branch at kappa, kappa^2 overflows, the band
+    multiplier e^(delta xi) overflows on the grid's top mode, t_final,
+    dt_max or cfl is not positive and finite, or sample_every is not an
+    integer >= 1.
     """
     grid, params = state.grid, state.params
+    for name, val in (("t_final", t_final), ("dt_max", dt_max),
+                      ("cfl", cfl)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{val!r}")
+    if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
+        raise ValueError(f"sample_every must be an integer >= 1, got "
+                         f"{sample_every!r}")
     if farfield is not None:
         if params.kappa == 1.0:
             raise UnsupportedScenarioError(
                 "kappa = 1 runs require the trivial far field")
         farfield.cutoff    # sampled now, so a bad grid fails before output
     # the zero-flux shapes too: a grid too coarse for them fails here
-    state.ws.projection_shapes(_diffusivities(params)[0])
+    state.ws.projection_shapes(params.diffusivities[0])
     part = state.ws.part
-    weight_exp = 2.0 * (0.5 + branch_gain(params, state.weight_alpha))
+    gain = dict(weight_branches(params.kappa).values()).get(state.weight_alpha)
+    if gain is None:
+        raise ValueError(f"weight_alpha={state.weight_alpha!r} is the alpha "
+                         f"of no weight branch at kappa={params.kappa!r}")
+    weight_exp = 2.0 * (0.5 + gain)
     # distinct (alpha, beta) audit combinations in first-seen order; at
     # kappa = 1 all four collapse to one
     audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
@@ -952,24 +932,14 @@ def _nonneg(v, params=None) -> bool:
     return _finite(v) and v >= 0.0
 
 
-def _branch_alphas(kappa: float) -> list:
-    """The weight_alpha of each branch that exists at kappa."""
-    alphas = []
-    for branch in ("unit", "kappa"):
-        try:
-            alphas.append(resolve_branch_alpha(kappa, branch))
-        except ValueError:
-            pass
-    return alphas
-
-
 # The State's scalars as the header stores them, each with the test its
 # value must pass on load and what the test asks for.
 _SCALARS = {
     "t": (_nonneg, "a finite number >= 0"),
     "theta": (_nonneg, "a finite number >= 0"),
     "step_index": (lambda v, p: type(v) is int and v >= 0, "an integer >= 0"),
-    "weight_alpha": (lambda v, p: _finite(v) and v in _branch_alphas(p.kappa),
+    "weight_alpha": (lambda v, p: _finite(v) and v in dict(
+                         weight_branches(p.kappa).values()),
                      "1 or 1/kappa, of a branch that exists at this kappa"),
     "prev_dt": (lambda v, p: v is None or (_finite(v) and v > 0.0),
                 "null or a finite number > 0"),

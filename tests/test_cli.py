@@ -265,6 +265,19 @@ class TestSimulateCommand:
         assert len(read_norms_csv(str(out / "norms.csv"))["t"]) == 1
         assert (out / "final.ckpt").exists()
 
+    def test_band_overflow_exits_four_naming_the_band(self, tmp_path,
+                                                      capsys):
+        # e^(delta xi_max) = e^630 on the default grid is finite, but its
+        # square times the data's is not: the band, not ymax, is named,
+        # and no RuntimeWarning (an error under this suite) is printed
+        out = tmp_path / "band"
+        code = run_cli("simulate", "--out", str(out),
+                       "--set", "params.delta=30")
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "simulate: stopped: band multiplier e^(r xi) at radius r=30 "
+            "overflows the shell power\n")
+
     def test_unresolved_cutoff_exits_two_before_output(self, tmp_path,
                                                        capsys):
         # the same short domain with a far field: its cutoff cannot be
@@ -327,7 +340,8 @@ class TestAnyConfig:
 
 class TestImports:
     def test_run_loads_no_unused_scipy_module(self, tmp_path):
-        """A far-field run and its resume, in a fresh interpreter, load no
+        """A far-field run and its resume, then the conjugate map and a
+        short run of the conjugate system, in a fresh interpreter, load no
         scipy module at all: the CN solves are numpy, and the verify
         suites import what they use of scipy on first use."""
         out = tmp_path / "far"
@@ -340,6 +354,15 @@ class TestImports:
             f"assert mhdbl.cli.main(['resume', {str(out / 'final.ckpt')!r},"
             f" '--out', {str(tmp_path / 'more')!r},"
             " '--set', 'run.t_final=0.2']) == 0\n"
+            "from mhdbl.grid import GridSpec\n"
+            "from mhdbl.scenario import Params, initial_data_standard\n"
+            "from mhdbl.solver import kappa_rescale_map, make_state, simulate\n"
+            "g = GridSpec(6.283185307179586, 16, 16.0, 128)\n"
+            "u, b, _ = initial_data_standard(g, Params(2.0, 1e-3))\n"
+            "g, u, b = kappa_rescale_map(g, u, b, 2.0)\n"
+            "p = Params(2.0, 1e-3, nu_u=0.5, nu_b=1.0)\n"
+            "res = simulate(make_state(g, p, u, b), t_final=0.02)\n"
+            "assert res.reason == 'completed', res.message\n"
             "print(' '.join(sorted(sys.modules)))\n")
         src = os.path.dirname(os.path.dirname(mhdbl.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -23,12 +23,12 @@ from mhdbl.scenario import (
     cutoff_slope,
     cutoff_value,
     default_x_profile,
-    derived_exponents,
     farfield_decaying,
     flux_projection_profiles,
     initial_data_standard,
     project_zero_flux,
     source_terms,
+    weight_branches,
 )
 
 
@@ -62,28 +62,30 @@ class TestParams:
 
 
 class TestDerivedExponents:
+    """The decay-rate gains of weight_branches, with each branch's alpha."""
+
     def test_unit_ratio(self):
-        d = derived_exponents(Params(kappa=1.0, epsilon=1e-3))
-        assert d["l"] == pytest.approx(0.25)
-        assert d["ell"] == pytest.approx(0.25)
+        d = weight_branches(1.0)
+        assert d["unit"] == pytest.approx((1.0, 0.25))
+        assert d["kappa"] == pytest.approx((1.0, 0.25))
 
     def test_three_halves(self):
-        d = derived_exponents(Params(kappa=1.5, epsilon=1e-3))
-        assert d["ell"] == pytest.approx(2.0 / 9.0)
-        assert d["l"] == pytest.approx(1.5 * 0.5 / 4.0)
+        d = weight_branches(1.5)
+        assert d["kappa"] == pytest.approx((1.0 / 1.5, 2.0 / 9.0))
+        assert d["unit"] == pytest.approx((1.0, 1.5 * 0.5 / 4.0))
 
     def test_boundaries(self):
-        assert derived_exponents(Params(kappa=2.0, epsilon=1e-3))["l"] is None
-        assert derived_exponents(Params(kappa=0.5, epsilon=1e-3))["ell"] is None
-        assert derived_exponents(Params(kappa=0.4, epsilon=1e-3))["l"] == \
-            pytest.approx(0.4 * 1.6 / 4.0)
+        # each branch is absent outside its domain, the bounds excluded
+        assert list(weight_branches(2.0)) == ["kappa"]
+        assert list(weight_branches(3.0)) == ["kappa"]
+        assert list(weight_branches(0.5)) == ["unit"]
+        assert list(weight_branches(0.4)) == ["unit"]
+        assert weight_branches(0.4)["unit"][1] == pytest.approx(0.16)
 
     def test_range(self):
         for k in (0.3, 0.8, 1.0, 1.3, 1.9):
-            d = derived_exponents(Params(kappa=k, epsilon=1e-3))
-            for v in d.values():
-                if v is not None:
-                    assert 0.0 < v <= 0.25
+            for _, gain in weight_branches(k).values():
+                assert 0.0 < gain <= 0.25
 
 
 class TestCutoff:

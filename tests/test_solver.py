@@ -34,6 +34,7 @@ from mhdbl.scenario import (
     flux_projection_profiles,
     initial_data_standard,
     project_zero_flux,
+    weight_branches,
 )
 from mhdbl.solver import (
     CheckpointError,
@@ -44,7 +45,6 @@ from mhdbl.solver import (
     _choose_dt,
     _cn_matrix,
     _cn_solve,
-    branch_gain,
     cn_factors,
     eqs2_residual,
     flux_drift,
@@ -838,14 +838,17 @@ class TestAudits:
         with pytest.raises(ValueError, match="unknown branch"):
             resolve_branch_alpha(1.0, "fancy")
 
-    def test_branch_gain_values(self):
-        p1 = Params(kappa=1.0, epsilon=1e-3)
-        assert branch_gain(p1, 1.0) == pytest.approx(0.25)
-        p15 = Params(kappa=1.5, epsilon=1e-3)
-        assert branch_gain(p15, 1.0 / 1.5) == pytest.approx(2.0 / 9.0)
-        p3 = Params(kappa=3.0, epsilon=1e-3)
-        with pytest.raises(ValueError, match="outside the active branch"):
-            branch_gain(p3, 1.0)   # unit weight has no gain above kappa = 2
+    @pytest.mark.parametrize("kappa, alpha", [(1.5, 0.7), (3.0, 1.0)])
+    def test_simulate_refuses_an_alpha_of_no_branch(self, kappa, alpha):
+        # 0.7 is neither 1 nor 1/kappa; the unit weight has no branch
+        # above kappa = 2
+        g = make_grid(nx=16, ny=96)
+        p = Params(kappa=kappa, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = State(g, p, 0.0, u0, b0, weight_alpha=alpha)
+        with pytest.raises(ValueError, match=f"weight_alpha={alpha!r} is the "
+                           "alpha of no weight branch"):
+            simulate(st, t_final=0.05)
 
 
 class TestEqs2Residual:
@@ -942,6 +945,17 @@ class TestKappaRescale:
         scale = np.max(np.abs(u0.coeffs))
         assert np.max(np.abs(u2.coeffs - u0.coeffs)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("kappa", [1.5, 2.0])
+    def test_nodes_keep_their_values(self, kappa):
+        # node i of the new grid is node i of the old one, moved down
+        g = make_grid()
+        u0, b0, _ = initial_data_standard(g, Params(kappa=1.0, epsilon=1e-3))
+        g1, u1, b1 = kappa_rescale_map(g, u0, b0, kappa)
+        for f, f1 in ((u0, u1), (b0, b1)):
+            assert np.array_equal(f1.coeffs, f.coeffs)
+            assert not np.shares_memory(f1.coeffs, f.coeffs)
+            assert (f1.grid, f1.bc, f1.rows) == (g1, f.bc, f.rows)
+
     def test_rejects_bad_kappa(self):
         g = make_grid()
         u = Field.zeros(g, BC_DIRICHLET)
@@ -950,8 +964,7 @@ class TestKappaRescale:
             kappa_rescale_map(g, u, b, 0.0)
 
     def test_upscaling_widens_the_grid(self):
-        # kappa below one stretches the domain; heights map back inside
-        # the source interval so the resample stays interpolatory
+        # kappa below one stretches the domain
         g = make_grid()
         u = Field.zeros(g, BC_DIRICHLET)
         b = Field.zeros(g, BC_NEUMANN)
@@ -1271,7 +1284,8 @@ class TestSimulate:
         st = make_state(g, p, u0, b0)
         res = simulate(st, t_final=0.05, dt_max=1e-2, sample_every=1)
         part = st.ws.part
-        w = 1.0 + 2.0 * branch_gain(p, st.weight_alpha)
+        assert st.weight_alpha == weight_branches(p.kappa)["kappa"][0]
+        w = 1.0 + 2.0 * weight_branches(p.kappa)["kappa"][1]
         integrals = np.zeros(part.n_shells)
         for k in range(5):
             per = pair_shell_norms(part, ddy(st.u), ddy(st.b),
@@ -1330,6 +1344,27 @@ class TestSimulate:
         ff = FarField(g, 1e-3, 2.5, spec)
         with pytest.raises(UnsupportedScenarioError, match="trivial far field"):
             simulate(make_state(g, p, u0, b0), farfield=ff, t_final=0.02)
+
+    @pytest.mark.parametrize("name, value", [
+        ("cfl", 0.0), ("cfl", math.nan), ("cfl", -0.4), ("cfl", math.inf),
+        ("dt_max", -0.01), ("dt_max", math.nan), ("dt_max", 0.0),
+        ("t_final", 0.0), ("t_final", -1.0), ("sample_every", 0),
+        ("sample_every", 2.0)])
+    def test_bad_run_settings_refused(self, name, value):
+        """Each bad setting is a one-line ValueError naming it, raised
+        before the first sample, not a misleading ending.  An infinite
+        t_final or dt_max meets the same check; neither is tried here,
+        because a run that missed the check would never end."""
+        g = make_grid(nx=16, ny=96)
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        kw = {"t_final": 0.05, name: value}
+        with pytest.raises(ValueError) as exc:
+            simulate(make_state(g, p, u0, b0), **kw)
+        assert str(exc.value) == (
+            f"sample_every must be an integer >= 1, got {value!r}"
+            if name == "sample_every" else
+            f"{name} must be positive and finite, got {value!r}")
 
     def test_tstar_partial_result(self):
         g = make_grid(ny=129)
