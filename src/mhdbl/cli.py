@@ -249,10 +249,11 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_norms_csv(args.csv)
-    if args.quantity not in data:
-        print(f"column {args.quantity!r} not present in {args.csv}; "
-              f"have {sorted(data)}", file=sys.stderr)
-        return 2
+    for col in ("t", args.quantity):
+        if col not in data:
+            print(f"column {col!r} not present in {args.csv}; "
+                  f"have {sorted(data)}", file=sys.stderr)
+            return 2
     try:
         expo, err = fit_loglog(data["t"], data[args.quantity],
                                (args.t1, args.t2))

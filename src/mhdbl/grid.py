@@ -178,12 +178,6 @@ class Field:
                    bc)
 
     @classmethod
-    def from_physical(cls, grid: GridSpec, values: np.ndarray,
-                      bc: str = BC_DIRICHLET) -> "Field":
-        return cls(grid, x_transform(grid, np.asarray(values, dtype=float),
-                                     "forward"), bc)
-
-    @classmethod
     def from_profiles(cls, grid: GridSpec, x_spectrum: np.ndarray,
                       y_profile: np.ndarray, bc: str = BC_DIRICHLET) -> "Field":
         """Separable field: coeffs[i, j] = y_profile[i] * x_spectrum[j]

@@ -84,9 +84,9 @@ class DyadicPartition:
     def n_shells(self) -> int:
         return self.k_max - self.k_min + 1
 
-    def besov_sum(self, per: np.ndarray, s: float) -> float:
-        """sum_k 2^{ks} per[k] over the partition's shells, ascending k."""
-        return float(np.add.reduce((2.0 ** (s * self.ks)) * per))
+    def besov_sum(self, per: np.ndarray) -> float:
+        """The B^{1/2} sum sum_k 2^{k/2} per[k], ascending k."""
+        return float(np.add.reduce((2.0 ** (0.5 * self.ks)) * per))
 
     def shell_row(self, k: int) -> np.ndarray:
         if not self.k_min <= k <= self.k_max:
@@ -163,17 +163,9 @@ def shell_weighted_norms(part: DyadicPartition, field: Field, a: float,
     return np.sqrt(g.lx * tot)
 
 
-def besov_norm(part: DyadicPartition, field: Field, s: float, a: float = 0.0,
-               t: float = 0.0, r: float = 0.0) -> float:
-    """Anisotropic Besov norm sum_k 2^{ks} ||e^{a Psi} Delta_k f||_{L2}.
-
-    Only s <= 1/2 is meaningful for this scale on our fields; larger s is
-    rejected rather than silently returned.
-    """
-    if s > 0.5:
-        raise ValueError("horizontal regularity above 1/2 is not supported "
-                         "for strip fields; use besov_h_shell_norms for profiles")
-    return part.besov_sum(shell_weighted_norms(part, field, a, t, r), s)
+def besov_norm(part: DyadicPartition, field: Field) -> float:
+    """Unweighted B^{1/2,0} norm sum_k 2^{k/2} ||Delta_k f||_{L2}."""
+    return part.besov_sum(shell_weighted_norms(part, field, 0.0, 0.0))
 
 
 def pair_shell_norms(part: DyadicPartition, fa: Field, fb: Field, a: float,
@@ -184,12 +176,10 @@ def pair_shell_norms(part: DyadicPartition, fa: Field, fb: Field, a: float,
     return np.sqrt(na * na + nb * nb)
 
 
-def besov_pair_norm(part: DyadicPartition, fa: Field, fb: Field, s: float,
+def besov_pair_norm(part: DyadicPartition, fa: Field, fb: Field,
                     a: float = 0.0, t: float = 0.0, r: float = 0.0) -> float:
-    """Besov norm of a two-component field, root-sum-square per shell."""
-    if s > 0.5:
-        raise ValueError("horizontal regularity above 1/2 is not supported")
-    return part.besov_sum(pair_shell_norms(part, fa, fb, a, t, r), s)
+    """B^{1/2,0} norm of a two-component field, root-sum-square per shell."""
+    return part.besov_sum(pair_shell_norms(part, fa, fb, a, t, r))
 
 
 def besov_h_shell_norms(part: DyadicPartition, spectrum: np.ndarray,

@@ -243,8 +243,8 @@ class FarField:
 
 
 def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
-                      g_profile: np.ndarray) -> FarField:
-    """U = eps <t>^-alpha g(x), B = 0.
+                      g_spec: np.ndarray) -> FarField:
+    """U = eps <t>^-alpha g(x), B = 0; g_spec holds g's nmodes stored modes.
 
     Requires a zero background field (kappa != 1): with bbar = 1 the total
     tangential field 1 + B no longer satisfies its transport law unless U
@@ -261,16 +261,9 @@ def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(
             f"need finite alpha > 0, got scenario.alpha={alpha!r}")
-    g_profile = np.asarray(g_profile)
-    if g_profile.dtype.kind == "c":
-        if g_profile.shape != (grid.nmodes,):
-            raise ValueError(f"profile spectrum must have shape "
-                             f"({grid.nmodes},)")
-        g_spec = g_profile.astype(complex)
-    else:
-        if g_profile.shape != (grid.nx,):
-            raise ValueError(f"physical profile must have shape ({grid.nx},)")
-        g_spec = x_transform(grid, g_profile, "forward")
+    g_spec = np.array(g_spec, dtype=complex)
+    if g_spec.shape != (grid.nmodes,):
+        raise ValueError(f"profile spectrum must have shape ({grid.nmodes},)")
     if abs(g_spec[0]) > 1e-13 * (1.0 + np.max(np.abs(g_spec))):
         raise UnsupportedScenarioError("far-field profile must have zero x mean")
     return FarField(grid, eps, alpha, g_spec)
@@ -350,9 +343,8 @@ def project_zero_flux(field: Field, shape: np.ndarray) -> Field:
     return Field(field.grid, c, field.bc, n)
 
 
-def initial_data_standard(grid: GridSpec, params: Params,
-                          x_profile: Optional[np.ndarray] = None):
-    """Analytic compatible initial data from one horizontal profile a(x).
+def initial_data_standard(grid: GridSpec, params: Params):
+    """Analytic compatible initial data from default_x_profile's a(x).
 
     u0 = eps a(x) (y - y^3/2) e^{-y^2/2} and b0 = eps a(x) (1 - y^2)
     e^{-y^2/2}.  Both y shapes integrate to zero on the half line, u0
@@ -362,14 +354,7 @@ def initial_data_standard(grid: GridSpec, params: Params,
 
     Returns (u0, b0, report) with the compatibility report.
     """
-    if x_profile is None:
-        x_profile = default_x_profile(grid)
-    x_profile = np.asarray(x_profile, dtype=complex)
-    if x_profile.shape != (grid.nmodes,):
-        raise ValueError(f"x profile must have shape ({grid.nmodes},)")
-    if abs(x_profile[0]) > 0.0:
-        raise ValueError("x profile must have zero mean (DC amplitude 0)")
-
+    x_profile = default_x_profile(grid)
     # the shapes first: they refuse a grid too coarse to hold them, before
     # the profiles' y^3 can overflow
     shape_u, shape_b = flux_projection_profiles(grid)

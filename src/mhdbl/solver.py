@@ -372,12 +372,12 @@ def theta_components(state: State, farfield: Optional[FarField],
     t = state.t
     part = state.ws.part
     per = pair_shell_norms(part, dG, dH, state.weight_alpha, t, radius)
-    comp1 = (1.0 + t) ** 0.25 * part.besov_sum(per, 0.5)
+    comp1 = (1.0 + t) ** 0.25 * part.besov_sum(per)
     comp2 = 0.0
     if farfield is not None:
         su = besov_h_shell_norms(part, farfield.u_spec(t), r=radius)
         comp2 = (state.params.epsilon ** (-0.5) * (1.0 + t) ** 1.25
-                 * part.besov_sum(su, 0.5))
+                 * part.besov_sum(su))
     return comp1, comp2
 
 
@@ -506,6 +506,18 @@ def _ab2(r: Field, prev: np.ndarray) -> Field:
     return Field(r.grid, c, r.bc, n)
 
 
+def _check_blow_up(state: State, fields, where: str) -> None:
+    """DivergenceError unless the fields are finite and within blow_limit
+    (np.max keeps a NaN of either field, where Python's max may drop it)."""
+    m = float(np.max([np.max(np.abs(f.coeffs[:f.rows]), initial=0.0)
+                      for f in fields]))
+    if not math.isfinite(m):
+        raise DivergenceError(f"non-finite fields {where} at t={state.t:.6g}")
+    if m > state.blow_limit:
+        raise DivergenceError(
+            f"field magnitude {m:.3e} exceeds {state.blow_limit:.3e}")
+
+
 def step_imex(state: State, dt: float,
               farfield: Optional[FarField] = None) -> State:
     """One IMEX step: AB2 (RK2 midpoint bootstrap) for the explicit
@@ -524,16 +536,16 @@ def step_imex(state: State, dt: float,
     restart = (state.prev_ru is None or state.prev_dt is None
                or abs(state.prev_dt - dt) > 1e-9 * dt)
     if restart:
-        # the midpoint state is a temporary, so its derived fields are
-        # freed before the CN solves
-        rum, rbm, _ = rhs_explicit(
-            replace(state, t=state.t + 0.5 * dt,
-                    u=Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
-                            state.u.bc, max(state.u.rows, ru0.rows)),
-                    b=Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
-                            state.b.bc, max(state.b.rows, rb0.rows))),
-            farfield)
-        eu, eb = rum, rbm
+        # the midpoint fields meet the blow-up limit before their products
+        # can overflow; their names then pass to their tendencies, so they
+        # are freed before the CN solves
+        eu = Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
+                   state.u.bc, max(state.u.rows, ru0.rows))
+        eb = Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
+                   state.b.bc, max(state.b.rows, rb0.rows))
+        _check_blow_up(state, (eu, eb), "in the start-up midpoint")
+        eu, eb, _ = rhs_explicit(
+            replace(state, t=state.t + 0.5 * dt, u=eu, b=eb), farfield)
     else:
         eu = _ab2(ru0, state.prev_ru)
         eb = _ab2(rb0, state.prev_rb)
@@ -548,14 +560,7 @@ def step_imex(state: State, dt: float,
     u1 = project_zero_flux(u1, shape_u).trimmed()
     b1 = project_zero_flux(b1, shape_b).trimmed()
 
-    # np.max keeps a NaN of either field, where Python's max may drop it
-    m = float(np.max([np.max(np.abs(f.coeffs[:f.rows]), initial=0.0)
-                      for f in (u1, b1)]))
-    if not math.isfinite(m):
-        raise DivergenceError(f"non-finite fields after step at t={state.t:.6g}")
-    if m > state.blow_limit:
-        raise DivergenceError(
-            f"field magnitude {m:.3e} exceeds {state.blow_limit:.3e}")
+    _check_blow_up(state, (u1, b1), "after step")
 
     t1 = state.t + dt
     new = replace(state, t=t1, u=u1, b=b1, step_index=state.step_index + 1,
@@ -727,8 +732,8 @@ def eqs2_residual(state_prev: State, state_next: State,
     return {
         "res_phi": fphi,
         "res_psi": fpsi,
-        "norm_phi": besov_norm(state_prev.ws.part, fphi, 0.5),
-        "norm_psi": besov_norm(state_prev.ws.part, fpsi, 0.5),
+        "norm_phi": besov_norm(state_prev.ws.part, fphi),
+        "norm_psi": besov_norm(state_prev.ws.part, fpsi),
     }
 
 
@@ -742,8 +747,8 @@ def kappa_rescale_map(grid: GridSpec, u: Field, b: Field, kappa: float):
     The companion change of variables divides both diffusivities by kappa
     and scales the normal components by 1/sqrt(kappa); tangential fields
     keep their amplitude, so only the grid changes here."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     new_grid = GridSpec(grid.lx, grid.nx, grid.ymax / math.sqrt(kappa),
                         grid.ny, grid.dealias_fraction)
     return (new_grid, *(Field(new_grid, f.coeffs.copy(), f.bc, f.rows)
@@ -826,7 +831,7 @@ def simulate(state: State, farfield: Optional[FarField] = None,
 
     def cl_dyub_sq(st: State) -> float:
         """The squared L~^2_t(B^{1/2}) norm of d_y (u, b) so far."""
-        return part.besov_sum(st.cl_integrals ** 0.5, 0.5) ** 2
+        return part.besov_sum(st.cl_integrals ** 0.5) ** 2
 
     def take_sample(st: State):
         phi, psi, G, H, dG, dH = st.gh_fields
@@ -834,10 +839,10 @@ def simulate(state: State, farfield: Optional[FarField] = None,
         r = st.radius
         series.append(
             t=st.t, theta=st.theta, radius=st.radius,
-            norm_ub=besov_pair_norm(part, st.u, st.b, 0.5, a, st.t, r),
-            norm_gh=besov_pair_norm(part, G, H, 0.5, a, st.t, r),
-            norm_dy_gh=besov_pair_norm(part, dG, dH, 0.5, a, st.t, r),
-            norm_phipsi=besov_pair_norm(part, phi, psi, 0.5, a, st.t, r),
+            norm_ub=besov_pair_norm(part, st.u, st.b, a, st.t, r),
+            norm_gh=besov_pair_norm(part, G, H, a, st.t, r),
+            norm_dy_gh=besov_pair_norm(part, dG, dH, a, st.t, r),
+            norm_phipsi=besov_pair_norm(part, phi, psi, a, st.t, r),
             cl_dyub_sq=cl_dyub_sq(st), theta_integral1=st.theta_int1)
         tail_guard_check(st)
 

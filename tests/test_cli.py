@@ -278,6 +278,24 @@ class TestSimulateCommand:
             "simulate: stopped: band multiplier e^(r xi) at radius r=30 "
             "overflows the shell power\n")
 
+    def test_huge_far_field_diverges_at_the_start_up_midpoint(self, tmp_path,
+                                                             capsys):
+        # eps^2 is finite, but the start-up midpoint holds about eps^2 dt/2,
+        # and its products would overflow: the blow-up limit stops the run
+        # before they are formed, so no RuntimeWarning is printed
+        for eps in ("1e100", "1e150"):
+            out = tmp_path / f"ff{eps}"
+            code = run_cli(*base_args(out, "grid.ny=512", "grid.ymax=20",
+                                      "run.t_final=0.02", "params.kappa=1.5",
+                                      "scenario.farfield=decaying",
+                                      f"scenario.ff_eps={eps}"))
+            assert code == 4, eps
+            assert re.fullmatch(r"simulate: stopped: field magnitude \S+ "
+                                r"exceeds 1\.000e\+06\n",
+                                capsys.readouterr().err)
+            doc = json.loads((out / "summary.json").read_text())
+            assert doc["summary"]["reason"] == "divergence"
+
     def test_unresolved_cutoff_exits_two_before_output(self, tmp_path,
                                                        capsys):
         # the same short domain with a far field: its cutoff cannot be
@@ -417,6 +435,12 @@ class TestFitCommand:
         code = run_cli("fit", str(csv), "no_such_column", "10", "100")
         assert code == 2
         assert "not present" in capsys.readouterr().err
+        # the time column is named too, not raised as a KeyError
+        csv.write_text("time,norm_ub\n0,1\n1,0.5\n")
+        code = run_cli("fit", str(csv), "norm_ub", "0", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"column 't' not present in {csv}; have ['norm_ub', 'time']\n")
 
     def test_window_too_narrow(self, tmp_path, capsys):
         csv = tmp_path / "norms.csv"

@@ -108,14 +108,16 @@ class TestPartition:
         g = make_grid()
         part = build_partition(g)
         rng = np.random.default_rng(0)
-        f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
+        f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
+                                 "forward"))
         assert np.all(lp_project(part, f, part.k_max + 3).coeffs == 0.0)
 
     def test_projections_sum_to_field_minus_mean(self):
         g = make_grid()
         part = build_partition(g)
         rng = np.random.default_rng(1)
-        f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
+        f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
+                                 "forward"))
         acc = np.zeros_like(f.coeffs)
         for k in part.ks:
             acc += lp_project(part, f, k).coeffs
@@ -127,7 +129,8 @@ class TestPartition:
         g = make_grid()
         part = build_partition(g)
         rng = np.random.default_rng(2)
-        f = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
+        f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
+                                 "forward"))
         lp = lowpass(part, f, part.k_max + 1)
         assert np.max(np.abs(lp.coeffs - f.coeffs)) < 1e-14
 
@@ -136,8 +139,9 @@ class TestPartition:
         g = make_grid(nx=128)
         part = build_partition(g)
         rng = np.random.default_rng(3)
-        f = Field.from_physical(
-            g, rng.standard_normal((g.ny, g.nx)) * np.exp(-g.y)[:, None])
+        f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx))
+                                    * np.exp(-g.y)[:, None],
+                                 "forward"))
         for k in part.ks:
             piece = lp_project(part, f, k)
             nk = weighted_l2(piece, 0.0, 0.0)
@@ -182,30 +186,14 @@ class TestShellNorms:
 
 
 class TestBesovNorms:
-    def test_high_regularity_rejected_for_strip_fields(self):
-        g = make_grid()
-        part = build_partition(g)
-        with pytest.raises(ValueError, match="besov_h_shell_norms"):
-            besov_norm(part, Field.zeros(g), 0.75)
-
     def test_single_shell_value(self):
         g = make_grid(nx=64)
         part = build_partition(g)
         prof = np.exp(-0.5 * g.y**2)
         f = single_mode_field(g, 3, prof)
-        v = besov_norm(part, f, 0.5)
+        v = besov_norm(part, f)
         assert v == pytest.approx(2.0**0.5 * weighted_l2(f, 0.0, 0.0),
                                   rel=1e-12)
-
-    def test_zero_regularity_sums_shells(self):
-        g = make_grid(nx=64)
-        part = build_partition(g)
-        rng = np.random.default_rng(5)
-        f = Field.from_physical(
-            g, rng.standard_normal((g.ny, g.nx)) * np.exp(-g.y)[:, None])
-        v = besov_norm(part, f, 0.0)
-        assert v == pytest.approx(float(np.sum(
-            shell_weighted_norms(part, f, 0.0, 0.0))), rel=1e-12)
 
     def test_pair_norm_reduces_and_combines(self):
         g = make_grid(nx=64)
@@ -213,14 +201,14 @@ class TestBesovNorms:
         prof = np.exp(-0.5 * g.y**2)
         f = single_mode_field(g, 3, prof)
         z = Field.zeros(g)
-        assert besov_pair_norm(part, f, z, 0.5) == pytest.approx(
-            besov_norm(part, f, 0.5), rel=1e-12)
-        assert besov_pair_norm(part, f, f, 0.5) == pytest.approx(
-            np.sqrt(2.0) * besov_norm(part, f, 0.5), rel=1e-12)
-        with pytest.raises(ValueError, match="not supported"):
-            besov_pair_norm(part, f, z, 0.6)
+        assert besov_pair_norm(part, f, z) == pytest.approx(
+            besov_norm(part, f), rel=1e-12)
+        assert besov_pair_norm(part, f, f) == pytest.approx(
+            np.sqrt(2.0) * besov_norm(part, f), rel=1e-12)
 
     def test_profile_norm_allows_any_regularity(self):
+        """A profile's shell norms take the B^{1/2} sum: cos(3x) sits on
+        shell 1, weighted 2^{1/2}."""
         g = make_grid(nx=64, lx=2.0 * np.pi)
         part = build_partition(g)
         spec = np.zeros(g.nmodes, dtype=complex)
@@ -229,8 +217,8 @@ class TestBesovNorms:
         k1 = 1 - part.k_min
         expect = np.sqrt(g.lx * 2.0 * 0.25)
         assert shells[k1] == pytest.approx(expect, rel=1e-12)
-        assert part.besov_sum(shells, 2.0) == pytest.approx(
-            4.0 * expect, rel=1e-12)
+        assert part.besov_sum(shells) == pytest.approx(
+            2.0**0.5 * expect, rel=1e-12)
 
     def test_profile_norm_validates_shape(self):
         g = make_grid(nx=64)
@@ -245,8 +233,10 @@ class TestParaproduct:
             g = make_grid(nx=64, ny=48, dealias_fraction=frac)
             part = build_partition(g)
             rng = np.random.default_rng(6)
-            fa = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
-            fb = Field.from_physical(g, rng.standard_normal((g.ny, g.nx)))
+            fa = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
+                                      "forward"))
+            fb = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
+                                      "forward"))
             t1, t2, rem = paraproduct(part, fa, fb)
             fp, gp = fa.physical(), fb.physical()
             mean_term = (fa.coeffs[:, 0].real * fb.coeffs[:, 0].real)[:, None]

@@ -1,5 +1,6 @@
 """Every top-level function and class in src/mhdbl has a caller outside
-the tests.
+the tests, every method of a src class is named outside its own def, and
+every parameter with a default is passed at some call outside the tests.
 
 A caller is a name, an attribute or an imported name anywhere in another
 def of the package, a demo or the benchmark, or a string in perfbench's
@@ -7,14 +8,29 @@ WRAPPED table (the benchmark wraps functions by name).  The package's
 __init__.py only re-exports, so it is not read; __all__ lists are not
 callers; a def's references to itself do not count.  Code that only the
 tests reach is deleted rather than kept alive by its own tests.
+
+A method or property counts as reached when its name appears outside its
+own def, in the same sources, or in any string in perfbench (the
+benchmark reads some by getattr).  Dunder methods run implicitly and are
+not checked.
+
+A parameter with a default counts as passed when some call outside the
+tests of a def of that name passes it by keyword, or passes enough
+positional arguments to reach it; a call with *args or **kwargs passes
+whatever it could.  The scan sees only parameters with a default: a
+required parameter that every call passes with one value escapes it, as
+the Besov index s did, which every caller passed as 1/2 before it was
+fixed there.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# defs kept although only tests call them, each with its reason
+# defs kept although only tests call them, each with its reason; their
+# parameters are exempt from the default check for the same reason
 ALLOWED = {
     # test oracle: the only check that a nonlinear far-field step satisfies
     # the (phi, psi) system at first order in dt
@@ -23,6 +39,14 @@ ALLOWED = {
     "paraproduct",
     # the band-multiplier convexity of products, acceptance criterion 9c
     "multiplier_convexity_check",
+}
+
+# defaulted parameters kept although no call outside the tests passes them
+ALLOWED_DEFAULTS = {
+    ("_nonneg", "params"): "passed by the loader's ok(val, params), which "
+                           "calls it through the _SCALARS table",
+    ("theta_report", "t_split"): "acceptance criterion 5a's split at t=50",
+    ("poincare_check", "ny"): "acceptance criterion 1 refines 2048 to 4096",
 }
 
 
@@ -41,35 +65,51 @@ def _names(node, skip=None) -> set:
     return out
 
 
+def _strings(node) -> set:
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def _is_assign_to(stmt, name: str) -> bool:
     return isinstance(stmt, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == name for t in stmt.targets)
 
 
-def _module_refs(tree) -> set:
-    """References made by each top-level statement, __all__ skipped."""
+def _module_refs(tree, split_classes: bool = False) -> set:
+    """References made by each top-level statement, __all__ skipped.
+    With split_classes, each statement of a class body counts on its own,
+    so a method's references to itself are dropped."""
     out = set()
     for stmt in tree.body:
         if _is_assign_to(stmt, "__all__"):
             continue
         if _is_assign_to(stmt, "WRAPPED"):
-            out.update(n.value for n in ast.walk(stmt)
-                       if isinstance(n, ast.Constant)
-                       and isinstance(n.value, str))
-        skip = getattr(stmt, "name", None)
-        out |= _names(stmt, skip)
+            out |= _strings(stmt)
+        parts = [stmt]
+        if split_classes and isinstance(stmt, ast.ClassDef):
+            parts = stmt.body
+        for part in parts:
+            out |= _names(part, getattr(part, "name", None))
     return out
 
 
-def _scan():
-    """(top-level src defs as {name: file}, every reference outside tests)."""
+def _sources():
+    """({path: tree} of the src modules, {path: tree} of the demos and the
+    benchmark)."""
+    def parse(paths):
+        return {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
     src = sorted(p for p in (ROOT / "src" / "mhdbl").glob("*.py")
                  if p.name != "__init__.py")
     others = (sorted((ROOT / "demos").glob("*.py"))
               + sorted((ROOT / "perfbench").glob("*.py")))
+    return parse(src), parse(others)
+
+
+def _scan():
+    """(top-level src defs as {name: file}, every reference outside tests)."""
+    src, others = _sources()
     defs, refs = {}, set()
-    for path in src + others:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in {**src, **others}.items():
         refs |= _module_refs(tree)
         if path in src:
             for stmt in tree.body:
@@ -77,6 +117,92 @@ def _scan():
                                      ast.ClassDef)):
                     defs[stmt.name] = path.relative_to(ROOT)
     return defs, refs
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _unnamed_methods() -> list:
+    """Class.method for each non-dunder method or property of a src class
+    whose name appears nowhere outside its own def."""
+    src, others = _sources()
+    refs = set()
+    for path, tree in {**src, **others}.items():
+        refs |= _module_refs(tree, split_classes=True)
+        if path.parent.name == "perfbench":
+            refs |= _strings(tree)
+    out = []
+    for tree in src.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            out += [f"{cls.name}.{m.name}" for m in cls.body
+                    if _is_def(m) and not m.name.startswith("__")
+                    and m.name not in refs]
+    return sorted(out)
+
+
+def _defaulted(tree):
+    """(def name, parameter, positional index or None) for each parameter
+    with a default of every def in the tree, nested ones included; a
+    method's index does not count self or cls."""
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if _is_def(child):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                if in_class and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list):
+                    pos = pos[1:]
+                for i, arg in enumerate(pos):
+                    if i >= len(pos) - len(a.defaults):
+                        yield child.name, arg.arg, i
+                for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        yield child.name, arg.arg, None
+            yield from visit(child, isinstance(child, ast.ClassDef))
+    yield from visit(tree, False)
+
+
+def _calls(trees) -> dict:
+    """{callee name: [(positional count, keyword names)]} over every call
+    in the trees; *args counts as any number of positionals and **kwargs
+    as every keyword (None)."""
+    out = {}
+    for tree in trees:
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            npos = (math.inf if any(isinstance(a, ast.Starred) for a in n.args)
+                    else len(n.args))
+            kws = {k.arg for k in n.keywords}
+            out.setdefault(name, []).append(
+                (npos, None if None in kws else kws))
+    return out
+
+
+def _passed(calls, name, param, index) -> bool:
+    return any(kws is None or param in kws
+               or (index is not None and npos > index)
+               for npos, kws in calls.get(name, ()))
+
+
+def _scan_defaults():
+    """(every defaulted src parameter as (def, param), those no call
+    outside the tests passes)."""
+    src, others = _sources()
+    calls = _calls(list(src.values()) + list(others.values()))
+    params, unpassed = set(), set()
+    for tree in src.values():
+        for name, param, index in _defaulted(tree):
+            params.add((name, param))
+            if not _passed(calls, name, param, index):
+                unpassed.add((name, param))
+    return params, unpassed
 
 
 def test_every_src_def_has_a_caller_outside_tests():
@@ -88,7 +214,29 @@ def test_every_src_def_has_a_caller_outside_tests():
         "them a caller): " + ", ".join(unreached))
 
 
+def test_every_src_method_is_named_outside_its_def():
+    unnamed = _unnamed_methods()
+    assert not unnamed, (
+        "methods reached only from tests (delete them with their tests, or "
+        "give them a caller): " + ", ".join(unnamed))
+
+
+def test_every_default_is_passed_outside_tests():
+    _, unpassed = _scan_defaults()
+    left = sorted(f"{name}({param})" for name, param in unpassed
+                  if name not in ALLOWED
+                  and (name, param) not in ALLOWED_DEFAULTS)
+    assert not left, (
+        "defaults that no call outside the tests overrides (make them "
+        "constants, or pass them): " + ", ".join(left))
+
+
 def test_allowlist_holds_only_unreached_defs():
     defs, refs = _scan()
     stale = sorted(n for n in ALLOWED if n not in defs or n in refs)
     assert not stale, f"allowlisted but gone or reached: {stale}"
+    params, unpassed = _scan_defaults()
+    stale = sorted(f"{name}({param})" for name, param in ALLOWED_DEFAULTS
+                   if (name, param) not in params
+                   or (name, param) not in unpassed)
+    assert not stale, f"allowlisted defaults gone or passed: {stale}"

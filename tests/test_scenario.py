@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from mhdbl.grid import Field, GridSpec, column_flux, ddy, integrate_y_tail
+from mhdbl.grid import (Field, GridSpec, column_flux, ddy, integrate_y_tail,
+                        x_transform)
 from mhdbl.scenario import (
     Cutoff,
     FarField,
@@ -34,6 +35,11 @@ from mhdbl.scenario import (
 
 def make_grid(nx=32, ny=512, ymax=16.0):
     return GridSpec(lx=2.0 * np.pi, nx=nx, ymax=ymax, ny=ny)
+
+
+def cos_spec(grid, j=1.0, mean=0.0):
+    """Stored modes of the physical profile mean + cos(j x)."""
+    return x_transform(grid, mean + np.cos(j * grid.x), "forward")
 
 
 class TestParams:
@@ -212,21 +218,21 @@ class TestFarField:
         only when asked for, so an unresolving grid fails there."""
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
+        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
         assert "cutoff" not in vars(ff)
         ref = build_cutoff(g)
         assert np.array_equal(ff.cutoff.chi, ref.chi)
         assert np.array_equal(ff.cutoff.d3chi, ref.d3chi)
         assert ff.cutoff is ff.cutoff
         coarse = GridSpec(lx=2.0 * np.pi, nx=32, ymax=26.0, ny=64)
-        ff = farfield_decaying(coarse, p, 0.01, 2.5, np.cos(coarse.x))
+        ff = farfield_decaying(coarse, p, 0.01, 2.5, cos_spec(coarse))
         with pytest.raises(ValueError, match="transition zone"):
             ff.cutoff
 
     def test_decaying_rejected_on_unit_background(self):
         g = make_grid()
         p = Params(kappa=1.0, epsilon=1e-3)
-        prof = np.cos(g.x)
+        prof = cos_spec(g)
         with pytest.raises(UnsupportedScenarioError, match="kappa = 1"):
             farfield_decaying(g, p, 0.01, 2.5, prof)
 
@@ -234,16 +240,19 @@ class TestFarField:
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
         with pytest.raises(ValueError, match="alpha"):
-            farfield_decaying(g, p, 0.01, 0.0, np.cos(g.x))
+            farfield_decaying(g, p, 0.01, 0.0, cos_spec(g))
         with pytest.raises(ValueError, match="shape"):
             farfield_decaying(g, p, 0.01, 2.5, np.zeros(7))
+        # a physical profile is no spectrum: nx > nmodes
+        with pytest.raises(ValueError, match="profile spectrum must have"):
+            farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
         with pytest.raises(UnsupportedScenarioError, match="zero x mean"):
-            farfield_decaying(g, p, 0.01, 2.5, 1.0 + np.cos(g.x))
+            farfield_decaying(g, p, 0.01, 2.5, cos_spec(g, mean=1.0))
 
     def test_decaying_amplitude_law(self):
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.02, 2.5, np.cos(g.x))
+        ff = farfield_decaying(g, p, 0.02, 2.5, cos_spec(g))
         u0 = ff.u_spec(0.0)
         u3 = ff.u_spec(3.0)
         assert np.max(np.abs(u3 - u0 * 4.0**-2.5)) < 1e-15
@@ -266,7 +275,7 @@ class TestFarField:
     def test_physical_rows_match_the_profile(self):
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.02, 2.5, np.cos(2.0 * g.x))
+        ff = farfield_decaying(g, p, 0.02, 2.5, cos_spec(g, 2.0))
         u, dxu = ff.physical_rows(1.0)
         amp = 0.02 * 2.0 ** -2.5
         assert np.max(np.abs(u - amp * np.cos(2.0 * g.x))) < 1e-16
@@ -281,7 +290,7 @@ class TestSourceTerms:
     def test_support_confined_to_cutoff_zone(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
+        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
         f_u = source_terms(ff, 0.5)
         above = g.y > 2.0 + 1e-9
         scale = np.max(np.abs(f_u.coeffs))
@@ -294,7 +303,7 @@ class TestSourceTerms:
     def test_tail_integral_sign_convention(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
+        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
         f_u = source_terms(ff, 0.5)
         # F_u = -int_y^ymax f_u, the tail integral eqs2_residual forms:
         # zero at the top, minus the column flux of f_u at the wall
@@ -306,7 +315,7 @@ class TestSourceTerms:
     def test_time_decay_of_sources(self):
         g = make_grid(ny=512, ymax=16.0)
         p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
+        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
         f0 = source_terms(ff, 0.0)
         f9 = source_terms(ff, 9.0)
         assert np.max(np.abs(f9.coeffs)) < 0.01 * np.max(np.abs(f0.coeffs))
@@ -353,15 +362,6 @@ class TestInitialData:
         psi0 = integrate_y_tail(b0)
         assert np.max(np.abs(phi0.coeffs[0, 1:])) < 1e-12 * p.epsilon
         assert np.max(np.abs(psi0.coeffs[0, 1:])) < 1e-12 * p.epsilon
-
-    def test_rejects_bad_profiles(self):
-        g = make_grid()
-        p = Params(kappa=1.0, epsilon=1e-3)
-        with pytest.raises(ValueError, match="zero mean"):
-            spec = np.ones(g.nmodes, dtype=complex)
-            initial_data_standard(g, p, spec)
-        with pytest.raises(ValueError, match="shape"):
-            initial_data_standard(g, p, np.zeros(5, dtype=complex))
 
     def test_default_profile_is_zero_mean_analytic(self):
         g = make_grid(nx=64)
