@@ -12,9 +12,8 @@ from .lp import (DyadicPartition, besov_norm, besov_pair_norm,
                  shell_weighted_norms)
 from .scenario import (Cutoff, FarField, Params, UnsupportedScenarioError,
                        build_cutoff, cutoff_value, default_x_profile,
-                       farfield_decaying, flux_projection_profiles,
-                       initial_data_standard, project_zero_flux,
-                       source_terms, weight_branches)
+                       flux_projection_profiles, initial_data_standard,
+                       project_zero_flux, source_terms, weight_branches)
 from .solver import (CheckpointError, DivergenceError, NormSeries,
                      SimResult, State, TStarReachedError, compute_GH,
                      eqs2_residual, flux_drift, heat_energy_slack,

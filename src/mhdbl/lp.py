@@ -127,7 +127,7 @@ def lp_project(part: DyadicPartition, field: Field, k: int) -> Field:
     return Field(field.grid, field.coeffs * part.shell_row(k), field.bc)
 
 
-def lowpass(part: DyadicPartition, field: Field, k: int) -> Field:
+def lowpass(field: Field, k: int) -> Field:
     """Low-frequency piece S_k f = chi(2^-k |xi|) f (DC included)."""
     row = chi_lowpass(field.grid.xi / 2.0 ** k)
     return Field(field.grid, field.coeffs * row, field.bc)
@@ -215,8 +215,8 @@ def paraproduct(part: DyadicPartition, f: Field, g: Field):
     gp = g.physical()
     f_shell = [lp_project(part, f, k).physical() for k in ks]
     g_shell = [lp_project(part, g, k).physical() for k in ks]
-    f_low = [lowpass(part, f, k - 1).physical() for k in ks]
-    g_low = [lowpass(part, g, k - 1).physical() for k in ks]
+    f_low = [lowpass(f, k - 1).physical() for k in ks]
+    g_low = [lowpass(g, k - 1).physical() for k in ks]
 
     t_fg = np.zeros_like(fp)
     t_gf = np.zeros_like(fp)

@@ -53,6 +53,10 @@ class Params:
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{what} must be positive and finite, got "
                                  f"params.{name}={val!r}")
+        # the audit squares kappa as a Python float, which raises on overflow
+        if not math.isfinite(self.kappa * self.kappa):
+            raise ValueError(f"params.kappa={self.kappa!r} is too large: the "
+                             "energy audit squares it")
 
     @property
     def bbar(self) -> float:
@@ -197,10 +201,12 @@ class FarField:
     through the wall cutoff.  A run without a far field passes None.
 
     U is separable: eps * <t>^{-alpha} * profile(x), stored as the
-    profile's nmodes mode amplitudes.  The far magnetic field B is zero
-    by construction: no supported family has B != 0 (farfield_decaying
-    rejects the kappa = 1 background, the only case where B would enter),
-    so only U is carried.
+    profile's nmodes mode amplitudes, which must have zero x mean.  The
+    far magnetic field B is zero by construction: no supported family has
+    B != 0, so only U is carried.  It needs a zero background field
+    (kappa != 1): with bbar = 1 the total tangential field 1 + B no longer
+    satisfies its transport law unless U is x-independent, so simulate
+    refuses a far field at kappa = 1.
     """
 
     grid: GridSpec
@@ -209,11 +215,24 @@ class FarField:
     g_spec: np.ndarray
 
     def __post_init__(self):
+        eps, alpha, g = self.eps, self.alpha, self.grid
+        # U d_x U squares the amplitude, at most eps, as a Python float
+        if not (math.isfinite(eps * eps) and eps >= 0.0):
+            raise ValueError(f"need finite eps >= 0 with a finite square, "
+                             f"got scenario.ff_eps={eps!r}")
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(
+                f"need finite alpha > 0, got scenario.alpha={alpha!r}")
+        spec = self.g_spec = np.array(self.g_spec, dtype=complex)
+        if spec.shape != (g.nmodes,):
+            raise ValueError(f"profile spectrum must have shape ({g.nmodes},)")
+        if abs(spec[0]) > 1e-13 * (1.0 + np.max(np.abs(spec))):
+            raise UnsupportedScenarioError(
+                "far-field profile must have zero x mean")
         # time-free parts of the physical rows, transformed once: g, d_x g
         # and the spectrum of g d_x g
-        g = self.grid
         self._g_row, self._dxg_row = x_transform(
-            g, np.stack([self.g_spec, 1j * g.xi * self.g_spec]), "inverse")
+            g, np.stack([spec, 1j * g.xi * spec]), "inverse")
         self._adv_spec = x_transform(g, self._g_row * self._dxg_row,
                                      "forward")
 
@@ -240,33 +259,6 @@ class FarField:
     def advection_spec(self, t: float) -> np.ndarray:
         """Mode amplitudes of U d_x U at time t."""
         return self._amp(t) ** 2 * self._adv_spec
-
-
-def farfield_decaying(grid: GridSpec, params: Params, eps: float, alpha: float,
-                      g_spec: np.ndarray) -> FarField:
-    """U = eps <t>^-alpha g(x), B = 0; g_spec holds g's nmodes stored modes.
-
-    Requires a zero background field (kappa != 1): with bbar = 1 the total
-    tangential field 1 + B no longer satisfies its transport law unless U
-    is x-independent, so that combination is rejected.
-    """
-    if params.bbar != 0.0:
-        raise UnsupportedScenarioError(
-            "a nontrivial decaying far field is incompatible with the "
-            "kappa = 1 background; use the trivial far field there")
-    # U d_x U squares the amplitude, at most eps, as a Python float
-    if not (math.isfinite(eps * eps) and eps >= 0.0):
-        raise ValueError(f"need finite eps >= 0 with a finite square, got "
-                         f"scenario.ff_eps={eps!r}")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(
-            f"need finite alpha > 0, got scenario.alpha={alpha!r}")
-    g_spec = np.array(g_spec, dtype=complex)
-    if g_spec.shape != (grid.nmodes,):
-        raise ValueError(f"profile spectrum must have shape ({grid.nmodes},)")
-    if abs(g_spec[0]) > 1e-13 * (1.0 + np.max(np.abs(g_spec))):
-        raise UnsupportedScenarioError("far-field profile must have zero x mean")
-    return FarField(grid, eps, alpha, g_spec)
 
 
 # ---- forcing ---------------------------------------------------------------

@@ -26,8 +26,8 @@ from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
 from .lp import (besov_h_shell_norms, besov_norm, besov_pair_norm,
                  build_partition, pair_shell_norms)
 from .scenario import (FarField, Params, UnsupportedScenarioError,
-                       farfield_decaying, flux_projection_profiles,
-                       project_zero_flux, source_terms, weight_branches)
+                       flux_projection_profiles, project_zero_flux,
+                       source_terms, weight_branches)
 
 
 class TStarReachedError(RuntimeError):
@@ -50,6 +50,12 @@ def recommended_ymax(t_final: float, kappa: float = 1.0,
     the guard needs that envelope below 1e-8 of its peak at 0.8 ymax,
     with some room for algebraic prefactors.
     """
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
+    for name, val in (("kappa", kappa), ("weight_alpha", weight_alpha)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{val!r}")
     tt = 1.0 + t_final
     cs = []
     for nu in (1.0, kappa):
@@ -104,22 +110,15 @@ class NormSeries:
 
 class _Workspace:
     """A run's caches, held by each of its states (State.ws): the LP
-    partition, the zero-flux shapes, one CN factorization per (nu, dt, bc)
-    (a CFL change of dt adds one) and the RHS factor stack.  All of them
-    follow from the grid and the step's arguments, so a checkpoint stores
-    none of them."""
+    partition, the zero-flux shapes for momentum diffusivity nu_u (a grid
+    too coarse for them is refused here), one CN factorization per (nu,
+    dt, bc) and the RHS factor stack.  A checkpoint stores none of them."""
 
-    def __init__(self, grid: GridSpec):
+    def __init__(self, grid: GridSpec, nu_u: float):
         self.grid = grid
         self.part = build_partition(grid)
+        self.shapes = flux_projection_profiles(grid, nu_u)
         self._cn = {}
-        self._shapes = {}
-
-    def projection_shapes(self, nu_u: float):
-        """Zero-flux shapes for momentum diffusivity nu_u."""
-        if nu_u not in self._shapes:
-            self._shapes[nu_u] = flux_projection_profiles(self.grid, nu_u)
-        return self._shapes[nu_u]
 
     def cn_factors(self, nu: float, dt: float, bc: str) -> CNFactors:
         key = (nu, dt, bc)
@@ -170,7 +169,7 @@ class State:
 
     def __post_init__(self):
         if self.ws is None:
-            self.ws = _Workspace(self.grid)
+            self.ws = _Workspace(self.grid, self.params.diffusivities[0])
         if self.cl_integrals is None:
             self.cl_integrals = np.zeros(self.ws.part.n_shells)
 
@@ -552,7 +551,7 @@ def step_imex(state: State, dt: float,
 
     u1 = _cn_solve(state.ws, state.u, eu, nu_u, dt)
     b1 = _cn_solve(state.ws, state.b, eb, nu_b, dt)
-    shape_u, shape_b = state.ws.projection_shapes(nu_u)
+    shape_u, shape_b = state.ws.shapes
     # the projection keeps the support of the solve and its shape; the
     # result, its subnormal parts flushed, sets by its exact support the
     # row window of every kernel of the next step (a NaN row counts as
@@ -787,11 +786,11 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     holds the audit minima, theta bookkeeping, and flux statistics.  Only
     input errors raise, before the first sample: UnsupportedScenarioError
     for a far field at kappa = 1, ValueError when the far field's cutoff
-    is unresolved on the grid, dy leaves the zero-flux shapes no mass,
-    weight_alpha has no branch at kappa, kappa^2 overflows, the band
-    multiplier e^(delta xi) overflows on the grid's top mode, t_final,
-    dt_max or cfl is not positive and finite, or sample_every is not an
-    integer >= 1.
+    is unresolved on the grid, weight_alpha has no branch at kappa, the
+    band multiplier e^(delta xi) overflows on the grid's top mode,
+    t_final, dt_max or cfl is not positive and finite, or sample_every is
+    not an integer >= 1.  The refusals of one object alone are its
+    constructor's (Params, GridSpec, FarField, State).
     """
     grid, params = state.grid, state.params
     for name, val in (("t_final", t_final), ("dt_max", dt_max),
@@ -807,8 +806,6 @@ def simulate(state: State, farfield: Optional[FarField] = None,
             raise UnsupportedScenarioError(
                 "kappa = 1 runs require the trivial far field")
         farfield.cutoff    # sampled now, so a bad grid fails before output
-    # the zero-flux shapes too: a grid too coarse for them fails here
-    state.ws.projection_shapes(params.diffusivities[0])
     part = state.ws.part
     gain = dict(weight_branches(params.kappa).values()).get(state.weight_alpha)
     if gain is None:
@@ -819,10 +816,6 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     # kappa = 1 all four collapse to one
     audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
                                 for be in (1.0, params.kappa))
-    # the audit squares kappa as a Python float, which raises on overflow
-    if not math.isfinite(params.kappa * params.kappa):
-        raise ValueError(f"params.kappa={params.kappa!r} is too large: the "
-                         "energy audit squares it")
     xi_max = float(grid.xi[-1])
     if params.delta * xi_max > math.log(np.finfo(float).max):
         raise ValueError(f"params.delta={params.delta!r} is too large: "
@@ -1016,10 +1009,11 @@ def load_checkpoint(path: str):
     be read, is not a checkpoint, has another format version (versions 1
     and 2, which lack the CRC, included), is truncated or too long, has a
     header that is not JSON, lacks a key or holds a value of the wrong
-    type or range, holds an array with a non-finite value or with an
-    imaginary part in its DC column (and Nyquist column, when stored),
-    which a real field's spectrum has not, or, all of that passed, fails
-    its CRC-32."""
+    type or a state value out of range, holds an array with a non-finite
+    value or with an imaginary part in its DC column (and Nyquist column,
+    when stored), which a real field's spectrum has not, or, all of that
+    passed, fails its CRC-32.  A grid, params or far-field value out of
+    range raises its constructor's ValueError, as it would in a config."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -1096,7 +1090,7 @@ def _restore(header: dict, buf: io.BytesIO):
     if buf.read(1):
         raise CheckpointError("checkpoint holds data past its last array")
 
-    ws = _Workspace(grid)
+    ws = _Workspace(grid, params.diffusivities[0])
     n_shells = ws.part.n_shells
     cl = header["cl_integrals"]
     if not (isinstance(cl, list) and len(cl) == n_shells
@@ -1119,9 +1113,8 @@ def _restore(header: dict, buf: io.BytesIO):
             raise CheckpointError("checkpoint far-field profile has the "
                                   "wrong length")
         # validated as a new far field is, so a bad value exits 2
-        ff = farfield_decaying(grid, params, fd["eps"], fd["alpha"],
-                               _real_spectrum(g_spec, grid,
-                                              "far-field profile"))
+        ff = FarField(grid, fd["eps"], fd["alpha"],
+                      _real_spectrum(g_spec, grid, "far-field profile"))
     state = State(grid, params, u=u, b=b, prev_ru=prev_ru, prev_rb=prev_rb,
                   cl_integrals=np.asarray(cl, dtype=float),
                   audit_min=audit, ws=ws, **scalars)

@@ -45,8 +45,10 @@ def poincare_check(f, t: float, kappa: float, ny: int = 2048):
     quadrature is plain trapezoid with a second-order difference for f';
     refine ny to tighten.
     """
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     ymax = 26.0
     y = np.linspace(0.0, ymax, ny)
     h = y[1] - y[0]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -79,22 +80,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read config"):
             parse_config("/no/such/file.cfg")
 
-    def test_validate_kappa_one_farfield(self):
-        cfg = parse_config(None, ["scenario.farfield=decaying"])
-        with pytest.raises(ConfigError, match="requires scenario.farfield"):
-            validate_config(cfg)
-
     def test_validate_rejects_bad_fields(self):
+        """validate_config refuses only the names the CLI gives meaning
+        to; the library refuses every other value (TestSimulateCommand)."""
         for item, msg in (
-                ("scenario.id=warped", "unknown scenario.id"),
-                ("run.sample_every=0", "sample_every"),
-                ("run.branch=sideways", "unknown run.branch"),
-                ("run.t_final=0", "must be positive"),
-                ("run.t_final=nan", "run.t_final must be positive"),
-                ("run.t_final=inf", "run.t_final must be positive"),
-                ("run.dt_max=nan", "run.dt_max must be positive"),
-                ("run.cfl=nan", "run.cfl must be positive"),
-                ("run.cfl=-1", "run.cfl must be positive")):
+                ("scenario.id=warped", "unknown scenario.id 'warped'"),
+                ("scenario.farfield=steady",
+                 "unknown scenario.farfield 'steady'")):
             cfg = parse_config(None, [item])
             with pytest.raises(ConfigError, match=msg):
                 validate_config(cfg)
@@ -152,14 +144,16 @@ class TestSimulateCommand:
                        "--set", "params.kapa=2")
         assert code == 2
         assert "params.kapa" in capsys.readouterr().err
-        # non-finite or non-positive run values are input errors too
+        # non-finite or non-positive run values are input errors too,
+        # refused by simulate in its own words
         for item in ("run.t_final=nan", "run.cfl=nan", "run.cfl=-1",
                      "run.dt_max=nan"):
             code = run_cli(*base_args(tmp_path / "x", item))
             assert code == 2, item
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {item.split('=')[0]} must be")
-            assert err.count("\n") == 1
+            name, value = item[len("run."):].split("=")
+            assert capsys.readouterr().err == (
+                f"error: {name} must be positive and finite, got "
+                f"{float(value)!r}\n")
         # so are non-finite physical parameters
         for item in ("params.lam=inf", "params.epsilon=nan",
                      "params.kappa=nan", "params.delta=inf"):
@@ -234,6 +228,29 @@ class TestSimulateCommand:
                                   "grid.ny=92 gives dy="), err
             assert err.count("\n") == 1 and "RuntimeWarning" not in err
             assert not (out / "norms.csv").exists()
+
+    @pytest.mark.parametrize("items, msg", [
+        (("scenario.farfield=decaying",),
+         "kappa = 1 runs require the trivial far field"),
+        (("scenario.farfield=decaying", "scenario.ff_eps=1e-4"),
+         "kappa = 1 runs require the trivial far field"),
+        (("run.sample_every=0",), "sample_every must be an integer >= 1, "
+                                  "got 0"),
+        (("run.branch=sideways",), "unknown branch 'sideways'"),
+        (("run.t_final=0",), "t_final must be positive and finite, got 0.0"),
+        (("run.t_final=inf",), "t_final must be positive and finite, got inf"),
+        (("run.dt_max=-1",), "dt_max must be positive and finite, got -1.0"),
+    ], ids=["farfield-k1", "farfield-k1-eps", "sample_every", "branch",
+            "t_final-0", "t_final-inf", "dt_max"])
+    def test_run_inputs_refused_by_the_library(self, tmp_path, capsys, items,
+                                               msg):
+        """A far field at kappa = 1, a bad run setting and an unknown
+        weight branch are refused once, by make_state or simulate: exit 2
+        with their one line, before any output."""
+        out = tmp_path / "r"
+        assert run_cli(*base_args(out, *items)) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        assert not (out / "norms.csv").exists()
 
     def test_tstar_exits_three_with_partial_output(self, tmp_path, capsys):
         out = tmp_path / "tstar"
@@ -703,6 +720,43 @@ class TestResumeCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and msg in err
             assert err.count("\n") == 1
+
+    def test_header_values_meet_the_run_refusals(self, tmp_path, capsys):
+        """A header is refused where a config would be: an out-of-range
+        grid or params value by its constructor, a grid too coarse for
+        the zero-flux shapes by the state's workspace, and a far field at
+        kappa = 1 by simulate.  The CRC-32 is rewritten, so a header that
+        passes those checks loads."""
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first, "grid.ny=256", "params.kappa=1.5",
+                                  "run.branch=unit",
+                                  "scenario.farfield=decaying",
+                                  "scenario.ff_eps=1e-4")) == 0
+        raw = (first / "final.ckpt").read_bytes()
+        hlen = int.from_bytes(raw[10:18], "little")
+        header = json.loads(raw[18:18 + hlen])
+        for section, key, value, msg in (
+                ("params", "kappa", 1.0,
+                 "kappa = 1 runs require the trivial far field"),
+                ("grid", "ny", 8, "ny must be >= 16, got 8"),
+                ("params", "kappa", -1.0, "kappa must be positive and "
+                 "finite, got params.kappa=-1.0"),
+                ("grid", "ymax", 1e60, "grid.ymax=1e+60 over grid.ny=256 "
+                 "gives dy=3.92e+57: the zero-flux shape y e^(-y^2/2) "
+                 "underflows to 0 at every node")):
+            bad = {**header, section: {**header[section], key: value}}
+            blob = json.dumps(bad).encode("utf-8")
+            body = (raw[6:10] + len(blob).to_bytes(8, "little") + blob
+                    + raw[18 + hlen:-4])
+            path = tmp_path / "bad.ckpt"
+            path.write_bytes(raw[:6] + body
+                             + zlib.crc32(body).to_bytes(4, "little"))
+            out = tmp_path / f"r-{key}-{value}"
+            code = run_cli("resume", str(path), "--out", str(out),
+                           "--set", "run.t_final=0.2")
+            assert code == 2, (key, value)
+            assert capsys.readouterr().err == f"error: {msg}\n"
+            assert not (out / "norms.csv").exists()
 
     def test_step_zero_checkpoint_trips_the_t0_guard_again(self, tmp_path,
                                                            capsys):

@@ -131,7 +131,7 @@ class TestPartition:
         rng = np.random.default_rng(2)
         f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
                                  "forward"))
-        lp = lowpass(part, f, part.k_max + 1)
+        lp = lowpass(f, part.k_max + 1)
         assert np.max(np.abs(lp.coeffs - f.coeffs)) < 1e-14
 
     def test_bernstein_bounds(self):

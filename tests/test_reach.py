@@ -1,6 +1,7 @@
 """Every top-level function and class in src/mhdbl has a caller outside
-the tests, every method of a src class is named outside its own def, and
-every parameter with a default is passed at some call outside the tests.
+the tests, every method of a src class is named outside its own def,
+every parameter with a default is passed at some call outside the tests,
+and every parameter of a src def is read in its body.
 
 A caller is a name, an attribute or an imported name anywhere in another
 def of the package, a demo or the benchmark, or a string in perfbench's
@@ -21,6 +22,10 @@ whatever it could.  The scan sees only parameters with a default: a
 required parameter that every call passes with one value escapes it, as
 the Besov index s did, which every caller passed as 1/2 before it was
 fixed there.
+
+A parameter counts as read when its name is loaded anywhere in its def's
+body, nested defs included.  Every def of src is checked, methods and
+nested defs too; lambdas are not.
 """
 
 import ast
@@ -47,6 +52,12 @@ ALLOWED_DEFAULTS = {
                            "calls it through the _SCALARS table",
     ("theta_report", "t_split"): "acceptance criterion 5a's split at t=50",
     ("poincare_check", "ny"): "acceptance criterion 1 refines 2048 to 4096",
+}
+
+# parameters kept although their def's body never reads them
+ALLOWED_UNREAD = {
+    ("_nonneg", "params"): "the loader calls each check of the _SCALARS "
+                           "table as ok(val, params)",
 }
 
 
@@ -205,6 +216,25 @@ def _scan_defaults():
     return params, unpassed
 
 
+def _unread_params() -> set:
+    """(module, def, parameter) for each parameter of a src def that its
+    body never loads."""
+    src, _ = _sources()
+    out = set()
+    for path, tree in src.items():
+        for node in ast.walk(tree):
+            if not _is_def(node):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out |= {(path.stem, node.name, p.arg) for p in params
+                    if p.arg not in read}
+    return out
+
+
 def test_every_src_def_has_a_caller_outside_tests():
     defs, refs = _scan()
     unreached = sorted(f"{path}: {name}" for name, path in defs.items()
@@ -231,6 +261,15 @@ def test_every_default_is_passed_outside_tests():
         "constants, or pass them): " + ", ".join(left))
 
 
+def test_every_src_parameter_is_read():
+    left = sorted(f"{mod}.{name}({param})"
+                  for mod, name, param in _unread_params()
+                  if (name, param) not in ALLOWED_UNREAD)
+    assert not left, (
+        "parameters their def never reads (delete them from the def and "
+        "its calls): " + ", ".join(left))
+
+
 def test_allowlist_holds_only_unreached_defs():
     defs, refs = _scan()
     stale = sorted(n for n in ALLOWED if n not in defs or n in refs)
@@ -240,3 +279,7 @@ def test_allowlist_holds_only_unreached_defs():
                    if (name, param) not in params
                    or (name, param) not in unpassed)
     assert not stale, f"allowlisted defaults gone or passed: {stale}"
+    unread = {(name, param) for _, name, param in _unread_params()}
+    stale = sorted(f"{name}({param})" for name, param in ALLOWED_UNREAD
+                   if (name, param) not in unread)
+    assert not stale, f"allowlisted unread parameters gone or read: {stale}"

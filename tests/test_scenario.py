@@ -24,7 +24,6 @@ from mhdbl.scenario import (
     cutoff_slope,
     cutoff_value,
     default_x_profile,
-    farfield_decaying,
     flux_projection_profiles,
     initial_data_standard,
     project_zero_flux,
@@ -52,6 +51,10 @@ class TestParams:
             Params(kappa=1.0, epsilon=1e-3, lam=-1.0)
         with pytest.raises(ValueError, match="diffusivity"):
             Params(kappa=1.0, epsilon=1e-3, nu_u=-0.5)
+        # finite, but the energy audit's kappa^2 overflows a double
+        with pytest.raises(ValueError, match=r"^params\.kappa=1e\+160 is too "
+                           r"large: the energy audit squares it$"):
+            Params(kappa=1e160, epsilon=1e-3)
 
     @pytest.mark.parametrize("name", ["kappa", "epsilon", "delta", "lam",
                                       "nu_u", "nu_b"])
@@ -217,42 +220,35 @@ class TestFarField:
         """A far field carries the cutoff of its own grid, built once and
         only when asked for, so an unresolving grid fails there."""
         g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
+        ff = FarField(g, 0.01, 2.5, cos_spec(g))
         assert "cutoff" not in vars(ff)
         ref = build_cutoff(g)
         assert np.array_equal(ff.cutoff.chi, ref.chi)
         assert np.array_equal(ff.cutoff.d3chi, ref.d3chi)
         assert ff.cutoff is ff.cutoff
         coarse = GridSpec(lx=2.0 * np.pi, nx=32, ymax=26.0, ny=64)
-        ff = farfield_decaying(coarse, p, 0.01, 2.5, cos_spec(coarse))
+        ff = FarField(coarse, 0.01, 2.5, cos_spec(coarse))
         with pytest.raises(ValueError, match="transition zone"):
             ff.cutoff
 
-    def test_decaying_rejected_on_unit_background(self):
-        g = make_grid()
-        p = Params(kappa=1.0, epsilon=1e-3)
-        prof = cos_spec(g)
-        with pytest.raises(UnsupportedScenarioError, match="kappa = 1"):
-            farfield_decaying(g, p, 0.01, 2.5, prof)
-
     def test_decaying_validates_arguments(self):
         g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
         with pytest.raises(ValueError, match="alpha"):
-            farfield_decaying(g, p, 0.01, 0.0, cos_spec(g))
+            FarField(g, 0.01, 0.0, cos_spec(g))
+        for eps in (-1.0, float("nan"), 1e160):
+            with pytest.raises(ValueError, match="need finite eps >= 0"):
+                FarField(g, eps, 2.5, cos_spec(g))
         with pytest.raises(ValueError, match="shape"):
-            farfield_decaying(g, p, 0.01, 2.5, np.zeros(7))
+            FarField(g, 0.01, 2.5, np.zeros(7))
         # a physical profile is no spectrum: nx > nmodes
         with pytest.raises(ValueError, match="profile spectrum must have"):
-            farfield_decaying(g, p, 0.01, 2.5, np.cos(g.x))
+            FarField(g, 0.01, 2.5, np.cos(g.x))
         with pytest.raises(UnsupportedScenarioError, match="zero x mean"):
-            farfield_decaying(g, p, 0.01, 2.5, cos_spec(g, mean=1.0))
+            FarField(g, 0.01, 2.5, cos_spec(g, mean=1.0))
 
     def test_decaying_amplitude_law(self):
         g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.02, 2.5, cos_spec(g))
+        ff = FarField(g, 0.02, 2.5, cos_spec(g))
         u0 = ff.u_spec(0.0)
         u3 = ff.u_spec(3.0)
         assert np.max(np.abs(u3 - u0 * 4.0**-2.5)) < 1e-15
@@ -264,18 +260,16 @@ class TestFarField:
 
     def test_complex_spectrum_accepted_directly(self):
         g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
         spec = np.zeros(g.nmodes, dtype=complex)
         spec[2] = 0.5j              # -sin(2x)
-        ff = farfield_decaying(g, p, 0.02, 2.5, spec)
+        ff = FarField(g, 0.02, 2.5, spec)
         assert np.array_equal(ff.g_spec, spec)
         with pytest.raises(ValueError, match="shape"):
-            farfield_decaying(g, p, 0.02, 2.5, np.zeros(g.nx, dtype=complex))
+            FarField(g, 0.02, 2.5, np.zeros(g.nx, dtype=complex))
 
     def test_physical_rows_match_the_profile(self):
         g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.02, 2.5, cos_spec(g, 2.0))
+        ff = FarField(g, 0.02, 2.5, cos_spec(g, 2.0))
         u, dxu = ff.physical_rows(1.0)
         amp = 0.02 * 2.0 ** -2.5
         assert np.max(np.abs(u - amp * np.cos(2.0 * g.x))) < 1e-16
@@ -289,8 +283,7 @@ class TestFarField:
 class TestSourceTerms:
     def test_support_confined_to_cutoff_zone(self):
         g = make_grid(ny=512, ymax=16.0)
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
+        ff = FarField(g, 0.01, 2.5, cos_spec(g))
         f_u = source_terms(ff, 0.5)
         above = g.y > 2.0 + 1e-9
         scale = np.max(np.abs(f_u.coeffs))
@@ -302,8 +295,7 @@ class TestSourceTerms:
 
     def test_tail_integral_sign_convention(self):
         g = make_grid(ny=512, ymax=16.0)
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
+        ff = FarField(g, 0.01, 2.5, cos_spec(g))
         f_u = source_terms(ff, 0.5)
         # F_u = -int_y^ymax f_u, the tail integral eqs2_residual forms:
         # zero at the top, minus the column flux of f_u at the wall
@@ -314,8 +306,7 @@ class TestSourceTerms:
 
     def test_time_decay_of_sources(self):
         g = make_grid(ny=512, ymax=16.0)
-        p = Params(kappa=1.5, epsilon=1e-3)
-        ff = farfield_decaying(g, p, 0.01, 2.5, cos_spec(g))
+        ff = FarField(g, 0.01, 2.5, cos_spec(g))
         f0 = source_terms(ff, 0.0)
         f9 = source_terms(ff, 9.0)
         assert np.max(np.abs(f9.coeffs)) < 0.01 * np.max(np.abs(f0.coeffs))

@@ -30,7 +30,6 @@ from mhdbl.scenario import (
     Params,
     UnsupportedScenarioError,
     default_x_profile,
-    farfield_decaying,
     flux_projection_profiles,
     initial_data_standard,
     project_zero_flux,
@@ -263,7 +262,7 @@ class TestExplicitTendency:
         u0, b0, _ = initial_data_standard(g, p)
         ff = None
         if far:
-            ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
+            ff = FarField(g, 1e-2, 2.5, default_x_profile(g))
         st = make_state(g, p, u0, b0)
         calls = []
         widths = []
@@ -303,7 +302,7 @@ class TestTheta:
         prof = np.zeros(g.nmodes, complex)
         amp = 0.25
         prof[3] = amp               # 2 amp cos(3x)
-        ff = farfield_decaying(g, p, p.epsilon, 2.5, prof)
+        ff = FarField(g, p.epsilon, 2.5, prof)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN), branch="kappa")
         st.t = 2.0
@@ -666,7 +665,7 @@ def window_cases():
     far = GridSpec(2.0 * np.pi, 16, 48.0, 769)
     k1 = Params(kappa=1.0, epsilon=1e-3)
     k32 = Params(kappa=1.5, epsilon=1e-3)
-    ff = farfield_decaying(far, k32, 1e-4, 2.5, default_x_profile(far))
+    ff = FarField(far, 1e-4, 2.5, default_x_profile(far))
     return {"tall": (tall, k1, None), "top": (top, k1, None),
             "farfield": (far, k32, ff)}
 
@@ -827,6 +826,21 @@ class TestAudits:
         # unit weight cannot dominate for any domain height
         with pytest.raises(ValueError, match="weight overwhelms"):
             recommended_ymax(100.0, kappa=3.0, weight_alpha=1.0)
+        # inputs out of range are refused by name
+        nan, inf = math.nan, math.inf
+        for args, msg in (
+                ((-0.5,), "t_final must be finite and >= 0, got -0.5"),
+                ((nan,), "t_final must be finite and >= 0, got nan"),
+                ((inf,), "t_final must be finite and >= 0, got inf"),
+                ((1.0, nan), "kappa must be positive and finite, got nan"),
+                ((1.0, 0.0), "kappa must be positive and finite, got 0.0"),
+                ((1.0, 1.0, nan),
+                 "weight_alpha must be positive and finite, got nan"),
+                ((1.0, 1.0, -5.0),
+                 "weight_alpha must be positive and finite, got -5.0")):
+            with pytest.raises(ValueError) as exc:
+                recommended_ymax(*args)
+            assert str(exc.value) == msg
 
     def test_branch_selection(self):
         assert resolve_branch_alpha(1.0, "auto") == 1.0
@@ -899,7 +913,7 @@ class TestEqs2Residual:
         g = make_grid(ny=513)
         p = Params(kappa=1.5, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        ff = farfield_decaying(g, p, 1e-2, 2.5, default_x_profile(g))
+        ff = FarField(g, 1e-2, 2.5, default_x_profile(g))
         res = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
@@ -1020,7 +1034,7 @@ class TestCheckpoint:
         g, p, st = self._stepped_state()
         prof = np.zeros(g.nmodes, complex)
         prof[2] = 0.3
-        ff = farfield_decaying(g, p, 1e-4, 2.5, prof)
+        ff = FarField(g, 1e-4, 2.5, prof)
         st.cl_integrals = np.linspace(1e-6, 2e-6, len(st.cl_integrals))
         st.audit_min = {"u:a1:b1": -1e-9, "b:a1:b1": 3e-8}
         path = str(tmp_path / "run.ckpt")
@@ -1151,7 +1165,7 @@ class TestCheckpoint:
         """A checkpoint as a run leaves it: multistep history, CL
         integrals, a far field."""
         g, p, st = self._stepped_state()
-        ff = farfield_decaying(g, p, 1e-4, 2.5, default_x_profile(g))
+        ff = FarField(g, 1e-4, 2.5, default_x_profile(g))
         st.cl_integrals = np.full(build_partition(g).n_shells, 1e-6)
         st.theta_int1 = 1e-3
         st.audit_min = {"u:a1:b1": 1e-8, "b:a1:b1": 2e-8}

@@ -74,8 +74,20 @@ class TestPoincare:
             poincare_check(lambda y: np.exp(-((y - 20.0) ** 2)), 0.0, 1.0)
 
     def test_bad_kappa(self):
-        with pytest.raises(ValueError, match="kappa must be positive"):
-            poincare_check(lambda y: np.exp(-y * y), 0.0, 0.0)
+        """A kappa or t out of range is refused by name, not read as a
+        failed or vacuous inequality."""
+        for t, kappa, msg in (
+                (0.0, 0.0, "kappa must be positive and finite, got 0.0"),
+                (0.0, -1.0, "kappa must be positive and finite, got -1.0"),
+                (0.0, math.nan, "kappa must be positive and finite, got nan"),
+                (0.0, math.inf, "kappa must be positive and finite, got inf"),
+                (math.nan, 1.0, "t must be finite and >= 0, got nan"),
+                (math.inf, 1.0, "t must be finite and >= 0, got inf"),
+                (-1.0, 1.0, "t must be finite and >= 0, got -1.0"),
+                (-0.5, 1.0, "t must be finite and >= 0, got -0.5")):
+            with pytest.raises(ValueError) as exc:
+                poincare_check(lambda y: np.exp(-y * y), t, kappa)
+            assert str(exc.value) == msg
 
     def test_small_suite_passes_and_is_deterministic(self):
         a = run_poincare_suite(seed=7)
