@@ -19,10 +19,13 @@ Row window.  The solutions are Gaussian-localized in y, so on a tall
 domain the upper rows are often exactly 0.0 (the tails underflow).  A
 Field records this in `rows`: every row from `rows` up is exactly zero
 (rows = ny claims nothing).  Where `rows` is set from the data
-(Field.trimmed), amplitudes below the smallest normal double, 2.2e-308,
-are stored as 0 first, so `rows` bounds the normal entries and the
-kernels never take the CPU's slow path for subnormal operands.  The y
-operators and reductions below read only `Field.window` =
+(Field.trimmed), real and imaginary parts below 2^-511 = 1.49e-154,
+the square root of the smallest normal double, are stored as 0 first.
+The product of two stored parts is then a normal double or zero: the
+kernels, which multiply stored parts pairwise (the RHS products, |c|^2
+in the norms), do not take the CPU's slow path for subnormal results,
+and `rows` ends at the last row whose data can still form a normal
+product.  The y operators and reductions below read only `Field.window` =
 min(ny, rows + 2) rows, the support and two zero rows above it: on those
 the top closures of ddy and d2dy give exactly the full-grid values, and
 every output row above is exactly zero, so a windowed result has the
@@ -129,8 +132,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# The smallest normal double: a magnitude below it is subnormal or zero.
-_TINY = np.finfo(float).tiny
+# The square root of the smallest normal double, 2^-511: the product of
+# two parts at least this large in magnitude is a normal double.
+_FLUSH = 2.0 ** -511
 
 BC_DIRICHLET = "dirichlet"
 BC_NEUMANN = "neumann"
@@ -148,7 +152,8 @@ class Field:
     derivative).  The top boundary is always a homogeneous Dirichlet
     truncation of the decaying far tail.  `rows` bounds the support:
     rows from `rows` up are exactly zero and stay so while the field is
-    in use; after `trimmed` it bounds the normal entries (see the module
+    in use; after `trimmed` every stored part is 0 or at least 2^-511 in
+    magnitude, so products of two of them stay normal (see the module
     docstring).
     """
 
@@ -196,13 +201,13 @@ class Field:
 
     def trimmed(self) -> "Field":
         """This field (same array) with every real and imaginary part below
-        the smallest normal double in magnitude set to 0, and `rows`
+        2^-511 in magnitude, whose square underflows, set to 0, and `rows`
         lowered to the support of what is left.  NaN and +-inf stay, and
         count as live.  The masks take a byte per entry: no float
         temporary the size of the field."""
         flat = self.coeffs[:self.rows].view(np.float64)
-        small = flat < _TINY
-        small &= flat > -_TINY
+        small = flat < _FLUSH
+        small &= flat > -_FLUSH
         np.copyto(flat, 0.0, where=small)
         return Field(self.grid, self.coeffs, self.bc, support(flat))
 

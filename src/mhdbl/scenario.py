@@ -169,12 +169,15 @@ def cutoff_value(y):
 
 @dataclass
 class Cutoff:
-    """Wall cutoff sampled on a grid's y nodes: chi, chi', chi'', chi'''."""
+    """Wall cutoff sampled on a grid's y nodes: chi, chi', chi'', chi''';
+    `rows` is the number of nodes below y = 2, the zone's top, from which
+    node up chi' = 1 and chi'' = chi''' = 0 exactly."""
 
     chi: np.ndarray
     dchi: np.ndarray
     d2chi: np.ndarray
     d3chi: np.ndarray
+    rows: int
 
 
 def build_cutoff(grid: GridSpec) -> Cutoff:
@@ -189,7 +192,8 @@ def build_cutoff(grid: GridSpec) -> Cutoff:
         raise ValueError(
             f"cutoff transition zone holds only {in_zone} nodes; need >= 16 "
             "(refine ny or shrink ymax)")
-    return Cutoff(cutoff_value(y), *_slope_jet(y))
+    return Cutoff(cutoff_value(y), *_slope_jet(y),
+                  int(np.searchsorted(y, 2.0)))
 
 
 # ---- far fields ------------------------------------------------------------
@@ -216,11 +220,14 @@ class FarField:
 
     def __post_init__(self):
         eps, alpha, g = self.eps, self.alpha, self.grid
-        # U d_x U squares the amplitude, at most eps, as a Python float
-        if not (math.isfinite(eps * eps) and eps >= 0.0):
+        # U d_x U squares the amplitude, at most eps, as a Python float; a
+        # bool (a checkpoint header's true) is not a number here
+        if isinstance(eps, bool) or not (math.isfinite(eps * eps)
+                                         and eps >= 0.0):
             raise ValueError(f"need finite eps >= 0 with a finite square, "
                              f"got scenario.ff_eps={eps!r}")
-        if not (math.isfinite(alpha) and alpha > 0.0):
+        if isinstance(alpha, bool) or not (math.isfinite(alpha)
+                                           and alpha > 0.0):
             raise ValueError(
                 f"need finite alpha > 0, got scenario.alpha={alpha!r}")
         spec = self.g_spec = np.array(self.g_spec, dtype=complex)
@@ -267,17 +274,22 @@ class FarField:
 def source_terms(ff: FarField, t: float) -> Field:
     """Forcing created by patching the far field onto the layer.
 
-    Returns f_u, the tangential-velocity tendency (supported in the
-    cutoff zone 0 <= y <= 2).  The magnetic half is zero by construction
-    (B = 0 and bbar d_x U = 0 in every supported family), so it is not
-    formed.
+    Returns f_u, the tangential-velocity tendency, formed on the rows of
+    the cutoff zone y < 2 (Cutoff.rows): its profiles 1 - chi', chi'''
+    and 1 - chi'^2 + chi chi'' are exactly 0 from there up.  The
+    magnetic half is zero by construction (B = 0 and bbar d_x U = 0 in
+    every supported family), so it is not formed.
     """
     cut = ff.cutoff
-    quad_plus = 1.0 - cut.dchi ** 2 + cut.chi * cut.d2chi
-    cu = (np.outer(1.0 - cut.dchi, ff.dt_u_spec(t))
-          + np.outer(cut.d3chi, ff.u_spec(t))
-          + np.outer(quad_plus, ff.advection_spec(t)))
-    return Field(ff.grid, cu, BC_NEUMANN)
+    n = cut.rows
+    chi, dchi, d2chi, d3chi = (a[:n] for a in (cut.chi, cut.dchi, cut.d2chi,
+                                               cut.d3chi))
+    quad_plus = 1.0 - dchi ** 2 + chi * d2chi
+    cu = np.zeros((ff.grid.ny, ff.grid.nmodes), dtype=complex)
+    cu[:n] = (np.outer(1.0 - dchi, ff.dt_u_spec(t))
+              + np.outer(d3chi, ff.u_spec(t))
+              + np.outer(quad_plus, ff.advection_spec(t)))
+    return Field(ff.grid, cu, BC_NEUMANN, n)
 
 
 # ---- initial data ----------------------------------------------------------

@@ -206,15 +206,20 @@ def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
     """The t = 0 state of a run from (u0, b0): the first CFL speed and the
     blow-up limit 1e6 (m + 1) both come from m = max |u0|, |b0|, which
     must have a finite square, as the norms need.  The state's fields are
-    trimmed copies (Field.trimmed)."""
+    trimmed copies (Field.trimmed); nonzero data that the trim would
+    zero whole, every part's square underflowing, is refused."""
     alpha = resolve_branch_alpha(params.kappa, branch)
     scale = max(float(np.max(np.abs(u0.coeffs))),
                 float(np.max(np.abs(b0.coeffs))))
     if scale * scale == math.inf:
         raise ValueError(f"initial amplitude max |u0|, |b0| = {scale:.3e} is "
                          "too large: its square overflows a double")
-    return State(grid, params, 0.0, u0.copy().trimmed(), b0.copy().trimmed(),
-                 weight_alpha=alpha, umax=scale, blow_limit=1e6 * (scale + 1.0))
+    u, b = u0.copy().trimmed(), b0.copy().trimmed()
+    if scale > 0.0 and u.rows == b.rows == 0:
+        raise ValueError(f"initial amplitude max |u0|, |b0| = {scale:.3e} is "
+                         "too small: its square underflows a double")
+    return State(grid, params, 0.0, u, b, weight_alpha=alpha, umax=scale,
+                 blow_limit=1e6 * (scale + 1.0))
 
 
 def resolve_branch_alpha(kappa: float, branch: str) -> float:
@@ -295,16 +300,16 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     largest physical |u| (plus |U| with a far field) for the CFL bound.
 
     The products are formed on the n rows of the window of (u, b) and
-    ru, rb are zero above them (ru but for the far field's source): every
-    term holds a factor of u, b or their y derivatives, but for the far
-    field's chi'' U (v, h), whose window is the cutoff zone y <= 2.  (v
-    and h hold the column flux above the support.)"""
+    ru, rb are zero above them: every term holds a factor of u, b or
+    their y derivatives, but for the far field's chi'' U (v, h) and its
+    source, whose rows are those of the cutoff zone y < 2 (Cutoff.rows).
+    (v and h hold the column flux above the support.)"""
     g = state.grid
     p = state.params
     u, b = state.u, state.b
     n = max(u.window, b.window)
     if farfield is not None:
-        n = max(n, int(np.flatnonzero(farfield.cutoff.d2chi)[-1]) + 1)
+        n = max(n, farfield.cutoff.rows)
 
     # the eight factors, inverse-transformed in one call from ws.factors
     ws = state.ws
@@ -348,14 +353,12 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     # -nl + bbar d_x (b, u), written as one subtraction per field
     np.subtract(p.bbar * dbx, r[0], out=ru[:n])
     np.subtract(p.bbar * dux, r[1], out=rb[:n])
-    ru_rows = n
 
     if farfield is not None:
-        ru += source_terms(farfield, state.t).coeffs
-        ru_rows = g.ny
+        src = source_terms(farfield, state.t)
+        ru[:src.rows] += src.coeffs[:src.rows]
 
-    return (Field(g, ru, BC_DIRICHLET, ru_rows), Field(g, rb, BC_NEUMANN, n),
-            umax)
+    return (Field(g, ru, BC_DIRICHLET, n), Field(g, rb, BC_NEUMANN, n), umax)
 
 
 # ---- theta -----------------------------------------------------------------
@@ -481,7 +484,8 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
     """The Crank-Nicolson update of `field` with the explicit `tendency`;
     the right-hand side is formed on the rows its terms fill, and the
     result's `rows` is its support (the solve spreads the data upward).
-    Its subnormal parts are left for the trim after the projection."""
+    Its parts whose square underflows are left for the trim after the
+    projection."""
     half = d2dy(field)
     n = max(half.rows, tendency.rows)
     rhs = zero_above(field.coeffs, n)
@@ -553,9 +557,9 @@ def step_imex(state: State, dt: float,
     b1 = _cn_solve(state.ws, state.b, eb, nu_b, dt)
     shape_u, shape_b = state.ws.shapes
     # the projection keeps the support of the solve and its shape; the
-    # result, its subnormal parts flushed, sets by its exact support the
-    # row window of every kernel of the next step (a NaN row counts as
-    # live)
+    # result, its parts whose square underflows flushed, sets by its exact
+    # support the row window of every kernel of the next step (a NaN row
+    # counts as live)
     u1 = project_zero_flux(u1, shape_u).trimmed()
     b1 = project_zero_flux(b1, shape_b).trimmed()
 

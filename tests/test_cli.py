@@ -213,6 +213,25 @@ class TestSimulateCommand:
         assert err.endswith(" is too large: its square overflows a double\n")
         assert err.count("\n") == 1 and "RuntimeWarning" not in err
         assert not (out / "norms.csv").exists()
+        # and initial data so small that the flush of parts whose square
+        # underflows would zero it whole; the zero scenario still runs
+        out = tmp_path / "faint"
+        code = run_cli("simulate", "--out", str(out), "--set", "grid.nx=16",
+                       "--set", "grid.ny=92", "--set", "params.epsilon=1e-160",
+                       "--set", "run.t_final=1e-6")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial amplitude max |u0|, |b0| = ")
+        assert err.endswith(" is too small: its square underflows a "
+                            "double\n")
+        assert err.count("\n") == 1
+        assert not (out / "norms.csv").exists()
+        out = tmp_path / "still"
+        assert run_cli("simulate", "--out", str(out), "--set", "grid.nx=16",
+                       "--set", "grid.ny=92", "--set", "params.epsilon=1e-160",
+                       "--set", "scenario.id=zero",
+                       "--set", "run.t_final=1e-6") == 0
+        assert (out / "norms.csv").exists()
         # and heights whose dy leaves the zero-flux shape y e^{-y^2/2} no
         # mass at any node, refused before the profiles' y^3 overflows
         for ymax, extra in (("1e60", ()), ("1e103", ()), ("1e155", ()),
@@ -723,10 +742,10 @@ class TestResumeCommand:
 
     def test_header_values_meet_the_run_refusals(self, tmp_path, capsys):
         """A header is refused where a config would be: an out-of-range
-        grid or params value by its constructor, a grid too coarse for
-        the zero-flux shapes by the state's workspace, and a far field at
-        kappa = 1 by simulate.  The CRC-32 is rewritten, so a header that
-        passes those checks loads."""
+        grid, params or far-field value (a bool eps or alpha included) by
+        its constructor, a grid too coarse for the zero-flux shapes by the
+        state's workspace, and a far field at kappa = 1 by simulate.  The
+        CRC-32 is rewritten, so a header that passes those checks loads."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first, "grid.ny=256", "params.kappa=1.5",
                                   "run.branch=unit",
@@ -743,7 +762,11 @@ class TestResumeCommand:
                  "finite, got params.kappa=-1.0"),
                 ("grid", "ymax", 1e60, "grid.ymax=1e+60 over grid.ny=256 "
                  "gives dy=3.92e+57: the zero-flux shape y e^(-y^2/2) "
-                 "underflows to 0 at every node")):
+                 "underflows to 0 at every node"),
+                ("farfield", "alpha", True,
+                 "need finite alpha > 0, got scenario.alpha=True"),
+                ("farfield", "eps", True, "need finite eps >= 0 with a "
+                 "finite square, got scenario.ff_eps=True")):
             bad = {**header, section: {**header[section], key: value}}
             blob = json.dumps(bad).encode("utf-8")
             body = (raw[6:10] + len(blob).to_bytes(8, "little") + blob

@@ -196,20 +196,24 @@ class TestRowWindow:
         return Field(g, c, bc).trimmed(), Field(g, c, bc)
 
     def test_trimmed_flushes_subnormal_parts(self):
-        """trimmed zeroes, in place, every real and imaginary part below the
-        smallest normal double in magnitude and takes the support of the
-        rest: normal, infinite and NaN parts keep their bits (a NaN or inf
-        row stays live), and a second call changes nothing."""
+        """trimmed zeroes, in place, every real and imaginary part below
+        2^-511 in magnitude, whose square underflows, and takes the support
+        of the rest: parts of 2^-511 or more, infinite and NaN parts keep
+        their bits (a NaN or inf row stays live), and a second call changes
+        nothing."""
         g = make_grid(nx=16, ny=64, ymax=8.0)
-        tiny = np.finfo(float).tiny
+        bound = 2.0 ** -511
+        assert bound * bound == np.finfo(float).tiny
         rng = np.random.default_rng(5)
         c = (rng.standard_normal((g.ny, g.nmodes))
              + 1j * rng.standard_normal((g.ny, g.nmodes)))
-        small = np.array([tiny / 2, -tiny / 2, 5e-324, -5e-324])
-        c[2, :4] = small                      # real parts
-        c[3, :4] = 1j * small                 # imaginary parts
-        c[4, :2] = [complex(tiny, -tiny), complex(-tiny, tiny)]
-        c[30:40] = complex(tiny / 2, -5e-324)    # rows of subnormals only
+        below = np.nextafter(bound, 0.0)
+        small = np.array([below, -below, 1e-200, -np.finfo(float).tiny,
+                          5e-324, -5e-324])
+        c[2] = small                          # real parts
+        c[3] = 1j * small                     # imaginary parts
+        c[4, :2] = [complex(bound, -bound), complex(-bound, bound)]
+        c[30:40] = complex(below, -5e-324)    # rows of flushed parts only
         c[40:] = 0.0
         for bad, rows in ((None, 30), (np.nan, 36), (complex(0.0, np.nan), 36),
                           (np.inf, 36), (-np.inf, 36)):
@@ -220,7 +224,7 @@ class TestRowWindow:
             f = Field(g, d, "dirichlet").trimmed()
             assert f.coeffs is d and f.rows == rows, bad
             now = d.view(np.float64)
-            keep = ~(np.abs(was) < tiny)
+            keep = ~(np.abs(was) < bound)
             assert np.array_equal(now[keep].view(np.uint64),
                                   was[keep].view(np.uint64)), bad
             assert not np.any(now[~keep]), bad

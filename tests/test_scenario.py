@@ -206,6 +206,10 @@ class TestCutoff:
         c = build_cutoff(g)
         assert isinstance(c, Cutoff)
         above = g.y >= 2.0
+        # from the zone's top up, chi' = 1 and chi'' = chi''' = 0 exactly
+        assert c.rows == np.count_nonzero(~above) and above[c.rows]
+        assert np.all(c.dchi[c.rows:] == 1.0)
+        assert not np.any(c.d2chi[c.rows:]) and not np.any(c.d3chi[c.rows:])
         assert np.max(np.abs(c.chi[above] - g.y[above])) < 1e-9
         assert np.max(np.abs(c.dchi[above] - 1.0)) < 1e-12
         assert np.max(np.abs(c.d2chi[above])) < 1e-12
@@ -288,6 +292,9 @@ class TestSourceTerms:
         above = g.y > 2.0 + 1e-9
         scale = np.max(np.abs(f_u.coeffs))
         assert scale > 0.0
+        # formed on the rows below y = 2 only, and exactly 0 above them
+        assert f_u.rows == ff.cutoff.rows == np.count_nonzero(g.y < 2.0)
+        assert not np.any(f_u.coeffs[f_u.rows:])
         assert np.max(np.abs(f_u.coeffs[above])) < 1e-12 * scale
         # tail integrals vanish above the zone as well
         F_u = -integrate_y_tail(f_u).coeffs

@@ -23,7 +23,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from mhdbl.grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                         TailViolationError, d2dy, ddx, ddy, integrate_y_from0,
-                        integrate_y_tail)
+                        integrate_y_tail, mode_power)
 from mhdbl.lp import besov_pair_norm, build_partition, pair_shell_norms
 from mhdbl.scenario import (
     FarField,
@@ -683,6 +683,11 @@ class TestRowWindow:
         windows = []
         for _ in range(3):
             windows.append(max(st.u.window, st.b.window))
+            # the far field's products and source reach the cutoff zone's
+            # top, and the tendencies keep that window
+            ru, rb, _ = rhs_explicit(st, ff)
+            assert ru.rows == rb.rows == max(windows[-1],
+                                             ff.cutoff.rows if ff else 0)
             new, ref = step_imex(st, 1e-2, ff), step_imex(full_rows(st), 1e-2,
                                                          ff)
             for name in ("u", "b"):
@@ -705,7 +710,7 @@ class TestRowWindow:
                                          st.t, new.t, [(1.0, 1.0)])
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             st = new
-        if case == "tall":
+        if case in ("tall", "farfield"):
             assert max(windows) < g.ny - 100
         if case == "top":
             assert windows == [g.ny] * 3
@@ -1456,9 +1461,10 @@ def subnormals(a: np.ndarray) -> int:
 
 class TestSubnormalFlush:
     """On a grid whose Gaussian tails underflow below its top, the fields a
-    run holds are normal: make_state, each step and the checkpoint loader
-    flush the subnormal parts, and a resumed run still continues the
-    unbroken one bit for bit."""
+    run holds are normal, and so are their products: make_state, each step
+    and the checkpoint loader flush every part below 2^-511, whose square
+    underflows, and a resumed run still continues the unbroken one bit for
+    bit."""
 
     @staticmethod
     def setup_run():
@@ -1491,7 +1497,9 @@ class TestSubnormalFlush:
         states.append(load_checkpoint(path)[0])
         for s in states:
             for f in (s.u, s.b):
-                assert subnormals(f.coeffs) == 0
+                parts = np.abs(f.coeffs.view(np.float64))
+                assert np.all((parts == 0.0) | (parts >= 2.0 ** -511))
+                assert subnormals(mode_power(f.coeffs)) == 0
                 assert 0 < f.rows < g.ny
                 assert np.any(f.coeffs[f.rows - 1])
                 assert not np.any(f.coeffs[f.rows:])
