@@ -51,8 +51,31 @@ class TailViolationError(RuntimeError):
     """Weighted field mass escaped toward the top of the y domain."""
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+# The rules of `checked` for a finite number: their words and tests.
+_RULES = {"positive": ("positive and finite", lambda v: v > 0),
+          "nonnegative": ("finite and >= 0", lambda v: v >= 0),
+          "finite": ("finite", lambda v: True)}
+
+
+def checked(name: str, value, rule="positive"):
+    """`value` itself when it keeps `rule`, else ValueError "NAME must be
+    WORDS, got VALUE": the one range check of the numbers a run reads
+    (config, API call, checkpoint header), made where their object is
+    built, never per step.
+
+    A rule of _RULES takes a finite int or float; an int rule N takes an
+    integer >= N (WORDS "an integer >= N"), so a float count such as
+    128.0 is refused.  A bool is never a number here."""
+    if isinstance(rule, int):
+        words = f"an integer >= {rule}"
+        ok = isinstance(value, (int, np.integer)) and value >= rule
+    else:
+        words, test = _RULES[rule]
+        ok = (isinstance(value, (int, float, np.integer, np.floating))
+              and math.isfinite(value) and test(value))
+    if ok and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be {words}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,19 +89,19 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not _is_pow2(self.nx) or self.nx < 8:
-            raise ValueError(f"nx must be a power of two >= 8, got {self.nx}")
-        if self.ny < 16:
-            raise ValueError(f"ny must be >= 16, got {self.ny}")
+        checked("grid.nx", self.nx, 8)
+        if self.nx & (self.nx - 1):
+            raise ValueError(f"grid.nx must be a power of two, got {self.nx}")
+        checked("grid.ny", self.ny, 16)
         # d2dy squares dy as a Python float, which raises on overflow
-        if not (self.ymax > 4.0 and math.isfinite(self.dy * self.dy)):
+        if not (checked("grid.ymax", self.ymax) > 4.0
+                and math.isfinite(self.dy * self.dy)):
             raise ValueError(f"ymax must exceed 4 and keep dy^2 finite, got "
                              f"grid.ymax={self.ymax!r}")
-        if not (0.0 < self.dealias_fraction <= 1.0 and self.nmodes > 1):
+        if not (checked("grid.dealias_fraction", self.dealias_fraction) <= 1.0
+                and self.nmodes > 1):
             raise ValueError("dealias_fraction must be in (0, 1] and keep j=1")
-        if not (math.isfinite(self.lx) and self.lx > 0.0):
-            raise ValueError(f"lx must be positive and finite, got "
-                             f"grid.lx={self.lx!r}")
+        checked("grid.lx", self.lx)
 
     # ---- derived geometry -------------------------------------------------
     # The arrays are built once per grid and shared by every caller, so
@@ -230,19 +253,16 @@ class Field:
 def x_transform(grid: GridSpec, values: np.ndarray, direction: str) -> np.ndarray:
     """Real FFT in x along the last axis, so any stack of rows or fields
     goes through one call.  "forward": physical (..., nx) real -> the
-    (..., nmodes) stored amplitudes.  "inverse": stored amplitudes,
-    zero-filled unless already nx/2 + 1 wide (as hot callers pass them:
-    padding per call costs 3x) -> physical real array."""
+    (..., nmodes) stored amplitudes.  "inverse": stored amplitudes ->
+    physical real array; irfft with n = nx reads the modes above the
+    stored ones as zeros."""
     if direction == "forward":
         spec = np.fft.rfft(np.asarray(values, dtype=float), axis=-1,
                            norm="forward")
         return np.ascontiguousarray(spec[..., :grid.nmodes])
     if direction == "inverse":
-        coeffs = np.asarray(values, dtype=complex)
-        pad = grid.nx // 2 + 1 - coeffs.shape[-1]
-        if pad:
-            coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(0, pad)])
-        return np.fft.irfft(coeffs, n=grid.nx, axis=-1, norm="forward")
+        return np.fft.irfft(np.asarray(values, dtype=complex), n=grid.nx,
+                            axis=-1, norm="forward")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, column_flux,
-                   x_transform, zero_above)
+from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, checked,
+                   column_flux, x_transform, zero_above)
 from .lp import _gexp
 
 
@@ -42,17 +42,10 @@ class Params:
     nu_b: Optional[float] = None
 
     def __post_init__(self):
-        checks = (("kappa", "kappa"), ("epsilon", "epsilon"),
-                  ("delta", "delta and lam"), ("lam", "delta and lam"),
-                  ("nu_u", "diffusivity overrides"),
-                  ("nu_b", "diffusivity overrides"))
-        for name, what in checks:
+        for name in ("kappa", "epsilon", "delta", "lam", "nu_u", "nu_b"):
             val = getattr(self, name)
-            if val is None and name.startswith("nu_"):
-                continue
-            if not (math.isfinite(val) and val > 0.0):
-                raise ValueError(f"{what} must be positive and finite, got "
-                                 f"params.{name}={val!r}")
+            if not (val is None and name.startswith("nu_")):
+                checked(f"params.{name}", val)
         # the audit squares kappa as a Python float, which raises on overflow
         if not math.isfinite(self.kappa * self.kappa):
             raise ValueError(f"params.kappa={self.kappa!r} is too large: the "
@@ -219,17 +212,13 @@ class FarField:
     g_spec: np.ndarray
 
     def __post_init__(self):
-        eps, alpha, g = self.eps, self.alpha, self.grid
-        # U d_x U squares the amplitude, at most eps, as a Python float; a
-        # bool (a checkpoint header's true) is not a number here
-        if isinstance(eps, bool) or not (math.isfinite(eps * eps)
-                                         and eps >= 0.0):
-            raise ValueError(f"need finite eps >= 0 with a finite square, "
-                             f"got scenario.ff_eps={eps!r}")
-        if isinstance(alpha, bool) or not (math.isfinite(alpha)
-                                           and alpha > 0.0):
-            raise ValueError(
-                f"need finite alpha > 0, got scenario.alpha={alpha!r}")
+        eps, g = self.eps, self.grid
+        # U d_x U squares the amplitude, at most eps, as a Python float
+        checked("scenario.ff_eps", eps, "nonnegative")
+        if not math.isfinite(eps * eps):
+            raise ValueError(f"scenario.ff_eps={eps!r} is too large: "
+                             "U d_x U squares it")
+        checked("scenario.alpha", self.alpha)
         spec = self.g_spec = np.array(self.g_spec, dtype=complex)
         if spec.shape != (g.nmodes,):
             raise ValueError(f"profile spectrum must have shape ({g.nmodes},)")
@@ -314,9 +303,7 @@ def flux_projection_profiles(grid: GridSpec, nu_u: float = 1.0):
     (nu_u = 1 / kappa on the y / sqrt(kappa) grid) removes the correction
     field of the original run node for node.
     """
-    if nu_u <= 0.0:
-        raise ValueError("nu_u must be positive")
-    y = grid.y / math.sqrt(nu_u)
+    y = grid.y / math.sqrt(checked("nu_u", nu_u))
     w = grid.trapz_weights
     with np.errstate(over="ignore"):    # y^2 = inf gives the right e^-inf = 0
         q = np.exp(-0.5 * y ** 2)

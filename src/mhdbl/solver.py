@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
-                   TailViolationError, column_flux, d2dy, ddx, ddy,
+                   TailViolationError, checked, column_flux, d2dy, ddx, ddy,
                    integrate_y_tail, psi_weight, row_power, support,
                    weighted_l2, weighted_rows, x_transform, zero_above)
 from .lp import (besov_h_shell_norms, besov_norm, besov_pair_norm,
@@ -50,12 +50,9 @@ def recommended_ymax(t_final: float, kappa: float = 1.0,
     the guard needs that envelope below 1e-8 of its peak at 0.8 ymax,
     with some room for algebraic prefactors.
     """
-    if not (math.isfinite(t_final) and t_final >= 0.0):
-        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
-    for name, val in (("kappa", kappa), ("weight_alpha", weight_alpha)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got "
-                             f"{val!r}")
+    checked("t_final", t_final, "nonnegative")
+    checked("kappa", kappa)
+    checked("weight_alpha", weight_alpha)
     tt = 1.0 + t_final
     cs = []
     for nu in (1.0, kappa):
@@ -129,10 +126,9 @@ class _Workspace:
 
     @cached_property
     def factors(self) -> np.ndarray:
-        """The RHS's 8 product factors, (8, ny, nx/2 + 1): only the stored
-        modes are written, so the inverse transform needs no padding, and
-        each step uses the rows of its window."""
-        return np.zeros((8, self.grid.ny, self.grid.nx // 2 + 1), complex)
+        """The RHS's 8 product factors, (8, ny, nmodes): each step writes
+        and inverse-transforms the rows of its window."""
+        return np.zeros((8, self.grid.ny, self.grid.nmodes), complex)
 
 
 @dataclass
@@ -316,8 +312,7 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     ixi = 1j * g.xi
     duy, dby = state.dy_ub
     v, h = recover_vh(state)
-    stack = ws.factors[:, :n]
-    spec = stack[..., :g.nmodes]
+    spec = ws.factors[:, :n]
     spec[0] = u.coeffs[:n]
     spec[1] = b.coeffs[:n]
     np.multiply(u.coeffs[:n], ixi, out=spec[2])
@@ -328,7 +323,7 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     spec[7] = h.coeffs[:n]
     dux, dbx = spec[2], spec[3]
     u_p, b_p, dux_p, dbx_p, duy_p, dby_p, v_p, h_p = x_transform(
-        g, stack, "inverse")
+        g, spec, "inverse")
 
     umax = float(np.max(np.abs(u_p)))
 
@@ -750,9 +745,8 @@ def kappa_rescale_map(grid: GridSpec, u: Field, b: Field, kappa: float):
     The companion change of variables divides both diffusivities by kappa
     and scales the normal components by 1/sqrt(kappa); tangential fields
     keep their amplitude, so only the grid changes here."""
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    new_grid = GridSpec(grid.lx, grid.nx, grid.ymax / math.sqrt(kappa),
+    new_grid = GridSpec(grid.lx, grid.nx,
+                        grid.ymax / math.sqrt(checked("kappa", kappa)),
                         grid.ny, grid.dealias_fraction)
     return (new_grid, *(Field(new_grid, f.coeffs.copy(), f.bc, f.rows)
                         for f in (u, b)))
@@ -792,19 +786,16 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     for a far field at kappa = 1, ValueError when the far field's cutoff
     is unresolved on the grid, weight_alpha has no branch at kappa, the
     band multiplier e^(delta xi) overflows on the grid's top mode,
-    t_final, dt_max or cfl is not positive and finite, or sample_every is
-    not an integer >= 1.  The refusals of one object alone are its
+    or `grid.checked` refuses t_final, dt_max or cfl (not positive and
+    finite) or sample_every (not an integer >= 1; a bool or a float
+    count is refused).  The refusals of one object alone are its
     constructor's (Params, GridSpec, FarField, State).
     """
     grid, params = state.grid, state.params
     for name, val in (("t_final", t_final), ("dt_max", dt_max),
                       ("cfl", cfl)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got "
-                             f"{val!r}")
-    if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
-        raise ValueError(f"sample_every must be an integer >= 1, got "
-                         f"{sample_every!r}")
+        checked(name, val)
+    checked("sample_every", sample_every, 1)
     if farfield is not None:
         if params.kappa == 1.0:
             raise UnsupportedScenarioError(
@@ -925,31 +916,12 @@ _MAGIC = b"MHDBL\x00"
 _CKPT_VERSION = 3
 
 
-def _finite(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _nonneg(v, params=None) -> bool:
-    return _finite(v) and v >= 0.0
-
-
-# The State's scalars as the header stores them, each with the test its
-# value must pass on load and what the test asks for.
-_SCALARS = {
-    "t": (_nonneg, "a finite number >= 0"),
-    "theta": (_nonneg, "a finite number >= 0"),
-    "step_index": (lambda v, p: type(v) is int and v >= 0, "an integer >= 0"),
-    "weight_alpha": (lambda v, p: _finite(v) and v in dict(
-                         weight_branches(p.kappa).values()),
-                     "1 or 1/kappa, of a branch that exists at this kappa"),
-    "prev_dt": (lambda v, p: v is None or (_finite(v) and v > 0.0),
-                "null or a finite number > 0"),
-    "theta_int1": (_nonneg, "a finite number >= 0"),
-    "umax": (_nonneg, "a finite number >= 0"),
-    "blow_limit": (lambda v, p: _finite(v) and v > 0.0,
-                   "a finite number > 0"),
-}
+# The State's scalars as the header stores them, each with the rule of
+# `checked` its value keeps on load (prev_dt may also be null).
+_SCALARS = {"t": "nonnegative", "theta": "nonnegative", "step_index": 0,
+            "weight_alpha": "positive", "prev_dt": "positive",
+            "theta_int1": "nonnegative", "umax": "nonnegative",
+            "blow_limit": "positive"}
 
 
 def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
@@ -1012,12 +984,19 @@ def load_checkpoint(path: str):
     Raises CheckpointError with a one-line message when the file cannot
     be read, is not a checkpoint, has another format version (versions 1
     and 2, which lack the CRC, included), is truncated or too long, has a
-    header that is not JSON, lacks a key or holds a value of the wrong
-    type or a state value out of range, holds an array with a non-finite
-    value or with an imaginary part in its DC column (and Nyquist column,
-    when stored), which a real field's spectrum has not, or, all of that
-    passed, fails its CRC-32.  A grid, params or far-field value out of
-    range raises its constructor's ValueError, as it would in a config."""
+    header that is not JSON, lacks a key, has the wrong structure (a
+    cl_integrals list of the wrong length, an audit_min or extras that is
+    no object) or a weight_alpha of no branch at its kappa, holds an
+    array with a non-finite value or with an imaginary part in its DC
+    column (and Nyquist column, when stored), which a real field's
+    spectrum has not, or, all of that passed, fails its CRC-32.
+
+    Every number of the header meets the range check a config's meets,
+    with its ValueError: a grid, params or far-field value in its
+    constructor, and the state's scalars, Chemin-Lerner integrals and
+    audit minima in `grid.checked` under their header keys ("checkpoint
+    t must be finite and >= 0, got -0.5").  A bool, a string or a float
+    count ("ny": 256.0) there is refused the same way."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -1068,12 +1047,15 @@ def _real_spectrum(arr: np.ndarray, grid: GridSpec, name: str) -> np.ndarray:
 def _restore(header: dict, buf: io.BytesIO):
     grid = GridSpec(**header["grid"])
     params = Params(**header["params"])
-    scalars = {}
-    for key, (ok, what) in _SCALARS.items():
-        scalars[key] = val = header[key]
-        if not ok(val, params):
-            raise CheckpointError(f"checkpoint {key} must be {what}, got "
-                                  f"{val!r}")
+    scalars = {key: header[key] for key in _SCALARS}
+    alpha = scalars["weight_alpha"]
+    if alpha not in dict(weight_branches(params.kappa).values()):
+        raise CheckpointError("checkpoint weight_alpha must be 1 or 1/kappa, "
+                              "of a branch that exists at this kappa, got "
+                              f"{alpha!r}")
+    for key, rule in _SCALARS.items():
+        if key != "prev_dt" or scalars[key] is not None:
+            checked(f"checkpoint {key}", scalars[key], rule)
     # the arrays first: a grid too large for the file ends as truncation
     # before anything is sized from it
     n = grid.ny * grid.nmodes * 16
@@ -1097,15 +1079,18 @@ def _restore(header: dict, buf: io.BytesIO):
     ws = _Workspace(grid, params.diffusivities[0])
     n_shells = ws.part.n_shells
     cl = header["cl_integrals"]
-    if not (isinstance(cl, list) and len(cl) == n_shells
-            and all(map(_nonneg, cl))):
+    if not (isinstance(cl, list) and len(cl) == n_shells):
         raise CheckpointError(f"checkpoint cl_integrals must be {n_shells} "
                               "finite numbers >= 0, one per Chemin-Lerner "
                               "shell")
+    for val in cl:
+        checked("checkpoint cl_integrals", val, "nonnegative")
     audit = header["audit_min"]
-    if not (isinstance(audit, dict) and all(map(_finite, audit.values()))):
+    if not isinstance(audit, dict):
         raise CheckpointError("checkpoint audit_min must be an object of "
                               "finite numbers")
+    for val in audit.values():
+        checked("checkpoint audit_min", val, "finite")
     extras = header["extras"]
     if not isinstance(extras, dict):
         raise CheckpointError("malformed checkpoint header")

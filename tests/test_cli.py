@@ -154,26 +154,22 @@ class TestSimulateCommand:
             assert capsys.readouterr().err == (
                 f"error: {name} must be positive and finite, got "
                 f"{float(value)!r}\n")
-        # so are non-finite physical parameters
+        # so are non-finite physical parameters, grid and far-field
+        # values, with the key named
         for item in ("params.lam=inf", "params.epsilon=nan",
-                     "params.kappa=nan", "params.delta=inf"):
-            code = run_cli(*base_args(tmp_path / "x", item))
-            assert code == 2, item
-            err = capsys.readouterr().err
-            assert err.startswith("error: ")
-            assert f"must be positive and finite, got {item}" in err
-            assert err.count("\n") == 1
-        # and non-finite grid and far-field values, with the key named
-        for item in ("grid.ymax=inf", "grid.lx=nan", "grid.lx=inf",
-                     "scenario.ff_eps=nan", "scenario.ff_eps=inf",
-                     "scenario.alpha=nan", "scenario.alpha=inf"):
-            far = () if item.startswith("grid.") else (
+                     "params.kappa=nan", "params.delta=inf", "grid.ymax=inf",
+                     "grid.lx=nan", "grid.lx=inf", "scenario.ff_eps=nan",
+                     "scenario.ff_eps=inf", "scenario.alpha=nan",
+                     "scenario.alpha=inf"):
+            far = () if item.startswith(("params.", "grid.")) else (
                 "params.kappa=1.5", "scenario.farfield=decaying")
             code = run_cli(*base_args(tmp_path / "x", *far, item))
             assert code == 2, item
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and f"got {item}" in err
-            assert err.count("\n") == 1
+            key, value = item.split("=")
+            words = ("finite and >= 0" if key == "scenario.ff_eps"
+                     else "positive and finite")
+            assert capsys.readouterr().err == (
+                f"error: {key} must be {words}, got {value}\n")
         # and values whose square overflows a Python float: kappa in the
         # energy audit, dy in d2dy, the far-field amplitude in U d_x U
         for item, msg, far in (
@@ -181,8 +177,8 @@ class TestSimulateCommand:
                                        "the energy audit squares it", ()),
                 ("grid.ymax=1e300", "ymax must exceed 4 and keep dy^2 "
                                     "finite, got grid.ymax=1e+300", ()),
-                ("scenario.ff_eps=1e160", "need finite eps >= 0 with a "
-                 "finite square, got scenario.ff_eps=1e+160",
+                ("scenario.ff_eps=1e160", "scenario.ff_eps=1e+160 is too "
+                 "large: U d_x U squares it",
                  ("params.kappa=1.5", "scenario.farfield=decaying"))):
             out = tmp_path / "huge"
             code = run_cli(*base_args(out, *far, item))
@@ -657,32 +653,53 @@ class TestResumeCommand:
 
     NAN = float("nan")
 
+    # A row refused by grid.checked keeps the id it was first listed
+    # under, whose last part names the rule in the loader's former words.
     @pytest.mark.parametrize("key, value, msg", [
-        ("t", "x", "a finite number >= 0"),
-        ("t", NAN, "a finite number >= 0"),
-        ("t", -0.5, "a finite number >= 0"),
-        ("theta", "x", "a finite number >= 0"),
+        pytest.param("t", "x", "finite and >= 0",
+                     id="t-x-a finite number >= 0"),
+        pytest.param("t", NAN, "finite and >= 0",
+                     id="t-nan-a finite number >= 0"),
+        pytest.param("t", -0.5, "finite and >= 0",
+                     id="t--0.5-a finite number >= 0"),
+        pytest.param("theta", "x", "finite and >= 0",
+                     id="theta-x-a finite number >= 0"),
         ("step_index", "x", "an integer >= 0"),
         ("step_index", 1.5, "an integer >= 0"),
         ("step_index", -1, "an integer >= 0"),
         ("weight_alpha", "x", "1 or 1/kappa"),
         ("weight_alpha", 0.3, "1 or 1/kappa"),
-        ("prev_dt", "x", "null or a finite number > 0"),
-        ("prev_dt", NAN, "null or a finite number > 0"),
-        ("theta_int1", [1], "a finite number >= 0"),
-        ("theta_int1", NAN, "a finite number >= 0"),
-        ("umax", {}, "a finite number >= 0"),
-        ("umax", NAN, "a finite number >= 0"),
-        ("blow_limit", NAN, "a finite number > 0"),
-        ("blow_limit", 0.0, "a finite number > 0"),
-        ("cl_integrals", "nan in one", "4 finite numbers >= 0"),
+        pytest.param("prev_dt", "x", "positive and finite",
+                     id="prev_dt-x-null or a finite number > 0"),
+        pytest.param("prev_dt", NAN, "positive and finite",
+                     id="prev_dt-nan-null or a finite number > 0"),
+        pytest.param("theta_int1", [1], "finite and >= 0",
+                     id="theta_int1-value11-a finite number >= 0"),
+        pytest.param("theta_int1", NAN, "finite and >= 0",
+                     id="theta_int1-nan-a finite number >= 0"),
+        pytest.param("umax", {}, "finite and >= 0",
+                     id="umax-value13-a finite number >= 0"),
+        pytest.param("umax", NAN, "finite and >= 0",
+                     id="umax-nan-a finite number >= 0"),
+        pytest.param("blow_limit", NAN, "positive and finite",
+                     id="blow_limit-nan-a finite number > 0"),
+        pytest.param("blow_limit", 0.0, "positive and finite",
+                     id="blow_limit-0.0-a finite number > 0"),
+        pytest.param("cl_integrals", "nan in one", "finite and >= 0",
+                     id="cl_integrals-nan in one-4 finite numbers >= 0"),
         ("cl_integrals", "one short", "4 finite numbers >= 0"),
-        ("audit_min", {"u:a1:b1": "x"}, "an object of finite numbers"),
+        pytest.param("audit_min", {"u:a1:b1": "x"}, "finite, got 'x'",
+                     id="audit_min-value19-an object of finite numbers"),
         ("audit_min", [], "an object of finite numbers"),
         # (kappa, weight_alpha): 1/kappa without the kappa branch (kappa <=
         # 1/2) and 1 without the plain one (kappa >= 2)
         ("weight_alpha", (0.4, 2.5), "1 or 1/kappa"),
         ("weight_alpha", (3.0, 1.0), "1 or 1/kappa"),
+        # a bool is no number
+        ("t", True, "finite and >= 0"),
+        ("step_index", True, "an integer >= 0"),
+        ("weight_alpha", True, "positive and finite"),
+        ("audit_min", {"u:a1:b1": True}, "finite, got True"),
     ])
     def test_bad_header_values_exit_two(self, tmp_path, capsys,
                                         stepped_checkpoint, key, value, msg):
@@ -724,10 +741,11 @@ class TestResumeCommand:
         hlen = int.from_bytes(raw[10:18], "little")
         header = json.loads(raw[18:18 + hlen])
         for key, value, msg in (
-                ("alpha", -1.0, "need finite alpha > 0"),
-                ("alpha", float("nan"), "need finite alpha > 0"),
-                ("alpha", "x", "malformed checkpoint header"),
-                ("eps", 1e160, "need finite eps >= 0 with a finite square")):
+                ("alpha", -1.0, "scenario.alpha must be positive and finite"),
+                ("alpha", float("nan"),
+                 "scenario.alpha must be positive and finite"),
+                ("alpha", "x", "scenario.alpha must be positive and finite"),
+                ("eps", 1e160, "scenario.ff_eps=1e+160 is too large")):
             bad = {**header, "farfield": {**header["farfield"], key: value}}
             blob = json.dumps(bad).encode("utf-8")
             path = tmp_path / "bad.ckpt"
@@ -742,10 +760,11 @@ class TestResumeCommand:
 
     def test_header_values_meet_the_run_refusals(self, tmp_path, capsys):
         """A header is refused where a config would be: an out-of-range
-        grid, params or far-field value (a bool eps or alpha included) by
-        its constructor, a grid too coarse for the zero-flux shapes by the
-        state's workspace, and a far field at kappa = 1 by simulate.  The
-        CRC-32 is rewritten, so a header that passes those checks loads."""
+        grid, params or far-field value (a bool, or a float count,
+        included) by its constructor, a grid too coarse for the zero-flux
+        shapes by the state's workspace, and a far field at kappa = 1 by
+        simulate.  The CRC-32 is rewritten, so a header that passes those
+        checks loads."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first, "grid.ny=256", "params.kappa=1.5",
                                   "run.branch=unit",
@@ -757,16 +776,24 @@ class TestResumeCommand:
         for section, key, value, msg in (
                 ("params", "kappa", 1.0,
                  "kappa = 1 runs require the trivial far field"),
-                ("grid", "ny", 8, "ny must be >= 16, got 8"),
-                ("params", "kappa", -1.0, "kappa must be positive and "
-                 "finite, got params.kappa=-1.0"),
+                ("grid", "ny", 8, "grid.ny must be an integer >= 16, got 8"),
+                ("params", "kappa", -1.0, "params.kappa must be positive and "
+                 "finite, got -1.0"),
                 ("grid", "ymax", 1e60, "grid.ymax=1e+60 over grid.ny=256 "
                  "gives dy=3.92e+57: the zero-flux shape y e^(-y^2/2) "
                  "underflows to 0 at every node"),
                 ("farfield", "alpha", True,
-                 "need finite alpha > 0, got scenario.alpha=True"),
-                ("farfield", "eps", True, "need finite eps >= 0 with a "
-                 "finite square, got scenario.ff_eps=True")):
+                 "scenario.alpha must be positive and finite, got True"),
+                ("farfield", "eps", True, "scenario.ff_eps must be finite and "
+                 ">= 0, got True"),
+                # a bool is no number, and a float no count
+                *(("params", key, True, f"params.{key} must be positive and "
+                   "finite, got True")
+                  for key in ("kappa", "epsilon", "delta", "lam")),
+                *(("grid", key, True, f"grid.{key} must be positive and "
+                   "finite, got True") for key in ("lx", "dealias_fraction")),
+                ("grid", "ny", 256.0, "grid.ny must be an integer >= 16, "
+                 "got 256.0")):
             bad = {**header, section: {**header[section], key: value}}
             blob = json.dumps(bad).encode("utf-8")
             body = (raw[6:10] + len(blob).to_bytes(8, "little") + blob

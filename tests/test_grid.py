@@ -78,16 +78,21 @@ class TestGridSpec:
             GridSpec(lx=1.0, nx=12, ymax=8.0, ny=64)
 
     def test_rejects_small_nx(self):
-        with pytest.raises(ValueError, match="power of two"):
-            GridSpec(lx=1.0, nx=4, ymax=8.0, ny=64)
+        # a float count fails here, not later inside numpy.linspace
+        for nx in (4, 16.0):
+            with pytest.raises(ValueError, match=r"^grid\.nx must be an "
+                               f"integer >= 8, got {nx!r}$"):
+                GridSpec(lx=1.0, nx=nx, ymax=8.0, ny=64)
 
     def test_rejects_shallow_domain(self):
         with pytest.raises(ValueError, match="ymax"):
             GridSpec(lx=1.0, nx=16, ymax=3.0, ny=64)
 
     def test_rejects_coarse_y(self):
-        with pytest.raises(ValueError, match="ny"):
-            GridSpec(lx=1.0, nx=16, ymax=8.0, ny=8)
+        for ny in (8, 128.0):
+            with pytest.raises(ValueError, match=r"^grid\.ny must be an "
+                               f"integer >= 16, got {ny!r}$"):
+                GridSpec(lx=1.0, nx=16, ymax=8.0, ny=ny)
 
     def test_rejects_bad_lx(self):
         with pytest.raises(ValueError, match="lx must be positive"):
@@ -339,6 +344,18 @@ class TestXTransform:
         phys = rng.standard_normal((8, g.ny, g.nx))
         assert np.array_equal(x_transform(g, phys, "forward"),
                               sfft.rfft(phys, axis=-1, norm="forward"))
+
+    def test_inverse_reads_missing_modes_as_zero(self):
+        """The stored modes alone give the bits of the same stack
+        zero-filled to nx/2 + 1 columns."""
+        g = make_grid(nx=64, ny=96, ymax=8.0)
+        rng = np.random.default_rng(3)
+        shape = (8, g.ny, g.nmodes)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = np.zeros((8, g.ny, g.nx // 2 + 1), dtype=complex)
+        full[..., :g.nmodes] = spec
+        assert np.array_equal(x_transform(g, spec, "inverse"),
+                              x_transform(g, full, "inverse"))
 
     def test_above_cut_cosine_is_dropped(self):
         """A cosine above the 2/3 cut leaves nothing in the stored modes:

@@ -48,17 +48,12 @@ ALLOWED = {
 
 # defaulted parameters kept although no call outside the tests passes them
 ALLOWED_DEFAULTS = {
-    ("_nonneg", "params"): "passed by the loader's ok(val, params), which "
-                           "calls it through the _SCALARS table",
     ("theta_report", "t_split"): "acceptance criterion 5a's split at t=50",
     ("poincare_check", "ny"): "acceptance criterion 1 refines 2048 to 4096",
 }
 
 # parameters kept although their def's body never reads them
-ALLOWED_UNREAD = {
-    ("_nonneg", "params"): "the loader calls each check of the _SCALARS "
-                           "table as ok(val, params)",
-}
+ALLOWED_UNREAD = {}
 
 
 def _names(node, skip=None) -> set:

@@ -47,9 +47,11 @@ class TestParams:
             Params(kappa=0.0, epsilon=1e-3)
         with pytest.raises(ValueError, match="epsilon"):
             Params(kappa=1.0, epsilon=0.0)
-        with pytest.raises(ValueError, match="delta and lam"):
+        with pytest.raises(ValueError, match=r"^params\.lam must be positive "
+                           r"and finite, got -1\.0$"):
             Params(kappa=1.0, epsilon=1e-3, lam=-1.0)
-        with pytest.raises(ValueError, match="diffusivity"):
+        with pytest.raises(ValueError, match=r"^params\.nu_u must be "
+                           r"positive and finite, got -0\.5$"):
             Params(kappa=1.0, epsilon=1e-3, nu_u=-0.5)
         # finite, but the energy audit's kappa^2 overflows a double
         with pytest.raises(ValueError, match=r"^params\.kappa=1e\+160 is too "
@@ -58,11 +60,14 @@ class TestParams:
 
     @pytest.mark.parametrize("name", ["kappa", "epsilon", "delta", "lam",
                                       "nu_u", "nu_b"])
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), True])
     def test_non_finite_values_rejected(self, name, value):
+        """Non-finite values and bools, which are no numbers here."""
         kw = {"kappa": 1.0, "epsilon": 1e-3, name: value}
-        with pytest.raises(ValueError, match=f"finite, got params.{name}="):
+        with pytest.raises(ValueError) as exc:
             Params(**kw)
+        assert str(exc.value) == (f"params.{name} must be positive and "
+                                  f"finite, got {value!r}")
 
     def test_background_field_switch(self):
         assert Params(kappa=1.0, epsilon=1e-3).bbar == 1.0
@@ -239,9 +244,13 @@ class TestFarField:
         g = make_grid()
         with pytest.raises(ValueError, match="alpha"):
             FarField(g, 0.01, 0.0, cos_spec(g))
-        for eps in (-1.0, float("nan"), 1e160):
-            with pytest.raises(ValueError, match="need finite eps >= 0"):
+        for eps in (-1.0, float("nan"), True):
+            with pytest.raises(ValueError, match=r"^scenario\.ff_eps must be "
+                               r"finite and >= 0, got "):
                 FarField(g, eps, 2.5, cos_spec(g))
+        with pytest.raises(ValueError, match=r"^scenario\.ff_eps=1e\+160 is "
+                           "too large: U d_x U squares it$"):
+            FarField(g, 1e160, 2.5, cos_spec(g))
         with pytest.raises(ValueError, match="shape"):
             FarField(g, 0.01, 2.5, np.zeros(7))
         # a physical profile is no spectrum: nx > nmodes

@@ -254,8 +254,7 @@ class TestExplicitTendency:
     def test_two_x_transforms_per_evaluation(self, monkeypatch, far):
         """All inverse transforms go in one batched call, the forward ones
         in another, on both branches.  The inverse gets the workspace's
-        nx/2 + 1 wide stack (no padding inside the transform), and a step
-        leaves the stack's columns above the stored modes zero."""
+        stack of the stored modes, which a step fills."""
         import mhdbl.grid
         g = make_grid(ny=257)
         p = Params(kappa=1.5, epsilon=1e-3)
@@ -278,11 +277,11 @@ class TestExplicitTendency:
             monkeypatch.setattr(f"mhdbl.{mod}.x_transform", counted)
         ru, rb, _ = rhs_explicit(st, ff)
         assert sorted(calls) == ["forward", "inverse"]
-        assert widths == [g.nx // 2 + 1]
+        assert widths == [g.nmodes]
         assert np.max(np.abs(ru.coeffs)) > 0.0
         step_imex(st, 1e-3, ff)
-        assert np.any(st.ws.factors[..., :g.nmodes])
-        assert not np.any(st.ws.factors[..., g.nmodes:])
+        assert st.ws.factors.shape == (8, g.ny, g.nmodes)
+        assert np.any(st.ws.factors)
 
 
 class TestTheta:
@@ -842,7 +841,12 @@ class TestAudits:
                 ((1.0, 1.0, nan),
                  "weight_alpha must be positive and finite, got nan"),
                 ((1.0, 1.0, -5.0),
-                 "weight_alpha must be positive and finite, got -5.0")):
+                 "weight_alpha must be positive and finite, got -5.0"),
+                ((True, True, True),
+                 "t_final must be finite and >= 0, got True"),
+                ((1.0, True), "kappa must be positive and finite, got True"),
+                ((1.0, 1.0, True),
+                 "weight_alpha must be positive and finite, got True")):
             with pytest.raises(ValueError) as exc:
                 recommended_ymax(*args)
             assert str(exc.value) == msg
@@ -980,9 +984,9 @@ class TestKappaRescale:
         g = make_grid()
         u = Field.zeros(g, BC_DIRICHLET)
         b = Field.zeros(g, BC_NEUMANN)
-        for kappa in (0.0, float("nan"), float("inf")):
+        for kappa in (0.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match=r"^kappa must be positive "
-                               r"and finite, got (0\.0|nan|inf)$"):
+                               r"and finite, got (0\.0|nan|inf|True)$"):
                 kappa_rescale_map(g, u, b, kappa)
 
     def test_upscaling_widens_the_grid(self):
@@ -995,8 +999,10 @@ class TestKappaRescale:
 
     def test_rescaled_flux_shapes_identity(self):
         g = make_grid()
-        with pytest.raises(ValueError, match="positive"):
-            flux_projection_profiles(g, 0.0)
+        for nu_u in (0.0, math.nan):
+            with pytest.raises(ValueError, match="^nu_u must be positive and "
+                               f"finite, got {nu_u!r}$"):
+                flux_projection_profiles(g, nu_u)
 
     def test_conjugate_runs_track_each_other(self):
         # dividing heights by sqrt(kappa) and both diffusivities by kappa
@@ -1371,7 +1377,7 @@ class TestSimulate:
         ("cfl", 0.0), ("cfl", math.nan), ("cfl", -0.4), ("cfl", math.inf),
         ("dt_max", -0.01), ("dt_max", math.nan), ("dt_max", 0.0),
         ("t_final", 0.0), ("t_final", -1.0), ("sample_every", 0),
-        ("sample_every", 2.0)])
+        ("sample_every", 2.0), ("sample_every", True)])
     def test_bad_run_settings_refused(self, name, value):
         """Each bad setting is a one-line ValueError naming it, raised
         before the first sample, not a misleading ending.  An infinite

@@ -84,7 +84,9 @@ class TestPoincare:
                 (math.nan, 1.0, "t must be finite and >= 0, got nan"),
                 (math.inf, 1.0, "t must be finite and >= 0, got inf"),
                 (-1.0, 1.0, "t must be finite and >= 0, got -1.0"),
-                (-0.5, 1.0, "t must be finite and >= 0, got -0.5")):
+                (-0.5, 1.0, "t must be finite and >= 0, got -0.5"),
+                (0.0, True, "kappa must be positive and finite, got True"),
+                (False, 1.0, "t must be finite and >= 0, got False")):
             with pytest.raises(ValueError) as exc:
                 poincare_check(lambda y: np.exp(-y * y), t, kappa)
             assert str(exc.value) == msg
