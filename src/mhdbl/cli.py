@@ -17,8 +17,7 @@ import sys
 import numpy as np
 
 from .grid import Field, GridSpec
-from .scenario import (FarField, Params, default_x_profile,
-                       initial_data_standard)
+from .scenario import FarField, Params, initial_data_standard
 from .solver import (CheckpointError, NormSeries, load_checkpoint,
                      make_state, resolve_branch_alpha, save_checkpoint,
                      simulate)
@@ -136,8 +135,7 @@ def build_run(cfg: dict):
         u0, b0, report = initial_data_standard(grid, params)
     ff = None
     if cfg["scenario.farfield"] == "decaying":
-        ff = FarField(grid, cfg["scenario.ff_eps"], cfg["scenario.alpha"],
-                      default_x_profile(grid))
+        ff = FarField(grid, cfg["scenario.ff_eps"], cfg["scenario.alpha"])
     return grid, params, u0, b0, ff, report
 
 

@@ -40,6 +40,7 @@ it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -52,6 +53,9 @@ class TailViolationError(RuntimeError):
 
 
 # The rules of `checked` for a finite number: their words and tests.
+# Finite is |v| <= _MAX, which Python decides exactly for an int of any
+# size, where math.isfinite would overflow.
+_MAX = sys.float_info.max
 _RULES = {"positive": ("positive and finite", lambda v: v > 0),
           "nonnegative": ("finite and >= 0", lambda v: v >= 0),
           "finite": ("finite", lambda v: True)}
@@ -65,14 +69,15 @@ def checked(name: str, value, rule="positive"):
 
     A rule of _RULES takes a finite int or float; an int rule N takes an
     integer >= N (WORDS "an integer >= N"), so a float count such as
-    128.0 is refused.  A bool is never a number here."""
+    128.0 is refused.  A bool is never a number here, and an int past the
+    largest double fails every rule."""
     if isinstance(rule, int):
         words = f"an integer >= {rule}"
-        ok = isinstance(value, (int, np.integer)) and value >= rule
+        ok = isinstance(value, (int, np.integer)) and rule <= value <= _MAX
     else:
         words, test = _RULES[rule]
         ok = (isinstance(value, (int, float, np.integer, np.floating))
-              and math.isfinite(value) and test(value))
+              and abs(value) <= _MAX and test(value))
     if ok and not isinstance(value, bool):
         return value
     raise ValueError(f"{name} must be {words}, got {value!r}")

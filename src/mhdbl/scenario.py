@@ -47,7 +47,7 @@ class Params:
             if not (val is None and name.startswith("nu_")):
                 checked(f"params.{name}", val)
         # the audit squares kappa as a Python float, which raises on overflow
-        if not math.isfinite(self.kappa * self.kappa):
+        if not math.isfinite(self.kappa * float(self.kappa)):
             raise ValueError(f"params.kappa={self.kappa!r} is too large: the "
                              "energy audit squares it")
 
@@ -197,34 +197,29 @@ class FarField:
     """Tangential flow U(t, x) imposed above the layer and patched onto it
     through the wall cutoff.  A run without a far field passes None.
 
-    U is separable: eps * <t>^{-alpha} * profile(x), stored as the
-    profile's nmodes mode amplitudes, which must have zero x mean.  The
-    far magnetic field B is zero by construction: no supported family has
-    B != 0, so only U is carried.  It needs a zero background field
-    (kappa != 1): with bbar = 1 the total tangential field 1 + B no longer
-    satisfies its transport law unless U is x-independent, so simulate
-    refuses a far field at kappa = 1.
+    U is separable: eps * <t>^{-alpha} * a(x), with a(x) the initial
+    data's zero-mean profile default_x_profile, whose nmodes mode
+    amplitudes are kept as g_spec.  The far magnetic field B is zero by
+    construction: no supported family has B != 0, so only U is carried.
+    It needs a zero background field (kappa != 1): with bbar = 1 the
+    total tangential field 1 + B no longer satisfies its transport law
+    unless U is x-independent, so simulate refuses a far field at
+    kappa = 1.
     """
 
     grid: GridSpec
     eps: float
     alpha: float
-    g_spec: np.ndarray
 
     def __post_init__(self):
         eps, g = self.eps, self.grid
         # U d_x U squares the amplitude, at most eps, as a Python float
         checked("scenario.ff_eps", eps, "nonnegative")
-        if not math.isfinite(eps * eps):
+        if not math.isfinite(eps * float(eps)):
             raise ValueError(f"scenario.ff_eps={eps!r} is too large: "
                              "U d_x U squares it")
         checked("scenario.alpha", self.alpha)
-        spec = self.g_spec = np.array(self.g_spec, dtype=complex)
-        if spec.shape != (g.nmodes,):
-            raise ValueError(f"profile spectrum must have shape ({g.nmodes},)")
-        if abs(spec[0]) > 1e-13 * (1.0 + np.max(np.abs(spec))):
-            raise UnsupportedScenarioError(
-                "far-field profile must have zero x mean")
+        spec = self.g_spec = default_x_profile(g)
         # time-free parts of the physical rows, transformed once: g, d_x g
         # and the spectrum of g d_x g
         self._g_row, self._dxg_row = x_transform(

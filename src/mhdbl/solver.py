@@ -107,14 +107,25 @@ class NormSeries:
 
 class _Workspace:
     """A run's caches, held by each of its states (State.ws): the LP
-    partition, the zero-flux shapes for momentum diffusivity nu_u (a grid
-    too coarse for them is refused here), one CN factorization per (nu,
-    dt, bc) and the RHS factor stack.  A checkpoint stores none of them."""
+    partition, the zero-flux shapes, the gain of the weight branch whose
+    alpha is weight_alpha, one CN factorization per (nu, dt, bc) and the
+    RHS factor stack; a checkpoint stores none of them.  Built once per
+    run, it refuses a grid too coarse for the shapes, a weight_alpha of
+    no branch at kappa and a delta whose e^(delta xi) overflows."""
 
-    def __init__(self, grid: GridSpec, nu_u: float):
+    def __init__(self, grid: GridSpec, params: Params, weight_alpha: float):
         self.grid = grid
         self.part = build_partition(grid)
-        self.shapes = flux_projection_profiles(grid, nu_u)
+        self.shapes = flux_projection_profiles(grid, params.diffusivities[0])
+        self.gain = dict(weight_branches(params.kappa).values()).get(
+            weight_alpha)
+        if self.gain is None:
+            raise ValueError(f"weight_alpha={weight_alpha!r} is the alpha of "
+                             f"no weight branch at kappa={params.kappa!r}")
+        xi_max = float(grid.xi[-1])
+        if params.delta * xi_max > math.log(np.finfo(float).max):
+            raise ValueError(f"params.delta={params.delta!r} is too large: "
+                             f"e^(delta xi) overflows at xi_max={xi_max:g}")
         self._cn = {}
 
     def cn_factors(self, nu: float, dt: float, bc: str) -> CNFactors:
@@ -165,7 +176,7 @@ class State:
 
     def __post_init__(self):
         if self.ws is None:
-            self.ws = _Workspace(self.grid, self.params.diffusivities[0])
+            self.ws = _Workspace(self.grid, self.params, self.weight_alpha)
         if self.cl_integrals is None:
             self.cl_integrals = np.zeros(self.ws.part.n_shells)
 
@@ -784,12 +795,11 @@ def simulate(state: State, farfield: Optional[FarField] = None,
     holds the audit minima, theta bookkeeping, and flux statistics.  Only
     input errors raise, before the first sample: UnsupportedScenarioError
     for a far field at kappa = 1, ValueError when the far field's cutoff
-    is unresolved on the grid, weight_alpha has no branch at kappa, the
-    band multiplier e^(delta xi) overflows on the grid's top mode,
-    or `grid.checked` refuses t_final, dt_max or cfl (not positive and
-    finite) or sample_every (not an integer >= 1; a bool or a float
-    count is refused).  The refusals of one object alone are its
-    constructor's (Params, GridSpec, FarField, State).
+    is unresolved on the grid, or `grid.checked` refuses t_final, dt_max
+    or cfl (not positive and finite) or sample_every (not an integer
+    >= 1; a bool or a float count is refused).  The other refusals are
+    those of its inputs' constructors (Params, GridSpec, FarField, and
+    the state's workspace).
     """
     grid, params = state.grid, state.params
     for name, val in (("t_final", t_final), ("dt_max", dt_max),
@@ -802,19 +812,11 @@ def simulate(state: State, farfield: Optional[FarField] = None,
                 "kappa = 1 runs require the trivial far field")
         farfield.cutoff    # sampled now, so a bad grid fails before output
     part = state.ws.part
-    gain = dict(weight_branches(params.kappa).values()).get(state.weight_alpha)
-    if gain is None:
-        raise ValueError(f"weight_alpha={state.weight_alpha!r} is the alpha "
-                         f"of no weight branch at kappa={params.kappa!r}")
-    weight_exp = 2.0 * (0.5 + gain)
+    weight_exp = 2.0 * (0.5 + state.ws.gain)
     # distinct (alpha, beta) audit combinations in first-seen order; at
     # kappa = 1 all four collapse to one
     audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
                                 for be in (1.0, params.kappa))
-    xi_max = float(grid.xi[-1])
-    if params.delta * xi_max > math.log(np.finfo(float).max):
-        raise ValueError(f"params.delta={params.delta!r} is too large: "
-                         f"e^(delta xi) overflows at xi_max={xi_max:g}")
     series = NormSeries()
 
     def cl_dyub_sq(st: State) -> float:
@@ -913,7 +915,7 @@ def _choose_dt(grid: GridSpec, dt_max: float, cfl: float, umax: float) -> float:
 # ---- checkpointing -----------------------------------------------------------
 
 _MAGIC = b"MHDBL\x00"
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 
 
 # The State's scalars as the header stores them, each with the rule of
@@ -926,7 +928,7 @@ _SCALARS = {"t": "nonnegative", "theta": "nonnegative", "step_index": 0,
 
 def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
                     extras: Optional[dict] = None) -> None:
-    """Binary snapshot of exactly `state` (format version 3): magic,
+    """Binary snapshot of exactly `state` (format version 4): magic,
     version, header length, a JSON header, then u, b and, when the state
     has a multistep history (prev_dt not null), prev_ru and prev_rb, each
     as its stored (ny, nmodes) amplitudes in little-endian complex pairs,
@@ -934,14 +936,13 @@ def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
 
     The header holds the grid, the params, the state's scalars (_SCALARS),
     its Chemin-Lerner shell integrals and audit minima, the far field's
-    eps, alpha and stored-mode profile ("farfield": null without one), and
-    the caller's `extras`.  Written to a temporary file beside `path` and
-    renamed over it, so a failed write leaves any previous file intact."""
+    eps and alpha ("farfield": null without one; its x profile is
+    default_x_profile's), and the caller's `extras`.  Written to a
+    temporary file beside `path` and renamed over it, so a failed write
+    leaves any previous file intact."""
     ff = None
     if farfield is not None:
-        ff = {"eps": farfield.eps, "alpha": farfield.alpha,
-              "g_re": farfield.g_spec.real.tolist(),
-              "g_im": farfield.g_spec.imag.tolist()}
+        ff = {"eps": farfield.eps, "alpha": farfield.alpha}
     header = {
         "version": _CKPT_VERSION,
         "grid": asdict(state.grid),
@@ -982,20 +983,21 @@ def load_checkpoint(path: str):
     """Inverse of save_checkpoint: returns (state, farfield, extras).
 
     Raises CheckpointError with a one-line message when the file cannot
-    be read, is not a checkpoint, has another format version (versions 1
-    and 2, which lack the CRC, included), is truncated or too long, has a
-    header that is not JSON, lacks a key, has the wrong structure (a
-    cl_integrals list of the wrong length, an audit_min or extras that is
-    no object) or a weight_alpha of no branch at its kappa, holds an
-    array with a non-finite value or with an imaginary part in its DC
-    column (and Nyquist column, when stored), which a real field's
-    spectrum has not, or, all of that passed, fails its CRC-32.
+    be read, is not a checkpoint, has another format version (1 and 2
+    lack the CRC; 3 may hold another far-field profile), is truncated or
+    too long, has a header that is not JSON, lacks a key, has the wrong
+    structure (a cl_integrals list of the wrong length, an audit_min or
+    extras that is no object), holds an array with a non-finite value or
+    with an imaginary part in its DC column (and Nyquist column, when
+    stored), which a real field's spectrum has not, or, all of that
+    passed, fails its CRC-32.
 
     Every number of the header meets the range check a config's meets,
     with its ValueError: a grid, params or far-field value in its
-    constructor, and the state's scalars, Chemin-Lerner integrals and
-    audit minima in `grid.checked` under their header keys ("checkpoint
-    t must be finite and >= 0, got -0.5").  A bool, a string or a float
+    constructor, the state's scalars, Chemin-Lerner integrals and audit
+    minima in `grid.checked` under their header keys ("checkpoint t must
+    be finite and >= 0, got -0.5"), and a weight_alpha of no branch at
+    its kappa in the state's workspace.  A bool, a string or a float
     count ("ny": 256.0) there is refused the same way."""
     try:
         with open(path, "rb") as fh:
@@ -1025,7 +1027,7 @@ def load_checkpoint(path: str):
     except KeyError as e:
         raise CheckpointError(
             f"checkpoint header lacks key {e.args[0]!r}") from None
-    except (TypeError, OverflowError):     # OverflowError: ints past float
+    except (TypeError, OverflowError):     # OverflowError: a size past ssize_t
         raise CheckpointError("malformed checkpoint header") from None
     if zlib.crc32(body[len(_MAGIC):]) != int.from_bytes(crc, "little"):
         raise CheckpointError("checkpoint fails its CRC-32 check: the file "
@@ -1033,26 +1035,10 @@ def load_checkpoint(path: str):
     return loaded
 
 
-def _real_spectrum(arr: np.ndarray, grid: GridSpec, name: str) -> np.ndarray:
-    """`arr` after checking that it is finite and that its DC column (and
-    Nyquist column, when stored) is real, as in a real field's spectrum."""
-    if not np.all(np.isfinite(arr)):
-        raise CheckpointError(f"checkpoint {name} holds non-finite values")
-    if np.any(arr[..., ::grid.nx // 2].imag):
-        raise CheckpointError(f"checkpoint {name} is not the spectrum of a "
-                              "real field")
-    return arr
-
-
 def _restore(header: dict, buf: io.BytesIO):
     grid = GridSpec(**header["grid"])
     params = Params(**header["params"])
     scalars = {key: header[key] for key in _SCALARS}
-    alpha = scalars["weight_alpha"]
-    if alpha not in dict(weight_branches(params.kappa).values()):
-        raise CheckpointError("checkpoint weight_alpha must be 1 or 1/kappa, "
-                              "of a branch that exists at this kappa, got "
-                              f"{alpha!r}")
     for key, rule in _SCALARS.items():
         if key != "prev_dt" or scalars[key] is not None:
             checked(f"checkpoint {key}", scalars[key], rule)
@@ -1065,7 +1051,13 @@ def _restore(header: dict, buf: io.BytesIO):
         if len(data) != n:
             raise CheckpointError("truncated checkpoint")
         arr = np.frombuffer(data, dtype="<c16").reshape(grid.ny, grid.nmodes)
-        return _real_spectrum(arr.astype(np.complex128), grid, name)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint {name} holds non-finite values")
+        # a real field's DC column (and Nyquist column, when stored) is real
+        if np.any(arr[:, ::grid.nx // 2].imag):
+            raise CheckpointError(f"checkpoint {name} is not the spectrum of "
+                                  "a real field")
+        return arr.astype(np.complex128)
 
     u = Field(grid, read_arr("u"), BC_DIRICHLET).trimmed()
     b = Field(grid, read_arr("b"), BC_NEUMANN).trimmed()
@@ -1076,7 +1068,7 @@ def _restore(header: dict, buf: io.BytesIO):
     if buf.read(1):
         raise CheckpointError("checkpoint holds data past its last array")
 
-    ws = _Workspace(grid, params.diffusivities[0])
+    ws = _Workspace(grid, params, scalars["weight_alpha"])
     n_shells = ws.part.n_shells
     cl = header["cl_integrals"]
     if not (isinstance(cl, list) and len(cl) == n_shells):
@@ -1095,15 +1087,8 @@ def _restore(header: dict, buf: io.BytesIO):
     if not isinstance(extras, dict):
         raise CheckpointError("malformed checkpoint header")
     fd = header["farfield"]
-    ff = None
-    if fd is not None:
-        g_spec = np.asarray(fd["g_re"]) + 1j * np.asarray(fd["g_im"])
-        if g_spec.shape != (grid.nmodes,):
-            raise CheckpointError("checkpoint far-field profile has the "
-                                  "wrong length")
-        # validated as a new far field is, so a bad value exits 2
-        ff = FarField(grid, fd["eps"], fd["alpha"],
-                      _real_spectrum(g_spec, grid, "far-field profile"))
+    # validated as a new far field is, so a bad value exits 2
+    ff = None if fd is None else FarField(grid, fd["eps"], fd["alpha"])
     state = State(grid, params, u=u, b=b, prev_ru=prev_ru, prev_rb=prev_rb,
                   cl_integrals=np.asarray(cl, dtype=float),
                   audit_min=audit, ws=ws, **scalars)

@@ -170,6 +170,14 @@ class TestSimulateCommand:
                      else "positive and finite")
             assert capsys.readouterr().err == (
                 f"error: {key} must be {words}, got {value}\n")
+        # and counts past the largest double (401 and 422 digits), refused
+        # by name before GridSpec converts them
+        for key, value, low in (("grid.ny", 10 ** 400, 16),
+                                ("grid.nx", 2 ** 1400, 8)):
+            code = run_cli(*base_args(tmp_path / "x", f"{key}={value}"))
+            assert code == 2, key
+            assert capsys.readouterr().err == (
+                f"error: {key} must be an integer >= {low}, got {value}\n")
         # and values whose square overflows a Python float: kappa in the
         # energy audit, dy in d2dy, the far-field amplitude in U d_x U
         for item, msg, far in (
@@ -602,7 +610,7 @@ class TestResumeCommand:
         bad_extras.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
                                + blob + raw[18 + hlen:])
         doc = json.loads(header)
-        doc["t"] = 10 ** 400            # an integer no float can hold
+        doc["t"] = 10 ** 400            # an integer no double can hold
         blob = json.dumps(doc).encode("utf-8")
         huge = tmp_path / "huge.ckpt"
         huge.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
@@ -612,7 +620,7 @@ class TestResumeCommand:
                 (bad_json, "checkpoint header is not valid JSON"),
                 (no_key, "checkpoint header lacks key 'grid'"),
                 (bad_extras, "malformed checkpoint header"),
-                (huge, "malformed checkpoint header")):
+                (huge, "checkpoint t must be finite and >= 0, got 1000")):
             code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
                            "--set", "run.t_final=0.2")
             assert code == 2, path
@@ -653,8 +661,9 @@ class TestResumeCommand:
 
     NAN = float("nan")
 
-    # A row refused by grid.checked keeps the id it was first listed
-    # under, whose last part names the rule in the loader's former words.
+    # A row refused by grid.checked or the state's workspace keeps the id
+    # it was first listed under, whose last part names the rule in the
+    # loader's former words.
     @pytest.mark.parametrize("key, value, msg", [
         pytest.param("t", "x", "finite and >= 0",
                      id="t-x-a finite number >= 0"),
@@ -667,8 +676,12 @@ class TestResumeCommand:
         ("step_index", "x", "an integer >= 0"),
         ("step_index", 1.5, "an integer >= 0"),
         ("step_index", -1, "an integer >= 0"),
-        ("weight_alpha", "x", "1 or 1/kappa"),
-        ("weight_alpha", 0.3, "1 or 1/kappa"),
+        pytest.param("weight_alpha", "x", "positive and finite",
+                     id="weight_alpha-x-1 or 1/kappa"),
+        # the state's workspace refuses an alpha of no branch at kappa
+        pytest.param("weight_alpha", 0.3, "weight_alpha=0.3 is the alpha of "
+                     "no weight branch at kappa=1.0",
+                     id="weight_alpha-0.3-1 or 1/kappa"),
         pytest.param("prev_dt", "x", "positive and finite",
                      id="prev_dt-x-null or a finite number > 0"),
         pytest.param("prev_dt", NAN, "positive and finite",
@@ -693,8 +706,12 @@ class TestResumeCommand:
         ("audit_min", [], "an object of finite numbers"),
         # (kappa, weight_alpha): 1/kappa without the kappa branch (kappa <=
         # 1/2) and 1 without the plain one (kappa >= 2)
-        ("weight_alpha", (0.4, 2.5), "1 or 1/kappa"),
-        ("weight_alpha", (3.0, 1.0), "1 or 1/kappa"),
+        pytest.param("weight_alpha", (0.4, 2.5), "weight_alpha=2.5 is the "
+                     "alpha of no weight branch at kappa=0.4",
+                     id="weight_alpha-value21-1 or 1/kappa"),
+        pytest.param("weight_alpha", (3.0, 1.0), "weight_alpha=1.0 is the "
+                     "alpha of no weight branch at kappa=3.0",
+                     id="weight_alpha-value22-1 or 1/kappa"),
         # a bool is no number
         ("t", True, "finite and >= 0"),
         ("step_index", True, "an integer >= 0"),
@@ -705,7 +722,8 @@ class TestResumeCommand:
                                         stepped_checkpoint, key, value, msg):
         """Every value of the state's header is checked for type, finiteness
         and range on load, so a bad one exits 2 with one line before any
-        step or output."""
+        step or output.  A msg that starts with "KEY=" is the whole line
+        of a rule that joins the key with other values."""
         raw = stepped_checkpoint
         hlen = int.from_bytes(raw[10:18], "little")
         header = json.loads(raw[18:18 + hlen])
@@ -725,7 +743,9 @@ class TestResumeCommand:
                        "--set", "run.t_final=0.2")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: checkpoint {key} must be {msg}")
+        want = msg if msg.startswith(f"{key}=") else \
+            f"checkpoint {key} must be {msg}"
+        assert err.startswith(f"error: {want}")
         assert err.count("\n") == 1
         assert not (out / "norms.csv").exists()
 
@@ -827,14 +847,17 @@ class TestResumeCommand:
             assert (out / name).read_bytes() == (first / name).read_bytes()
 
     def test_corrupt_version_rejected(self, tmp_path, capsys):
-        """Any version but 3 is refused, versions 1 and 2 included: version
+        """Any version but 4 is refused, versions 1 to 3 included: version
         1 files stored all nx modes and kept part of a run's tallies
         outside the state, without the blow-up limit, so they cannot
-        resume a run exactly; version 2 files carry no CRC."""
+        resume a run exactly; version 2 files carry no CRC; a version 3
+        file stores its far field's x profile, which may not be the
+        default_x_profile that a far field now always has, so it would
+        resume on another far field."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
         ckpt = first / "final.ckpt"
-        for version in (42, 1, 2):
+        for version in (42, 1, 2, 3):
             raw = bytearray(ckpt.read_bytes())
             raw[6:10] = version.to_bytes(4, "little")
             broken = tmp_path / "broken.ckpt"

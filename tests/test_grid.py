@@ -11,6 +11,8 @@ identity between the two cumulative integrals, and weighted L2 norms
 (Parseval consistency, the Gaussian closed form, and the tail guard).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -78,8 +80,9 @@ class TestGridSpec:
             GridSpec(lx=1.0, nx=12, ymax=8.0, ny=64)
 
     def test_rejects_small_nx(self):
-        # a float count fails here, not later inside numpy.linspace
-        for nx in (4, 16.0):
+        # a float count fails here, not later inside numpy.linspace, and a
+        # count past the largest double before GridSpec.nmodes converts it
+        for nx in (4, 16.0, 2 ** 1400):
             with pytest.raises(ValueError, match=r"^grid\.nx must be an "
                                f"integer >= 8, got {nx!r}$"):
                 GridSpec(lx=1.0, nx=nx, ymax=8.0, ny=64)
@@ -89,7 +92,7 @@ class TestGridSpec:
             GridSpec(lx=1.0, nx=16, ymax=3.0, ny=64)
 
     def test_rejects_coarse_y(self):
-        for ny in (8, 128.0):
+        for ny in (8, 128.0, 10 ** 400):
             with pytest.raises(ValueError, match=r"^grid\.ny must be an "
                                f"integer >= 16, got {ny!r}$"):
                 GridSpec(lx=1.0, nx=16, ymax=8.0, ny=ny)
@@ -619,14 +622,16 @@ class TestWeightedNorms:
         val = weighted_l2(f, 20.0, 0.0)
         assert np.isfinite(val) and val > 0.0
 
-    # every weighted reduction of field f under the weight exponent a
+    # every weighted reduction of field f under the weight exponent a; a
+    # state with weight_alpha a, of no weight branch, is a valid state's
+    # copy, which keeps its workspace
     REDUCTIONS = {
         "weighted_l2": lambda f, a: weighted_l2(f, a, 0.0),
         "shell_weighted_norms": lambda f, a: shell_weighted_norms(
             build_partition(f.grid), f, a, 0.0),
-        "tail_guard_check": lambda f, a: tail_guard_check(
-            State(f.grid, Params(kappa=1.0, epsilon=1e-3), 0.0, f, f,
-                  weight_alpha=a)),
+        "tail_guard_check": lambda f, a: tail_guard_check(replace(
+            State(f.grid, Params(kappa=1.0, epsilon=1e-3), 0.0, f, f),
+            weight_alpha=a)),
         "heat_energy_slack": lambda f, a: heat_energy_slack(
             f, Field(f.grid, 2.0 * f.coeffs, f.bc), 0.0, 1e-2, [(a, 1.0)]),
     }

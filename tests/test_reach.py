@@ -21,7 +21,8 @@ positional arguments to reach it; a call with *args or **kwargs passes
 whatever it could.  The scan sees only parameters with a default: a
 required parameter that every call passes with one value escapes it, as
 the Besov index s did, which every caller passed as 1/2 before it was
-fixed there.
+fixed there, and FarField's profile, which every caller passed as
+default_x_profile before FarField took it itself.
 
 A parameter counts as read when its name is loaded anywhere in its def's
 body, nested defs included.  Every def of src is checked, methods and

@@ -24,7 +24,8 @@ from scipy.integrate import cumulative_trapezoid
 from mhdbl.grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                         TailViolationError, d2dy, ddx, ddy, integrate_y_from0,
                         integrate_y_tail, mode_power)
-from mhdbl.lp import besov_pair_norm, build_partition, pair_shell_norms
+from mhdbl.lp import (besov_pair_norm, build_partition, pair_shell_norms,
+                      phi_shell)
 from mhdbl.scenario import (
     FarField,
     Params,
@@ -261,7 +262,7 @@ class TestExplicitTendency:
         u0, b0, _ = initial_data_standard(g, p)
         ff = None
         if far:
-            ff = FarField(g, 1e-2, 2.5, default_x_profile(g))
+            ff = FarField(g, 1e-2, 2.5)
         st = make_state(g, p, u0, b0)
         calls = []
         widths = []
@@ -293,22 +294,29 @@ class TestTheta:
         assert theta_components(st, None, st.radius) == (0.0, 0.0)
 
     def test_farfield_term_closed_form(self):
-        # single far-field mode at xi = 3 sits in one dyadic shell, so the
-        # far contribution reduces to eps^{1/2} <t>^{5/4 - alpha} sqrt(2)
-        # * sqrt(2 lx) |amp| e^{3 r}
+        """The far-field term eps^{-1/2} <t>^{5/4} sum_k 2^{k/2}
+        ||Delta_k e^{r |D_x|} U||_{L2(0, lx)}, U = eps <t>^{-alpha} a(x),
+        against shells of default_x_profile's a summed with numpy's cos
+        under phi_shell, each squared over the x nodes (exact for their
+        degree, below nx)."""
         g = make_grid()
         p = Params(kappa=1.5, epsilon=1e-3)
-        prof = np.zeros(g.nmodes, complex)
-        amp = 0.25
-        prof[3] = amp               # 2 amp cos(3x)
-        ff = FarField(g, p.epsilon, 2.5, prof)
+        ff = FarField(g, p.epsilon, 2.5)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
                         Field.zeros(g, BC_NEUMANN), branch="kappa")
         st.t = 2.0
         r = st.radius
         tt = 1.0 + st.t
-        expected = (p.epsilon ** 0.5 * tt ** (1.25 - 2.5) * math.sqrt(2.0)
-                    * math.sqrt(2.0 * g.lx) * amp * math.exp(3.0 * r))
+        xi = g.xi[1:]
+        amp = (p.epsilon * tt ** -2.5 * default_x_profile(g)[1:].real
+               * np.exp(r * xi))
+        cos = np.cos(np.outer(xi, g.x))
+        expected = 0.0
+        for k in range(-2, 6):      # every shell that meets xi = 1..10
+            shell = 2.0 * (phi_shell(xi / 2.0 ** k) * amp) @ cos
+            expected += 2.0 ** (0.5 * k) * math.sqrt(
+                g.lx / g.nx * np.sum(shell ** 2))
+        expected *= p.epsilon ** -0.5 * tt ** 1.25
         comp1, got = theta_components(st, ff, r)
         assert comp1 == 0.0
         assert got == pytest.approx(expected, rel=1e-12)
@@ -664,7 +672,7 @@ def window_cases():
     far = GridSpec(2.0 * np.pi, 16, 48.0, 769)
     k1 = Params(kappa=1.0, epsilon=1e-3)
     k32 = Params(kappa=1.5, epsilon=1e-3)
-    ff = FarField(far, 1e-4, 2.5, default_x_profile(far))
+    ff = FarField(far, 1e-4, 2.5)
     return {"tall": (tall, k1, None), "top": (top, k1, None),
             "farfield": (far, k32, ff)}
 
@@ -863,16 +871,17 @@ class TestAudits:
             resolve_branch_alpha(1.0, "fancy")
 
     @pytest.mark.parametrize("kappa, alpha", [(1.5, 0.7), (3.0, 1.0)])
-    def test_simulate_refuses_an_alpha_of_no_branch(self, kappa, alpha):
-        # 0.7 is neither 1 nor 1/kappa; the unit weight has no branch
-        # above kappa = 2
+    def test_state_refuses_an_alpha_of_no_branch(self, kappa, alpha):
+        """The state's workspace refuses it, so no run starts from it:
+        0.7 is neither 1 nor 1/kappa; the unit weight has no branch above
+        kappa = 2."""
         g = make_grid(nx=16, ny=96)
         p = Params(kappa=kappa, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        st = State(g, p, 0.0, u0, b0, weight_alpha=alpha)
-        with pytest.raises(ValueError, match=f"weight_alpha={alpha!r} is the "
-                           "alpha of no weight branch"):
-            simulate(st, t_final=0.05)
+        with pytest.raises(ValueError) as exc:
+            State(g, p, 0.0, u0, b0, weight_alpha=alpha)
+        assert str(exc.value) == (f"weight_alpha={alpha!r} is the alpha of "
+                                  f"no weight branch at kappa={kappa!r}")
 
 
 class TestEqs2Residual:
@@ -922,7 +931,7 @@ class TestEqs2Residual:
         g = make_grid(ny=513)
         p = Params(kappa=1.5, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        ff = FarField(g, 1e-2, 2.5, default_x_profile(g))
+        ff = FarField(g, 1e-2, 2.5)
         res = []
         for dt in (2e-3, 1e-3, 5e-4):
             st0 = make_state(g, p, u0, b0)
@@ -1043,9 +1052,7 @@ class TestCheckpoint:
 
     def test_round_trip_bit_exact(self, tmp_path):
         g, p, st = self._stepped_state()
-        prof = np.zeros(g.nmodes, complex)
-        prof[2] = 0.3
-        ff = FarField(g, 1e-4, 2.5, prof)
+        ff = FarField(g, 1e-4, 2.5)
         st.cl_integrals = np.linspace(1e-6, 2e-6, len(st.cl_integrals))
         st.audit_min = {"u:a1:b1": -1e-9, "b:a1:b1": 3e-8}
         path = str(tmp_path / "run.ckpt")
@@ -1176,7 +1183,7 @@ class TestCheckpoint:
         """A checkpoint as a run leaves it: multistep history, CL
         integrals, a far field."""
         g, p, st = self._stepped_state()
-        ff = FarField(g, 1e-4, 2.5, default_x_profile(g))
+        ff = FarField(g, 1e-4, 2.5)
         st.cl_integrals = np.full(build_partition(g).n_shells, 1e-6)
         st.theta_int1 = 1e-3
         st.audit_min = {"u:a1:b1": 1e-8, "b:a1:b1": 2e-8}
@@ -1367,9 +1374,7 @@ class TestSimulate:
         g = make_grid(ny=129)
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
-        spec = np.zeros(g.nmodes, complex)
-        spec[1] = 1e-3
-        ff = FarField(g, 1e-3, 2.5, spec)
+        ff = FarField(g, 1e-3, 2.5)
         with pytest.raises(UnsupportedScenarioError, match="trivial far field"):
             simulate(make_state(g, p, u0, b0), farfield=ff, t_final=0.02)
 
