@@ -255,7 +255,6 @@ def cmd_resume(args) -> int:
     # the checkpoint fixes these; refused from a file and --set alike
     cfg = parse_config(args.config, args.overrides,
                        fixed=("grid.", "params.", "scenario.", "run.branch"))
-    validate_config(cfg)
     out_dir = _prepare_out(args.out)
     state, ff, extras = load_checkpoint(args.checkpoint)
     # echo the settings the run uses, which are the checkpoint's
@@ -270,6 +269,8 @@ def cmd_resume(args) -> int:
                     "scenario.ff_eps": ff.eps, "scenario.alpha": ff.alpha})
     if alpha != resolve_branch_alpha(p.kappa, "auto"):
         cfg["run.branch"] = "unit" if alpha == 1.0 else "kappa"
+    # the checkpoint's scenario id meets a config's rule
+    validate_config(cfg)
     if cfg["run.t_final"] <= state.t:
         raise ConfigError(
             f"run.t_final={cfg['run.t_final']} does not extend the "

@@ -2,17 +2,15 @@
 on the half plane: Crank-Nicolson for the y diffusion, Adams-Bashforth for
 everything else, with divergence-free recovery of the normal components,
 antiderivative reconstruction, damped combinations, the analytic-band
-budget theta(t), and binary checkpointing.
+budget theta(t), and checkpointing to numpy .npz archives.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
-import struct
-import zlib
+import zipfile
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
@@ -111,9 +109,11 @@ class _Workspace:
     alpha is weight_alpha, one CN factorization per (nu, dt, bc) and the
     RHS factor stack; a checkpoint stores none of them.  Built once per
     run, it refuses a grid too coarse for the shapes, a weight_alpha of
-    no branch at kappa and a delta whose e^(delta xi) overflows."""
+    no branch at kappa and a delta whose e^(delta xi) overflows.  `key`
+    is the (grid, params, weight_alpha) it was built for."""
 
     def __init__(self, grid: GridSpec, params: Params, weight_alpha: float):
+        self.key = (grid, params, weight_alpha)
         self.grid = grid
         self.part = build_partition(grid)
         self.shapes = flux_projection_profiles(grid, params.diffusivities[0])
@@ -151,9 +151,10 @@ class State:
     speed that sets the next CFL step; the Chemin-Lerner shell integrals
     and the audit minima so far; and the blow-up limit fixed at t = 0.
     A checkpoint stores exactly these, so a resumed run continues the
-    unbroken one bit for bit.  Beside them `ws`, the run's caches: built
-    when not given, passed on by dataclasses.replace, so a run's states
-    share one, and left out of equality, repr and checkpoints."""
+    unbroken one bit for bit.  Beside them `ws`, the run's caches: passed
+    on by dataclasses.replace, so a run's states share one, built anew
+    when not given or built for another grid, params or weight_alpha, and
+    left out of equality, repr and checkpoints."""
 
     grid: GridSpec
     params: Params
@@ -175,7 +176,8 @@ class State:
                                         repr=False)
 
     def __post_init__(self):
-        if self.ws is None:
+        if self.ws is None or self.ws.key != (self.grid, self.params,
+                                              self.weight_alpha):
             self.ws = _Workspace(self.grid, self.params, self.weight_alpha)
         if self.cl_integrals is None:
             self.cl_integrals = np.zeros(self.ws.part.n_shells)
@@ -914,9 +916,7 @@ def _choose_dt(grid: GridSpec, dt_max: float, cfl: float, umax: float) -> float:
 
 # ---- checkpointing -----------------------------------------------------------
 
-_MAGIC = b"MHDBL\x00"
-_CKPT_VERSION = 4
-
+_CKPT_VERSION = 5
 
 # The State's scalars as the header stores them, each with the rule of
 # `checked` its value keeps on load (prev_dt may also be null).
@@ -928,18 +928,16 @@ _SCALARS = {"t": "nonnegative", "theta": "nonnegative", "step_index": 0,
 
 def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
                     extras: Optional[dict] = None) -> None:
-    """Binary snapshot of exactly `state` (format version 4): magic,
-    version, header length, a JSON header, then u, b and, when the state
-    has a multistep history (prev_dt not null), prev_ru and prev_rb, each
-    as its stored (ny, nmodes) amplitudes in little-endian complex pairs,
-    y major, and last the CRC-32 of everything after the magic.
-
-    The header holds the grid, the params, the state's scalars (_SCALARS),
-    its Chemin-Lerner shell integrals and audit minima, the far field's
-    eps and alpha ("farfield": null without one; its x profile is
-    default_x_profile's), and the caller's `extras`.  Written to a
-    temporary file beside `path` and renamed over it, so a failed write
-    leaves any previous file intact."""
+    """Snapshot of exactly `state` as a numpy .npz archive (format version
+    5, a CRC-32 per member): `header`, the JSON header as uint8 bytes,
+    then u, b and, when the state has a multistep history (prev_dt not
+    null), prev_ru and prev_rb, each its stored (ny, nmodes) complex128
+    array.  The header holds the format version, the grid, the params,
+    the state's scalars (_SCALARS), its Chemin-Lerner shell integrals and
+    audit minima, the far field's eps and alpha ("farfield": null without
+    one; its x profile is default_x_profile's), and the caller's
+    `extras`.  Written to a temporary file beside `path` and renamed over
+    it, so a failed write leaves any previous file intact."""
     ff = None
     if farfield is not None:
         ff = {"eps": farfield.eps, "alpha": farfield.alpha}
@@ -953,21 +951,15 @@ def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
         "farfield": ff,
         "extras": extras or {},
     }
-    blob = json.dumps(header).encode("utf-8")
-    arrays = [state.u.coeffs, state.b.coeffs]
+    members = {"header": np.frombuffer(json.dumps(header).encode("utf-8"),
+                                       np.uint8),
+               "u": state.u.coeffs, "b": state.b.coeffs}
     if state.prev_dt is not None:
-        arrays += [state.prev_ru, state.prev_rb]
+        members.update(prev_ru=state.prev_ru, prev_rb=state.prev_rb)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            head = struct.pack("<IQ", _CKPT_VERSION, len(blob)) + blob
-            fh.write(_MAGIC + head)
-            crc = zlib.crc32(head)
-            for arr in arrays:
-                data = arr.astype("<c16").tobytes()
-                fh.write(data)
-                crc = zlib.crc32(data, crc)
-            fh.write(struct.pack("<I", crc))
+            np.savez(fh, **members)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -983,14 +975,14 @@ def load_checkpoint(path: str):
     """Inverse of save_checkpoint: returns (state, farfield, extras).
 
     Raises CheckpointError with a one-line message when the file cannot
-    be read, is not a checkpoint, has another format version (1 and 2
-    lack the CRC; 3 may hold another far-field profile), is truncated or
-    too long, has a header that is not JSON, lacks a key, has the wrong
+    be read, is no archive as np.savez writes it (files of format 1 to 4
+    included), is cut short or extended, fails a member's CRC-32, has a
+    header of another version, not JSON, without a key or of the wrong
     structure (a cl_integrals list of the wrong length, an audit_min or
-    extras that is no object), holds an array with a non-finite value or
-    with an imaginary part in its DC column (and Nyquist column, when
-    stored), which a real field's spectrum has not, or, all of that
-    passed, fails its CRC-32.
+    extras that is no object), holds other members than the header calls
+    for, or an array that is not (ny, nmodes) complex128, has a
+    non-finite value or an imaginary part in its DC column (and Nyquist
+    column, when stored), which a real field's spectrum has not.
 
     Every number of the header meets the range check a config's meets,
     with its ValueError: a grid, params or far-field value in its
@@ -1001,82 +993,75 @@ def load_checkpoint(path: str):
     count ("ny": 256.0) there is refused the same way."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            members = _read_archive(fh)
     except OSError as e:
         raise CheckpointError(
             f"cannot read checkpoint {path!r}: {e.strerror or e}") from None
-    # the CRC-32 closes the file; what it covers is parsed first, so a
-    # damaged file that still parses is the one the CRC refuses
-    body, crc = raw[:-4], raw[-4:]
-    buf = io.BytesIO(body)
-    if buf.read(len(_MAGIC)) != _MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
     try:
-        (version,) = struct.unpack("<I", buf.read(4))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", buf.read(8))
-    except struct.error:
-        raise CheckpointError("truncated checkpoint") from None
-    try:
-        header = json.loads(buf.read(hlen).decode("utf-8"))
-    except ValueError:
+        header = json.loads(members.pop("header").tobytes())
+    # KeyError, AttributeError: no header member, or one that is no array
+    except (KeyError, AttributeError, ValueError):
         raise CheckpointError("checkpoint header is not valid JSON") from None
     try:
-        loaded = _restore(header, buf)
+        if header["version"] != _CKPT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {header['version']}")
+        return _restore(header, members)
     except KeyError as e:
         raise CheckpointError(
             f"checkpoint header lacks key {e.args[0]!r}") from None
     except (TypeError, OverflowError):     # OverflowError: a size past ssize_t
         raise CheckpointError("malformed checkpoint header") from None
-    if zlib.crc32(body[len(_MAGIC):]) != int.from_bytes(crc, "little"):
-        raise CheckpointError("checkpoint fails its CRC-32 check: the file "
-                              "is damaged")
-    return loaded
 
 
-def _restore(header: dict, buf: io.BytesIO):
+def _read_archive(fh) -> dict:
+    """The members of the archive in `fh`, each read to its end, where
+    zipfile checks its CRC-32.  zipfile would also read an archive with
+    bytes after the 22-byte end record, which np.savez writes last."""
+    start = fh.read(4)
+    fh.seek(max(fh.seek(0, os.SEEK_END) - 22, 0))
+    if start != b"PK\x03\x04" or fh.read(4) != b"PK\x05\x06":
+        raise CheckpointError("not a checkpoint archive of format 5, or one "
+                              "cut short or with bytes past its end")
+    fh.seek(0)
+    try:
+        with np.load(fh, allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+    # RuntimeError: zipfile's refusal of a member flagged as encrypted or
+    # of a later zip version (NotImplementedError)
+    except (EOFError, ValueError, RuntimeError, zipfile.BadZipFile,
+            MemoryError) as e:
+        raise CheckpointError("damaged checkpoint archive: "
+                              f"{str(e) or type(e).__name__}") from None
+
+
+def _restore(header: dict, members: dict):
     grid = GridSpec(**header["grid"])
     params = Params(**header["params"])
     scalars = {key: header[key] for key in _SCALARS}
     for key, rule in _SCALARS.items():
         if key != "prev_dt" or scalars[key] is not None:
             checked(f"checkpoint {key}", scalars[key], rule)
-    # the arrays first: a grid too large for the file ends as truncation
-    # before anything is sized from it
-    n = grid.ny * grid.nmodes * 16
-
-    def read_arr(name):
-        data = buf.read(n)
-        if len(data) != n:
-            raise CheckpointError("truncated checkpoint")
-        arr = np.frombuffer(data, dtype="<c16").reshape(grid.ny, grid.nmodes)
+    names = ["u", "b"]
+    if scalars["prev_dt"] is not None:
+        names += ["prev_ru", "prev_rb"]
+    if sorted(members) != sorted(names):
+        raise CheckpointError(f"checkpoint holds arrays {sorted(members)}, "
+                              f"its header calls for {sorted(names)}")
+    # the arrays first, before anything is sized from the grid
+    shape = (grid.ny, grid.nmodes)
+    for name in names:
+        arr = members[name]
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.complex128
+                and arr.shape == shape):
+            raise CheckpointError(f"checkpoint {name} must be a complex128 "
+                                  f"array of shape {shape}")
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint {name} holds non-finite values")
         # a real field's DC column (and Nyquist column, when stored) is real
         if np.any(arr[:, ::grid.nx // 2].imag):
             raise CheckpointError(f"checkpoint {name} is not the spectrum of "
                                   "a real field")
-        return arr.astype(np.complex128)
-
-    u = Field(grid, read_arr("u"), BC_DIRICHLET).trimmed()
-    b = Field(grid, read_arr("b"), BC_NEUMANN).trimmed()
-    prev_ru = prev_rb = None
-    if scalars["prev_dt"] is not None:
-        prev_ru = read_arr("prev_ru")
-        prev_rb = read_arr("prev_rb")
-    if buf.read(1):
-        raise CheckpointError("checkpoint holds data past its last array")
-
-    ws = _Workspace(grid, params, scalars["weight_alpha"])
-    n_shells = ws.part.n_shells
-    cl = header["cl_integrals"]
-    if not (isinstance(cl, list) and len(cl) == n_shells):
-        raise CheckpointError(f"checkpoint cl_integrals must be {n_shells} "
-                              "finite numbers >= 0, one per Chemin-Lerner "
-                              "shell")
-    for val in cl:
-        checked("checkpoint cl_integrals", val, "nonnegative")
     audit = header["audit_min"]
     if not isinstance(audit, dict):
         raise CheckpointError("checkpoint audit_min must be an object of "
@@ -1089,7 +1074,17 @@ def _restore(header: dict, buf: io.BytesIO):
     fd = header["farfield"]
     # validated as a new far field is, so a bad value exits 2
     ff = None if fd is None else FarField(grid, fd["eps"], fd["alpha"])
-    state = State(grid, params, u=u, b=b, prev_ru=prev_ru, prev_rb=prev_rb,
-                  cl_integrals=np.asarray(cl, dtype=float),
-                  audit_min=audit, ws=ws, **scalars)
+    u = Field(grid, members["u"], BC_DIRICHLET).trimmed()
+    b = Field(grid, members["b"], BC_NEUMANN).trimmed()
+    state = State(grid, params, u=u, b=b, prev_ru=members.get("prev_ru"),
+                  prev_rb=members.get("prev_rb"), audit_min=audit, **scalars)
+    n_shells = state.ws.part.n_shells
+    cl = header["cl_integrals"]
+    if not (isinstance(cl, list) and len(cl) == n_shells):
+        raise CheckpointError(f"checkpoint cl_integrals must be {n_shells} "
+                              "finite numbers >= 0, one per Chemin-Lerner "
+                              "shell")
+    for val in cl:
+        checked("checkpoint cl_integrals", val, "nonnegative")
+    state.cl_integrals = np.asarray(cl, dtype=float)
     return state, ff, extras

@@ -289,7 +289,7 @@ def multiplier_convexity_check(f_spec, g_spec, r: float,
 def fit_loglog(t, values, window):
     """Least-squares slope of log(values) against log(1+t) restricted to
     window = (t1, t2).  Returns (slope, stderr).  Needs at least 20
-    samples and strictly positive values inside the window."""
+    samples and finite, strictly positive values inside the window."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
     t1, t2 = window
@@ -298,6 +298,8 @@ def fit_loglog(t, values, window):
         raise ValueError(
             f"need at least 20 samples in [{t1}, {t2}], "
             f"got {int(np.count_nonzero(mask))}")
+    if not (np.all(np.isfinite(t[mask])) and np.all(np.isfinite(v[mask]))):
+        raise ValueError("samples in the fit window must be finite")
     if np.any(v[mask] <= _RATIO_FLOOR):
         raise ValueError("norm samples in the fit window must be positive")
     x = np.log1p(t[mask])

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import zlib
 
 import numpy as np
 import pytest
@@ -488,6 +487,17 @@ class TestFitCommand:
         code = run_cli("fit", str(csv), "norm_ub", "99.5", "100")
         assert code == 2
         assert "fit failed" in capsys.readouterr().err
+        # so does a window that holds a non-finite sample
+        rows = csv.read_text().splitlines()
+        for bad in ("nan", "inf"):
+            cols = rows[200].split(",")
+            cols[3] = bad                   # norm_ub at t ~ 66.6
+            csv.write_text("\n".join(rows[:200] + [",".join(cols)]
+                                     + rows[201:]) + "\n")
+            code = run_cli("fit", str(csv), "norm_ub", "10", "100")
+            assert code == 2
+            assert capsys.readouterr().err == \
+                "fit failed: samples in the fit window must be finite\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code = run_cli("fit", str(tmp_path / "nope.csv"), "norm_ub", "0", "1")
@@ -583,6 +593,24 @@ class TestResumeCommand:
         _, _, extras = load_checkpoint(str(out / "final.ckpt"))
         assert extras["scenario_id"] == "zero"
 
+    def test_resume_refuses_an_unknown_scenario_id(self, tmp_path, capsys,
+                                                   rewrite_checkpoint):
+        """The scenario id that resume echoes from the checkpoint meets a
+        config's rule."""
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first)) == 0
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(first / "final.ckpt", bad,
+                           lambda m: m["header"]["extras"].update(
+                               scenario_id=["warped", 5]))
+        out = tmp_path / "r"
+        code = run_cli("resume", str(bad), "--out", str(out),
+                       "--set", "run.t_final=0.2")
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: unknown scenario.id ['warped', 5]\n"
+        assert not (out / "summary.json").exists()
+
     def test_must_extend_the_run(self, tmp_path, capsys):
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
@@ -592,38 +620,34 @@ class TestResumeCommand:
         assert code == 2
         assert "does not extend" in capsys.readouterr().err
 
-    def test_unreadable_checkpoints_exit_two(self, tmp_path, capsys):
+    def test_unreadable_checkpoints_exit_two(self, tmp_path, capsys,
+                                             rewrite_checkpoint):
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
-        raw = (first / "final.ckpt").read_bytes()
-        hlen = int.from_bytes(raw[10:18], "little")
-        header = raw[18:18 + hlen]
-        bad_json = tmp_path / "json.ckpt"
-        bad_json.write_bytes(raw[:18] + b"]" + header[1:] + raw[18 + hlen:])
-        no_key = tmp_path / "key.ckpt"
-        no_key.write_bytes(raw[:18] + header.replace(b'"grid"', b'"grit"')
-                           + raw[18 + hlen:])
-        doc = json.loads(header)
-        doc["extras"] = []
-        blob = json.dumps(doc).encode("utf-8")
-        bad_extras = tmp_path / "extras.ckpt"
-        bad_extras.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
-                               + blob + raw[18 + hlen:])
-        doc = json.loads(header)
-        doc["t"] = 10 ** 400            # an integer no double can hold
-        blob = json.dumps(doc).encode("utf-8")
-        huge = tmp_path / "huge.ckpt"
-        huge.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
-                         + blob + raw[18 + hlen:])
-        for path, msg in (
-                (tmp_path / "missing.ckpt", "cannot read checkpoint"),
+
+        def bad_json(members):
+            members["header"] = b"]" + json.dumps(
+                members["header"]).encode("utf-8")[1:]
+
+        def no_key(members):
+            members["header"]["grit"] = members["header"].pop("grid")
+
+        for change, msg in (
+                (None, "cannot read checkpoint"),
                 (bad_json, "checkpoint header is not valid JSON"),
                 (no_key, "checkpoint header lacks key 'grid'"),
-                (bad_extras, "malformed checkpoint header"),
-                (huge, "checkpoint t must be finite and >= 0, got 1000")):
+                (lambda m: m["header"].update(extras=[]),
+                 "malformed checkpoint header"),
+                # an integer no double can hold
+                (lambda m: m["header"].update(t=10 ** 400),
+                 "checkpoint t must be finite and >= 0, got 1000")):
+            path = tmp_path / "missing.ckpt"
+            if change is not None:
+                path = tmp_path / "bad.ckpt"
+                rewrite_checkpoint(first / "final.ckpt", path, change)
             code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
                            "--set", "run.t_final=0.2")
-            assert code == 2, path
+            assert code == 2, msg
             err = capsys.readouterr().err
             assert err.startswith("error: ") and msg in err
             assert err.count("\n") == 1
@@ -631,19 +655,19 @@ class TestResumeCommand:
     @pytest.mark.parametrize("index, name",
                              enumerate(["u", "b", "prev_ru", "prev_rb"]))
     def test_non_finite_checkpoint_arrays_exit_two(self, tmp_path, capsys,
+                                                   rewrite_checkpoint,
                                                    index, name):
         """A NaN in the real part of the DC column, which the real-field
         check never sees, is refused on load whichever array holds it."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
-        raw = bytearray((first / "final.ckpt").read_bytes())
-        hlen = int.from_bytes(raw[10:18], "little")
-        assert json.loads(raw[18:18 + hlen])["prev_dt"] is not None
-        nmodes, row = 6, 5          # 16 modes keep j = 0..5 under 2/3
-        at = 18 + hlen + (index * 128 + row) * nmodes * 16   # row 5, j = 0
-        raw[at:at + 8] = np.float64(np.nan).tobytes()
+
+        def poison(members):
+            assert members["header"]["prev_dt"] is not None
+            members[name][5, 0] = np.nan     # row 5, j = 0
+
         bad = tmp_path / "nan.ckpt"
-        bad.write_bytes(bytes(raw))
+        rewrite_checkpoint(first / "final.ckpt", bad, poison)
         code = run_cli("resume", str(bad), "--out", str(tmp_path / "r"),
                        "--set", "run.t_final=0.2")
         assert code == 2
@@ -653,11 +677,11 @@ class TestResumeCommand:
 
     @pytest.fixture(scope="class")
     def stepped_checkpoint(self, tmp_path_factory):
-        """The bytes of a run's final checkpoint, multistep history
+        """The path of a run's final checkpoint, multistep history
         included."""
         first = tmp_path_factory.mktemp("stepped")
         assert run_cli(*base_args(first)) == 0
-        return (first / "final.ckpt").read_bytes()
+        return first / "final.ckpt"
 
     NAN = float("nan")
 
@@ -719,25 +743,24 @@ class TestResumeCommand:
         ("audit_min", {"u:a1:b1": True}, "finite, got True"),
     ])
     def test_bad_header_values_exit_two(self, tmp_path, capsys,
-                                        stepped_checkpoint, key, value, msg):
+                                        stepped_checkpoint, rewrite_checkpoint,
+                                        key, value, msg):
         """Every value of the state's header is checked for type, finiteness
         and range on load, so a bad one exits 2 with one line before any
         step or output.  A msg that starts with "KEY=" is the whole line
         of a rule that joins the key with other values."""
-        raw = stepped_checkpoint
-        hlen = int.from_bytes(raw[10:18], "little")
-        header = json.loads(raw[18:18 + hlen])
-        if key == "cl_integrals":
-            cl = header[key]
-            assert len(cl) == 4
-            value = cl[:-1] if value == "one short" else [self.NAN] + cl[1:]
-        if isinstance(value, tuple):
-            header["params"]["kappa"], value = value
-        header[key] = value
-        blob = json.dumps(header).encode("utf-8")
+        def change(members):
+            header, new = members["header"], value
+            if key == "cl_integrals":
+                cl = header[key]
+                assert len(cl) == 4
+                new = cl[:-1] if value == "one short" else [self.NAN] + cl[1:]
+            if isinstance(value, tuple):
+                header["params"]["kappa"], new = value
+            header[key] = new
+
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(raw[:10] + len(blob).to_bytes(8, "little") + blob
-                         + raw[18 + hlen:])
+        rewrite_checkpoint(stepped_checkpoint, path, change)
         out = tmp_path / "r"
         code = run_cli("resume", str(path), "--out", str(out),
                        "--set", "run.t_final=0.2")
@@ -749,7 +772,8 @@ class TestResumeCommand:
         assert err.count("\n") == 1
         assert not (out / "norms.csv").exists()
 
-    def test_bad_farfield_values_exit_two(self, tmp_path, capsys):
+    def test_bad_farfield_values_exit_two(self, tmp_path, capsys,
+                                          rewrite_checkpoint):
         """A checkpoint's far field is validated like a new one: a bad
         decay exponent or amplitude exits 2 instead of running or
         raising."""
@@ -757,20 +781,16 @@ class TestResumeCommand:
         assert run_cli(*base_args(first, "grid.ny=256", "params.kappa=1.5",
                                   "scenario.farfield=decaying",
                                   "scenario.ff_eps=1e-4")) == 0
-        raw = (first / "final.ckpt").read_bytes()
-        hlen = int.from_bytes(raw[10:18], "little")
-        header = json.loads(raw[18:18 + hlen])
         for key, value, msg in (
                 ("alpha", -1.0, "scenario.alpha must be positive and finite"),
                 ("alpha", float("nan"),
                  "scenario.alpha must be positive and finite"),
                 ("alpha", "x", "scenario.alpha must be positive and finite"),
                 ("eps", 1e160, "scenario.ff_eps=1e+160 is too large")):
-            bad = {**header, "farfield": {**header["farfield"], key: value}}
-            blob = json.dumps(bad).encode("utf-8")
             path = tmp_path / "bad.ckpt"
-            path.write_bytes(raw[:10] + len(blob).to_bytes(8, "little")
-                             + blob + raw[18 + hlen:])
+            rewrite_checkpoint(first / "final.ckpt", path,
+                               lambda m: m["header"]["farfield"].update(
+                                   {key: value}))
             code = run_cli("resume", str(path), "--out", str(tmp_path / "r"),
                            "--set", "run.t_final=0.2")
             assert code == 2, value
@@ -778,21 +798,19 @@ class TestResumeCommand:
             assert err.startswith("error: ") and msg in err
             assert err.count("\n") == 1
 
-    def test_header_values_meet_the_run_refusals(self, tmp_path, capsys):
+    def test_header_values_meet_the_run_refusals(self, tmp_path, capsys,
+                                                 rewrite_checkpoint):
         """A header is refused where a config would be: an out-of-range
         grid, params or far-field value (a bool, or a float count,
         included) by its constructor, a grid too coarse for the zero-flux
         shapes by the state's workspace, and a far field at kappa = 1 by
-        simulate.  The CRC-32 is rewritten, so a header that passes those
-        checks loads."""
+        simulate.  The archive is written anew, CRC-32s included, so a
+        header that passes those checks loads."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first, "grid.ny=256", "params.kappa=1.5",
                                   "run.branch=unit",
                                   "scenario.farfield=decaying",
                                   "scenario.ff_eps=1e-4")) == 0
-        raw = (first / "final.ckpt").read_bytes()
-        hlen = int.from_bytes(raw[10:18], "little")
-        header = json.loads(raw[18:18 + hlen])
         for section, key, value, msg in (
                 ("params", "kappa", 1.0,
                  "kappa = 1 runs require the trivial far field"),
@@ -814,13 +832,10 @@ class TestResumeCommand:
                    "finite, got True") for key in ("lx", "dealias_fraction")),
                 ("grid", "ny", 256.0, "grid.ny must be an integer >= 16, "
                  "got 256.0")):
-            bad = {**header, section: {**header[section], key: value}}
-            blob = json.dumps(bad).encode("utf-8")
-            body = (raw[6:10] + len(blob).to_bytes(8, "little") + blob
-                    + raw[18 + hlen:-4])
             path = tmp_path / "bad.ckpt"
-            path.write_bytes(raw[:6] + body
-                             + zlib.crc32(body).to_bytes(4, "little"))
+            rewrite_checkpoint(first / "final.ckpt", path,
+                               lambda m: m["header"][section].update(
+                                   {key: value}))
             out = tmp_path / f"r-{key}-{value}"
             code = run_cli("resume", str(path), "--out", str(out),
                            "--set", "run.t_final=0.2")
@@ -846,24 +861,33 @@ class TestResumeCommand:
         for name in ("norms.csv", "final.ckpt"):
             assert (out / name).read_bytes() == (first / name).read_bytes()
 
-    def test_corrupt_version_rejected(self, tmp_path, capsys):
-        """Any version but 4 is refused, versions 1 to 3 included: version
-        1 files stored all nx modes and kept part of a run's tallies
-        outside the state, without the blow-up limit, so they cannot
-        resume a run exactly; version 2 files carry no CRC; a version 3
-        file stores its far field's x profile, which may not be the
-        default_x_profile that a far field now always has, so it would
-        resume on another far field."""
+    def test_corrupt_version_rejected(self, tmp_path, capsys,
+                                      rewrite_checkpoint):
+        """Any version but 5 is refused.  Files of versions 1 to 4 are no
+        .npz archive: they start with the magic b"MHDBL\\0" and a
+        little-endian version word.  Version 1 files stored all nx modes
+        and kept part of a run's tallies outside the state, without the
+        blow-up limit, so they cannot resume a run exactly; version 2
+        files carry no CRC; a version 3 file stores its far field's x
+        profile, which may not be the default_x_profile that a far field
+        now always has, so it would resume on another far field."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first)) == 0
-        ckpt = first / "final.ckpt"
-        for version in (42, 1, 2, 3):
-            raw = bytearray(ckpt.read_bytes())
-            raw[6:10] = version.to_bytes(4, "little")
-            broken = tmp_path / "broken.ckpt"
-            broken.write_bytes(bytes(raw))
+        broken = tmp_path / "broken.ckpt"
+        for version in (42, 4):
+            rewrite_checkpoint(first / "final.ckpt", broken,
+                               lambda m: m["header"].update(version=version))
             code = run_cli("resume", str(broken), "--out", str(tmp_path / "r"),
                            "--set", "run.t_final=0.2")
             assert code == 2
             assert capsys.readouterr().err == \
                 f"error: unsupported checkpoint version {version}\n"
+        for version in (1, 2, 3, 4):
+            broken.write_bytes(b"MHDBL\0" + version.to_bytes(4, "little")
+                               + bytes(64))
+            code = run_cli("resume", str(broken), "--out", str(tmp_path / "r"),
+                           "--set", "run.t_final=0.2")
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: not a checkpoint archive of format 5, or one cut "
+                "short or with bytes past its end\n")

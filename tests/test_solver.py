@@ -13,6 +13,7 @@ import math
 import os
 import re
 import warnings
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -493,6 +494,25 @@ class TestStepper:
         assert len(direct.cl_integrals) == direct.ws.part.n_shells
         assert replace(direct, t=1.0).ws is direct.ws
 
+    def test_replace_rebuilds_a_workspace_built_for_other_values(self):
+        """dataclasses.replace passes the workspace on only while the grid,
+        params and weight_alpha it was built for stay: a replaced
+        weight_alpha of no branch meets the workspace's refusal, and one
+        of the other branch gets that branch's gain."""
+        g = make_grid(ny=129)
+        p = Params(kappa=1.5, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = make_state(g, p, u0, b0, "unit")
+        with pytest.raises(ValueError) as exc:
+            replace(st, weight_alpha=20.0)
+        assert str(exc.value) == ("weight_alpha=20.0 is the alpha of no "
+                                  "weight branch at kappa=1.5")
+        alpha, gain = weight_branches(1.5)["kappa"]
+        other = replace(st, weight_alpha=alpha)
+        assert other.ws is not st.ws and other.ws.gain == gain != st.ws.gain
+        assert replace(st, params=replace(p, lam=5.0)).ws is not st.ws
+        assert replace(st, t=1.0).ws is st.ws
+
     def test_manufactured_heat_accuracy(self):
         g, p, u0, b0 = heat_setup()
         st = make_state(g, p, u0, b0)
@@ -743,8 +763,7 @@ class TestRowWindow:
                               ).trimmed(),
                       b=Field(cut_grid, tall.b.coeffs[:ny], BC_NEUMANN
                               ).trimmed(),
-                      prev_ru=tall.prev_ru[:ny], prev_rb=tall.prev_rb[:ny],
-                      ws=None)
+                      prev_ru=tall.prev_ru[:ny], prev_rb=tall.prev_rb[:ny])
         for _ in range(3):
             new_tall, new_cut = step_imex(tall, 1e-2), step_imex(cut, 1e-2)
             for name in ("u", "b"):
@@ -1096,10 +1115,10 @@ class TestCheckpoint:
         before = path.read_bytes()
 
         class FailingArray:
-            """Fails as the writer reaches it: the header, u and b are
+            """Fails as np.savez reaches it: the header, u and b are
             already written."""
 
-            def astype(self, dtype):
+            def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
 
         st.t += 1.0
@@ -1109,13 +1128,7 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["keep.ckpt"]
 
-    @staticmethod
-    def _split(raw):
-        """(header dict, offset of the first array) of checkpoint bytes."""
-        hlen = int.from_bytes(raw[10:18], "little")
-        return json.loads(raw[18:18 + hlen]), 18 + hlen
-
-    def test_non_hermitian_file_refused(self, tmp_path):
+    def test_non_hermitian_file_refused(self, tmp_path, rewrite_checkpoint):
         """An imaginary part in the DC column of any array, or in the
         Nyquist column where the grid stores it, is refused."""
         for frac, col in ((2.0 / 3.0, "dc"), (1.0, "dc"), (1.0, "nyquist")):
@@ -1125,56 +1138,99 @@ class TestCheckpoint:
             st = step_imex(make_state(g, p, u0, b0), 1e-3)
             good = tmp_path / "good.ckpt"
             save_checkpoint(str(good), st, None)
-            raw = good.read_bytes()
-            _, start = self._split(raw)
             j = 0 if col == "dc" else g.nx // 2
             assert j < g.nmodes
-            for index, name in enumerate(["u", "b", "prev_ru", "prev_rb"]):
-                bad = bytearray(raw)
-                # the imaginary part of row 3, column j of array `index`
-                pos = start + ((index * g.ny + 3) * g.nmodes + j) * 16 + 8
-                assert np.frombuffer(bytes(bad[pos:pos + 8]))[0] == 0.0
-                bad[pos:pos + 8] = np.float64(0.25).tobytes()
+            for name in ["u", "b", "prev_ru", "prev_rb"]:
+                def skew(members):
+                    # the imaginary part of row 3, column j
+                    assert members[name][3, j].imag == 0.0
+                    members[name][3, j] += 0.25j
+
                 path = tmp_path / "skew.ckpt"
-                path.write_bytes(bytes(bad))
+                rewrite_checkpoint(good, path, skew)
                 with pytest.raises(CheckpointError,
                                    match=f"checkpoint {name} is not the "
                                          "spectrum of a real field"):
                     load_checkpoint(str(path))
 
-    def test_data_past_the_last_array_refused(self, tmp_path):
-        """The header says how many arrays follow (prev_dt null: no
-        multistep history), so a file with more bytes is refused."""
+    def test_members_must_match_the_header(self, tmp_path,
+                                           rewrite_checkpoint):
+        """The header says which arrays the archive holds (prev_dt null:
+        no multistep history), so an archive with another member, or
+        without one, is refused."""
+        g, p, st = self._stepped_state()
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), st, None)
+        both = "['b', 'prev_rb', 'prev_ru', 'u']"
+        for change, held, wanted in (
+                (lambda m: m["header"].update(prev_dt=None), both,
+                 "['b', 'u']"),
+                (lambda m: m.update(junk=np.zeros(3)),
+                 "['b', 'junk', 'prev_rb', 'prev_ru', 'u']", both),
+                (lambda m: m.pop("prev_rb"), "['b', 'prev_ru', 'u']", both)):
+            path = tmp_path / "bad.ckpt"
+            rewrite_checkpoint(good, path, change)
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(str(path))
+            assert str(exc.value) == \
+                f"checkpoint holds arrays {held}, its header calls for {wanted}"
+
+    def test_member_shape_and_dtype_refused(self, tmp_path,
+                                            rewrite_checkpoint):
+        """An array of another shape or dtype is refused before anything
+        is sized from the header's grid."""
+        g, p, st = self._stepped_state()
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), st, None)
+        for name, arr in (("u", np.zeros((g.ny - 1, g.nmodes), complex)),
+                          ("b", np.zeros((g.ny, g.nmodes), np.complex64)),
+                          ("prev_rb", np.zeros((g.ny, g.nmodes))),
+                          ("prev_ru", np.zeros(g.ny * g.nmodes, complex))):
+            path = tmp_path / "bad.ckpt"
+            rewrite_checkpoint(good, path, lambda m: m.update({name: arr}))
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(str(path))
+            assert str(exc.value) == (f"checkpoint {name} must be a "
+                                      "complex128 array of shape (129, 11)")
+
+    def test_impossible_member_shape_fails_at_once(self, tmp_path):
+        """A member whose .npy header declares a shape no memory holds is
+        refused when numpy sizes it, before it reads the data."""
         g, p, st = self._stepped_state()
         good = tmp_path / "good.ckpt"
         save_checkpoint(str(good), st, None)
         raw = good.read_bytes()
-        header, start = self._split(raw)
-        header["prev_dt"] = None
-        blob = json.dumps(header).encode("utf-8")
-        path = tmp_path / "long.ckpt"
-        path.write_bytes(raw[:10] + len(blob).to_bytes(8, "little") + blob
-                         + raw[start:])
-        with pytest.raises(CheckpointError, match="past its last array"):
+        old = b"'shape': (129, 11), }"
+        new = b"'shape': (1000000000000, 1000000000000), }"
+        assert raw.count(old) == 4
+        # the new shape takes the place of the header's padding spaces
+        raw = raw.replace(old + b" " * (len(new) - len(old)), new, 1)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError,
+                           match="^damaged checkpoint archive: "):
             load_checkpoint(str(path))
 
-    def test_unreadable_file_and_bad_headers(self, tmp_path):
+    def test_unreadable_file_and_bad_headers(self, tmp_path,
+                                             rewrite_checkpoint):
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             load_checkpoint(str(tmp_path / "missing.ckpt"))
         g, p, st = self._stepped_state()
         good = tmp_path / "good.ckpt"
         save_checkpoint(str(good), st, None)
-        raw = good.read_bytes()
-        hlen = int.from_bytes(raw[10:18], "little")
-        header = raw[18:18 + hlen]
-        bad_json = raw[:18] + b"{" + header[1:].replace(b"{", b"[", 1) \
-            + raw[18 + hlen:]
-        no_key = raw[:18] + header.replace(b'"theta"', b'"thetb"') \
-            + raw[18 + hlen:]
-        for blob, msg in ((bad_json, "not valid JSON"),
-                          (no_key, "lacks key 'theta'")):
+
+        def bad_json(members):
+            members["header"] = b"{" + json.dumps(
+                members["header"]).encode("utf-8")[1:].replace(b"{", b"[", 1)
+
+        def no_key(members):
+            members["header"]["thetb"] = members["header"].pop("theta")
+
+        for change, msg in ((bad_json, "not valid JSON"),
+                            (lambda m: m.pop("header"), "not valid JSON"),
+                            (no_key, "lacks key 'theta'")):
             path = tmp_path / "bad.ckpt"
-            path.write_bytes(blob)
+            rewrite_checkpoint(good, path, change)
             with pytest.raises(CheckpointError, match=msg):
                 load_checkpoint(str(path))
 
@@ -1195,51 +1251,57 @@ class TestCheckpoint:
     @settings(max_examples=60, deadline=None)
     def test_truncated_file_refused(self, valid_file, tmp_path_factory, data):
         """Cut anywhere, a checkpoint raises CheckpointError and nothing
-        else.  Two thirds of the cuts land in the magic, the version and
-        length words (18 bytes) and the header."""
+        else.  Two thirds of the cuts land in the first member's local
+        and .npy headers (128 bytes) or in the central directory and the
+        end records (the last 400 bytes)."""
         raw = valid_file
-        hend = 18 + int.from_bytes(raw[10:18], "little")
-        cut = data.draw(hst.one_of(hst.integers(0, 18),
-                                   hst.integers(0, hend + 16),
+        cut = data.draw(hst.one_of(hst.integers(0, 128),
+                                   hst.integers(len(raw) - 400, len(raw) - 1),
                                    hst.integers(0, len(raw) - 1)), label="cut")
         path = tmp_path_factory.mktemp("cut") / "cut.ckpt"
         path.write_bytes(raw[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
-    def test_bad_magic(self, tmp_path):
-        path = str(tmp_path / "bad.ckpt")
+    def test_not_an_archive_refused(self, tmp_path):
+        """A file of format 1 to 4, which starts with the magic b"MHDBL\\0"
+        and its version word, a bare .npy array, an empty file and text
+        are no format-5 archive."""
+        path = tmp_path / "bad.ckpt"
         with open(path, "wb") as fh:
-            fh.write(b"NOTMHD" + b"\x00" * 64)
-        with pytest.raises(CheckpointError, match="bad magic"):
-            load_checkpoint(path)
+            np.save(fh, np.zeros((4, 3), complex))
+        npy = path.read_bytes()
+        for blob in (b"MHDBL\x00\x04\x00\x00\x00" + b"\x00" * 64, npy, b"",
+                     b"NOTMHD" + b"\x00" * 64):
+            path.write_bytes(blob)
+            with pytest.raises(CheckpointError,
+                               match="^not a checkpoint archive of format 5"):
+                load_checkpoint(str(path))
 
-    def test_version_mismatch(self, tmp_path):
+    def test_version_mismatch(self, tmp_path, rewrite_checkpoint):
         g, p, st = self._stepped_state()
         path = str(tmp_path / "v.ckpt")
         save_checkpoint(path, st, None)
-        raw = bytearray(open(path, "rb").read())
-        raw[6] = 99    # little-endian version word sits after the magic
-        open(path, "wb").write(bytes(raw))
+        rewrite_checkpoint(path, path, lambda m: m["header"].update(version=99))
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 99"):
             load_checkpoint(path)
 
     def test_flipped_bit_refused(self, tmp_path):
         """One flipped bit in the header, in u or in prev_rb leaves a file
-        that still parses, with values in range; its CRC-32 refuses it."""
+        whose header still parses, with values in range; the member's
+        CRC-32 refuses it."""
         g, p, st = self._stepped_state()
         good = tmp_path / "good.ckpt"
         save_checkpoint(str(good), st, None, extras={"scenario_id": "standard"})
         raw = good.read_bytes()
-        _, start = self._split(raw)
-        arr = g.ny * g.nmodes * 16
         flips = {
             # "standard" -> "rtandard": still JSON, extras are free-form
             "header": raw.index(b'"standard"') + 1,
             # the low mantissa byte of the real part of u[5, 1]
-            "u": start + (5 * g.nmodes + 1) * 16,
+            "u": raw.index(st.u.coeffs.tobytes()) + (5 * g.nmodes + 1) * 16,
             # and of the imaginary part of prev_rb[7, 2]
-            "prev_rb": start + 3 * arr + (7 * g.nmodes + 2) * 16 + 8,
+            "prev_rb": raw.index(st.prev_rb.tobytes())
+            + (7 * g.nmodes + 2) * 16 + 8,
         }
         for where, pos in flips.items():
             bad = bytearray(raw)
@@ -1247,13 +1309,16 @@ class TestCheckpoint:
             path = tmp_path / f"{where}.ckpt"
             path.write_bytes(bytes(bad))
             with pytest.raises(CheckpointError,
-                               match="^checkpoint fails its CRC-32 check"):
+                               match="^damaged checkpoint archive: Bad "
+                                     f"CRC-32 for file '{where}.npy'"):
                 load_checkpoint(str(path))
-        # so does a file whose CRC word itself is damaged
+        # so does a file whose stored CRC-32 itself is damaged: that of
+        # the header, in the first record of the central directory
         bad = bytearray(raw)
-        bad[-1] ^= 0x80
+        bad[zipfile.ZipFile(good).start_dir + 16] ^= 0x80
         (tmp_path / "crc.ckpt").write_bytes(bytes(bad))
-        with pytest.raises(CheckpointError, match="CRC-32"):
+        with pytest.raises(CheckpointError,
+                           match="CRC-32 for file 'header.npy'"):
             load_checkpoint(str(tmp_path / "crc.ckpt"))
 
     def test_truncation(self, tmp_path):
@@ -1262,8 +1327,18 @@ class TestCheckpoint:
         save_checkpoint(path, st, None)
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-100])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match="cut short"):
             load_checkpoint(path)
+
+    def test_appended_bytes_refused(self, tmp_path):
+        """zipfile reads an archive with bytes appended after its end
+        record; the loader does not."""
+        g, p, st = self._stepped_state()
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(str(path), st, None)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="bytes past its end"):
+            load_checkpoint(str(path))
 
 
 class TestSimulate:
