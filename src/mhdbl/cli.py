@@ -109,6 +109,9 @@ def validate_config(cfg: dict) -> None:
 
 
 def _prepare_out(out_dir: str) -> str:
+    """Create the output directory and probe it with a write.  Called once
+    a command's inputs are built and checked, so a refused input leaves no
+    directory, and before any step, so an unwritable one costs none."""
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write-probe")
@@ -203,10 +206,11 @@ def _finish(command: str, out_dir: str, cfg, result, ff) -> int:
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, args.overrides)
     validate_config(cfg)
-    out_dir = _prepare_out(args.out)
     grid, params, u0, b0, ff, id_report = build_run(cfg)
-    result = simulate(make_state(grid, params, u0, b0, cfg["run.branch"]),
-                      ff, t_final=cfg["run.t_final"],
+    start = [make_state(grid, params, u0, b0, cfg["run.branch"])]
+    out_dir = _prepare_out(args.out)
+    # handed over, not kept here, so the run frees each state it leaves
+    result = simulate(start.pop(), ff, t_final=cfg["run.t_final"],
                       dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
                       sample_every=cfg["run.sample_every"])
     if id_report is not None:
@@ -255,7 +259,6 @@ def cmd_resume(args) -> int:
     # the checkpoint fixes these; refused from a file and --set alike
     cfg = parse_config(args.config, args.overrides,
                        fixed=("grid.", "params.", "scenario.", "run.branch"))
-    out_dir = _prepare_out(args.out)
     state, ff, extras = load_checkpoint(args.checkpoint)
     # echo the settings the run uses, which are the checkpoint's
     g, p, alpha = state.grid, state.params, state.weight_alpha
@@ -275,6 +278,7 @@ def cmd_resume(args) -> int:
         raise ConfigError(
             f"run.t_final={cfg['run.t_final']} does not extend the "
             f"checkpoint time {state.t:.6g}")
+    out_dir = _prepare_out(args.out)
     result = simulate(state, ff, t_final=cfg["run.t_final"],
                       dt_max=cfg["run.dt_max"], cfl=cfg["run.cfl"],
                       sample_every=cfg["run.sample_every"])

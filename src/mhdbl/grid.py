@@ -18,23 +18,26 @@ scipy.special it loads, off the import path.
 Row window.  The solutions are Gaussian-localized in y, so on a tall
 domain the upper rows are often exactly 0.0 (the tails underflow).  A
 Field records this in `rows`: every row from `rows` up is exactly zero
-(rows = ny claims nothing).  Where `rows` is set from the data
-(Field.trimmed), real and imaginary parts below 2^-511 = 1.49e-154,
-the square root of the smallest normal double, are stored as 0 first.
-The product of two stored parts is then a normal double or zero: the
-kernels, which multiply stored parts pairwise (the RHS products, |c|^2
-in the norms), do not take the CPU's slow path for subnormal results,
-and `rows` ends at the last row whose data can still form a normal
-product.  The y operators and reductions below read only `Field.window` =
-min(ny, rows + 2) rows, the support and two zero rows above it: on those
-the top closures of ddy and d2dy give exactly the full-grid values, and
-every output row above is exactly zero, so a windowed result has the
-same values as a full-grid one.  Reductions over y stop at the
-support.  The running sums (integrate_y_tail, column_flux, the shell
-norms) add in ascending or descending y, so the zeros they skip would
-not change a bit; weighted_l2's pairwise sum may change in the last bit.
-So results depend on the data, not on how far the grid reaches above
-it.
+(rows = ny claims nothing), and it stores only rows [0, k), rows <= k <=
+its window, so nothing above the window is held, zero-filled or
+scanned.  Where `rows` is set from the data (Field.trimmed), real and
+imaginary parts below 2^-511 = 1.49e-154, the square root of the
+smallest normal double, are stored as 0 first.  The product of two stored
+parts is then a normal double or zero: the kernels, which multiply
+stored parts pairwise (the RHS products, |c|^2 in the norms), do not
+take the CPU's slow path for subnormal results, and `rows` ends at the
+last row whose data can still form a normal product.  The y operators and
+reductions below read only `Field.window` = min(ny, rows + 2) rows, the
+support and two zero rows above it: on those the top closures of ddy and
+d2dy give exactly the full-grid values, and every output row above is
+exactly zero, so a windowed result has the same values as a full-grid
+one.  Each kernel writes an output only as tall as that output's window
+(window_array); a kernel that reads above an input's stored rows reads
+zeros there (Field.head).  Reductions over y stop at the support.  The
+running sums (integrate_y_tail, column_flux, the shell norms) add in
+ascending or descending y, so the zeros they skip would not change a
+bit; weighted_l2's pairwise sum may change in the last bit.  So results
+depend on the data, not on how far the grid reaches above it.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class GridSpec:
     def x(self) -> np.ndarray:
         return np.arange(self.nx) * (self.lx / self.nx)
 
-    @property
+    @cached_property
     def nmodes(self) -> int:
         """Stored modes per row: j = 0, 1, ..., the dealias cut."""
         return min(self.nx // 2, int(self.dealias_fraction * self.nx / 2)) + 1
@@ -183,27 +186,36 @@ class Field:
     in use; after `trimmed` every stored part is 0 or at least 2^-511 in
     magnitude, so products of two of them stay normal (see the module
     docstring).
+
+    Only rows [0, k) are stored, in `data`, with rows <= k <= window: a
+    taller array is cut to the window (a view), so a field at the foot of
+    a tall grid costs what its data needs.  `coeffs` is the whole (ny,
+    nmodes) array for readers outside the step: a view of `data` when it
+    is that tall, else a zero-padded copy, which a write does not reach.
     """
 
     grid: GridSpec
-    coeffs: np.ndarray
+    data: np.ndarray
     bc: str = BC_DIRICHLET
-    rows: Optional[int] = None      # coeffs[rows:] is all zero; None: ny
+    rows: Optional[int] = None      # rows from here up are zero; None: all
 
     def __post_init__(self):
-        if self.rows is None:
-            self.rows = self.grid.ny
-        if not 0 <= self.rows <= self.grid.ny:
-            raise ValueError(f"rows {self.rows} outside [0, {self.grid.ny}]")
-        if self.coeffs.shape != (self.grid.ny, self.grid.nmodes):
+        ny, nmodes = self.grid.ny, self.grid.nmodes
+        if (self.data.ndim != 2 or self.data.shape[1] != nmodes
+                or len(self.data) > ny):
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nmodes})"
+                f"coeffs shape {self.data.shape} does not match grid "
+                f"({ny}, {nmodes})"
             )
+        if self.rows is None:
+            self.rows = len(self.data)
+        if not 0 <= self.rows <= len(self.data):
+            raise ValueError(f"rows {self.rows} outside [0, {len(self.data)}]")
         if self.bc not in (BC_DIRICHLET, BC_NEUMANN):
             raise ValueError(f"unknown bc tag {self.bc!r}")
-        if self.coeffs.dtype != np.complex128:
-            self.coeffs = self.coeffs.astype(np.complex128)
+        self.data = self.data[:self.window]
+        if self.data.dtype != np.complex128:
+            self.data = self.data.astype(np.complex128)
 
     @classmethod
     def zeros(cls, grid: GridSpec, bc: str = BC_DIRICHLET) -> "Field":
@@ -220,24 +232,38 @@ class Field:
         return cls(grid, c, bc)
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.coeffs.copy(), self.bc, self.rows)
+        return Field(self.grid, self.data.copy(), self.bc, self.rows)
 
     @property
     def window(self) -> int:
         """Rows a y operator reads: the support and two zero rows above."""
         return min(self.grid.ny, self.rows + 2)
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The whole (ny, nmodes) array (see the class docstring)."""
+        return self.head(self.grid.ny)
+
+    def head(self, n: int) -> np.ndarray:
+        """Rows [0, n): a view of the stored rows when they reach n, else
+        a zero-padded copy."""
+        if n <= len(self.data):
+            return self.data[:n]
+        out = np.zeros((n, self.grid.nmodes), complex)
+        out[:len(self.data)] = self.data
+        return out
+
     def trimmed(self) -> "Field":
-        """This field (same array) with every real and imaginary part below
-        2^-511 in magnitude, whose square underflows, set to 0, and `rows`
-        lowered to the support of what is left.  NaN and +-inf stay, and
-        count as live.  The masks take a byte per entry: no float
-        temporary the size of the field."""
-        flat = self.coeffs[:self.rows].view(np.float64)
+        """This field (same array, cut to its new window) with every real
+        and imaginary part below 2^-511 in magnitude, whose square
+        underflows, set to 0, and `rows` lowered to the support of what is
+        left.  NaN and +-inf stay, and count as live.  The masks take a
+        byte per entry: no float temporary the size of the field."""
+        flat = self.data[:self.rows].view(np.float64)
         small = flat < _FLUSH
         small &= flat > -_FLUSH
         np.copyto(flat, 0.0, where=small)
-        return Field(self.grid, self.coeffs, self.bc, support(flat))
+        return Field(self.grid, self.data, self.bc, support(flat))
 
     def physical(self) -> np.ndarray:
         return x_transform(self.grid, self.coeffs, "inverse")
@@ -248,8 +274,8 @@ class Field:
         The stored layout implies the symmetry for every mode but DC and
         Nyquist, which are their own mirrors: the defect is
         |c - conj(c)| = 2 |Im c| on those columns."""
-        edge = self.coeffs[:, ::self.grid.nx // 2]    # DC, Nyquist if stored
-        return float(2.0 * np.max(np.abs(edge.imag)))
+        edge = self.data[:, ::self.grid.nx // 2]      # DC, Nyquist if stored
+        return float(2.0 * np.max(np.abs(edge.imag), initial=0.0))
 
 
 # ---- transforms ------------------------------------------------------------
@@ -285,18 +311,17 @@ def support(rows: np.ndarray) -> int:
     return 0
 
 
-def zero_above(like: np.ndarray, n: int) -> np.ndarray:
-    """An uninitialized array like `like` with rows n and up set to zero;
-    the caller fills rows [0, n)."""
-    out = np.empty_like(like)
-    out[n:] = 0.0
-    return out
-
-
 def ddx(field: Field) -> Field:
     """Exact spectral x derivative (i*xi per mode)."""
-    return Field(field.grid, field.coeffs * (1j * field.grid.xi), field.bc,
+    return Field(field.grid, field.data * (1j * field.grid.xi), field.bc,
                  field.rows)
+
+
+def window_array(grid: GridSpec, rows: int) -> np.ndarray:
+    """An uninitialized array as tall as the window of a result with
+    support bound `rows`, min(ny, rows + 2) by nmodes: the caller fills
+    the rows it computes and zeroes the rest."""
+    return np.empty((min(grid.ny, rows + 2), grid.nmodes), np.complex128)
 
 
 def ddy(field: Field) -> Field:
@@ -307,9 +332,10 @@ def ddy(field: Field) -> Field:
     the field's window; the result's support is one row taller.
     """
     n = field.window
-    c = field.coeffs[:n]
+    c = field.head(n)
     dy = field.grid.dy
-    full = zero_above(field.coeffs, n)
+    rows = min(field.grid.ny, field.rows + 1)
+    full = window_array(field.grid, rows)
     out = full[:n]
     out[1:-1] = (c[2:] - c[:-2]) / (2.0 * dy)
     if field.bc == BC_DIRICHLET:
@@ -317,19 +343,21 @@ def ddy(field: Field) -> Field:
     else:
         out[0] = 0.0
     out[-1] = -c[-2] / dy
+    full[n:] = 0.0
     # the derivative of a Dirichlet field is Neumann-like at the wall and
     # vice versa; tag conservatively as Neumann (no pinned wall value).
     new_bc = BC_NEUMANN if field.bc == BC_DIRICHLET else BC_DIRICHLET
-    return Field(field.grid, full, new_bc, min(field.grid.ny, field.rows + 1))
+    return Field(field.grid, full, new_bc, rows)
 
 
 def d2dy(field: Field) -> Field:
     """Second order centered second derivative, bc-tagged ghost closure,
     over the field's window like ddy."""
     n = field.window
-    c = field.coeffs[:n]
+    c = field.head(n)
     dy2 = field.grid.dy ** 2
-    full = zero_above(field.coeffs, n)
+    rows = min(field.grid.ny, field.rows + 1)
+    full = window_array(field.grid, rows)
     out = full[:n]
     out[1:-1] = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / dy2
     if field.bc == BC_DIRICHLET:
@@ -337,8 +365,8 @@ def d2dy(field: Field) -> Field:
     else:
         out[0] = 2.0 * (c[1] - c[0]) / dy2
     out[-1] = -2.0 * c[-1] / dy2
-    return Field(field.grid, full, field.bc,
-                 min(field.grid.ny, field.rows + 1))
+    full[n:] = 0.0
+    return Field(field.grid, full, field.bc, rows)
 
 
 # ---- quadrature ------------------------------------------------------------
@@ -353,12 +381,13 @@ def integrate_y_tail(field: Field) -> Field:
     from field.rows up are exactly zero and are not summed: adding their
     zeros first would leave every partial sum's bits as they are.
     """
-    c = field.coeffs
     n = min(field.rows, field.grid.ny - 1)
-    out = zero_above(c, n)
+    c = field.head(n + 1)
+    out = window_array(field.grid, n)
     seg = 0.5 * field.grid.dy * (c[1:n + 1] + c[:n])
     # summed from the top into the reversed view of rows [0, n)
     np.cumsum(seg[::-1], axis=0, out=out[:n][::-1])
+    out[n:] = 0.0
     return Field(field.grid, out, BC_DIRICHLET, n)
 
 
@@ -380,7 +409,7 @@ def column_flux(field: Field) -> np.ndarray:
     in some processes."""
     n = field.rows
     w = field.grid.trapz_weights[:n]
-    flat = field.coeffs[:n].view(np.float64)
+    flat = field.data[:n].view(np.float64)
     return np.einsum("y,yj->j", w, flat).view(np.complex128)
 
 
@@ -396,7 +425,7 @@ def row_power(field: Field) -> np.ndarray:
     """sum_j |c_ij|^2 over all nx modes per row of the support (shape
     (field.rows,)): the stored modes weighted by their multiplicities,
     summed in stored (ascending |xi|) order."""
-    return np.einsum("yj,j->y", mode_power(field.coeffs[:field.rows]),
+    return np.einsum("yj,j->y", mode_power(field.data[:field.rows]),
                      field.grid.mode_weights)
 
 

@@ -123,14 +123,15 @@ def build_partition(grid: GridSpec) -> DyadicPartition:
 def lp_project(part: DyadicPartition, field: Field, k: int) -> Field:
     """Shell piece Delta_k f (zero outside the partition's k range)."""
     if k < part.k_min or k > part.k_max:
-        return Field(field.grid, np.zeros_like(field.coeffs), field.bc)
-    return Field(field.grid, field.coeffs * part.shell_row(k), field.bc)
+        return Field(field.grid, np.zeros_like(field.data), field.bc)
+    return Field(field.grid, field.data * part.shell_row(k), field.bc,
+                 field.rows)
 
 
 def lowpass(field: Field, k: int) -> Field:
     """Low-frequency piece S_k f = chi(2^-k |xi|) f (DC included)."""
     row = chi_lowpass(field.grid.xi / 2.0 ** k)
-    return Field(field.grid, field.coeffs * row, field.bc)
+    return Field(field.grid, field.data * row, field.bc, field.rows)
 
 
 # ---- Besov norms -----------------------------------------------------------
@@ -146,7 +147,7 @@ def shell_weighted_norms(part: DyadicPartition, field: Field, a: float,
     """
     g = field.grid
     n = field.rows
-    c = field.coeffs[:n]
+    c = field.data[:n]
     with np.errstate(over="ignore", invalid="ignore"):
         if r != 0.0:
             c = c * np.exp(r * g.xi)

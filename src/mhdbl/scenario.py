@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec, checked,
-                   column_flux, x_transform, zero_above)
+                   column_flux, window_array, x_transform)
 from .lp import _gexp
 
 
@@ -269,10 +269,9 @@ def source_terms(ff: FarField, t: float) -> Field:
     chi, dchi, d2chi, d3chi = (a[:n] for a in (cut.chi, cut.dchi, cut.d2chi,
                                                cut.d3chi))
     quad_plus = 1.0 - dchi ** 2 + chi * d2chi
-    cu = np.zeros((ff.grid.ny, ff.grid.nmodes), dtype=complex)
-    cu[:n] = (np.outer(1.0 - dchi, ff.dt_u_spec(t))
-              + np.outer(d3chi, ff.u_spec(t))
-              + np.outer(quad_plus, ff.advection_spec(t)))
+    cu = (np.outer(1.0 - dchi, ff.dt_u_spec(t))
+          + np.outer(d3chi, ff.u_spec(t))
+          + np.outer(quad_plus, ff.advection_spec(t)))
     return Field(ff.grid, cu, BC_NEUMANN, n)
 
 
@@ -324,8 +323,9 @@ def project_zero_flux(field: Field, shape: np.ndarray) -> Field:
     flux[0] = 0.0
     live = np.flatnonzero(shape)
     n = max(field.rows, int(live[-1]) + 1 if live.size else 0)
-    c = zero_above(field.coeffs, n)
-    np.subtract(field.coeffs[:n], np.outer(shape[:n], flux), out=c[:n])
+    c = window_array(field.grid, n)
+    np.subtract(field.head(n), np.outer(shape[:n], flux), out=c[:n])
+    c[n:] = 0.0
     return Field(field.grid, c, field.bc, n)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
                    TailViolationError, checked, column_flux, d2dy, ddx, ddy,
                    integrate_y_tail, psi_weight, row_power, support,
-                   weighted_l2, weighted_rows, x_transform, zero_above)
+                   weighted_l2, weighted_rows, window_array, x_transform)
 from .lp import (besov_h_shell_norms, besov_norm, besov_pair_norm,
                  build_partition, pair_shell_norms)
 from .scenario import (FarField, Params, UnsupportedScenarioError,
@@ -164,8 +164,8 @@ class State:
     theta: float = 0.0
     step_index: int = 0
     weight_alpha: float = 1.0       # 1: plain weight; 1/kappa: kappa branch
-    prev_ru: Optional[np.ndarray] = None
-    prev_rb: Optional[np.ndarray] = None
+    prev_ru: Optional[Field] = None     # the last step's tendencies
+    prev_rb: Optional[Field] = None
     prev_dt: Optional[float] = None
     theta_int1: float = 0.0         # int_0^t of theta's first component
     umax: float = 0.0               # the CFL speed of the last RHS
@@ -218,8 +218,8 @@ def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
     trimmed copies (Field.trimmed); nonzero data that the trim would
     zero whole, every part's square underflowing, is refused."""
     alpha = resolve_branch_alpha(params.kappa, branch)
-    scale = max(float(np.max(np.abs(u0.coeffs))),
-                float(np.max(np.abs(b0.coeffs))))
+    scale = max(float(np.max(np.abs(u0.data), initial=0.0)),
+                float(np.max(np.abs(b0.data), initial=0.0)))
     if scale * scale == math.inf:
         raise ValueError(f"initial amplitude max |u0|, |b0| = {scale:.3e} is "
                          "too large: its square overflows a double")
@@ -249,17 +249,24 @@ def resolve_branch_alpha(kappa: float, branch: str) -> float:
 # ---- kinematic reconstructions ----------------------------------------------
 
 
-def recover_vh(state: State):
-    """Normal components from the divergence constraints:
-    (v, h) = -d_x int_0^y (u, b) dy', with int_0^y = (phi, psi) - (phi,
-    psi)|_{y=0} from the state's phipsi: the bits of integrate_y_from0,
-    since (-a) - (-b) = b - a exactly.  Exact zero at the wall; decays at
-    the top when the column fluxes vanish."""
+def recover_vh(state: State, n: int):
+    """Normal components from the divergence constraints, rows [0, n) as
+    two (n, nmodes) arrays: (v, h) = -d_x int_0^y (u, b) dy', with
+    int_0^y = (phi, psi) - (phi, psi)|_{y=0} from the state's phipsi: the
+    bits of integrate_y_from0, since (-a) - (-b) = b - a exactly.  Exact
+    zero at the wall.  Above the support of (phi, psi) each holds the
+    column flux times i xi, so it is no Field with a row bound; it
+    vanishes there when the column fluxes do."""
     out = []
     for a in state.phipsi:
-        f = ddx(Field(a.grid, a.coeffs - a.coeffs[0], BC_DIRICHLET))
-        f.coeffs *= -1.0
-        out.append(f)
+        k = min(n, len(a.data))
+        c = np.empty((n, state.grid.nmodes), complex)
+        np.subtract(a.data[:k], a.data[0], out=c[:k])
+        np.subtract(0.0, a.data[0], out=c[k:])
+        # a Field of the n rows only, for the x derivative
+        d = ddx(Field(state.grid, c, BC_DIRICHLET)).data
+        d *= -1.0
+        out.append(d)
     return tuple(out)
 
 
@@ -276,8 +283,8 @@ def reconstruct_phipsi(state: State):
     and at the wall up to the column flux."""
     phi = integrate_y_tail(state.u)
     psi = integrate_y_tail(state.b)
-    phi.coeffs *= -1.0
-    psi.coeffs *= -1.0
+    phi.data *= -1.0
+    psi.data *= -1.0
     return phi, psi
 
 
@@ -291,9 +298,10 @@ def compute_GH(state: State, phi: Field, psi: Field):
                             (state.b, psi, 2.0 * state.params.kappa * tt,
                              BC_NEUMANN)):
         n = max(f.rows, a.rows)
-        c = zero_above(f.coeffs, n)
-        np.multiply(state.grid.y[:n, None] / scale, a.coeffs[:n], out=c[:n])
-        c[:n] += f.coeffs[:n]
+        c = window_array(state.grid, n)
+        np.multiply(state.grid.y[:n, None] / scale, a.head(n), out=c[:n])
+        c[:n] += f.head(n)
+        c[n:] = 0.0
         out.append(Field(state.grid, c, bc, n))
     return tuple(out)
 
@@ -312,7 +320,9 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     ru, rb are zero above them: every term holds a factor of u, b or
     their y derivatives, but for the far field's chi'' U (v, h) and its
     source, whose rows are those of the cutoff zone y < 2 (Cutoff.rows).
-    (v and h hold the column flux above the support.)"""
+    (v and h hold the column flux above the support.)  The factors are
+    written into rows [0, n) of ws.factors, zero above each one's stored
+    rows."""
     g = state.grid
     p = state.params
     u, b = state.u, state.b
@@ -324,16 +334,14 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     ws = state.ws
     ixi = 1j * g.xi
     duy, dby = state.dy_ub
-    v, h = recover_vh(state)
     spec = ws.factors[:, :n]
-    spec[0] = u.coeffs[:n]
-    spec[1] = b.coeffs[:n]
-    np.multiply(u.coeffs[:n], ixi, out=spec[2])
-    np.multiply(b.coeffs[:n], ixi, out=spec[3])
-    spec[4] = duy.coeffs[:n]
-    spec[5] = dby.coeffs[:n]
-    spec[6] = v.coeffs[:n]
-    spec[7] = h.coeffs[:n]
+    for i, f in zip((0, 1, 4, 5), (u, b, duy, dby)):
+        k = min(n, len(f.data))
+        spec[i, :k] = f.data[:k]
+        spec[i, k:] = 0.0
+    np.multiply(spec[0], ixi, out=spec[2])
+    np.multiply(spec[1], ixi, out=spec[3])
+    spec[6], spec[7] = recover_vh(state, n)
     dux, dbx = spec[2], spec[3]
     u_p, b_p, dux_p, dbx_p, duy_p, dby_p, v_p, h_p = x_transform(
         g, spec, "inverse")
@@ -357,14 +365,15 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
 
     # nl_u and nl_b forward-transformed in one call
     r = x_transform(g, nl, "forward")
-    ru, rb = zero_above(u.coeffs, n), zero_above(b.coeffs, n)
+    ru, rb = window_array(g, n), window_array(g, n)
     # -nl + bbar d_x (b, u), written as one subtraction per field
     np.subtract(p.bbar * dbx, r[0], out=ru[:n])
     np.subtract(p.bbar * dux, r[1], out=rb[:n])
+    ru[n:] = rb[n:] = 0.0
 
     if farfield is not None:
         src = source_terms(farfield, state.t)
-        ru[:src.rows] += src.coeffs[:src.rows]
+        ru[:src.rows] += src.data[:src.rows]
 
     return (Field(g, ru, BC_DIRICHLET, n), Field(g, rb, BC_NEUMANN, n), umax)
 
@@ -468,59 +477,81 @@ def cn_factors(sub: np.ndarray, diag: np.ndarray,
 
 
 def solve_banded(factors: CNFactors, b: np.ndarray) -> np.ndarray:
-    """x with A x = b for the prefactored A; b is (n, cols), real or
-    complex, and a complex b is solved as its real (n, 2 cols) view.
-    One stacked matmul over the blocks, one interface matmul and two
-    broadcast corrections."""
+    """x with A x = b for the prefactored A, where b holds rows [0, k) of
+    the right-hand side, k <= n, and its rows from k up are zero; b is
+    (k, cols), real or complex, and a complex b is solved as its real
+    (k, 2 cols) view.  Returns rows [0, h) of x, h <= n: x is exactly
+    zero from h up.
+
+    One stacked matmul over the ceil(k / m) blocks that hold rows of b
+    (the others give zero), one interface matmul over every block, and
+    two broadcast corrections over the blocks up to the last one next to
+    a nonzero interface value; h is where those blocks end.  Each row it
+    returns equals that of the solve over every block."""
     inv = factors.inv_blocks
     nb, m, _ = inv.shape
     b = np.ascontiguousarray(b)
-    rows = b.view(np.float64).reshape(factors.n, -1)
+    k = len(b)
+    live = -(-k // m)
+    rows = b.view(np.float64)
     cols = rows.shape[1]
-    if nb * m != factors.n:
-        rows = np.concatenate([rows, np.zeros((nb * m - factors.n, cols))])
-    x = inv @ rows.reshape(nb, m, cols)
-    ends = factors.inv_interface @ x[:, [0, -1]].reshape(2 * nb, cols)
+    if live * m != k:
+        rows = np.concatenate([rows, np.zeros((live * m - k, cols))])
+    x = inv[:live] @ rows.reshape(live, m, cols)
+    edges = np.zeros((nb, 2, cols))
+    edges[:live] = x[:, [0, -1]]
+    ends = factors.inv_interface @ edges.reshape(2 * nb, cols)
     ends = ends.reshape(nb, 2, cols)
-    x[:-1] -= factors.up[:-1, :, None] * ends[1:, None, 0]
-    x[1:] -= factors.down[1:, :, None] * ends[:-1, None, 1]
-    return x.reshape(nb * m, cols)[:factors.n].view(b.dtype)
+    # a nonzero interface value of block j corrects blocks j - 1 and j + 1
+    hit = np.flatnonzero(ends.reshape(nb, -1).any(axis=1))
+    top = min(nb, max(1, live, int(hit[-1]) + 2 if hit.size else 0))
+    if top > live:
+        x = np.concatenate([x, np.zeros((top - live, m, cols))])
+    x[:top - 1] -= factors.up[:top - 1, :, None] * ends[1:top, None, 0]
+    x[1:] -= factors.down[1:top, :, None] * ends[:top - 1, None, 1]
+    return x.reshape(top * m, cols)[:factors.n].view(b.dtype)
 
 
 def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
               dt: float) -> Field:
     """The Crank-Nicolson update of `field` with the explicit `tendency`;
-    the right-hand side is formed on the rows its terms fill, and the
-    result's `rows` is its support (the solve spreads the data upward).
-    Its parts whose square underflows are left for the trim after the
-    projection."""
+    the right-hand side is formed on the rows its terms fill, each term
+    added over its own stored rows, and the result's `rows` is its
+    support, scanned below the height the solve returns (the solve
+    spreads the data upward).  Its parts whose square underflows are left
+    for the trim after the projection."""
     half = d2dy(field)
     n = max(half.rows, tendency.rows)
-    rhs = zero_above(field.coeffs, n)
-    np.multiply(half.coeffs[:n], 0.5 * dt * nu, out=rhs[:n])
-    rhs[:n] += field.coeffs[:n]
-    rhs[:n] += dt * tendency.coeffs[:n]
+    rhs = np.empty((n, field.grid.nmodes), complex)
+    k = min(n, len(half.data))
+    np.multiply(half.data[:k], 0.5 * dt * nu, out=rhs[:k])
+    rhs[k:] = 0.0
+    k = min(n, len(field.data))
+    rhs[:k] += field.data[:k]
+    rhs += dt * tendency.head(n)
     if field.bc == BC_DIRICHLET:
         rhs[0] = 0.0
-    rhs[-1] = 0.0
+    if n == field.grid.ny:
+        rhs[-1] = 0.0
     out = solve_banded(ws.cn_factors(nu, dt, field.bc), b=rhs)
     return Field(field.grid, out, field.bc, support(out))
 
 
-def _ab2(r: Field, prev: np.ndarray) -> Field:
+def _ab2(r: Field, prev: Field) -> Field:
     """The Adams-Bashforth tendency 1.5 r - 0.5 prev, on the rows either
     of them fills."""
-    n = max(r.rows, support(prev))
-    c = zero_above(r.coeffs, n)
-    np.multiply(r.coeffs[:n], 1.5, out=c[:n])
-    c[:n] -= 0.5 * prev[:n]
+    n = max(r.rows, prev.rows)
+    c = window_array(r.grid, n)
+    np.multiply(r.head(n), 1.5, out=c[:n])
+    c[:n] -= 0.5 * prev.head(n)
+    c[n:] = 0.0
     return Field(r.grid, c, r.bc, n)
 
 
 def _check_blow_up(state: State, fields, where: str) -> None:
     """DivergenceError unless the fields are finite and within blow_limit
     (np.max keeps a NaN of either field, where Python's max may drop it)."""
-    m = float(np.max([np.max(np.abs(f.coeffs[:f.rows]), initial=0.0)
+    m = float(np.max([np.max(np.abs(f.data[:f.rows]), initial=0.0)
                       for f in fields]))
     if not math.isfinite(m):
         raise DivergenceError(f"non-finite fields {where} at t={state.t:.6g}")
@@ -550,10 +581,11 @@ def step_imex(state: State, dt: float,
         # the midpoint fields meet the blow-up limit before their products
         # can overflow; their names then pass to their tendencies, so they
         # are freed before the CN solves
-        eu = Field(state.grid, state.u.coeffs + 0.5 * dt * ru0.coeffs,
-                   state.u.bc, max(state.u.rows, ru0.rows))
-        eb = Field(state.grid, state.b.coeffs + 0.5 * dt * rb0.coeffs,
-                   state.b.bc, max(state.b.rows, rb0.rows))
+        n = ru0.rows      # the tendencies' rows cover both fields' windows
+        eu = Field(state.grid, state.u.head(n) + 0.5 * dt * ru0.head(n),
+                   state.u.bc, n)
+        eb = Field(state.grid, state.b.head(n) + 0.5 * dt * rb0.head(n),
+                   state.b.bc, n)
         _check_blow_up(state, (eu, eb), "in the start-up midpoint")
         eu, eb, _ = rhs_explicit(
             replace(state, t=state.t + 0.5 * dt, u=eu, b=eb), farfield)
@@ -575,7 +607,7 @@ def step_imex(state: State, dt: float,
 
     t1 = state.t + dt
     new = replace(state, t=t1, u=u1, b=b1, step_index=state.step_index + 1,
-                  prev_ru=ru0.coeffs, prev_rb=rb0.coeffs, prev_dt=dt,
+                  prev_ru=ru0, prev_rb=rb0, prev_dt=dt,
                   umax=umax)
     comp1, comp2 = theta_components(new, farfield, state.radius)
     new.theta = state.theta + dt * (comp1 + comp2)
@@ -608,13 +640,14 @@ def heat_energy_slack(f_old: Field, f_new: Field, t_old: float, t_new: float,
     tm = 0.5 * (t_old + t_new)
     # the inner product vanishes where mid does: above both supports
     n = max(f_old.rows, f_new.rows)
-    old, new = f_old.coeffs[:n], f_new.coeffs[:n]
-    mc = zero_above(f_old.coeffs, n)
+    old, new = f_old.head(n), f_new.head(n)
+    mc = window_array(g, n)
     np.add(old, new, out=mc[:n])
     mc[:n] *= 0.5
+    mc[n:] = 0.0
     mid = Field(g, mc, f_old.bc, n)
     dfdt = (new - old) / dt
-    lap = d2dy(mid).coeffs[:n]
+    lap = d2dy(mid).data[:n]
     dy_mid = ddy(mid)
     m = mc[:n]
     rowsums, weights, norms = {}, {}, {}
@@ -761,7 +794,7 @@ def kappa_rescale_map(grid: GridSpec, u: Field, b: Field, kappa: float):
     new_grid = GridSpec(grid.lx, grid.nx,
                         grid.ymax / math.sqrt(checked("kappa", kappa)),
                         grid.ny, grid.dealias_fraction)
-    return (new_grid, *(Field(new_grid, f.coeffs.copy(), f.bc, f.rows)
+    return (new_grid, *(Field(new_grid, f.data.copy(), f.bc, f.rows)
                         for f in (u, b)))
 
 
@@ -931,8 +964,8 @@ def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
     """Snapshot of exactly `state` as a numpy .npz archive (format version
     5, a CRC-32 per member): `header`, the JSON header as uint8 bytes,
     then u, b and, when the state has a multistep history (prev_dt not
-    null), prev_ru and prev_rb, each its stored (ny, nmodes) complex128
-    array.  The header holds the format version, the grid, the params,
+    null), prev_ru and prev_rb, each its whole (ny, nmodes) complex128
+    array (Field.coeffs).  The header holds the format version, the grid, the params,
     the state's scalars (_SCALARS), its Chemin-Lerner shell integrals and
     audit minima, the far field's eps and alpha ("farfield": null without
     one; its x profile is default_x_profile's), and the caller's
@@ -955,7 +988,8 @@ def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
                                        np.uint8),
                "u": state.u.coeffs, "b": state.b.coeffs}
     if state.prev_dt is not None:
-        members.update(prev_ru=state.prev_ru, prev_rb=state.prev_rb)
+        members.update(prev_ru=state.prev_ru.coeffs,
+                       prev_rb=state.prev_rb.coeffs)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -1076,8 +1110,12 @@ def _restore(header: dict, members: dict):
     ff = None if fd is None else FarField(grid, fd["eps"], fd["alpha"])
     u = Field(grid, members["u"], BC_DIRICHLET).trimmed()
     b = Field(grid, members["b"], BC_NEUMANN).trimmed()
-    state = State(grid, params, u=u, b=b, prev_ru=members.get("prev_ru"),
-                  prev_rb=members.get("prev_rb"), audit_min=audit, **scalars)
+    # the tendencies keep their bits: no flush, only their support
+    prev = {name: Field(grid, members[name], bc, support(members[name]))
+            for name, bc in (("prev_ru", BC_DIRICHLET),
+                             ("prev_rb", BC_NEUMANN)) if name in members}
+    state = State(grid, params, u=u, b=b, audit_min=audit, **prev,
+                  **scalars)
     n_shells = state.ws.part.n_shells
     cl = header["cl_integrals"]
     if not (isinstance(cl, list) and len(cl) == n_shells):

@@ -320,7 +320,8 @@ class TestCriterion9Structural:
         same_bytes = p1.read_bytes() == p2.read_bytes()
         same_fields = (np.array_equal(st.u.coeffs, st2.u.coeffs)
                        and np.array_equal(st.b.coeffs, st2.b.coeffs)
-                       and np.array_equal(st.prev_ru, st2.prev_ru))
+                       and np.array_equal(st.prev_ru.coeffs,
+                                          st2.prev_ru.coeffs))
         good = same_bytes and same_fields
         note(good, "criterion 9e",
              f"round trip bit-exact: fields {same_fields}, "

@@ -350,6 +350,31 @@ class TestSimulateCommand:
                        "need >= 16 (refine ny or shrink ymax)\n")
         assert not (out / "norms.csv").exists()
 
+    def test_refused_input_creates_no_output_directory(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "d"
+        assert run_cli(*base_args(out, "grid.ny=8")) == 2
+        assert capsys.readouterr().err == ("error: grid.ny must be an "
+                                           "integer >= 16, got 8\n")
+        assert not out.exists()
+
+    def test_unwritable_output_exits_two_before_the_first_step(
+            self, tmp_path, capsys, monkeypatch):
+        import mhdbl.solver
+
+        def no_step(*args, **kw):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(mhdbl.solver, "step_imex", no_step)
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        out = blocker / "sub"
+        assert run_cli(*base_args(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output path {str(out)!r} not "
+                              "writable: ")
+        assert err.count("\n") == 1
+
 
 # Configs for the property test: small grids and at most 3 steps of
 # dt_max = 0.01, every float log-uniform over 1e-300 to 1e300, and at
@@ -610,6 +635,16 @@ class TestResumeCommand:
         assert capsys.readouterr().err == \
             "error: unknown scenario.id ['warped', 5]\n"
         assert not (out / "summary.json").exists()
+
+    def test_refused_checkpoint_creates_no_output_directory(self, tmp_path,
+                                                            capsys):
+        text = tmp_path / "some.txt"
+        text.write_text("not a checkpoint\n")
+        out = tmp_path / "d"
+        assert run_cli("resume", str(text), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: not a checkpoint "
+                                                  "archive of format 5")
+        assert not out.exists()
 
     def test_must_extend_the_run(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -229,7 +229,9 @@ class TestRowWindow:
                 d[35, 1] = bad
             was = d.view(np.float64).copy()
             f = Field(g, d, "dirichlet").trimmed()
-            assert f.coeffs is d and f.rows == rows, bad
+            # in place: the field keeps a view of d cut to its window
+            assert f.data.base is d and len(f.data) == f.window, bad
+            assert f.rows == rows, bad
             now = d.view(np.float64)
             keep = ~(np.abs(was) < bound)
             assert np.array_equal(now[keep].view(np.uint64),
@@ -250,18 +252,30 @@ class TestRowWindow:
     @pytest.mark.parametrize("support", [1, 32, 33, 37, 126, 127, 128])
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_kernels_match_the_full_grid(self, bc, support):
-        win, full = self.window_pair(bc, support)
-        assert win.rows == support and win.window == min(128, support + 2)
-        for op in (ddx, ddy, d2dy, integrate_y_tail, integrate_y_from0):
-            got, want = op(win), op(full)
-            assert np.array_equal(got.coeffs, want.coeffs), op.__name__
-            assert not np.any(got.coeffs[got.rows:]), op.__name__
-        assert np.array_equal(column_flux(win), column_flux(full))
-        part = build_partition(win.grid)
-        assert np.array_equal(shell_weighted_norms(part, win, 1.0, 0.5, 0.2),
-                              shell_weighted_norms(part, full, 1.0, 0.5, 0.2))
-        assert weighted_l2(win, 1.0, 0.5) == pytest.approx(
-            weighted_l2(full, 1.0, 0.5), rel=1e-15)
+        """The same data stored at its window height (the trim's view of
+        the full array, or an array of just those rows) and stored at its
+        support height, which the kernels pad, give the full-grid
+        results."""
+        trim, full = self.window_pair(bc, support)
+        assert trim.rows == support and trim.window == min(128, support + 2)
+        assert len(trim.data) == trim.window and trim.data.base is not None
+        rows = full.data[:support].copy()
+        stored = (trim, Field(full.grid, full.data[:trim.window].copy(), bc,
+                              support), Field(full.grid, rows, bc))
+        for win in stored:
+            assert win.rows == support and win.window == trim.window
+            for op in (ddx, ddy, d2dy, integrate_y_tail, integrate_y_from0):
+                got, want = op(win), op(full)
+                assert np.array_equal(got.coeffs, want.coeffs), op.__name__
+                assert not np.any(got.coeffs[got.rows:]), op.__name__
+                assert len(got.data) <= got.window, op.__name__
+            assert np.array_equal(column_flux(win), column_flux(full))
+            part = build_partition(win.grid)
+            assert np.array_equal(
+                shell_weighted_norms(part, win, 1.0, 0.5, 0.2),
+                shell_weighted_norms(part, full, 1.0, 0.5, 0.2))
+            assert weighted_l2(win, 1.0, 0.5) == pytest.approx(
+                weighted_l2(full, 1.0, 0.5), rel=1e-15)
 
 
 class TestXTransform:

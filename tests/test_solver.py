@@ -15,6 +15,7 @@ import re
 import warnings
 import zipfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,7 +106,8 @@ class TestReconstructions:
         su, _ = flux_projection_profiles(g)
         u = project_zero_flux(u, su)
         p = Params(kappa=1.0, epsilon=1e-3)
-        v, h = recover_vh(make_state(g, p, u, Field.zeros(g, BC_NEUMANN)))
+        st = make_state(g, p, u, Field.zeros(g, BC_NEUMANN))
+        v, h = (Field(g, c) for c in recover_vh(st, g.ny))
         X, Y = np.meshgrid(g.x, g.y)
         v_exact = np.sin(X) * (Y ** 2 / 2.0) * np.exp(-Y ** 2 / 2.0)
         assert np.max(np.abs(v.physical().real - v_exact)) < 1e-4
@@ -434,9 +436,9 @@ class TestStepper:
         p = Params(kappa=1.0, epsilon=1e-3)
         u0, b0, _ = initial_data_standard(g, p)
         st = step_imex(make_state(g, p, u0, b0), 1e-3)
-        hist = getattr(st, field).copy()
+        hist = getattr(st, field).coeffs.copy()
         hist[40, 0] = np.nan
-        setattr(st, field, hist)
+        setattr(st, field, Field(g, hist))
         with pytest.raises(DivergenceError, match="non-finite fields"):
             step_imex(st, 1e-3)
 
@@ -460,7 +462,7 @@ class TestStepper:
         rhs_explicit(st)
         assert calls == [st.u, st.b]
         assert st.phipsi[0] is phi and st.phipsi[1] is psi
-        v, h = recover_vh(st)
+        v, h = (Field(g, c) for c in recover_vh(st, g.ny))
         v0, h0 = (ddx(integrate_y_from0(f)) for f in (st.u, st.b))
         phi0, psi0 = (integrate_y_tail(f) for f in (st.u, st.b))
         for x, y in ((v, v0), (h, h0), (phi, phi0), (psi, psi0)):
@@ -570,6 +572,23 @@ def dense_cn(sub, diag, sup):
     return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
+def spike_every_block(factors, b):
+    """The spike solve of b, all n rows, with every block live: the block
+    products, the interface solve and both corrections over all blocks."""
+    inv = factors.inv_blocks
+    nb, m, _ = inv.shape
+    flat = np.ascontiguousarray(b).view(np.float64)
+    cols = flat.shape[1]
+    rows = np.zeros((nb * m, cols))
+    rows[:len(flat)] = flat
+    x = inv @ rows.reshape(nb, m, cols)
+    ends = factors.inv_interface @ x[:, [0, -1]].reshape(2 * nb, cols)
+    ends = ends.reshape(nb, 2, cols)
+    x[:-1] -= factors.up[:-1, :, None] * ends[1:, None, 0]
+    x[1:] -= factors.down[1:, :, None] * ends[:-1, None, 1]
+    return x.reshape(nb * m, cols)[:factors.n].view(b.dtype)
+
+
 def thomas_longdouble(sub, diag, sup, rhs):
     """Reference tridiagonal solve of one real column in long double."""
     n = len(diag)
@@ -643,6 +662,41 @@ class TestCNSolve:
         if ny == 769:
             # the check reaches deep into the tail
             assert np.min(np.abs(ref)[mask]) < 1e-240
+
+    @pytest.mark.parametrize("support", [0, 1, 31, 32, 33, 64, 769])
+    @pytest.mark.parametrize("nu, dt", [(1.0, 1e-2), (1.5, 1.0)])
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
+    def test_windowed_solve_matches_every_block(self, support, nu, dt, bc):
+        """A right-hand side given by its rows [0, support) is solved over
+        the blocks that hold them and the blocks its interface values
+        reach: the rows returned equal those of the solve over every
+        block, which is exactly zero above them, and match the dense
+        solve.  nu dt / (2 dy^2) is 0.09 (the acceptance grid's step) or
+        13.5, where the data spreads over the whole grid."""
+        g = make_grid(ny=769, ymax=181.0)
+        r = nu * dt / (2.0 * g.dy ** 2)
+        tri = _cn_matrix(g.ny, g.dy, nu, dt, bc)
+        fac = cn_factors(*tri)
+        rng = np.random.default_rng(support)
+        rhs = np.zeros((g.ny, g.nmodes), complex)
+        rhs[:support] = (rng.standard_normal((support, g.nmodes))
+                         + 1j * rng.standard_normal((support, g.nmodes)))
+        dense = dense_cn(*tri)
+        for b in (rhs, rhs.real):
+            got = solve_banded(fac, b=b[:support])
+            want = spike_every_block(fac, b)
+            h = len(got)
+            assert got.dtype == b.dtype and got.shape[1] == b.shape[1]
+            assert support <= h <= g.ny and (h % 32 == 0 or h == g.ny)
+            assert np.array_equal(got, want[:h])
+            assert not np.any(want[h:])
+            ref = np.linalg.solve(dense, b)
+            assert np.max(np.abs(want - ref)) \
+                <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+        if r > 1.0 and support:
+            assert h == g.ny        # the data reach the top
+        if r < 1.0 and support <= 64:
+            assert h < g.ny - 300   # the zero blocks above are skipped
 
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
     def test_dt_change_builds_a_new_factorization(self, bc):
@@ -723,8 +777,8 @@ class TestRowWindow:
                 f = getattr(new, name)
                 assert not np.any(f.coeffs[f.rows:])
                 assert f.rows == 0 or np.any(f.coeffs[f.rows - 1])
-            assert np.array_equal(new.prev_ru, ref.prev_ru)
-            assert np.array_equal(new.prev_rb, ref.prev_rb)
+            assert np.array_equal(new.prev_ru.coeffs, ref.prev_ru.coeffs)
+            assert np.array_equal(new.prev_rb.coeffs, ref.prev_rb.coeffs)
             assert (new.theta, new.theta_int1, new.umax) \
                 == (ref.theta, ref.theta_int1, ref.umax)
             assert sampled_norms(new) == sampled_norms(full_rows(new))
@@ -742,6 +796,54 @@ class TestRowWindow:
         if case == "top":
             assert windows == [g.ny] * 3
 
+    def test_fields_store_only_their_window(self, tmp_path, monkeypatch):
+        """On a tall grid a run's fields, derived fields and tendencies
+        store only the rows of their window, coeffs pads them with zeros
+        to the whole grid, no step allocates an array as tall as the grid,
+        and a checkpoint of the state resumes bit for bit."""
+        g = GridSpec(2.0 * np.pi, 16, 120.0, 512)
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        # the first step builds the workspace's full-height factor stack
+        st = simulate(make_state(g, p, u0, b0), t_final=0.01).state
+        tall = []
+
+        def watch(fn):
+            def wrapped(*args, **kw):
+                out = fn(*args, **kw)
+                if out.shape[-2:] == (g.ny, g.nmodes):
+                    tall.append(fn.__name__)
+                return out
+            return wrapped
+
+        with monkeypatch.context() as m:
+            for name in ("empty", "zeros", "empty_like", "zeros_like",
+                         "concatenate"):
+                m.setattr(np, name, watch(getattr(np, name)))
+            res = simulate(st, t_final=0.05)
+            end = res.state
+            heat_energy_slack(st.u, end.u, st.t, end.t, [(1.0, 1.0)])
+        assert end.step_index == 5 and tall == []
+        fields = [end.u, end.b, *end.dy_ub, *end.phipsi, *end.gh_fields,
+                  end.prev_ru, end.prev_rb]
+        for f in fields:
+            k = len(f.data)
+            assert f.rows <= k <= f.window < g.ny
+            full = f.coeffs
+            assert full.shape == (g.ny, g.nmodes)
+            assert np.array_equal(full[:k], f.data) and not np.any(full[k:])
+        path = str(tmp_path / "window.ckpt")
+        save_checkpoint(path, end, None)
+        loaded, _, _ = load_checkpoint(path)
+        again, whole = (simulate(s, t_final=0.08).state for s in (loaded,
+                                                                   end))
+        for name in ("u", "b", "prev_ru", "prev_rb"):
+            assert np.array_equal(getattr(again, name).coeffs,
+                                  getattr(whole, name).coeffs)
+        assert (again.theta, again.step_index) == (whole.theta,
+                                                   whole.step_index)
+        assert np.array_equal(again.cl_integrals, whole.cl_integrals)
+
     def test_tall_grid_matches_the_grid_cut_above_the_data(self):
         """A kappa = 1 state stepped on a tall grid and the same state on
         the grid cut 40 rows above its support (same dy) step alike: the
@@ -757,13 +859,16 @@ class TestRowWindow:
         ny = max(tall.u.rows, tall.b.rows) + 40
         cut_grid = GridSpec(g.lx, g.nx, (ny - 1) * g.dy, ny)
         assert cut_grid.dy == g.dy
-        assert not np.any(tall.prev_ru[ny:]) and not np.any(tall.prev_rb[ny:])
+        assert tall.prev_ru.rows <= ny and tall.prev_rb.rows <= ny
         cut = replace(tall, grid=cut_grid,
                       u=Field(cut_grid, tall.u.coeffs[:ny], BC_DIRICHLET
                               ).trimmed(),
                       b=Field(cut_grid, tall.b.coeffs[:ny], BC_NEUMANN
                               ).trimmed(),
-                      prev_ru=tall.prev_ru[:ny], prev_rb=tall.prev_rb[:ny])
+                      prev_ru=Field(cut_grid, tall.prev_ru.head(ny),
+                                    BC_DIRICHLET, tall.prev_ru.rows),
+                      prev_rb=Field(cut_grid, tall.prev_rb.head(ny),
+                                    BC_NEUMANN, tall.prev_rb.rows))
         for _ in range(3):
             new_tall, new_cut = step_imex(tall, 1e-2), step_imex(cut, 1e-2)
             for name in ("u", "b"):
@@ -1079,8 +1184,8 @@ class TestCheckpoint:
         st2, ff2, extras = load_checkpoint(path)
         assert np.array_equal(st2.u.coeffs, st.u.coeffs)
         assert np.array_equal(st2.b.coeffs, st.b.coeffs)
-        assert np.array_equal(st2.prev_ru, st.prev_ru)
-        assert np.array_equal(st2.prev_rb, st.prev_rb)
+        assert np.array_equal(st2.prev_ru.coeffs, st.prev_ru.coeffs)
+        assert np.array_equal(st2.prev_rb.coeffs, st.prev_rb.coeffs)
         assert st2.t == st.t and st2.theta == st.theta
         assert st2.prev_dt == st.prev_dt
         assert st2.step_index == st.step_index
@@ -1122,7 +1227,7 @@ class TestCheckpoint:
                 raise OSError("disk full")
 
         st.t += 1.0
-        st.prev_ru = FailingArray()
+        st.prev_ru = SimpleNamespace(coeffs=FailingArray())
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(str(path), st, None)
         assert path.read_bytes() == before
@@ -1300,7 +1405,7 @@ class TestCheckpoint:
             # the low mantissa byte of the real part of u[5, 1]
             "u": raw.index(st.u.coeffs.tobytes()) + (5 * g.nmodes + 1) * 16,
             # and of the imaginary part of prev_rb[7, 2]
-            "prev_rb": raw.index(st.prev_rb.tobytes())
+            "prev_rb": raw.index(st.prev_rb.coeffs.tobytes())
             + (7 * g.nmodes + 2) * 16 + 8,
         }
         for where, pos in flips.items():
@@ -1598,8 +1703,10 @@ class TestSubnormalFlush:
             got, want = getattr(second.state, name), getattr(whole.state, name)
             assert np.array_equal(got.coeffs, want.coeffs)
             assert got.rows == want.rows < g.ny
-        assert np.array_equal(second.state.prev_ru, whole.state.prev_ru)
-        assert np.array_equal(second.state.prev_rb, whole.state.prev_rb)
+        assert np.array_equal(second.state.prev_ru.coeffs,
+                              whole.state.prev_ru.coeffs)
+        assert np.array_equal(second.state.prev_rb.coeffs,
+                              whole.state.prev_rb.coeffs)
         for key in ("theta", "theta_int1", "umax", "audit_min", "blow_limit"):
             assert getattr(second.state, key) == getattr(whole.state, key)
         assert np.array_equal(second.state.cl_integrals,
