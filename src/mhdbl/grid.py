@@ -31,13 +31,17 @@ reductions below read only `Field.window` = min(ny, rows + 2) rows, the
 support and two zero rows above it: on those the top closures of ddy and
 d2dy give exactly the full-grid values, and every output row above is
 exactly zero, so a windowed result has the same values as a full-grid
-one.  Each kernel writes an output only as tall as that output's window
-(window_array); a kernel that reads above an input's stored rows reads
-zeros there (Field.head).  Reductions over y stop at the support.  The
-running sums (integrate_y_tail, column_flux, the shell norms) add in
-ascending or descending y, so the zeros they skip would not change a
-bit; weighted_l2's pairwise sum may change in the last bit.  So results
-depend on the data, not on how far the grid reaches above it.
+one.  The y operators (ddy, d2dy, integrate_y_tail) and the kernels
+whose outputs they read (the zero-flux projection, compute_GH, the
+audit's midpoint) write outputs as tall as their window (window_array),
+so a y operator reads its input as a view, not a zero-padded copy; every
+other kernel returns only the rows it computes.  Rows above those a
+field stores are read only through Field.head, as zeros.  Reductions
+over y stop at the support.  The running sums (integrate_y_tail,
+column_flux, the shell norms) add in ascending or descending y, so the
+zeros they skip would not change a bit; weighted_l2's pairwise sum may
+change in the last bit.  So results depend on the data, not on how far
+the grid reaches above it.
 """
 
 from __future__ import annotations
@@ -189,7 +193,9 @@ class Field:
 
     Only rows [0, k) are stored, in `data`, with rows <= k <= window: a
     taller array is cut to the window (a view), so a field at the foot of
-    a tall grid costs what its data needs.  `coeffs` is the whole (ny,
+    a tall grid costs what its data needs; k is less than the window only
+    for a field no y operator reads (see the module docstring).  Rows
+    above k are read only through `head`.  `coeffs` is the whole (ny,
     nmodes) array for readers outside the step: a view of `data` when it
     is that tall, else a zero-padded copy, which a write does not reach.
     """
@@ -244,13 +250,17 @@ class Field:
         """The whole (ny, nmodes) array (see the class docstring)."""
         return self.head(self.grid.ny)
 
-    def head(self, n: int) -> np.ndarray:
-        """Rows [0, n): a view of the stored rows when they reach n, else
-        a zero-padded copy."""
-        if n <= len(self.data):
-            return self.data[:n]
-        out = np.zeros((n, self.grid.nmodes), complex)
-        out[:len(self.data)] = self.data
+    def head(self, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rows [0, n), zero above the stored rows: a view of `data` when
+        it reaches n and no `out` is given, else written into `out` (a new
+        (n, nmodes) array when None)."""
+        k = min(n, len(self.data))
+        if out is None:
+            if k == n:
+                return self.data[:n]
+            out = np.empty((n, self.grid.nmodes), complex)
+        out[:k] = self.data[:k]
+        out[k:] = 0.0
         return out
 
     def trimmed(self) -> "Field":
@@ -318,10 +328,12 @@ def ddx(field: Field) -> Field:
 
 
 def window_array(grid: GridSpec, rows: int) -> np.ndarray:
-    """An uninitialized array as tall as the window of a result with
-    support bound `rows`, min(ny, rows + 2) by nmodes: the caller fills
-    the rows it computes and zeroes the rest."""
-    return np.empty((min(grid.ny, rows + 2), grid.nmodes), np.complex128)
+    """An array as tall as the window of a result with support bound
+    `rows`, min(ny, rows + 2) by nmodes, zero from row `rows` up: the
+    caller fills rows [0, rows)."""
+    out = np.empty((min(grid.ny, rows + 2), grid.nmodes), np.complex128)
+    out[rows:] = 0.0
+    return out
 
 
 def ddy(field: Field) -> Field:
@@ -343,7 +355,6 @@ def ddy(field: Field) -> Field:
     else:
         out[0] = 0.0
     out[-1] = -c[-2] / dy
-    full[n:] = 0.0
     # the derivative of a Dirichlet field is Neumann-like at the wall and
     # vice versa; tag conservatively as Neumann (no pinned wall value).
     new_bc = BC_NEUMANN if field.bc == BC_DIRICHLET else BC_DIRICHLET
@@ -365,7 +376,6 @@ def d2dy(field: Field) -> Field:
     else:
         out[0] = 2.0 * (c[1] - c[0]) / dy2
     out[-1] = -2.0 * c[-1] / dy2
-    full[n:] = 0.0
     return Field(field.grid, full, field.bc, rows)
 
 
@@ -387,7 +397,6 @@ def integrate_y_tail(field: Field) -> Field:
     seg = 0.5 * field.grid.dy * (c[1:n + 1] + c[:n])
     # summed from the top into the reversed view of rows [0, n)
     np.cumsum(seg[::-1], axis=0, out=out[:n][::-1])
-    out[n:] = 0.0
     return Field(field.grid, out, BC_DIRICHLET, n)
 
 

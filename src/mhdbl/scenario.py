@@ -325,7 +325,6 @@ def project_zero_flux(field: Field, shape: np.ndarray) -> Field:
     n = max(field.rows, int(live[-1]) + 1 if live.size else 0)
     c = window_array(field.grid, n)
     np.subtract(field.head(n), np.outer(shape[:n], flux), out=c[:n])
-    c[n:] = 0.0
     return Field(field.grid, c, field.bc, n)
 
 

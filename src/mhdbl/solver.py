@@ -249,25 +249,20 @@ def resolve_branch_alpha(kappa: float, branch: str) -> float:
 # ---- kinematic reconstructions ----------------------------------------------
 
 
-def recover_vh(state: State, n: int):
-    """Normal components from the divergence constraints, rows [0, n) as
-    two (n, nmodes) arrays: (v, h) = -d_x int_0^y (u, b) dy', with
-    int_0^y = (phi, psi) - (phi, psi)|_{y=0} from the state's phipsi: the
-    bits of integrate_y_from0, since (-a) - (-b) = b - a exactly.  Exact
-    zero at the wall.  Above the support of (phi, psi) each holds the
-    column flux times i xi, so it is no Field with a row bound; it
-    vanishes there when the column fluxes do."""
-    out = []
-    for a in state.phipsi:
-        k = min(n, len(a.data))
-        c = np.empty((n, state.grid.nmodes), complex)
-        np.subtract(a.data[:k], a.data[0], out=c[:k])
-        np.subtract(0.0, a.data[0], out=c[k:])
-        # a Field of the n rows only, for the x derivative
-        d = ddx(Field(state.grid, c, BC_DIRICHLET)).data
-        d *= -1.0
-        out.append(d)
-    return tuple(out)
+def recover_vh(state: State, out: np.ndarray) -> None:
+    """Normal components from the divergence constraints, written into
+    rows [0, n) of `out`, a (2, n, nmodes) array: (v, h) = -d_x int_0^y
+    (u, b) dy', with int_0^y = (phi, psi) - (phi, psi)|_{y=0} from the
+    state's phipsi: the bits of -ddx(integrate_y_from0), since (-a) - (-b)
+    = b - a exactly.  Exact zero at the wall.  Above the support of (phi,
+    psi) each holds the column flux times i xi, so it is no Field with a
+    row bound; it vanishes there when the column fluxes do."""
+    ixi = 1j * state.grid.xi
+    for a, c in zip(state.phipsi, out):
+        a.head(len(c), out=c)
+        c -= a.data[0]
+        c *= ixi
+        c *= -1.0
 
 
 def flux_drift(u: Field, b: Field) -> float:
@@ -301,7 +296,6 @@ def compute_GH(state: State, phi: Field, psi: Field):
         c = window_array(state.grid, n)
         np.multiply(state.grid.y[:n, None] / scale, a.head(n), out=c[:n])
         c[:n] += f.head(n)
-        c[n:] = 0.0
         out.append(Field(state.grid, c, bc, n))
     return tuple(out)
 
@@ -316,13 +310,12 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     in physical space and dealiased.  Returns (ru, rb, umax), umax the
     largest physical |u| (plus |U| with a far field) for the CFL bound.
 
-    The products are formed on the n rows of the window of (u, b) and
-    ru, rb are zero above them: every term holds a factor of u, b or
-    their y derivatives, but for the far field's chi'' U (v, h) and its
-    source, whose rows are those of the cutoff zone y < 2 (Cutoff.rows).
-    (v and h hold the column flux above the support.)  The factors are
-    written into rows [0, n) of ws.factors, zero above each one's stored
-    rows."""
+    The products are formed on the n rows of the window of (u, b), and
+    ru, rb are those n rows (zero above them): every term holds a factor
+    of u, b or their y derivatives, but for the far field's chi'' U (v, h)
+    and its source, whose rows are those of the cutoff zone y < 2
+    (Cutoff.rows).  (v and h hold the column flux above the support.)
+    The factors are written into rows [0, n) of ws.factors."""
     g = state.grid
     p = state.params
     u, b = state.u, state.b
@@ -336,12 +329,10 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
     duy, dby = state.dy_ub
     spec = ws.factors[:, :n]
     for i, f in zip((0, 1, 4, 5), (u, b, duy, dby)):
-        k = min(n, len(f.data))
-        spec[i, :k] = f.data[:k]
-        spec[i, k:] = 0.0
+        f.head(n, out=spec[i])
     np.multiply(spec[0], ixi, out=spec[2])
     np.multiply(spec[1], ixi, out=spec[3])
-    spec[6], spec[7] = recover_vh(state, n)
+    recover_vh(state, spec[6:])
     dux, dbx = spec[2], spec[3]
     u_p, b_p, dux_p, dbx_p, duy_p, dby_p, v_p, h_p = x_transform(
         g, spec, "inverse")
@@ -365,11 +356,9 @@ def rhs_explicit(state: State, farfield: Optional[FarField] = None):
 
     # nl_u and nl_b forward-transformed in one call
     r = x_transform(g, nl, "forward")
-    ru, rb = window_array(g, n), window_array(g, n)
     # -nl + bbar d_x (b, u), written as one subtraction per field
-    np.subtract(p.bbar * dbx, r[0], out=ru[:n])
-    np.subtract(p.bbar * dux, r[1], out=rb[:n])
-    ru[n:] = rb[n:] = 0.0
+    ru = np.subtract(p.bbar * dbx, r[0])
+    rb = np.subtract(p.bbar * dux, r[1])
 
     if farfield is not None:
         src = source_terms(farfield, state.t)
@@ -522,12 +511,8 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
     for the trim after the projection."""
     half = d2dy(field)
     n = max(half.rows, tendency.rows)
-    rhs = np.empty((n, field.grid.nmodes), complex)
-    k = min(n, len(half.data))
-    np.multiply(half.data[:k], 0.5 * dt * nu, out=rhs[:k])
-    rhs[k:] = 0.0
-    k = min(n, len(field.data))
-    rhs[:k] += field.data[:k]
+    rhs = half.head(n) * (0.5 * dt * nu)
+    rhs += field.head(n)
     rhs += dt * tendency.head(n)
     if field.bc == BC_DIRICHLET:
         rhs[0] = 0.0
@@ -541,10 +526,8 @@ def _ab2(r: Field, prev: Field) -> Field:
     """The Adams-Bashforth tendency 1.5 r - 0.5 prev, on the rows either
     of them fills."""
     n = max(r.rows, prev.rows)
-    c = window_array(r.grid, n)
-    np.multiply(r.head(n), 1.5, out=c[:n])
-    c[:n] -= 0.5 * prev.head(n)
-    c[n:] = 0.0
+    c = r.head(n) * 1.5
+    c -= 0.5 * prev.head(n)
     return Field(r.grid, c, r.bc, n)
 
 
@@ -644,7 +627,6 @@ def heat_energy_slack(f_old: Field, f_new: Field, t_old: float, t_new: float,
     mc = window_array(g, n)
     np.add(old, new, out=mc[:n])
     mc[:n] *= 0.5
-    mc[n:] = 0.0
     mid = Field(g, mc, f_old.bc, n)
     dfdt = (new - old) / dt
     lap = d2dy(mid).data[:n]
@@ -724,9 +706,7 @@ def eqs2_residual(state_prev: State, state_next: State,
     dpsi = (psi1.coeffs - psi0.coeffs) / dt
 
     u, b = state_prev.u, state_prev.b
-    ixi = 1j * g.xi
-    dxphi = phi0.coeffs * ixi
-    dxpsi = psi0.coeffs * ixi
+    dxphi, dxpsi = ddx(phi0).coeffs, ddx(psi0).coeffs
     lap_phi = d2dy(phi0).coeffs
     lap_psi = d2dy(psi0).coeffs
     duy, dby = state_prev.dy_ub
@@ -848,10 +828,11 @@ def simulate(state: State, farfield: Optional[FarField] = None,
         farfield.cutoff    # sampled now, so a bad grid fails before output
     part = state.ws.part
     weight_exp = 2.0 * (0.5 + state.ws.gain)
-    # distinct (alpha, beta) audit combinations in first-seen order; at
-    # kappa = 1 all four collapse to one
-    audit_pairs = dict.fromkeys((al, be) for al in (1.0, 1.0 / params.kappa)
-                                for be in (1.0, params.kappa))
+    # distinct (alpha, beta) audit combinations, alpha from each weight
+    # branch at kappa, in first-seen order; at kappa = 1 they collapse to one
+    audit_pairs = dict.fromkeys(
+        (al, be) for al, _ in weight_branches(params.kappa).values()
+        for be in (1.0, params.kappa))
     series = NormSeries()
 
     def cl_dyub_sq(st: State) -> float:

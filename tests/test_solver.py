@@ -100,6 +100,9 @@ class TestReconstructions:
     def test_recover_vh_closed_form(self):
         # u = cos(x) (y - y^3/2) e^{-y^2/2} integrates to (y^2/2) e^{-y^2/2},
         # so v = -d_x of that antiderivative = sin(x) (y^2/2) e^{-y^2/2}.
+        # (v, h) are written into the n rows of `out`: on every row (h's
+        # stored rows end below, so it is padded with the column flux) and
+        # on fewer rows than v's antiderivative stores.
         g = make_grid(ny=1025)
         shape = (g.y - g.y ** 3 / 2.0) * np.exp(-g.y ** 2 / 2.0)
         u = single_mode_field(g, shape, BC_DIRICHLET)
@@ -107,13 +110,20 @@ class TestReconstructions:
         u = project_zero_flux(u, su)
         p = Params(kappa=1.0, epsilon=1e-3)
         st = make_state(g, p, u, Field.zeros(g, BC_NEUMANN))
-        v, h = (Field(g, c) for c in recover_vh(st, g.ny))
-        X, Y = np.meshgrid(g.x, g.y)
-        v_exact = np.sin(X) * (Y ** 2 / 2.0) * np.exp(-Y ** 2 / 2.0)
-        assert np.max(np.abs(v.physical().real - v_exact)) < 1e-4
-        assert not np.any(h.coeffs)
-        # wall rows are exact zeros by construction
-        assert not np.any(v.coeffs[0])
+        assert len(st.phipsi[1].data) < 300 < len(st.phipsi[0].data)
+        for n in (g.ny, 300):
+            out = np.full((2, n, g.nmodes), np.nan, complex)
+            assert recover_vh(st, out) is None
+            for c, f in zip(out, (st.u, st.b)):
+                assert np.array_equal(c,
+                                      -ddx(integrate_y_from0(f)).coeffs[:n])
+            v, h = (Field(g, c) for c in out)
+            X, Y = np.meshgrid(g.x, g.y[:n])
+            v_exact = np.sin(X) * (Y ** 2 / 2.0) * np.exp(-Y ** 2 / 2.0)
+            assert np.max(np.abs(v.physical()[:n] - v_exact)) < 1e-4
+            assert not np.any(h.coeffs)
+            # wall rows are exact zeros by construction
+            assert not np.any(v.coeffs[0])
 
     def test_antiderivatives_closed_form(self):
         g = make_grid(ny=1025)
@@ -462,7 +472,9 @@ class TestStepper:
         rhs_explicit(st)
         assert calls == [st.u, st.b]
         assert st.phipsi[0] is phi and st.phipsi[1] is psi
-        v, h = (Field(g, c) for c in recover_vh(st, g.ny))
+        vh = np.empty((2, g.ny, g.nmodes), complex)
+        recover_vh(st, vh)
+        v, h = (Field(g, c) for c in vh)
         v0, h0 = (ddx(integrate_y_from0(f)) for f in (st.u, st.b))
         phi0, psi0 = (integrate_y_tail(f) for f in (st.u, st.b))
         for x, y in ((v, v0), (h, h0), (phi, phi0), (psi, psi0)):
@@ -843,6 +855,24 @@ class TestRowWindow:
         assert (again.theta, again.step_index) == (whole.theta,
                                                    whole.step_index)
         assert np.array_equal(again.cl_integrals, whole.cl_integrals)
+
+    @pytest.mark.parametrize("ny, ymax, windowed", [(384, 23.0, False),
+                                                    (512, 120.0, True)])
+    def test_y_operator_inputs_store_their_window(self, ny, ymax, windowed):
+        """u, b, phi, psi, G and H store their whole window, so the y
+        operator that reads each gets a view of its data, not a
+        zero-padded copy; on a grid the data fill and on a windowed one."""
+        g = GridSpec(2.0 * np.pi, 16, ymax, ny)
+        p = Params(kappa=1.0, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = make_state(g, p, u0, b0)
+        for _ in range(3):
+            st = step_imex(st, 1e-2)
+            *_, G, H, _, _ = st.gh_fields
+            fields = (st.u, st.b, *st.phipsi, G, H)
+            for f in fields:
+                assert np.shares_memory(f.head(f.window), f.data)
+            assert (max(f.window for f in fields) < ny) == windowed
 
     def test_tall_grid_matches_the_grid_cut_above_the_data(self):
         """A kappa = 1 state stepped on a tall grid and the same state on
@@ -1527,6 +1557,10 @@ class TestSimulate:
         (1.0, 2, ["u:a1:b1", "b:a1:b1"]),
         (1.5, 8, ["u:a1:b1", "u:a1:b1.5", "u:a0.6667:b1", "u:a0.6667:b1.5",
                   "b:a1:b1", "b:a1:b1.5", "b:a0.6667:b1", "b:a0.6667:b1.5"]),
+        # only the weight branches that exist at kappa are audited
+        (0.5, 4, ["u:a1:b1", "u:a1:b0.5", "b:a1:b1", "b:a1:b0.5"]),
+        (3.0, 4, ["u:a0.3333:b1", "u:a0.3333:b3", "b:a0.3333:b1",
+                  "b:a0.3333:b3"]),
     ])
     def test_audit_evaluates_each_pair_once(self, monkeypatch, kappa,
                                             per_audit, keys):
@@ -1549,6 +1583,20 @@ class TestSimulate:
         assert len(set(calls[0])) == len(calls[0]) == per_audit // 2
         # keys and their first-seen order (the checkpoint header keeps it)
         assert list(res.summary["audit_min_slack"]) == keys
+
+    @pytest.mark.parametrize("kappa", [0.5, 3.0])
+    def test_runs_at_the_ends_of_the_kappa_range_complete(self, kappa):
+        """At kappa = 1/2 and 3 one weight branch exists; the weight of
+        the other one grows faster than the fields decay, and an audit in
+        it overflowed within the first steps."""
+        alpha = resolve_branch_alpha(kappa, "auto")
+        ymax = recommended_ymax(10.0, kappa, alpha)
+        g = GridSpec(2.0 * np.pi, 16, ymax, round(ymax / 0.24) + 1)
+        p = Params(kappa=kappa, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        res = simulate(make_state(g, p, u0, b0), t_final=1.0, dt_max=1e-2)
+        assert res.reason == "completed", res.message
+        assert res.state.t == pytest.approx(1.0)
 
     def test_kappa_one_rejects_farfield(self):
         g = make_grid(ny=129)
