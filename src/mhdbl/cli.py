@@ -21,8 +21,8 @@ from .scenario import FarField, Params, initial_data_standard
 from .solver import (CheckpointError, NormSeries, load_checkpoint,
                      make_state, resolve_branch_alpha, save_checkpoint,
                      simulate)
-from .verify import (fit_loglog, run_poincare_suite, run_sup_constants_suite,
-                     theta_report)
+from .verify import (fit_decay, fit_loglog, run_poincare_suite,
+                     run_sup_constants_suite, theta_report)
 
 
 class ConfigError(ValueError):
@@ -168,8 +168,7 @@ def _fits_for_summary(series: NormSeries, t_final: float) -> dict:
     fits = {"window": list(window)}
     for col in ("norm_ub", "norm_gh"):
         try:
-            expo, err = fit_loglog(series.column("t"), series.column(col),
-                                   window)
+            expo, err = fit_decay(series, col, window)
             fits[col] = {"exponent": expo, "stderr": err}
         except ValueError:
             fits[col] = None

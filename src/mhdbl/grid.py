@@ -127,10 +127,6 @@ class GridSpec:
     def y(self) -> np.ndarray:
         return _frozen(np.linspace(0.0, self.ymax, self.ny))
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.nx) * (self.lx / self.nx)
-
     @cached_property
     def nmodes(self) -> int:
         """Stored modes per row: j = 0, 1, ..., the dealias cut."""
@@ -275,9 +271,6 @@ class Field:
         np.copyto(flat, 0.0, where=small)
         return Field(self.grid, self.data, self.bc, support(flat))
 
-    def physical(self) -> np.ndarray:
-        return x_transform(self.grid, self.coeffs, "inverse")
-
     def hermitian_defect(self) -> float:
         """Max deviation from c(-xi) = conj(c(xi)) (0 for real fields).
 
@@ -319,12 +312,6 @@ def support(rows: np.ndarray) -> int:
             return top - len(block) + int(np.flatnonzero(live)[-1]) + 1
         top -= len(block)
     return 0
-
-
-def ddx(field: Field) -> Field:
-    """Exact spectral x derivative (i*xi per mode)."""
-    return Field(field.grid, field.data * (1j * field.grid.xi), field.bc,
-                 field.rows)
 
 
 def window_array(grid: GridSpec, rows: int) -> np.ndarray:

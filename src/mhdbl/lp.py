@@ -1,5 +1,5 @@
-"""Dyadic frequency analysis in x: smooth shell partition, Besov norms,
-paraproduct split.
+"""Dyadic frequency analysis in x: the smooth shell partition and the
+weighted Besov shell norms of the band budget.
 
 Shells follow the classical convention: a low cutoff chi supported in
 {|tau| <= 4/3} equal to 1 on {|tau| <= 3/4}, and phi(tau) = chi(tau/2) -
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (Field, GridSpec, TailViolationError, mode_power,
-                   psi_weight, weighted_rows, x_transform)
+                   psi_weight, weighted_rows)
 
 
 # ---- bump functions --------------------------------------------------------
@@ -62,7 +62,8 @@ class DyadicPartition:
 
     The k range is the smallest window covering every nonzero grid
     frequency; sum_k phi_table[k] equals 1 on those modes (checked at
-    build time to 1e-12).  The DC column is zero in every row.
+    build time to 1e-12).  The DC column is zero in every row.  The
+    shell piece Delta_k f is f's stored modes times row k - k_min.
     """
 
     grid: GridSpec
@@ -87,11 +88,6 @@ class DyadicPartition:
     def besov_sum(self, per: np.ndarray) -> float:
         """The B^{1/2} sum sum_k 2^{k/2} per[k], ascending k."""
         return float(np.add.reduce((2.0 ** (0.5 * self.ks)) * per))
-
-    def shell_row(self, k: int) -> np.ndarray:
-        if not self.k_min <= k <= self.k_max:
-            raise ValueError(f"shell {k} outside [{self.k_min}, {self.k_max}]")
-        return self.phi_table[k - self.k_min]
 
 
 def shell_window(freqs) -> range:
@@ -118,20 +114,6 @@ def build_partition(grid: GridSpec) -> DyadicPartition:
     if err > 1e-12:
         raise AssertionError(f"shell partition off by {err:.2e} on grid modes")
     return part
-
-
-def lp_project(part: DyadicPartition, field: Field, k: int) -> Field:
-    """Shell piece Delta_k f (zero outside the partition's k range)."""
-    if k < part.k_min or k > part.k_max:
-        return Field(field.grid, np.zeros_like(field.data), field.bc)
-    return Field(field.grid, field.data * part.shell_row(k), field.bc,
-                 field.rows)
-
-
-def lowpass(field: Field, k: int) -> Field:
-    """Low-frequency piece S_k f = chi(2^-k |xi|) f (DC included)."""
-    row = chi_lowpass(field.grid.xi / 2.0 ** k)
-    return Field(field.grid, field.data * row, field.bc, field.rows)
 
 
 # ---- Besov norms -----------------------------------------------------------
@@ -164,11 +146,6 @@ def shell_weighted_norms(part: DyadicPartition, field: Field, a: float,
     return np.sqrt(g.lx * tot)
 
 
-def besov_norm(part: DyadicPartition, field: Field) -> float:
-    """Unweighted B^{1/2,0} norm sum_k 2^{k/2} ||Delta_k f||_{L2}."""
-    return part.besov_sum(shell_weighted_norms(part, field, 0.0, 0.0))
-
-
 def pair_shell_norms(part: DyadicPartition, fa: Field, fb: Field, a: float,
                      t: float, r: float = 0.0) -> np.ndarray:
     """Root-sum-square per shell of two fields' weighted shell norms."""
@@ -195,42 +172,3 @@ def besov_h_shell_norms(part: DyadicPartition, spectrum: np.ndarray,
         c = c * np.exp(r * g.xi)
     return np.sqrt(g.lx * np.einsum("kj,j->k", part.power_table,
                                     mode_power(c)))
-
-
-# ---- paraproduct -----------------------------------------------------------
-
-
-def paraproduct(part: DyadicPartition, f: Field, g: Field):
-    """Bony decomposition of the pointwise product on the grid.
-
-    Returns (T_f g, T_g f, R) as Fields.  The three pieces sum exactly to
-    the grid product f*g minus the product of the x means, because the
-    regrouping is purely multiplicative in physical space.
-    """
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise ValueError("paraproduct operands must share a grid")
-    gr = f.grid
-    ks = part.ks
-    # physical shell pieces and running low-pass sums
-    fp = f.physical()
-    gp = g.physical()
-    f_shell = [lp_project(part, f, k).physical() for k in ks]
-    g_shell = [lp_project(part, g, k).physical() for k in ks]
-    f_low = [lowpass(f, k - 1).physical() for k in ks]
-    g_low = [lowpass(g, k - 1).physical() for k in ks]
-
-    t_fg = np.zeros_like(fp)
-    t_gf = np.zeros_like(fp)
-    for i in range(len(ks)):
-        t_fg += f_low[i] * g_shell[i]
-        t_gf += g_low[i] * f_shell[i]
-    rem = np.zeros_like(fp)
-    n = len(ks)
-    for i in range(n):
-        near = np.zeros_like(fp)
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < n:
-                near += g_shell[j]
-        rem += f_shell[i] * near
-    to_f = lambda arr, bc: Field(gr, x_transform(gr, arr, "forward"), bc)
-    return to_f(t_fg, f.bc), to_f(t_gf, f.bc), to_f(rem, f.bc)

@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .grid import (BC_DIRICHLET, BC_NEUMANN, Field, GridSpec,
-                   TailViolationError, checked, column_flux, d2dy, ddx, ddy,
+                   TailViolationError, checked, column_flux, d2dy, ddy,
                    integrate_y_tail, psi_weight, row_power, support,
                    weighted_l2, weighted_rows, window_array, x_transform)
-from .lp import (besov_h_shell_norms, besov_norm, besov_pair_norm,
-                 build_partition, pair_shell_norms)
+from .lp import (besov_h_shell_norms, besov_pair_norm, build_partition,
+                 pair_shell_norms)
 from .scenario import (FarField, Params, UnsupportedScenarioError,
                        flux_projection_profiles, project_zero_flux,
                        source_terms, weight_branches)
@@ -252,11 +252,12 @@ def resolve_branch_alpha(kappa: float, branch: str) -> float:
 def recover_vh(state: State, out: np.ndarray) -> None:
     """Normal components from the divergence constraints, written into
     rows [0, n) of `out`, a (2, n, nmodes) array: (v, h) = -d_x int_0^y
-    (u, b) dy', with int_0^y = (phi, psi) - (phi, psi)|_{y=0} from the
-    state's phipsi: the bits of -ddx(integrate_y_from0), since (-a) - (-b)
-    = b - a exactly.  Exact zero at the wall.  Above the support of (phi,
-    psi) each holds the column flux times i xi, so it is no Field with a
-    row bound; it vanishes there when the column fluxes do."""
+    (u, b) dy', d_x being i xi per mode, with int_0^y = (phi, psi) -
+    (phi, psi)|_{y=0} from the state's phipsi: the bits of
+    -(integrate_y_from0 times i xi), since (-a) - (-b) = b - a exactly.
+    Exact zero at the wall.  Above the support of (phi, psi) each holds
+    the column flux times i xi, so it is no Field with a row bound; it
+    vanishes there when the column fluxes do."""
     ixi = 1j * state.grid.xi
     for a, c in zip(state.phipsi, out):
         a.head(len(c), out=c)
@@ -505,10 +506,10 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
               dt: float) -> Field:
     """The Crank-Nicolson update of `field` with the explicit `tendency`;
     the right-hand side is formed on the rows its terms fill, each term
-    added over its own stored rows, and the result's `rows` is its
-    support, scanned below the height the solve returns (the solve
-    spreads the data upward).  Its parts whose square underflows are left
-    for the trim after the projection."""
+    added over its own stored rows.  The result claims every row the
+    solve returns (the solve spreads the data upward); the trim after the
+    projection finds its support and flushes its parts whose square
+    underflows."""
     half = d2dy(field)
     n = max(half.rows, tendency.rows)
     rhs = half.head(n) * (0.5 * dt * nu)
@@ -519,7 +520,7 @@ def _cn_solve(ws: _Workspace, field: Field, tendency: Field, nu: float,
     if n == field.grid.ny:
         rhs[-1] = 0.0
     out = solve_banded(ws.cn_factors(nu, dt, field.bc), b=rhs)
-    return Field(field.grid, out, field.bc, support(out))
+    return Field(field.grid, out, field.bc)
 
 
 def _ab2(r: Field, prev: Field) -> Field:
@@ -678,87 +679,6 @@ def tail_guard_check(state: State) -> float:
             f"weighted tail ratio {worst:.3e} above 0.8*ymax at t="
             f"{state.t:.6g}; domain too short for this horizon")
     return worst
-
-
-# ---- consistency residual of the antiderivative system -----------------------
-
-
-def eqs2_residual(state_prev: State, state_next: State,
-                  farfield: Optional[FarField] = None) -> dict:
-    """Residual of the antiderivative evolution equations evaluated on two
-    consecutive solver states: forward time difference of the
-    reconstructed (phi, psi) minus the spatial terms at the earlier time.
-
-    First order in dt by construction (the audit target), second order in
-    dy away from the walls; boundary rows are excluded since one-sided
-    closures there would dominate the measurement.
-    """
-    g = state_prev.grid
-    p = state_prev.params
-    dt = state_next.t - state_prev.t
-    if dt <= 0.0:
-        raise ValueError("states must be time ordered")
-    nu_u, nu_b = p.diffusivities
-
-    phi0, psi0 = state_prev.phipsi
-    phi1, psi1 = state_next.phipsi
-    dphi = (phi1.coeffs - phi0.coeffs) / dt
-    dpsi = (psi1.coeffs - psi0.coeffs) / dt
-
-    u, b = state_prev.u, state_prev.b
-    dxphi, dxpsi = ddx(phi0).coeffs, ddx(psi0).coeffs
-    lap_phi = d2dy(phi0).coeffs
-    lap_psi = d2dy(psi0).coeffs
-    duy, dby = state_prev.dy_ub
-
-    # factors inverse-transformed in one call, products forward in one
-    factors = [u.coeffs, b.coeffs, dxphi, dxpsi, duy.coeffs, dby.coeffs]
-    if farfield is not None:
-        factors.append(phi0.coeffs)
-    phys = x_transform(g, np.stack(factors), "inverse")
-    u_p, b_p, dxphi_p, dxpsi_p, duy_p, dby_p = phys[:6]
-    products = [u_p * dxphi_p - b_p * dxpsi_p,
-                u_p * dxpsi_p - b_p * dxphi_p,
-                dxphi_p * duy_p - dxpsi_p * dby_p]
-    if farfield is not None:
-        U_p, dxU_p = farfield.physical_rows(state_prev.t)
-        phi_p = phys[6]
-        products += [U_p * dxphi_p, -dxU_p * u_p, dxU_p * phi_p,
-                     U_p * dxpsi_p, -dxU_p * b_p]
-    spec = x_transform(g, np.stack(products), "forward")
-
-    adv_phi, adv_psi, cross = spec[:3]
-    tail_cross = integrate_y_tail(Field(g, cross, BC_NEUMANN)).coeffs
-
-    res_phi = (dphi - nu_u * lap_phi - p.bbar * dxpsi + adv_phi
-               + 2.0 * tail_cross)
-    res_psi = (dpsi - nu_b * lap_psi - p.bbar * dxphi + adv_psi)
-
-    if farfield is not None:
-        c0 = farfield.cutoff.chi[:, None]
-        c1 = farfield.cutoff.dchi[:, None]
-        c2 = farfield.cutoff.d2chi[:, None]
-        t1, t3, t4, s1, s3 = spec[3:]
-        t2 = integrate_y_tail(Field(g, c2 * t1, BC_NEUMANN)).coeffs
-        t5 = integrate_y_tail(Field(g, c2 * t4, BC_NEUMANN)).coeffs
-        res_phi += c1 * t1 + 2.0 * t2 + c0 * t3 + 2.0 * c1 * t4 + 2.0 * t5
-        res_psi += c1 * s1 + c0 * s3
-        # the source's tail integral F_u = -int_y^ymax f_u enters as -F_u
-        f_u = source_terms(farfield, state_prev.t)
-        res_phi += integrate_y_tail(f_u).coeffs
-
-    res_phi[0] = 0.0
-    res_phi[-1] = 0.0
-    res_psi[0] = 0.0
-    res_psi[-1] = 0.0
-    fphi = Field(g, res_phi, BC_DIRICHLET)
-    fpsi = Field(g, res_psi, BC_DIRICHLET)
-    return {
-        "res_phi": fphi,
-        "res_psi": fpsi,
-        "norm_phi": besov_norm(state_prev.ws.part, fphi),
-        "norm_psi": besov_norm(state_prev.ws.part, fpsi),
-    }
 
 
 # ---- rescaling map -----------------------------------------------------------
@@ -1073,8 +993,7 @@ def _restore(header: dict, members: dict):
                                   f"array of shape {shape}")
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint {name} holds non-finite values")
-        # a real field's DC column (and Nyquist column, when stored) is real
-        if np.any(arr[:, ::grid.nx // 2].imag):
+        if Field(grid, arr).hermitian_defect():
             raise CheckpointError(f"checkpoint {name} is not the spectrum of "
                                   "a real field")
     audit = header["audit_min"]

@@ -1,7 +1,7 @@
 """Stand-alone numerical checks: weighted Poincare inequalities, the two
 Gaussian sup constants, per-shell equivalence ratios between the raw
-fields and their damped combinations, the band-multiplier convexity of
-products, decay exponent fitting, and the band-budget convergence report.
+fields and their damped combinations, decay exponent fitting, and the
+band-budget convergence report.
 
 Inequality checks with an explicit constant are tested sharply; anything
 whose constant is unspecified is tested as a finite ratio that stays put
@@ -14,14 +14,13 @@ import math
 import numpy as np
 
 from .grid import TailViolationError, checked
-from .lp import phi_shell, shell_weighted_norms, shell_window
+from .lp import shell_weighted_norms
 from .solver import NormSeries, State
 
 __all__ = [
     "poincare_check", "run_poincare_suite", "sup_constants",
-    "run_sup_constants_suite", "gh_equivalence_check",
-    "multiplier_convexity_check", "fit_loglog", "fit_decay",
-    "theta_report",
+    "run_sup_constants_suite", "gh_equivalence_check", "fit_loglog",
+    "fit_decay", "theta_report",
 ]
 
 _RATIO_FLOOR = 1e-300
@@ -228,59 +227,6 @@ def gh_equivalence_check(state: State, gamma: float) -> dict:
     report["vacuous"] = all_vacuous
     report["passed"] = all_finite
     return report
-
-
-# ---- analytic-band multiplier convexity ---------------------------------------
-
-
-def _ordered_spectrum(spec, lx):
-    c = np.asarray(spec, dtype=complex)
-    n = c.shape[0]
-    j = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    order = np.argsort(j)
-    return c[order], j[order] * (2.0 * math.pi / lx)
-
-
-def multiplier_convexity_check(f_spec, g_spec, r: float,
-                               lx: float = 2.0 * math.pi) -> dict:
-    """Check, shell by shell, that the band-weighted spectrum of a
-    product is dominated by the convolution of the band-weighted modulus
-    spectra of the factors.
-
-    Both inputs are mode-amplitude arrays in FFT layout.  The product
-    spectrum is the exact linear convolution (no wrap-around), so the
-    comparison covers the full doubled frequency range.  Passes when
-    every shell obeys lhs <= rhs within a 1e-10 relative slack; at r = 0
-    with single modes the two sides agree exactly.
-    """
-    if r < 0.0:
-        raise ValueError(f"band radius must be nonnegative, got {r}")
-    F, xf = _ordered_spectrum(f_spec, lx)
-    G, xg = _ordered_spectrum(g_spec, lx)
-    P = np.convolve(F, G)
-    M = np.convolve(np.exp(r * np.abs(xf)) * np.abs(F),
-                    np.exp(r * np.abs(xg)) * np.abs(G))
-    dxi = 2.0 * math.pi / lx
-    xi = (xf[0] / dxi + xg[0] / dxi + np.arange(P.shape[0])) * dxi
-    lhs_amp = np.exp(r * np.abs(xi)) * np.abs(P)
-    ks = shell_window(xi[M > 0.0])
-    if not ks:
-        return {"passed": True, "vacuous": True, "shells": []}
-    shells = []
-    passed = True
-    worst = 0.0
-    for k in ks:
-        p2 = phi_shell(np.abs(xi) / 2.0 ** k) ** 2
-        lhs_k = math.sqrt(lx * float(np.add.reduce(p2 * lhs_amp ** 2)))
-        rhs_k = math.sqrt(lx * float(np.add.reduce(p2 * M ** 2)))
-        excess = lhs_k - rhs_k * (1.0 + 1e-10)
-        ok = excess <= _RATIO_FLOOR
-        if not ok:
-            passed = False
-        worst = max(worst, lhs_k - rhs_k)
-        shells.append({"k": k, "lhs": lhs_k, "rhs": rhs_k, "ok": ok})
-    return {"passed": passed, "vacuous": False, "shells": shells,
-            "max_excess": worst}
 
 
 # ---- decay fits and the band budget -------------------------------------------

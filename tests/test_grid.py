@@ -25,7 +25,6 @@ from mhdbl.grid import (
     TailViolationError,
     column_flux,
     d2dy,
-    ddx,
     ddy,
     integrate_y_from0,
     integrate_y_tail,
@@ -45,6 +44,11 @@ def make_grid(nx=32, ny=512, ymax=26.0, lx=2.0 * np.pi,
               dealias_fraction=2.0 / 3.0):
     return GridSpec(lx=lx, nx=nx, ymax=ymax, ny=ny,
                     dealias_fraction=dealias_fraction)
+
+
+def x_nodes(grid):
+    """The nx physical nodes of [0, lx)."""
+    return np.arange(grid.nx) * (grid.lx / grid.nx)
 
 
 def stored_physical(grid, rng, lead=()):
@@ -115,7 +119,6 @@ class TestGridSpec:
             assert g.dy == pytest.approx(8.0 / 64)
             assert g.y[0] == 0.0 and g.y[-1] == 8.0
             assert len(g.y) == 65
-            assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(4.0 - 4.0 / 16)
             j = np.rint(g.xi * g.lx / (2.0 * np.pi)).astype(int)
             assert g.nmodes == nmodes
             assert list(j) == list(range(nmodes))
@@ -264,7 +267,7 @@ class TestRowWindow:
                               support), Field(full.grid, rows, bc))
         for win in stored:
             assert win.rows == support and win.window == trim.window
-            for op in (ddx, ddy, d2dy, integrate_y_tail, integrate_y_from0):
+            for op in (ddy, d2dy, integrate_y_tail, integrate_y_from0):
                 got, want = op(win), op(full)
                 assert np.array_equal(got.coeffs, want.coeffs), op.__name__
                 assert not np.any(got.coeffs[got.rows:]), op.__name__
@@ -281,7 +284,7 @@ class TestRowWindow:
 class TestXTransform:
     def test_cosine_normalization(self):
         g = make_grid(nx=32, ny=64, ymax=8.0)
-        phys = np.cos(3.0 * g.x)[None, :] * np.ones((g.ny, 1))
+        phys = np.cos(3.0 * x_nodes(g))[None, :] * np.ones((g.ny, 1))
         c = x_transform(g, phys, "forward")
         assert c.shape == (g.ny, g.nmodes)
         assert c[0, 3] == pytest.approx(0.5, abs=1e-13)
@@ -379,7 +382,7 @@ class TestXTransform:
         only the rounding of its samples (~1e-15) elsewhere."""
         g = make_grid(nx=64, ny=16, ymax=8.0)
         for j in range(g.nmodes, g.nx // 2 + 1):
-            phys = np.cos(j * g.x)[None, :] * np.ones((g.ny, 1))
+            phys = np.cos(j * x_nodes(g))[None, :] * np.ones((g.ny, 1))
             c = x_transform(g, phys, "forward")
             assert c.shape == (g.ny, g.nmodes)
             if j == g.nx // 2:
@@ -390,20 +393,17 @@ class TestXTransform:
 
 class TestDerivatives:
     def test_ddx_single_mode(self):
+        """d/dx is i xi per stored mode, in x_transform's convention."""
         g = make_grid(nx=32, ny=64, ymax=8.0)
         f = Field.from_profiles(g, cosine_spectrum(g, 4), np.ones(g.ny))
-        df = ddx(f)
+        df = f.coeffs * (1j * g.xi)
         # d/dx cos(4x) = -4 sin(4x): amplitude i*4*(1/2) at mode +4 (and
         # the implied conjugate -2i at mode -4)
-        assert df.coeffs[0, 4] == pytest.approx(2.0j, abs=1e-13)
-        assert np.all(np.delete(df.coeffs[0], [4]) == 0.0)
-        assert np.max(np.abs(df.physical()[0] + 4.0 * np.sin(4.0 * g.x))) \
+        assert df[0, 4] == pytest.approx(2.0j, abs=1e-13)
+        assert np.all(np.delete(df[0], [4]) == 0.0)
+        phys = x_transform(g, df, "inverse")
+        assert np.max(np.abs(phys[0] + 4.0 * np.sin(4.0 * x_nodes(g)))) \
             < 1e-13
-
-    def test_ddx_kills_dc(self):
-        g = make_grid(nx=16, ny=64, ymax=8.0)
-        f = Field.from_profiles(g, dc_spectrum(g), np.exp(-g.y))
-        assert np.max(np.abs(ddx(f).coeffs)) == 0.0
 
     def test_linear_profile_second_derivative_vanishes(self):
         g = make_grid(nx=16, ny=64, ymax=8.0)
@@ -565,8 +565,9 @@ class TestCumulativeIntegrals:
         rng = np.random.default_rng(6)
         prof = np.exp(-0.5 * g.y**2) * rng.standard_normal(g.ny)
         f = Field.from_profiles(g, rng.standard_normal(g.nmodes) + 0j, prof)
-        ab = ddx(integrate_y_tail(f)).coeffs
-        ba = integrate_y_tail(ddx(f)).coeffs
+        ixi = 1j * g.xi
+        ab = integrate_y_tail(f).coeffs * ixi
+        ba = integrate_y_tail(Field(g, f.data * ixi)).coeffs
         assert np.max(np.abs(ab - ba)) < 1e-13 * max(1.0, np.max(np.abs(ab)))
 
     def test_column_flux_matches_trapezoid(self):

@@ -1,36 +1,36 @@
 """Tests for the dyadic frequency layer.
 
 Covers: the smooth cutoff pair (supports, telescoping, partition of
-unity), shell tables on a concrete grid, shell projections and Bernstein
+unity), shell tables on a concrete grid, their shell pieces and Bernstein
 bounds, weighted shell norms against the plain weighted norm, Besov norms
 in both the strip and profile flavours, the analytic-band multiplier,
-and the Bony product split.
+and the Bony product split of the test oracle.
 """
 
 import numpy as np
 import pytest
 
-from mhdbl.grid import Field, GridSpec, ddx, weighted_l2, x_transform
+from mhdbl.grid import Field, GridSpec, weighted_l2, x_transform
 from mhdbl.lp import (
-    DyadicPartition,
     besov_h_shell_norms,
-    besov_norm,
     besov_pair_norm,
     build_partition,
     chi_lowpass,
-    lowpass,
-    lp_project,
-    paraproduct,
     phi_shell,
     shell_weighted_norms,
     smooth_step,
 )
+from oracles import paraproduct
 
 
 def make_grid(nx=64, ny=96, ymax=12.0, lx=2.0 * np.pi,
               dealias_fraction=2.0 / 3.0):
     return GridSpec(lx=lx, nx=nx, ymax=ymax, ny=ny,
                     dealias_fraction=dealias_fraction)
+
+
+def physical(f):
+    return x_transform(f.grid, f.coeffs, "inverse")
 
 
 def single_mode_field(grid, j, profile, bc="dirichlet"):
@@ -99,55 +99,39 @@ class TestPartition:
         assert np.array_equal(part.power_table,
                               part.phi_table ** 2 * g.mode_weights)
 
-    def test_shell_row_out_of_range(self):
-        part = build_partition(make_grid())
-        with pytest.raises(ValueError, match="outside"):
-            part.shell_row(part.k_max + 1)
-
-    def test_projection_outside_window_is_zero(self):
-        g = make_grid()
-        part = build_partition(g)
-        rng = np.random.default_rng(0)
-        f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
-                                 "forward"))
-        assert np.all(lp_project(part, f, part.k_max + 3).coeffs == 0.0)
-
     def test_projections_sum_to_field_minus_mean(self):
+        """The shell pieces, the field's stored modes times each row of
+        phi_table, add up to the field without its x mean."""
         g = make_grid()
         part = build_partition(g)
         rng = np.random.default_rng(1)
         f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
                                  "forward"))
         acc = np.zeros_like(f.coeffs)
-        for k in part.ks:
-            acc += lp_project(part, f, k).coeffs
+        for row in part.phi_table:
+            acc += f.coeffs * row
         expect = f.coeffs.copy()
         expect[:, 0] = 0.0
         assert np.max(np.abs(acc - expect)) < 1e-12
 
-    def test_lowpass_above_window_is_identity(self):
-        g = make_grid()
-        part = build_partition(g)
-        rng = np.random.default_rng(2)
-        f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
-                                 "forward"))
-        lp = lowpass(f, part.k_max + 1)
-        assert np.max(np.abs(lp.coeffs - f.coeffs)) < 1e-14
-
     def test_bernstein_bounds(self):
-        """Shell pieces obey (3/4) 2^k <= |xi| <= (8/3) 2^k."""
+        """Shell pieces obey (3/4) 2^k <= |xi| <= (8/3) 2^k: row k of
+        phi_table is zero outside that band."""
         g = make_grid(nx=128)
         part = build_partition(g)
         rng = np.random.default_rng(3)
         f = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx))
                                     * np.exp(-g.y)[:, None],
                                  "forward"))
-        for k in part.ks:
-            piece = lp_project(part, f, k)
+        for k, row in zip(part.ks, part.phi_table):
+            live = g.xi[row > 0.0]
+            assert np.all(live >= 0.75 * 2.0**k)
+            assert np.all(live <= (8.0 / 3.0) * 2.0**k)
+            piece = Field(g, f.data * row)
             nk = weighted_l2(piece, 0.0, 0.0)
             if nk < 1e-14:
                 continue
-            dk = weighted_l2(ddx(piece), 0.0, 0.0)
+            dk = weighted_l2(Field(g, piece.data * (1j * g.xi)), 0.0, 0.0)
             assert dk <= (8.0 / 3.0) * 2.0**k * nk * (1.0 + 1e-9)
             assert dk >= 0.75 * 2.0**k * nk * (1.0 - 1e-9)
 
@@ -191,7 +175,7 @@ class TestBesovNorms:
         part = build_partition(g)
         prof = np.exp(-0.5 * g.y**2)
         f = single_mode_field(g, 3, prof)
-        v = besov_norm(part, f)
+        v = part.besov_sum(shell_weighted_norms(part, f, 0.0, 0.0))
         assert v == pytest.approx(2.0**0.5 * weighted_l2(f, 0.0, 0.0),
                                   rel=1e-12)
 
@@ -201,10 +185,10 @@ class TestBesovNorms:
         prof = np.exp(-0.5 * g.y**2)
         f = single_mode_field(g, 3, prof)
         z = Field.zeros(g)
-        assert besov_pair_norm(part, f, z) == pytest.approx(
-            besov_norm(part, f), rel=1e-12)
+        single = part.besov_sum(shell_weighted_norms(part, f, 0.0, 0.0))
+        assert besov_pair_norm(part, f, z) == pytest.approx(single, rel=1e-12)
         assert besov_pair_norm(part, f, f) == pytest.approx(
-            np.sqrt(2.0) * besov_norm(part, f), rel=1e-12)
+            np.sqrt(2.0) * single, rel=1e-12)
 
     def test_profile_norm_allows_any_regularity(self):
         """A profile's shell norms take the B^{1/2} sum: cos(3x) sits on
@@ -238,7 +222,7 @@ class TestParaproduct:
             fb = Field(g, x_transform(g, rng.standard_normal((g.ny, g.nx)),
                                       "forward"))
             t1, t2, rem = paraproduct(part, fa, fb)
-            fp, gp = fa.physical(), fb.physical()
+            fp, gp = physical(fa), physical(fb)
             mean_term = (fa.coeffs[:, 0].real * fb.coeffs[:, 0].real)[:, None]
             # the pieces against the stored modes of the grid product
             prod = x_transform(g, fp * gp, "forward")
@@ -248,7 +232,7 @@ class TestParaproduct:
             assert np.max(np.abs(pieces - prod)) < 1e-10 * scale
             if frac == 1.0:
                 # every mode stored: the pieces rebuild the product itself
-                lhs = t1.physical() + t2.physical() + rem.physical()
+                lhs = physical(t1) + physical(t2) + physical(rem)
                 rhs = fp * gp - mean_term
                 scale = max(1.0, float(np.max(np.abs(rhs))))
                 assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale

@@ -8,7 +8,8 @@ def of the package, a demo or the benchmark, or a string in perfbench's
 WRAPPED table (the benchmark wraps functions by name).  The package's
 __init__.py only re-exports, so it is not read; __all__ lists are not
 callers; a def's references to itself do not count.  Code that only the
-tests reach is deleted rather than kept alive by its own tests.
+tests reach is deleted rather than kept alive by its own tests; a test
+oracle lives in tests/oracles.py.  This rule has no exceptions.
 
 A method or property counts as reached when its name appears outside its
 own def, in the same sources, or in any string in perfbench (the
@@ -34,18 +35,6 @@ import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# defs kept although only tests call them, each with its reason; their
-# parameters are exempt from the default check for the same reason
-ALLOWED = {
-    # test oracle: the only check that a nonlinear far-field step satisfies
-    # the (phi, psi) system at first order in dt
-    "eqs2_residual",
-    # the Bony split whose pieces acceptance criterion 9b reconstructs
-    "paraproduct",
-    # the band-multiplier convexity of products, acceptance criterion 9c
-    "multiplier_convexity_check",
-}
 
 # defaulted parameters kept although no call outside the tests passes them
 ALLOWED_DEFAULTS = {
@@ -234,7 +223,7 @@ def _unread_params() -> set:
 def test_every_src_def_has_a_caller_outside_tests():
     defs, refs = _scan()
     unreached = sorted(f"{path}: {name}" for name, path in defs.items()
-                       if name not in refs and name not in ALLOWED)
+                       if name not in refs)
     assert not unreached, (
         "reached only from tests (delete them with their tests, or give "
         "them a caller): " + ", ".join(unreached))
@@ -250,8 +239,7 @@ def test_every_src_method_is_named_outside_its_def():
 def test_every_default_is_passed_outside_tests():
     _, unpassed = _scan_defaults()
     left = sorted(f"{name}({param})" for name, param in unpassed
-                  if name not in ALLOWED
-                  and (name, param) not in ALLOWED_DEFAULTS)
+                  if (name, param) not in ALLOWED_DEFAULTS)
     assert not left, (
         "defaults that no call outside the tests overrides (make them "
         "constants, or pass them): " + ", ".join(left))
@@ -267,9 +255,6 @@ def test_every_src_parameter_is_read():
 
 
 def test_allowlist_holds_only_unreached_defs():
-    defs, refs = _scan()
-    stale = sorted(n for n in ALLOWED if n not in defs or n in refs)
-    assert not stale, f"allowlisted but gone or reached: {stale}"
     params, unpassed = _scan_defaults()
     stale = sorted(f"{name}({param})" for name, param in ALLOWED_DEFAULTS
                    if (name, param) not in params

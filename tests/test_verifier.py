@@ -1,7 +1,7 @@
 """Checks for the stand-alone verification helpers: weighted Poincare
 inequalities, the two Gaussian sup constants, raw-vs-damped equivalence
-ratios, band-multiplier convexity, decay fitting, and the band-budget
-report.
+ratios, decay fitting, and the band-budget report; and for the test
+oracle of band-multiplier convexity.
 """
 
 import math
@@ -16,13 +16,13 @@ from mhdbl.verify import (
     fit_decay,
     fit_loglog,
     gh_equivalence_check,
-    multiplier_convexity_check,
     poincare_check,
     run_poincare_suite,
     run_sup_constants_suite,
     sup_constants,
     theta_report,
 )
+from oracles import multiplier_convexity_check
 
 ROOT_PI_HALF = math.sqrt(math.pi) / 2.0
 
