@@ -19,8 +19,7 @@ import numpy as np
 from .grid import Field, GridSpec
 from .scenario import FarField, Params, initial_data_standard
 from .solver import (CheckpointError, NormSeries, load_checkpoint,
-                     make_state, resolve_branch_alpha, save_checkpoint,
-                     simulate)
+                     make_state, save_checkpoint, simulate)
 from .verify import (fit_decay, fit_loglog, run_poincare_suite,
                      run_sup_constants_suite, theta_report)
 
@@ -129,7 +128,8 @@ def build_run(cfg: dict):
     grid = GridSpec(lx=cfg["grid.lx"], nx=cfg["grid.nx"],
                     ymax=cfg["grid.ymax"], ny=cfg["grid.ny"])
     params = Params(kappa=cfg["params.kappa"], epsilon=cfg["params.epsilon"],
-                    delta=cfg["params.delta"], lam=cfg["params.lam"])
+                    delta=cfg["params.delta"], lam=cfg["params.lam"],
+                    branch=cfg["run.branch"])
     if cfg["scenario.id"] == "zero":
         u0 = Field.zeros(grid, "dirichlet")
         b0 = Field.zeros(grid, "neumann")
@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, args.overrides)
     validate_config(cfg)
     grid, params, u0, b0, ff, id_report = build_run(cfg)
-    start = [make_state(grid, params, u0, b0, cfg["run.branch"])]
+    start = [make_state(grid, params, u0, b0)]
     out_dir = _prepare_out(args.out)
     # handed over, not kept here, so the run frees each state it leaves
     result = simulate(start.pop(), ff, t_final=cfg["run.t_final"],
@@ -260,17 +260,15 @@ def cmd_resume(args) -> int:
                        fixed=("grid.", "params.", "scenario.", "run.branch"))
     state, ff, extras = load_checkpoint(args.checkpoint)
     # echo the settings the run uses, which are the checkpoint's
-    g, p, alpha = state.grid, state.params, state.weight_alpha
+    g, p = state.grid, state.params
     cfg.update({"grid.lx": g.lx, "grid.nx": g.nx, "grid.ny": g.ny,
                 "grid.ymax": g.ymax, "params.kappa": p.kappa,
                 "params.epsilon": p.epsilon, "params.delta": p.delta,
-                "params.lam": p.lam,
+                "params.lam": p.lam, "run.branch": p.branch,
                 "scenario.id": extras.get("scenario_id", cfg["scenario.id"])})
     if ff is not None:
         cfg.update({"scenario.farfield": "decaying",
                     "scenario.ff_eps": ff.eps, "scenario.alpha": ff.alpha})
-    if alpha != resolve_branch_alpha(p.kappa, "auto"):
-        cfg["run.branch"] = "unit" if alpha == 1.0 else "kappa"
     # the checkpoint's scenario id meets a config's rule
     validate_config(cfg)
     if cfg["run.t_final"] <= state.t:

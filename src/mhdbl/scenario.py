@@ -29,7 +29,9 @@ class Params:
     the data amplitude, delta the initial analytic band radius, and lam
     the band consumption rate: the band at time t is delta - lam*theta(t).
     The background tangential field bbar is 1 exactly at kappa = 1 and 0
-    otherwise.
+    otherwise.  branch names the run's weight branch in
+    weight_branches(kappa), "auto" being "unit" up to kappa = 1 and
+    "kappa" above; its (alpha, gain) are weight_alpha and weight_gain.
     """
 
     kappa: float
@@ -40,6 +42,7 @@ class Params:
     # standard pair (1, kappa)
     nu_u: Optional[float] = None
     nu_b: Optional[float] = None
+    branch: str = "auto"
 
     def __post_init__(self):
         for name in ("kappa", "epsilon", "delta", "lam", "nu_u", "nu_b"):
@@ -50,6 +53,21 @@ class Params:
         if not math.isfinite(self.kappa * float(self.kappa)):
             raise ValueError(f"params.kappa={self.kappa!r} is too large: the "
                              "energy audit squares it")
+        name = self.branch
+        if name == "auto":
+            name = "unit" if self.kappa <= 1.0 else "kappa"
+        needs = {"unit": "plain-weight branch needs kappa < 2",
+                 "kappa": "kappa-weight branch needs kappa > 1/2"}
+        # a tuple, so a header's unhashable value is refused by name too
+        if name not in ("unit", "kappa"):
+            raise ValueError(f"unknown branch {self.branch!r}")
+        try:
+            alpha, gain = weight_branches(self.kappa)[name]
+        except KeyError:
+            raise ValueError(needs[name]) from None
+        # derived, not fields: equality and the checkpoint header leave them out
+        object.__setattr__(self, "weight_alpha", alpha)
+        object.__setattr__(self, "weight_gain", gain)
 
     @property
     def bbar(self) -> float:

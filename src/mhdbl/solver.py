@@ -105,23 +105,17 @@ class NormSeries:
 
 class _Workspace:
     """A run's caches, held by each of its states (State.ws): the LP
-    partition, the zero-flux shapes, the gain of the weight branch whose
-    alpha is weight_alpha, one CN factorization per (nu, dt, bc) and the
-    RHS factor stack; a checkpoint stores none of them.  Built once per
-    run, it refuses a grid too coarse for the shapes, a weight_alpha of
-    no branch at kappa and a delta whose e^(delta xi) overflows.  `key`
-    is the (grid, params, weight_alpha) it was built for."""
+    partition, the zero-flux shapes, one CN factorization per (nu, dt,
+    bc) and the RHS factor stack; a checkpoint stores none of them.
+    Built once per run, it refuses a grid too coarse for the shapes and a
+    delta whose e^(delta xi) overflows.  `key` is the (grid, params) it
+    was built for."""
 
-    def __init__(self, grid: GridSpec, params: Params, weight_alpha: float):
-        self.key = (grid, params, weight_alpha)
+    def __init__(self, grid: GridSpec, params: Params):
+        self.key = (grid, params)
         self.grid = grid
         self.part = build_partition(grid)
         self.shapes = flux_projection_profiles(grid, params.diffusivities[0])
-        self.gain = dict(weight_branches(params.kappa).values()).get(
-            weight_alpha)
-        if self.gain is None:
-            raise ValueError(f"weight_alpha={weight_alpha!r} is the alpha of "
-                             f"no weight branch at kappa={params.kappa!r}")
         xi_max = float(grid.xi[-1])
         if params.delta * xi_max > math.log(np.finfo(float).max):
             raise ValueError(f"params.delta={params.delta!r} is too large: "
@@ -153,8 +147,8 @@ class State:
     A checkpoint stores exactly these, so a resumed run continues the
     unbroken one bit for bit.  Beside them `ws`, the run's caches: passed
     on by dataclasses.replace, so a run's states share one, built anew
-    when not given or built for another grid, params or weight_alpha, and
-    left out of equality, repr and checkpoints."""
+    when not given or built for another grid or params, and left out of
+    equality, repr and checkpoints."""
 
     grid: GridSpec
     params: Params
@@ -163,7 +157,6 @@ class State:
     b: Field
     theta: float = 0.0
     step_index: int = 0
-    weight_alpha: float = 1.0       # 1: plain weight; 1/kappa: kappa branch
     prev_ru: Optional[Field] = None     # the last step's tendencies
     prev_rb: Optional[Field] = None
     prev_dt: Optional[float] = None
@@ -176,9 +169,8 @@ class State:
                                         repr=False)
 
     def __post_init__(self):
-        if self.ws is None or self.ws.key != (self.grid, self.params,
-                                              self.weight_alpha):
-            self.ws = _Workspace(self.grid, self.params, self.weight_alpha)
+        if self.ws is None or self.ws.key != (self.grid, self.params):
+            self.ws = _Workspace(self.grid, self.params)
         if self.cl_integrals is None:
             self.cl_integrals = np.zeros(self.ws.part.n_shells)
 
@@ -205,19 +197,16 @@ class State:
         """(phi, psi, G, H, d_y G, d_y H): shared by the theta update and the
         sampled norms.  simulate drops them before the next step (phi and
         psi stay in phipsi)."""
-        phi, psi = self.phipsi
-        G, H = compute_GH(self, phi, psi)
-        return phi, psi, G, H, ddy(G), ddy(H)
+        G, H = compute_GH(self)
+        return (*self.phipsi, G, H, ddy(G), ddy(H))
 
 
-def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
-               branch: str = "auto") -> State:
+def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field) -> State:
     """The t = 0 state of a run from (u0, b0): the first CFL speed and the
     blow-up limit 1e6 (m + 1) both come from m = max |u0|, |b0|, which
     must have a finite square, as the norms need.  The state's fields are
     trimmed copies (Field.trimmed); nonzero data that the trim would
     zero whole, every part's square underflowing, is refused."""
-    alpha = resolve_branch_alpha(params.kappa, branch)
     scale = max(float(np.max(np.abs(u0.data), initial=0.0)),
                 float(np.max(np.abs(b0.data), initial=0.0)))
     if scale * scale == math.inf:
@@ -227,23 +216,8 @@ def make_state(grid: GridSpec, params: Params, u0: Field, b0: Field,
     if scale > 0.0 and u.rows == b.rows == 0:
         raise ValueError(f"initial amplitude max |u0|, |b0| = {scale:.3e} is "
                          "too small: its square underflows a double")
-    return State(grid, params, 0.0, u, b, weight_alpha=alpha, umax=scale,
+    return State(grid, params, 0.0, u, b, umax=scale,
                  blow_limit=1e6 * (scale + 1.0))
-
-
-def resolve_branch_alpha(kappa: float, branch: str) -> float:
-    """The weight_alpha of `branch` in weight_branches(kappa); "auto" is
-    "unit" up to kappa = 1 and "kappa" above."""
-    if branch == "auto":
-        branch = "unit" if kappa <= 1.0 else "kappa"
-    needs = {"unit": "plain-weight branch needs kappa < 2",
-             "kappa": "kappa-weight branch needs kappa > 1/2"}
-    if branch not in needs:
-        raise ValueError(f"unknown branch {branch!r}")
-    try:
-        return weight_branches(kappa)[branch][0]
-    except KeyError:
-        raise ValueError(needs[branch]) from None
 
 
 # ---- kinematic reconstructions ----------------------------------------------
@@ -284,11 +258,13 @@ def reconstruct_phipsi(state: State):
     return phi, psi
 
 
-def compute_GH(state: State, phi: Field, psi: Field):
+def compute_GH(state: State):
     """Damped combinations G = u + y phi / (2<t>), H = b + y psi /
-    (2 kappa <t>); G inherits the wall zero of u, H keeps the zero wall
-    slope of b.  Each is formed over the rows its two terms may fill."""
+    (2 kappa <t>), (phi, psi) the state's phipsi; G inherits the wall zero
+    of u, H keeps the zero wall slope of b.  Each is formed over the rows
+    its two terms may fill."""
     tt = 1.0 + state.t
+    phi, psi = state.phipsi
     out = []
     for f, a, scale, bc in ((state.u, phi, 2.0 * tt, BC_DIRICHLET),
                             (state.b, psi, 2.0 * state.params.kappa * tt,
@@ -380,7 +356,8 @@ def theta_components(state: State, farfield: Optional[FarField],
     *_, dG, dH = state.gh_fields
     t = state.t
     part = state.ws.part
-    per = pair_shell_norms(part, dG, dH, state.weight_alpha, t, radius)
+    per = pair_shell_norms(part, dG, dH, state.params.weight_alpha, t,
+                           radius)
     comp1 = (1.0 + t) ** 0.25 * part.besov_sum(per)
     comp2 = 0.0
     if farfield is not None:
@@ -663,7 +640,7 @@ def tail_guard_check(state: State) -> float:
     """Ratio of the weighted field magnitude above 0.8 ymax to its global
     max; raises when the truncation stops being faithful (> 1e-8)."""
     g = state.grid
-    w = psi_weight(g, state.weight_alpha, state.t,
+    w = psi_weight(g, state.params.weight_alpha, state.t,
                    max(state.u.rows, state.b.rows))
     worst = 0.0
     for f in (state.u, state.b):
@@ -747,7 +724,7 @@ def simulate(state: State, farfield: Optional[FarField] = None,
                 "kappa = 1 runs require the trivial far field")
         farfield.cutoff    # sampled now, so a bad grid fails before output
     part = state.ws.part
-    weight_exp = 2.0 * (0.5 + state.ws.gain)
+    weight_exp = 2.0 * (0.5 + params.weight_gain)
     # distinct (alpha, beta) audit combinations, alpha from each weight
     # branch at kappa, in first-seen order; at kappa = 1 they collapse to one
     audit_pairs = dict.fromkeys(
@@ -761,7 +738,7 @@ def simulate(state: State, farfield: Optional[FarField] = None,
 
     def take_sample(st: State):
         phi, psi, G, H, dG, dH = st.gh_fields
-        a = st.weight_alpha
+        a = params.weight_alpha
         r = st.radius
         series.append(
             t=st.t, theta=st.theta, radius=st.radius,
@@ -784,7 +761,7 @@ def simulate(state: State, farfield: Optional[FarField] = None,
             "flux_drift_per_unit": drift / max(st.t, 1e-300),
             "audit_min_slack": st.audit_min,
             "cl_dyub_sq_final": cl_dyub_sq(st),
-            "weight_alpha": st.weight_alpha,
+            "weight_alpha": params.weight_alpha,
             "reason": reason,
         }, reason, message)
 
@@ -800,8 +777,8 @@ def simulate(state: State, farfield: Optional[FarField] = None,
             # the Chemin-Lerner integrals of d_y (u, b) per shell, left
             # endpoint in time
             du, db = state.dy_ub
-            per = pair_shell_norms(part, du, db, state.weight_alpha, state.t,
-                                   state.radius)
+            per = pair_shell_norms(part, du, db, params.weight_alpha,
+                                   state.t, state.radius)
             cl = (state.cl_integrals
                   + (1.0 + state.t) ** weight_exp * per ** 2.0 * dt)
 
@@ -850,27 +827,26 @@ def _choose_dt(grid: GridSpec, dt_max: float, cfl: float, umax: float) -> float:
 
 # ---- checkpointing -----------------------------------------------------------
 
-_CKPT_VERSION = 5
+_CKPT_VERSION = 6
 
 # The State's scalars as the header stores them, each with the rule of
 # `checked` its value keeps on load (prev_dt may also be null).
 _SCALARS = {"t": "nonnegative", "theta": "nonnegative", "step_index": 0,
-            "weight_alpha": "positive", "prev_dt": "positive",
-            "theta_int1": "nonnegative", "umax": "nonnegative",
-            "blow_limit": "positive"}
+            "prev_dt": "positive", "theta_int1": "nonnegative",
+            "umax": "nonnegative", "blow_limit": "positive"}
 
 
 def save_checkpoint(path: str, state: State, farfield: Optional[FarField],
                     extras: Optional[dict] = None) -> None:
     """Snapshot of exactly `state` as a numpy .npz archive (format version
-    5, a CRC-32 per member): `header`, the JSON header as uint8 bytes,
+    6, a CRC-32 per member): `header`, the JSON header as uint8 bytes,
     then u, b and, when the state has a multistep history (prev_dt not
     null), prev_ru and prev_rb, each its whole (ny, nmodes) complex128
-    array (Field.coeffs).  The header holds the format version, the grid, the params,
-    the state's scalars (_SCALARS), its Chemin-Lerner shell integrals and
-    audit minima, the far field's eps and alpha ("farfield": null without
-    one; its x profile is default_x_profile's), and the caller's
-    `extras`.  Written to a temporary file beside `path` and renamed over
+    array (Field.coeffs).  The header holds the format version, the grid,
+    the params (the weight branch among them), the state's scalars
+    (_SCALARS), its Chemin-Lerner shell integrals and audit minima, the
+    far field's eps and alpha ("farfield": null without one; its x
+    profile is default_x_profile's), and the caller's `extras`.  Written to a temporary file beside `path` and renamed over
     it, so a failed write leaves any previous file intact."""
     ff = None
     if farfield is not None:
@@ -912,20 +888,21 @@ def load_checkpoint(path: str):
     Raises CheckpointError with a one-line message when the file cannot
     be read, is no archive as np.savez writes it (files of format 1 to 4
     included), is cut short or extended, fails a member's CRC-32, has a
-    header of another version, not JSON, without a key or of the wrong
-    structure (a cl_integrals list of the wrong length, an audit_min or
-    extras that is no object), holds other members than the header calls
-    for, or an array that is not (ny, nmodes) complex128, has a
-    non-finite value or an imaginary part in its DC column (and Nyquist
-    column, when stored), which a real field's spectrum has not.
+    header of another version (format 5 included), not JSON, without a
+    key or of the wrong structure (a cl_integrals list of the wrong
+    length, an audit_min or extras that is no object), holds other
+    members than the header calls for, or an array that is not (ny,
+    nmodes) complex128, has a non-finite value or an imaginary part in its
+    DC column (and Nyquist column, when stored), which a real field's
+    spectrum has not.
 
     Every number of the header meets the range check a config's meets,
     with its ValueError: a grid, params or far-field value in its
-    constructor, the state's scalars, Chemin-Lerner integrals and audit
-    minima in `grid.checked` under their header keys ("checkpoint t must
-    be finite and >= 0, got -0.5"), and a weight_alpha of no branch at
-    its kappa in the state's workspace.  A bool, a string or a float
-    count ("ny": 256.0) there is refused the same way."""
+    constructor (the weight branch in Params), and the state's scalars,
+    Chemin-Lerner integrals and audit minima in `grid.checked` under their
+    header keys ("checkpoint t must be finite and >= 0, got -0.5").  A
+    bool, a string or a float count ("ny": 256.0) there is refused the
+    same way."""
     try:
         with open(path, "rb") as fh:
             members = _read_archive(fh)
@@ -956,8 +933,9 @@ def _read_archive(fh) -> dict:
     start = fh.read(4)
     fh.seek(max(fh.seek(0, os.SEEK_END) - 22, 0))
     if start != b"PK\x03\x04" or fh.read(4) != b"PK\x05\x06":
-        raise CheckpointError("not a checkpoint archive of format 5, or one "
-                              "cut short or with bytes past its end")
+        raise CheckpointError(f"not a checkpoint archive of format "
+                              f"{_CKPT_VERSION}, or one cut short or with "
+                              "bytes past its end")
     fh.seek(0)
     try:
         with np.load(fh, allow_pickle=False) as npz:

@@ -176,7 +176,7 @@ def gh_equivalence_check(state: State, gamma: float) -> dict:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     part = state.ws.part
-    a = state.weight_alpha
+    a = state.params.weight_alpha
     t = state.t
     r = max(state.radius, 0.0)
     tt_half = math.sqrt(1.0 + t)

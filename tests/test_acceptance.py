@@ -37,14 +37,15 @@ def physical(f):
     return x_transform(f.grid, f.coeffs, "inverse")
 
 
-def _standard_run(kappa, weight_alpha, branch):
-    ymax = recommended_ymax(100.0, kappa=kappa, weight_alpha=weight_alpha)
+def _standard_run(kappa, branch):
+    params = Params(kappa=kappa, epsilon=1e-3, branch=branch)
+    ymax = recommended_ymax(100.0, kappa=kappa,
+                            weight_alpha=params.weight_alpha)
     grid = GridSpec(2.0 * np.pi, 64, ymax, 768)
-    params = Params(kappa=kappa, epsilon=1e-3)
     u0, b0, report = initial_data_standard(grid, params)
     assert report["ok"]
     t0 = time.perf_counter()
-    res = simulate(make_state(grid, params, u0, b0, branch), t_final=100.0,
+    res = simulate(make_state(grid, params, u0, b0), t_final=100.0,
                    dt_max=1e-2, cfl=0.4, sample_every=10)
     wall = time.perf_counter() - t0
     assert res.reason == "completed"
@@ -54,12 +55,12 @@ def _standard_run(kappa, weight_alpha, branch):
 
 @pytest.fixture(scope="module")
 def run4():
-    return _standard_run(1.0, 1.0, "auto")
+    return _standard_run(1.0, "auto")
 
 
 @pytest.fixture(scope="module")
 def run6():
-    return _standard_run(1.5, 2.0 / 3.0, "kappa")
+    return _standard_run(1.5, "kappa")
 
 
 class TestCriterion1Poincare:

@@ -267,7 +267,7 @@ class TestSimulateCommand:
     def test_run_inputs_refused_by_the_library(self, tmp_path, capsys, items,
                                                msg):
         """A far field at kappa = 1, a bad run setting and an unknown
-        weight branch are refused once, by make_state or simulate: exit 2
+        weight branch are refused once, by Params or simulate: exit 2
         with their one line, before any output."""
         out = tmp_path / "r"
         assert run_cli(*base_args(out, *items)) == 2
@@ -571,7 +571,7 @@ class TestResumeCommand:
                        "--set", "params.kappa=1.5")
         assert code == 2
         assert "cannot override" in capsys.readouterr().err
-        # the weight branch is fixed too: the checkpoint carries its alpha
+        # the weight branch is fixed too: the checkpoint's params carry it
         code = run_cli("resume", str(first / "final.ckpt"),
                        "--out", str(tmp_path / "r"),
                        "--set", "run.branch=unit")
@@ -587,12 +587,13 @@ class TestResumeCommand:
             key = item.split("=")[0]
             assert f"cannot override {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("branch,echo", [("kappa", "auto"),
+    @pytest.mark.parametrize("branch,echo", [("kappa", "kappa"),
                                              ("unit", "unit")])
     def test_resume_echoes_the_checkpoint_settings(self, tmp_path, branch,
                                                    echo):
         """summary.json reports the grid, parameters and weight branch the
-        resumed run used, which are the checkpoint's, not the defaults."""
+        resumed run used, which are the checkpoint's, not the defaults:
+        the branch by its name, even where "auto" picks the same one."""
         first = tmp_path / "first"
         assert run_cli(*base_args(first, "params.kappa=1.5",
                                   f"run.branch={branch}")) == 0
@@ -605,6 +606,21 @@ class TestResumeCommand:
         assert cfg["params.kappa"] == 1.5
         assert cfg["run.branch"] == echo
         assert cfg["run.t_final"] == 0.2
+
+    def test_resume_echoes_the_branch_at_kappa_one(self, tmp_path):
+        """At kappa = 1 both branches weigh with alpha = 1; the resumed run
+        still echoes, and checkpoints, the branch it ran."""
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first, "run.branch=kappa")) == 0
+        out = tmp_path / "r"
+        assert run_cli("resume", str(first / "final.ckpt"), "--out", str(out),
+                       "--set", "run.t_final=0.2") == 0
+        for d in (first, out):
+            doc = json.loads((d / "summary.json").read_text())
+            assert doc["config"]["params.kappa"] == 1.0
+            assert doc["config"]["run.branch"] == "kappa"
+        state, _, _ = load_checkpoint(str(out / "final.ckpt"))
+        assert state.params.branch == "kappa"
 
     def test_resume_echoes_the_scenario_id(self, tmp_path):
         first = tmp_path / "first"
@@ -643,7 +659,7 @@ class TestResumeCommand:
         out = tmp_path / "d"
         assert run_cli("resume", str(text), "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: not a checkpoint "
-                                                  "archive of format 5")
+                                                  "archive of format 6")
         assert not out.exists()
 
     def test_must_extend_the_run(self, tmp_path, capsys):
@@ -720,9 +736,11 @@ class TestResumeCommand:
 
     NAN = float("nan")
 
-    # A row refused by grid.checked or the state's workspace keeps the id
-    # it was first listed under, whose last part names the rule in the
-    # loader's former words.
+    # A row refused by grid.checked or Params keeps the id it was first
+    # listed under, whose last part names the rule in the loader's former
+    # words.  The weight branch's rows were listed under the header's
+    # weight_alpha, which params.branch replaced: they set the branch of
+    # the header's params, and their msg is Params' whole line.
     @pytest.mark.parametrize("key, value, msg", [
         pytest.param("t", "x", "finite and >= 0",
                      id="t-x-a finite number >= 0"),
@@ -735,12 +753,12 @@ class TestResumeCommand:
         ("step_index", "x", "an integer >= 0"),
         ("step_index", 1.5, "an integer >= 0"),
         ("step_index", -1, "an integer >= 0"),
-        pytest.param("weight_alpha", "x", "positive and finite",
+        pytest.param("branch", "x", "unknown branch 'x'",
                      id="weight_alpha-x-1 or 1/kappa"),
-        # the state's workspace refuses an alpha of no branch at kappa
-        pytest.param("weight_alpha", 0.3, "weight_alpha=0.3 is the alpha of "
-                     "no weight branch at kappa=1.0",
-                     id="weight_alpha-0.3-1 or 1/kappa"),
+        # an unhashable value; in the slot of the alpha of no branch that
+        # the header held, so the rows below keep their generated ids
+        pytest.param("branch", ["unit"], "unknown branch ['unit']",
+                     id="branch-list-unknown branch"),
         pytest.param("prev_dt", "x", "positive and finite",
                      id="prev_dt-x-null or a finite number > 0"),
         pytest.param("prev_dt", NAN, "positive and finite",
@@ -763,18 +781,19 @@ class TestResumeCommand:
         pytest.param("audit_min", {"u:a1:b1": "x"}, "finite, got 'x'",
                      id="audit_min-value19-an object of finite numbers"),
         ("audit_min", [], "an object of finite numbers"),
-        # (kappa, weight_alpha): 1/kappa without the kappa branch (kappa <=
-        # 1/2) and 1 without the plain one (kappa >= 2)
-        pytest.param("weight_alpha", (0.4, 2.5), "weight_alpha=2.5 is the "
-                     "alpha of no weight branch at kappa=0.4",
+        # (kappa, branch): the kappa branch at kappa <= 1/2 and the plain
+        # one at kappa >= 2
+        pytest.param("branch", (0.4, "kappa"),
+                     "kappa-weight branch needs kappa > 1/2",
                      id="weight_alpha-value21-1 or 1/kappa"),
-        pytest.param("weight_alpha", (3.0, 1.0), "weight_alpha=1.0 is the "
-                     "alpha of no weight branch at kappa=3.0",
+        pytest.param("branch", (3.0, "unit"),
+                     "plain-weight branch needs kappa < 2",
                      id="weight_alpha-value22-1 or 1/kappa"),
-        # a bool is no number
+        # a bool is no number, and no branch name
         ("t", True, "finite and >= 0"),
         ("step_index", True, "an integer >= 0"),
-        ("weight_alpha", True, "positive and finite"),
+        pytest.param("branch", True, "unknown branch True",
+                     id="weight_alpha-True-positive and finite"),
         ("audit_min", {"u:a1:b1": True}, "finite, got True"),
     ])
     def test_bad_header_values_exit_two(self, tmp_path, capsys,
@@ -783,15 +802,17 @@ class TestResumeCommand:
         """Every value of the state's header is checked for type, finiteness
         and range on load, so a bad one exits 2 with one line before any
         step or output.  A msg that starts with "KEY=" is the whole line
-        of a rule that joins the key with other values."""
+        of a rule that joins the key with other values, as is a branch's."""
         def change(members):
             header, new = members["header"], value
             if key == "cl_integrals":
                 cl = header[key]
                 assert len(cl) == 4
                 new = cl[:-1] if value == "one short" else [self.NAN] + cl[1:]
-            if isinstance(value, tuple):
-                header["params"]["kappa"], new = value
+            if key == "branch":
+                if isinstance(value, tuple):
+                    header["params"]["kappa"], new = value
+                header = header["params"]
             header[key] = new
 
         path = tmp_path / "bad.ckpt"
@@ -801,7 +822,7 @@ class TestResumeCommand:
                        "--set", "run.t_final=0.2")
         assert code == 2
         err = capsys.readouterr().err
-        want = msg if msg.startswith(f"{key}=") else \
+        want = msg if key == "branch" or msg.startswith(f"{key}=") else \
             f"checkpoint {key} must be {msg}"
         assert err.startswith(f"error: {want}")
         assert err.count("\n") == 1
@@ -898,7 +919,7 @@ class TestResumeCommand:
 
     def test_corrupt_version_rejected(self, tmp_path, capsys,
                                       rewrite_checkpoint):
-        """Any version but 5 is refused.  Files of versions 1 to 4 are no
+        """Any version but 6 is refused.  Files of versions 1 to 4 are no
         .npz archive: they start with the magic b"MHDBL\\0" and a
         little-endian version word.  Version 1 files stored all nx modes
         and kept part of a run's tallies outside the state, without the
@@ -924,5 +945,29 @@ class TestResumeCommand:
                            "--set", "run.t_final=0.2")
             assert code == 2
             assert capsys.readouterr().err == (
-                "error: not a checkpoint archive of format 5, or one cut "
+                "error: not a checkpoint archive of format 6, or one cut "
                 "short or with bytes past its end\n")
+
+    def test_format_5_archive_is_refused_by_its_version(
+            self, tmp_path, capsys, rewrite_checkpoint):
+        """A format-5 archive, whose header holds the weight branch's alpha
+        as a scalar and params without the branch, is refused by its
+        version rather than resumed on the default branch."""
+        first = tmp_path / "first"
+        assert run_cli(*base_args(first, "params.kappa=1.5",
+                                  "run.branch=unit")) == 0
+
+        def to_format_5(members):
+            header = members["header"]
+            del header["params"]["branch"]
+            header.update(version=5, weight_alpha=1.0)
+
+        old = tmp_path / "v5.ckpt"
+        rewrite_checkpoint(first / "final.ckpt", old, to_format_5)
+        out = tmp_path / "r"
+        code = run_cli("resume", str(old), "--out", str(out),
+                       "--set", "run.t_final=0.2")
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: unsupported checkpoint version 5\n"
+        assert not out.exists()

@@ -637,14 +637,15 @@ class TestWeightedNorms:
         assert np.isfinite(val) and val > 0.0
 
     # every weighted reduction of field f under the weight exponent a; a
-    # State refuses a weight_alpha of no weight branch, so the tail guard
-    # gets a stand-in with the five attributes it reads
+    # state's alpha is that of a weight branch (Params), so the tail guard
+    # gets a stand-in with the attributes it reads
     REDUCTIONS = {
         "weighted_l2": lambda f, a: weighted_l2(f, a, 0.0),
         "shell_weighted_norms": lambda f, a: shell_weighted_norms(
             build_partition(f.grid), f, a, 0.0),
         "tail_guard_check": lambda f, a: tail_guard_check(SimpleNamespace(
-            grid=f.grid, weight_alpha=a, t=0.0, u=f, b=f)),
+            grid=f.grid, params=SimpleNamespace(weight_alpha=a), t=0.0,
+            u=f, b=f)),
         "heat_energy_slack": lambda f, a: heat_energy_slack(
             f, Field(f.grid, 2.0 * f.coeffs, f.bc), 0.0, 1e-2, [(a, 1.0)]),
     }

@@ -15,7 +15,7 @@ import os
 import re
 import warnings
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,7 +57,6 @@ from mhdbl.solver import (
     recommended_ymax,
     reconstruct_phipsi,
     recover_vh,
-    resolve_branch_alpha,
     rhs_explicit,
     save_checkpoint,
     simulate,
@@ -315,10 +314,10 @@ class TestTheta:
         under phi_shell, each squared over the x nodes (exact for their
         degree, below nx)."""
         g = make_grid()
-        p = Params(kappa=1.5, epsilon=1e-3)
+        p = Params(kappa=1.5, epsilon=1e-3, branch="kappa")
         ff = FarField(g, p.epsilon, 2.5)
         st = make_state(g, p, Field.zeros(g, BC_DIRICHLET),
-                        Field.zeros(g, BC_NEUMANN), branch="kappa")
+                        Field.zeros(g, BC_NEUMANN))
         st.t = 2.0
         r = st.radius
         tt = 1.0 + st.t
@@ -512,21 +511,17 @@ class TestStepper:
         assert replace(direct, t=1.0).ws is direct.ws
 
     def test_replace_rebuilds_a_workspace_built_for_other_values(self):
-        """dataclasses.replace passes the workspace on only while the grid,
-        params and weight_alpha it was built for stay: a replaced
-        weight_alpha of no branch meets the workspace's refusal, and one
-        of the other branch gets that branch's gain."""
+        """dataclasses.replace passes the workspace on only while the grid
+        and params it was built for stay: params of the other weight
+        branch, or of another lam, get a workspace of their own."""
         g = make_grid(ny=129)
-        p = Params(kappa=1.5, epsilon=1e-3)
+        p = Params(kappa=1.5, epsilon=1e-3, branch="unit")
         u0, b0, _ = initial_data_standard(g, p)
-        st = make_state(g, p, u0, b0, "unit")
-        with pytest.raises(ValueError) as exc:
-            replace(st, weight_alpha=20.0)
-        assert str(exc.value) == ("weight_alpha=20.0 is the alpha of no "
-                                  "weight branch at kappa=1.5")
-        alpha, gain = weight_branches(1.5)["kappa"]
-        other = replace(st, weight_alpha=alpha)
-        assert other.ws is not st.ws and other.ws.gain == gain != st.ws.gain
+        st = make_state(g, p, u0, b0)
+        other = replace(st, params=replace(p, branch="kappa"))
+        assert other.ws is not st.ws
+        assert (other.params.weight_alpha, other.params.weight_gain) == \
+            weight_branches(1.5)["kappa"]
         assert replace(st, params=replace(p, lam=5.0)).ws is not st.ws
         assert replace(st, t=1.0).ws is st.ws
 
@@ -747,8 +742,8 @@ def full_rows(st):
 def sampled_norms(st):
     """The four Besov norms a sample writes, from st's gh_fields."""
     phi, psi, G, H, dG, dH = st.gh_fields
-    return [besov_pair_norm(st.ws.part, f1, f2, st.weight_alpha, st.t,
-                            st.radius)
+    return [besov_pair_norm(st.ws.part, f1, f2, st.params.weight_alpha,
+                            st.t, st.radius)
             for f1, f2 in ((st.u, st.b), (G, H), (dG, dH), (phi, psi))]
 
 
@@ -1017,28 +1012,28 @@ class TestAudits:
             assert str(exc.value) == msg
 
     def test_branch_selection(self):
-        assert resolve_branch_alpha(1.0, "auto") == 1.0
-        assert resolve_branch_alpha(1.5, "auto") == pytest.approx(2.0 / 3.0)
-        assert resolve_branch_alpha(1.5, "unit") == 1.0
-        with pytest.raises(ValueError, match="needs kappa < 2"):
-            resolve_branch_alpha(2.0, "unit")
-        with pytest.raises(ValueError, match="needs kappa > 1/2"):
-            resolve_branch_alpha(0.5, "kappa")
-        with pytest.raises(ValueError, match="unknown branch"):
-            resolve_branch_alpha(1.0, "fancy")
-
-    @pytest.mark.parametrize("kappa, alpha", [(1.5, 0.7), (3.0, 1.0)])
-    def test_state_refuses_an_alpha_of_no_branch(self, kappa, alpha):
-        """The state's workspace refuses it, so no run starts from it:
-        0.7 is neither 1 nor 1/kappa; the unit weight has no branch above
-        kappa = 2."""
-        g = make_grid(nx=16, ny=96)
-        p = Params(kappa=kappa, epsilon=1e-3)
-        u0, b0, _ = initial_data_standard(g, p)
-        with pytest.raises(ValueError) as exc:
-            State(g, p, 0.0, u0, b0, weight_alpha=alpha)
-        assert str(exc.value) == (f"weight_alpha={alpha!r} is the alpha of "
-                                  f"no weight branch at kappa={kappa!r}")
+        """Params looks its branch up in weight_branches once ("auto" is
+        "unit" up to kappa = 1, "kappa" above) and refuses a name that is
+        no branch, or a branch that does not exist at kappa, so no state
+        is built on it."""
+        for kappa, branch, want in ((1.0, "auto", "unit"),
+                                    (1.5, "auto", "kappa"),
+                                    (1.0, "kappa", "kappa"),
+                                    (1.5, "unit", "unit")):
+            p = Params(kappa=kappa, epsilon=1e-3, branch=branch)
+            assert (p.weight_alpha, p.weight_gain) == \
+                weight_branches(kappa)[want]
+        for kappa, branch, msg in (
+                (2.0, "unit", "plain-weight branch needs kappa < 2"),
+                (3.0, "unit", "plain-weight branch needs kappa < 2"),
+                (0.5, "kappa", "kappa-weight branch needs kappa > 1/2"),
+                (0.4, "kappa", "kappa-weight branch needs kappa > 1/2"),
+                (1.0, "fancy", "unknown branch 'fancy'"),
+                (1.0, True, "unknown branch True"),
+                (1.0, ["unit"], "unknown branch ['unit']")):
+            with pytest.raises(ValueError) as exc:
+                Params(kappa=kappa, epsilon=1e-3, branch=branch)
+            assert str(exc.value) == msg
 
 
 class TestEqs2Residual:
@@ -1198,9 +1193,9 @@ class TestKappaRescale:
 
 
 class TestCheckpoint:
-    def _stepped_state(self, kappa=1.5):
+    def _stepped_state(self, kappa=1.5, branch="auto"):
         g = make_grid(ny=129)
-        p = Params(kappa=kappa, epsilon=1e-3)
+        p = Params(kappa=kappa, epsilon=1e-3, branch=branch)
         u0, b0, _ = initial_data_standard(g, p)
         st = make_state(g, p, u0, b0)
         for _ in range(3):
@@ -1208,24 +1203,26 @@ class TestCheckpoint:
         return g, p, st
 
     def test_round_trip_bit_exact(self, tmp_path):
-        g, p, st = self._stepped_state()
+        """Every State field but the caches comes back: the weight branch
+        is not the one "auto" picks, so params without it would differ."""
+        g, p, st = self._stepped_state(branch="unit")
         ff = FarField(g, 1e-4, 2.5)
         st.cl_integrals = np.linspace(1e-6, 2e-6, len(st.cl_integrals))
         st.audit_min = {"u:a1:b1": -1e-9, "b:a1:b1": 3e-8}
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, st, ff, extras={"note": 1.5})
         st2, ff2, extras = load_checkpoint(path)
-        assert np.array_equal(st2.u.coeffs, st.u.coeffs)
-        assert np.array_equal(st2.b.coeffs, st.b.coeffs)
-        assert np.array_equal(st2.prev_ru.coeffs, st.prev_ru.coeffs)
-        assert np.array_equal(st2.prev_rb.coeffs, st.prev_rb.coeffs)
-        assert st2.t == st.t and st2.theta == st.theta
-        assert st2.prev_dt == st.prev_dt
-        assert st2.step_index == st.step_index
-        assert st2.weight_alpha == st.weight_alpha
-        for key in ("theta_int1", "umax", "audit_min", "blow_limit"):
-            assert getattr(st2, key) == getattr(st, key), key
-        assert np.array_equal(st2.cl_integrals, st.cl_integrals)
+        for f in fields(State):
+            if f.name == "ws":
+                continue
+            got, want = getattr(st2, f.name), getattr(st, f.name)
+            if isinstance(want, Field):
+                assert got.bc == want.bc, f.name
+                assert np.array_equal(got.coeffs, want.coeffs), f.name
+            elif isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
         assert ff2.eps == ff.eps
         assert ff2.alpha == ff.alpha
         assert np.array_equal(ff2.g_spec, ff.g_spec)
@@ -1233,7 +1230,8 @@ class TestCheckpoint:
         # saving the loaded state reproduces the file byte for byte
         path2 = str(tmp_path / "again.ckpt")
         save_checkpoint(path2, st2, ff2, extras=extras)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert (tmp_path / "run.ckpt").read_bytes() == \
+            (tmp_path / "again.ckpt").read_bytes()
 
     def test_diffusivity_overrides_round_trip(self, tmp_path):
         g = make_grid(ny=129)
@@ -1404,7 +1402,7 @@ class TestCheckpoint:
     def test_not_an_archive_refused(self, tmp_path):
         """A file of format 1 to 4, which starts with the magic b"MHDBL\\0"
         and its version word, a bare .npy array, an empty file and text
-        are no format-5 archive."""
+        are no format-6 archive."""
         path = tmp_path / "bad.ckpt"
         with open(path, "wb") as fh:
             np.save(fh, np.zeros((4, 3), complex))
@@ -1413,7 +1411,7 @@ class TestCheckpoint:
                      b"NOTMHD" + b"\x00" * 64):
             path.write_bytes(blob)
             with pytest.raises(CheckpointError,
-                               match="^not a checkpoint archive of format 5"):
+                               match="^not a checkpoint archive of format 6"):
                 load_checkpoint(str(path))
 
     def test_version_mismatch(self, tmp_path, rewrite_checkpoint):
@@ -1532,12 +1530,13 @@ class TestSimulate:
         st = make_state(g, p, u0, b0)
         res = simulate(st, t_final=0.05, dt_max=1e-2, sample_every=1)
         part = st.ws.part
-        assert st.weight_alpha == weight_branches(p.kappa)["kappa"][0]
-        w = 1.0 + 2.0 * weight_branches(p.kappa)["kappa"][1]
+        alpha, gain = weight_branches(p.kappa)["kappa"]
+        assert p.weight_alpha == alpha
+        w = 1.0 + 2.0 * gain
         integrals = np.zeros(part.n_shells)
         for k in range(5):
-            per = pair_shell_norms(part, ddy(st.u), ddy(st.b),
-                                   st.weight_alpha, st.t, st.radius)
+            per = pair_shell_norms(part, ddy(st.u), ddy(st.b), alpha, st.t,
+                                   st.radius)
             integrals += (1.0 + st.t) ** w * per ** 2 * 1e-2
             st = step_imex(st, 1e-2)
             want = float(np.sum(2.0 ** (part.ks / 2.0)
@@ -1548,10 +1547,9 @@ class TestSimulate:
 
     def test_audit_matrix_for_kappa_branch(self):
         g = make_grid(ny=129)
-        p = Params(kappa=1.5, epsilon=1e-3)
+        p = Params(kappa=1.5, epsilon=1e-3, branch="kappa")
         u0, b0, _ = initial_data_standard(g, p)
-        res = simulate(make_state(g, p, u0, b0, branch="kappa"),
-                       t_final=0.03, dt_max=1e-2)
+        res = simulate(make_state(g, p, u0, b0), t_final=0.03, dt_max=1e-2)
         keys = res.summary["audit_min_slack"]
         assert len(keys) == 8
         assert "u:a0.6667:b1.5" in keys
@@ -1592,10 +1590,9 @@ class TestSimulate:
         """At kappa = 1/2 and 3 one weight branch exists; the weight of
         the other one grows faster than the fields decay, and an audit in
         it overflowed within the first steps."""
-        alpha = resolve_branch_alpha(kappa, "auto")
-        ymax = recommended_ymax(10.0, kappa, alpha)
-        g = GridSpec(2.0 * np.pi, 16, ymax, round(ymax / 0.24) + 1)
         p = Params(kappa=kappa, epsilon=1e-3)
+        ymax = recommended_ymax(10.0, kappa, p.weight_alpha)
+        g = GridSpec(2.0 * np.pi, 16, ymax, round(ymax / 0.24) + 1)
         u0, b0, _ = initial_data_standard(g, p)
         res = simulate(make_state(g, p, u0, b0), t_final=1.0, dt_max=1e-2)
         assert res.reason == "completed", res.message
