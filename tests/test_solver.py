@@ -15,7 +15,7 @@ import os
 import re
 import warnings
 import zipfile
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -1034,6 +1034,25 @@ class TestAudits:
             with pytest.raises(ValueError) as exc:
                 Params(kappa=kappa, epsilon=1e-3, branch=branch)
             assert str(exc.value) == msg
+
+    @pytest.mark.parametrize("kappa, alpha", [(3.0, 1.0)])
+    def test_state_refuses_an_alpha_of_no_branch(self, kappa, alpha):
+        """No state runs on an alpha that is no branch's at kappa: the unit
+        weight (alpha = 1) has no branch above kappa = 2, so its Params is
+        refused before a State exists, and a state's frozen params keep
+        the alpha of the branch they were given."""
+        assert alpha not in {a for a, _ in weight_branches(kappa).values()}
+        with pytest.raises(ValueError) as exc:
+            Params(kappa=kappa, epsilon=1e-3, branch="unit")
+        assert str(exc.value) == "plain-weight branch needs kappa < 2"
+        g = make_grid(nx=16, ny=96)
+        p = Params(kappa=kappa, epsilon=1e-3)
+        u0, b0, _ = initial_data_standard(g, p)
+        st = State(g, p, 0.0, u0, b0)
+        assert st.params.weight_alpha == 1.0 / kappa
+        with pytest.raises(FrozenInstanceError):
+            st.params.weight_alpha = alpha
+        assert st.params.weight_alpha == 1.0 / kappa
 
 
 class TestEqs2Residual:
